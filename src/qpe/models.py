@@ -129,6 +129,25 @@ def povm_vector(config: BellConfig, c: int, z: int) -> np.ndarray:
     return v
 
 
+def povm_vectors(config: BellConfig, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows ``povm_vector(config, c[j], z[j])`` for packed outcome/input arrays.
+
+    One broadcast outer product per station performs the same
+    multiplications as the ``np.kron`` chain of :func:`povm_vector`, so the
+    rows are bit-identical to it.
+    """
+    c, z = np.asarray(c), np.asarray(z)
+    V = np.ones((c.size, 1))
+    for i, phi in enumerate(config.angles):
+        # table[z_i, c_i] is station i's unit vector for that setting and outcome.
+        table = np.array([
+            [_station_vector(cb, zb, phi) for cb in (0, 1)] for zb in (0, 1)
+        ])
+        S = table[(z >> i) & 1, (c >> i) & 1]
+        V = (V[:, :, None] * S[:, None, :]).reshape(c.size, -1)
+    return V
+
+
 @dataclass(frozen=True)
 class CanonicalState:
     """A state ``tau`` measured under a configuration, inputs drawn i.i.d."""

@@ -543,4 +543,5 @@ def certify_pef_fmax(
         regions_explored=created,
         gap_flag=gap_flag,
         regions=tuple(regions) if keep_regions else None,
+        gap_target=gap_target,
     )

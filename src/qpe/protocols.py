@@ -75,6 +75,15 @@ def tmps_feasible(
     return k_s >= need
 
 
+def _require_certified(F: TrialFunction) -> None:
+    """Reject a factor whose role does not say its supremum is certified."""
+    if F.role not in ("qef", "qefp"):
+        raise ValueError(
+            f"protocols need a certified factor of role 'qef' or 'qefp', got "
+            f"role {F.role!r}; rescale it by its certified supremum first"
+        )
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Immutable description of one protocol run.
@@ -83,6 +92,7 @@ class ProtocolParams:
     share ``epsilon_x`` and the certification share ``epsilon - epsilon_x``.
     ``k_i`` is the extractor's input min-entropy demand and ``k_z`` credits
     input-side randomness already spent (zero for the plain protocol).
+    ``F`` must be a certified factor, of role ``qef`` or ``qefp``.
     """
 
     F: TrialFunction
@@ -96,8 +106,7 @@ class ProtocolParams:
     extractor: str = "toeplitz"
 
     def __post_init__(self) -> None:
-        if self.F.beta is None:
-            raise ValueError("the factor must carry a power")
+        _require_certified(self.F)
         if self.n < 1 or self.k_o < 1 or self.k < 1:
             raise ValueError("trial count, output length, stations must be positive")
         if not (0.0 < self.epsilon < 1.0):
@@ -163,6 +172,7 @@ def design_params(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("total error must lie in (0, 1)")
+    _require_certified(F)
     best: ProtocolParams | None = None
     for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), grid_points):
         eps_x = float(eps_x)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .models import BellConfig, povm_vector
+from .models import BellConfig, povm_vectors
 from .quantum_core import (
     SUPPORT_TOL,
     CqDistribution,
@@ -216,18 +216,17 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
 def _weights_and_vectors(
     F: TrialFunction, config: BellConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero weights ``mu(z) F(cz)`` and matching projector vectors."""
-    ws, vs = [], []
-    for z in range(config.dim):
-        mu = config.mu(z)
-        for c in range(config.dim):
-            w = mu * F.value(c, z)
-            if w > 0.0:
-                ws.append(w)
-                vs.append(povm_vector(config, c, z))
-    if not ws:
+    """Nonzero weights ``mu(z) F(cz)`` and matching projector vectors.
+
+    Rows run over ``z`` then ``c``.
+    """
+    d = config.dim
+    w = np.array([config.mu(z) * F.value(c, z) for z in range(d) for c in range(d)])
+    rows = np.flatnonzero(w > 0.0)
+    if rows.size == 0:
         raise ValueError("trial function vanishes everywhere")
-    return np.asarray(ws), np.asarray(vs)
+    z, c = np.divmod(rows, d)
+    return w[rows], povm_vectors(config, c, z)
 
 
 def _wrap_angle(t: float) -> float:
@@ -418,14 +417,25 @@ def _invariant_blocks(
                     parent[rj] = ri
     groups: dict[int, list[int]] = {}
     for i in range(len(clusters)):
-        groups.setdefault(find(i), []).extend(clusters[i])
-    bases = [U[:, sorted(idx)] for idx in groups.values()]
+        groups.setdefault(find(i), []).append(i)
+    # member[g, i] = 1 when cluster i belongs to component g.
+    member = np.zeros((len(groups), len(clusters)))
+    for g, idx in enumerate(groups.values()):
+        member[g, idx] = 1.0
     # Verify every projector lives inside exactly one component.
-    for v in V:
-        masses_v = [float(np.linalg.norm(b.T @ v) ** 2) for b in bases]
-        if max(masses_v) < 1.0 - 1e-10:
-            return [np.eye(d)]
-    return bases
+    if np.any((member @ masses**2).max(axis=0) < 1.0 - 1e-10):
+        return [np.eye(d)]
+    return [
+        U[:, sorted(j for i in idx for j in clusters[i])] for idx in groups.values()
+    ]
+
+
+class _StopSolve(Exception):
+    """Raised from the quasi-Newton objective: gap met or evaluations spent."""
+
+
+# Weight of the maximally mixed state mixed into every solver iterate.
+_FLOOR = 1e-13
 
 
 def _maximize_block(
@@ -435,13 +445,20 @@ def _maximize_block(
     seed: int,
     keep_trace: bool,
 ):
-    """Warm-started Frank-Wolfe ascent with an eigenvalue certificate.
+    """Quasi-Newton ascent that stops on its certified gap.
 
     The certificate rests on concavity and 1-homogeneity: for any density
     ``sigma``, ``g(sigma) <= <grad g(tau), sigma> <= lambda_max(grad g(tau))``,
-    so the largest gradient eigenvalue at any iterate is a global upper
-    bound.  The running best value and the running smallest upper bound
-    bracket the supremum.
+    so the largest gradient eigenvalue at any density ``tau`` is a global
+    upper bound.  L-BFGS-B runs on ``tau = A A^T / tr(A A^T)``, floored by
+    ``_FLOOR`` times the maximally mixed state, with tight tolerances; every
+    objective evaluation also computes that bound, and the solve stops as
+    soon as the running smallest bound is within ``tol`` of the running
+    best value.  A solve that ends uncertified continues
+    with Frank-Wolfe steps (golden-section line search toward the top
+    gradient eigenspace) from its best point.  Each evaluation, in either
+    phase, yields one ``(value, bound)`` pair, and at most ``max_iters`` are
+    made.
     """
     m = prob.m
     rng = np.random.default_rng(seed)
@@ -449,7 +466,21 @@ def _maximize_block(
     if m == 1:
         tau = np.array([[1.0]])
         val = prob.value(tau)
-        return val, tau, val, True, 0, ((val, val),) if keep_trace else None
+        return val, tau, val, True, 1, ((val, val),) if keep_trace else None
+
+    best_val = -math.inf
+    best_tau = np.eye(m) / m
+    best_ub = math.inf
+    trace = []
+
+    def record(g: float, ub: float, tau) -> bool:
+        """Fold one certified pair into the bracket; True once it is met."""
+        nonlocal best_val, best_tau, best_ub
+        if g > best_val:
+            best_val, best_tau = g, tau
+        best_ub = min(best_ub, ub)
+        trace.append((g, ub))
+        return best_ub - best_val <= tol
 
     def negative(x):
         A = x.reshape(m, m)
@@ -457,60 +488,56 @@ def _maximize_block(
         s = float(np.trace(S))
         if s <= 0.0:
             return 0.0, np.zeros(m * m)
-        tau = S / s
+        # The identity floor keeps every t_i positive, so no projector drops
+        # out of the gradient and its top eigenvalue stays a sound bound.
+        tau = (1.0 - _FLOOR) * (S / s) + _FLOOR * np.eye(m) / m
         lam, U = prob._decompose(tau)
         g, t = prob._value_from(lam, U)
         G = prob.gradient(lam, U, t)
-        GA = (G @ A - g * A) * (2.0 / s)
+        met = record(g, float(np.linalg.eigvalsh(G)[-1]), tau)
+        if met or len(trace) >= max_iters:
+            raise _StopSolve
+        # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
+        # identity <G, tau> = g gives <G, S / s> below.
+        c = (g - _FLOOR * float(np.trace(G)) / m) / (1.0 - _FLOOR)
+        GA = (G @ A - c * A) * (2.0 * (1.0 - _FLOOR) / s)
         return -g, -GA.ravel()
 
     x0 = (np.eye(m) + 0.05 * rng.standard_normal((m, m))).ravel()
-    res = minimize(negative, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 250})
-    A = res.x.reshape(m, m)
-    S = A @ A.T
-    s = float(np.trace(S))
-    tau = S / s if s > 0.0 else np.eye(m) / m
-    tau = (1.0 - 1e-13) * tau + 1e-13 * np.eye(m) / m
+    try:
+        minimize(negative, x0, jac=True, method="L-BFGS-B",
+                 options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500})
+    except _StopSolve:
+        pass
 
-    best_val = -math.inf
-    best_tau = tau
-    best_ub = math.inf
-    trace = [] if keep_trace else None
-    iters = 0
-    converged = False
-    for iters in range(1, max_iters + 1):
+    converged = best_ub - best_val <= tol
+    tau = best_tau
+    while not converged and len(trace) < max_iters:
         lam, U = prob.collapse(tau)
         g, t = prob._value_from(lam, U)
         G = prob.gradient(lam, U, t)
         gl, GU = np.linalg.eigh(G)
-        ub = float(gl[-1])
-        if g > best_val:
-            best_val, best_tau = g, (U * lam) @ U.T
-        best_ub = min(best_ub, ub)
-        if keep_trace:
-            trace.append((g, ub))
-        if best_ub - best_val <= tol:
+        base = (U * lam) @ U.T
+        if record(g, float(gl[-1]), base):
             converged = True
             break
         # Frank-Wolfe direction: the top-eigenvalue cluster of the gradient.
         top = gl >= gl[-1] - 1e-12 * max(1.0, abs(gl[-1]))
         W = GU[:, top]
         delta = (W @ W.T) / float(top.sum())
-        base = (U * lam) @ U.T
 
         def line(eps):
             return prob.value((1.0 - eps) * base + eps * delta)
 
         eps = _golden_section_max(line)
         tau = (1.0 - eps) * base + eps * delta
-        tau = (1.0 - 1e-13) * tau + 1e-13 * np.eye(m) / m
+        tau = (1.0 - _FLOOR) * tau + _FLOOR * np.eye(m) / m
     return (
         best_val,
         best_tau,
         best_ub,
         converged,
-        iters,
+        len(trace),
         tuple(trace) if keep_trace else None,
     )
 
@@ -536,7 +563,10 @@ def inner_max_tau(
     -------
     InnerMaxResult
         ``value <= sup <= upper_bound``; ``converged`` reports whether the
-        requested gap was met within the iteration budget.
+        requested gap was met within the iteration budget.  ``iterations``
+        counts the certified ``(value, bound)`` pairs computed over all
+        blocks (objective evaluations of the quasi-Newton phase plus any
+        Frank-Wolfe steps); ``max_iters`` caps that count per block.
     """
     config = _config_for(theta, input_dist)
     w, V = _weights_and_vectors(F, config)
@@ -645,7 +675,8 @@ class CertificationResult:
 
     ``f_lower`` is attained by the stored witness; ``f_upper`` bounds the
     supremum from above (with a small additive roundoff allowance) and
-    ``gap_flag`` marks budget exhaustion before the target gap was met.
+    ``gap_flag`` marks budget exhaustion before the target gap
+    ``gap_target`` was met.
     """
 
     beta: float
@@ -656,6 +687,7 @@ class CertificationResult:
     regions_explored: int
     gap_flag: bool = False
     regions: tuple[Region, ...] | None = None
+    gap_target: float | None = None
 
     @property
     def gap(self) -> float:
@@ -673,6 +705,8 @@ class CertificationResult:
                     [float(x.real), float(x.imag)] for x in m.ravel()
                 ],
                 "regions": self.regions_explored,
+                "gap_flag": self.gap_flag,
+                "gap_target": self.gap_target,
             }
         )
 
@@ -681,6 +715,7 @@ class CertificationResult:
         data = json.loads(text)
         flat = np.array([complex(re, im) for re, im in data["witness_tau"]])
         dim = round(math.isqrt(flat.size))
+        target = data.get("gap_target")
         return cls(
             beta=float(data["beta"]),
             f_lower=float(data["f_lower"]),
@@ -688,6 +723,9 @@ class CertificationResult:
             witness_theta=tuple(float(t) for t in data["witness_theta"]),
             witness_tau=HermitianOperator(flat.reshape(dim, dim)),
             regions_explored=int(data["regions"]),
+            # Certificates written before these fields read as met, untargeted.
+            gap_flag=bool(data.get("gap_flag", False)),
+            gap_target=None if target is None else float(target),
         )
 
 
@@ -854,4 +892,5 @@ def certify_fmax(
         regions_explored=created,
         gap_flag=gap_flag,
         regions=tuple(kept) if keep_regions else None,
+        gap_target=gap_target,
     )

@@ -86,7 +86,7 @@ class TestOptimizeCertify:
         assert code == 0
         res = CertificationResult.from_json(cert.read_text())
         assert res.f_upper - res.f_lower <= 1e-3 + 1e-8
-        assert abs(res.f_upper - 1.000773193) <= 1e-6
+        assert abs(res.f_upper - 1.000717945) <= 1e-6
 
     def test_certify_pef_kind(self, tmp_path, dist_file):
         pef = tmp_path / "pef.json"
@@ -102,6 +102,21 @@ class TestOptimizeCertify:
         res = CertificationResult.from_json(cert.read_text())
         assert res.f_lower <= res.f_upper
         assert res.f_lower >= 1.0 - 1e-9
+
+    def test_certify_reports_unmet_gap_target(self, tmp_path, qef_file):
+        cert = tmp_path / "cert.json"
+        code = main(
+            [
+                "certify", "--function", qef_file, "--gap", "1e-5",
+                "--budget", "40", "-o", str(cert),
+            ]
+        )
+        assert code == 0
+        out = json.loads(cert.read_text())
+        assert out["gap_flag"] is True
+        assert out["gap_target"] == 1e-5
+        assert out["f_upper"] - out["f_lower"] > 1e-5
+        assert CertificationResult.from_json(cert.read_text()).gap_flag
 
     def test_missing_input_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -231,6 +246,25 @@ class TestRun:
             assert main(argv) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    def test_refuses_uncertified_factor(self, tmp_path, capsys):
+        """family -> optimize -> run with the optimizer's own (pef) output."""
+        dist = tmp_path / "e.json"
+        pef = tmp_path / "pef.json"
+        out = tmp_path / "out.json"
+        theta = repr(math.pi / 4.0)
+        assert main(["family", "--family", "E", "--param", theta, "-o", str(dist)]) == 0
+        assert main(
+            ["optimize", "--dist", str(dist), "--beta", "0.2", "-o", str(pef)]
+        ) == 0
+        capsys.readouterr()
+        argv = [
+            "run", "--function", str(pef), "--dist", str(dist),
+            "--n", "20000", "--k-o", "64", "--epsilon", "1e-6", "-o", str(out),
+        ]
+        assert main(argv) != 0
+        assert "'pef'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_a_record_source(self, qef_file, capsys):
         argv = [

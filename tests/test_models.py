@@ -19,6 +19,7 @@ from qpe.models import (
     pack_bits,
     povm_tensor,
     povm_vector,
+    povm_vectors,
     qubit_povm,
 )
 from qpe.quantum_core import HermitianOperator
@@ -123,12 +124,16 @@ class TestPovmTensor:
     def test_vector_spans_projector(self):
         rng = np.random.default_rng(25)
         config = BellConfig.uniform(tuple(rng.uniform(-1.5, 1.5, size=2)))
+        singles = []
         for c in range(4):
             for z in range(4):
                 v = povm_vector(config, c, z)
                 assert np.allclose(
                     np.outer(v, v), povm_tensor(config, c, z).matrix, atol=1e-12
                 )
+                singles.append(v)
+        c, z = np.divmod(np.arange(16), 4)
+        assert povm_vectors(config, c, z).tobytes() == np.array(singles).tobytes()
 
 
 class TestCanonicalCqState:

@@ -137,6 +137,17 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             dataclasses.replace(good, k_i=toeplitz_min_ki(good.k_o, good.epsilon_x) - 1)
 
+    def test_uncertified_roles_rejected(self):
+        good = make_params()
+        for role in ("candidate", "pef"):
+            F = good.F.scaled(1.0, role=role)
+            with pytest.raises(ValueError, match=repr(role)):
+                dataclasses.replace(good, F=F)
+            with pytest.raises(ValueError, match=repr(role)):
+                design_params(F, 100, 8, 1e-3)
+        qefp = TrialFunction(dict(good.F.values), 0.3, role="qefp")
+        assert dataclasses.replace(good, F=qefp).F.role == "qefp"
+
     def test_frozen(self):
         params = make_params()
         with pytest.raises(dataclasses.FrozenInstanceError):

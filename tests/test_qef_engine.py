@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qpe.models import BellConfig
+from qpe import qef_engine
+from qpe.models import BellConfig, povm_vector
 from qpe.qef_engine import (
     CertificationResult,
+    _BlockProblem,
     _config_for,
+    _invariant_blocks,
+    _weights_and_vectors,
     TrialFunction,
     certify_fmax,
     chain,
@@ -400,6 +406,117 @@ class TestInnerMaxTau:
         assert out.value <= out.upper_bound + 1e-12
 
 
+class TestInnerSolver:
+    """The vector table, the block split and the certified-gap solve."""
+
+    @staticmethod
+    def _random_candidate(rng: np.random.Generator) -> TrialFunction:
+        values = {
+            (c, z): float(rng.uniform(0.1, 2.0)) for c in range(4) for z in range(4)
+        }
+        return TrialFunction(values, float(rng.uniform(0.05, 0.9)), role="candidate")
+
+    def test_vectors_match_povm_vector_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            k = int(rng.integers(1, 4))
+            d = 1 << k
+            values = {
+                (c, z): float(rng.uniform(0.1, 2.0)) if rng.random() > 0.25 else 0.0
+                for c in range(d)
+                for z in range(d)
+            }
+            values[(0, 0)] = 1.0
+            F = TrialFunction(values, 0.3, role="candidate")
+            config = _config_for(tuple(rng.uniform(-math.pi, math.pi, size=k)))
+            ws, vs = [], []
+            for z in range(d):
+                for c in range(d):
+                    w = config.mu(z) * F.value(c, z)
+                    if w > 0.0:
+                        ws.append(w)
+                        vs.append(povm_vector(config, c, z))
+            w, V = _weights_and_vectors(F, config)
+            assert w.tobytes() == np.asarray(ws).tobytes()
+            assert V.shape == (len(vs), d)
+            assert V.tobytes() == np.asarray(vs).tobytes()
+
+    def test_blocks_carry_each_projector(self):
+        rng = np.random.default_rng(42)
+        F = self._random_candidate(rng)
+        for theta, count in (((0.0, 0.0), 4), ((0.0, 1.3), 2), ((0.7, 1.9), 1)):
+            _, V = _weights_and_vectors(F, _config_for(theta))
+            bases = _invariant_blocks(V, 0)
+            assert len(bases) == count
+            assert sum(b.shape[1] for b in bases) == 4
+            for v in V:
+                mass = max(float(np.linalg.norm(b.T @ v) ** 2) for b in bases)
+                assert mass >= 1.0 - 1e-10
+
+    def test_random_candidates_certify(self):
+        rng = np.random.default_rng(43)
+        for _ in range(12):
+            F = self._random_candidate(rng)
+            theta = tuple(rng.uniform(0.0, math.pi, size=2))
+            out = inner_max_tau(F, theta, tol=1e-6, keep_trace=True)
+            assert out.converged
+            assert out.upper_bound - out.value <= 1e-6
+            assert len(out.trace) == out.iterations
+            for g, ub in out.trace:
+                assert ub >= g - 1e-12
+            for _ in range(5):
+                rho = random_density(rng, 4)
+                assert q_alpha(F, theta, rho) <= out.upper_bound + 1e-12
+
+    def test_certifies_without_fallback(self, pef02, monkeypatch):
+        def no_line_search(*args, **kwargs):
+            raise AssertionError("fallback line search used")
+
+        monkeypatch.setattr(qef_engine, "_golden_section_max", no_line_search)
+        F, _ = pef02
+        out = inner_max_tau(F, (0.4, 1.1), tol=1e-9)
+        assert out.converged
+        assert out.iterations <= 50
+
+    def test_fallback_finishes_an_uncertified_solve(self, pef02, monkeypatch):
+        """With the quasi-Newton phase cut to one evaluation, the Frank-Wolfe
+        fallback meets the gap and brackets the same supremum."""
+        F, _ = pef02
+        full = inner_max_tau(F, (0.4, 1.1), tol=1e-6)
+        monkeypatch.setattr(qef_engine, "minimize", lambda fun, x0, **kw: fun(x0))
+        out = inner_max_tau(F, (0.4, 1.1), tol=1e-6, keep_trace=True)
+        assert out.converged
+        assert out.iterations > 1
+        for g, ub in out.trace:
+            assert ub >= g - 1e-12
+        assert out.value <= full.upper_bound and full.value <= out.upper_bound
+
+    def test_bound_sound_at_rank_deficient_iterate(self, monkeypatch):
+        """An iterate whose kernel holds a projector still yields a sound bound.
+
+        With ``V = I`` the functional is ``tau_00 + 2 tau_11``, whose supremum
+        2 sits on the projector that the pure iterate ``e0 e0^T`` misses.
+        """
+        prob = _BlockProblem(np.eye(2), np.array([1.0, 2.0]), 1.5)
+        pure = np.array([1.0, 0.0, 0.0, 0.0])  # A = e0 e0^T
+        monkeypatch.setattr(qef_engine, "minimize", lambda fun, x0, **kw: fun(pure))
+        _, _, ub, _, iters, _ = qef_engine._maximize_block(prob, 0.0, 1, 0, False)
+        assert iters == 1
+        assert ub >= 2.0 - 1e-12
+
+    def test_iteration_budget_caps_pairs(self):
+        rng = np.random.default_rng(44)
+        V = rng.standard_normal((6, 4))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        prob = _BlockProblem(V, rng.uniform(0.1, 1.0, size=6), 1.3)
+        val, tau, ub, conv, iters, trace = qef_engine._maximize_block(
+            prob, 0.0, 7, 0, True
+        )
+        assert not conv and iters == 7 and len(trace) == 7
+        assert val == max(g for g, _ in trace) and ub == min(u for _, u in trace)
+        assert abs(prob.value(tau) - val) <= 1e-15
+
+
 class TestIntervalBound:
     def test_dominates_endpoints(self):
         rng = np.random.default_rng(40)
@@ -488,6 +605,16 @@ class TestCertifyFmax:
         assert back.f_upper == cert02.f_upper
         assert back.witness_theta == cert02.witness_theta
         assert np.allclose(back.witness_tau.matrix, cert02.witness_tau.matrix)
+
+    def test_json_keeps_gap_flag_and_target(self, cert02):
+        assert CertificationResult.from_json(cert02.to_json()).gap_target == 1e-3
+        unmet = dataclasses.replace(cert02, gap_flag=True, gap_target=1e-5)
+        back = CertificationResult.from_json(unmet.to_json())
+        assert back.gap_flag is True and back.gap_target == 1e-5
+        data = json.loads(unmet.to_json())
+        del data["gap_flag"], data["gap_target"]
+        old = CertificationResult.from_json(json.dumps(data))
+        assert old.gap_flag is False and old.gap_target is None
 
     def test_gap_target_domain(self, pef02, config22):
         F, _ = pef02
