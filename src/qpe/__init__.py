@@ -13,7 +13,7 @@ Subpackage map:
 - ``accounting``: smooth min-entropy accounting, trial-count planning and
   comparison curves against entropy accumulation.
 - ``pef_opt``: classical probability estimation factor optimization over
-  polytope models and certification over quantum realizations.
+  polytope models.
 - ``protocols``: executable randomness generation protocols with seeded
   extraction.
 """

@@ -26,11 +26,7 @@ from .accounting import (
 )
 from .estimators import expansion_rate, spot_check_scheme
 from .models import BellConfig, TrialDistribution, family_distribution
-from .pef_opt import (
-    certify_pef_fmax,
-    local_deterministic_vertices,
-    optimize_pef_polytope,
-)
+from .pef_opt import local_deterministic_vertices, optimize_pef_polytope
 from .protocols import (
     ProtocolParams,
     ProtocolResult,
@@ -90,17 +86,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     F = _load_function(args.function)
     k = _infer_k(F)
     config = BellConfig.uniform((0.0,) * k)
-    if args.kind == "qef":
-        result = certify_fmax(
-            F,
-            config,
-            args.gap,
-            budget=args.budget,
-            workers=args.threads,
-            seed=args.seed,
-        )
-    else:
-        result = certify_pef_fmax(F, config, args.gap, budget=args.budget)
+    result = certify_fmax(F, config, args.gap, budget=args.budget, seed=args.seed)
     _emit(result.to_json(), args.output)
     return 0
 
@@ -248,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qpe", description="Quantum probability estimation tools."
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads where supported"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="emit a model-family trial distribution")
@@ -272,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="bracket a factor's model supremum")
     p.add_argument("--function", required=True, help="trial function JSON")
-    p.add_argument("--kind", choices=("qef", "pef"), default="qef")
     p.add_argument("--gap", type=float, required=True)
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("-o", "--output", default=None)

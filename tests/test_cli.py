@@ -88,20 +88,21 @@ class TestOptimizeCertify:
         assert res.f_upper - res.f_lower <= 1e-3 + 1e-8
         assert abs(res.f_upper - 1.000717945) <= 1e-6
 
-    def test_certify_pef_kind(self, tmp_path, dist_file):
-        pef = tmp_path / "pef.json"
-        main(["optimize", "--dist", dist_file, "--beta", "0.45", "-o", str(pef)])
-        cert = tmp_path / "cert.json"
-        code = main(
-            [
-                "certify", "--function", str(pef), "--kind", "pef",
-                "--gap", "2.0", "--budget", "3000", "-o", str(cert),
-            ]
-        )
-        assert code == 0
-        res = CertificationResult.from_json(cert.read_text())
-        assert res.f_lower <= res.f_upper
-        assert res.f_lower >= 1.0 - 1e-9
+    @pytest.mark.parametrize(
+        "name, value, is_global",
+        [("threads", "2", True), ("kind", "pef", False)],
+        ids=["threads", "kind"],
+    )
+    def test_removed_options_are_usage_errors(
+        self, qef_file, capsys, name, value, is_global
+    ):
+        """The global thread count and the certifier choice no longer exist."""
+        certify = ["certify", "--function", qef_file, "--gap", "1.0", "--budget", "40"]
+        option = [f"--{name}", value]
+        with pytest.raises(SystemExit) as err:
+            main(option + certify if is_global else certify + option)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_certify_reports_unmet_gap_target(self, tmp_path, qef_file):
         cert = tmp_path / "cert.json"

@@ -1,4 +1,4 @@
-"""Polytope factors: vertices, the rate optimizer, and quantum certification."""
+"""Polytope factors: vertices, the rate optimizer, and their quantum bracket."""
 
 from __future__ import annotations
 
@@ -9,22 +9,17 @@ import numpy as np
 import pytest
 
 from qpe.estimators import binary_model, binary_model_rate_limit
-from qpe.models import BellConfig, TrialDistribution
+from qpe.models import TrialDistribution
 from qpe.pef_opt import (
-    FacetCone,
     chsh_variant_value,
-    cone_witness_state,
-    certify_pef_fmax,
     default_model_vertices,
-    facet_bound,
     local_deterministic_vertices,
     optimize_pef_polytope,
     pef_inequality_check,
     pr_box_vertices,
     tsirelson_cut_vertices,
-    _phi_vector,
 )
-from qpe.qef_engine import certify_fmax, q_alpha
+from qpe.qef_engine import certify_fmax, inner_max_tau, q_alpha
 
 ROOT2 = math.sqrt(2.0)
 
@@ -32,9 +27,20 @@ ROOT2 = math.sqrt(2.0)
 PATTERNS = [s for s in itertools.product((-1, 1), repeat=4) if np.prod(s) == -1]
 
 
-def random_unit(rng, dim=4):
-    x = rng.standard_normal(dim)
-    return x / np.linalg.norm(x)
+def strategy_loop_tables():
+    """Provenance and joint table of each local deterministic vertex, built
+    strategy by strategy: ``a = fa(x)``, ``b = fb(y)``, ``c = a + 2 b``."""
+    strategies = (lambda x: 0, lambda x: 1, lambda x: x, lambda x: 1 - x)
+    out = []
+    for ia, fa in enumerate(strategies):
+        for ib, fb in enumerate(strategies):
+            probs = {}
+            for z in range(4):
+                hit = fa(z & 1) + 2 * fb((z >> 1) & 1)
+                for c in range(4):
+                    probs[(c, z)] = 0.25 if c == hit else 0.0
+            out.append((f"ld {ia}{ib}", probs))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +49,11 @@ def pef45(nu_e):
 
 
 @pytest.fixture(scope="module")
-def pefcert45(pef45, config22):
-    """One converged five-dimensional certification run, regions kept."""
+def cert45(pef45, config22):
+    """The power-0.45 factor's bracket over quantum models at gap 1e-3,
+    with its kept regions."""
     F, _ = pef45
-    return certify_pef_fmax(
-        F, config22, 1.0, budget=60000, grid_m=1, keep_regions=True
-    )
+    return certify_fmax(F, config22, 1e-3, seed=0, keep_regions=True)
 
 
 class TestVertices:
@@ -77,6 +82,24 @@ class TestVertices:
         for v in tsirelson_cut_vertices():
             vals = [chsh_variant_value(v, s) for s in PATTERNS]
             assert abs(max(vals) - 2.0 * ROOT2) <= 1e-12
+
+    def test_tables_match_strategy_loop(self):
+        """Every default vertex equals its strategy-by-strategy reference."""
+        ref = strategy_loop_tables()
+        got = default_model_vertices()
+        for v, (prov, probs) in zip(got, ref):
+            assert v.provenance == prov
+            assert list(v.probs.items()) == list(probs.items())
+        t = ROOT2 - 1.0
+        locals_ = dict(ref)
+        boxes = {b.provenance: b.probs for b in pr_box_vertices()}
+        for v in got[16:]:
+            box, ld = v.provenance.removeprefix("cut ").split("|")
+            want = {
+                key: t * p + (1.0 - t) * locals_[ld][key]
+                for key, p in boxes[box].items()
+            }
+            assert list(v.probs.items()) == list(want.items())
 
     def test_no_vertex_exceeds_quantum_bound(self):
         for v in default_model_vertices():
@@ -182,169 +205,83 @@ class TestOptimizePolytope:
             optimize_pef_polytope(nu_e, 0.0)
 
 
-class TestFacetCone:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FacetCone(((1.0, 0.0, 0.0, 0.0),))
-        with pytest.raises(ValueError):
-            FacetCone(((1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)))
-
-    def test_overlap_and_validity(self):
-        e1 = (1.0, 0.0, 0.0, 0.0)
-        e2 = (0.0, 1.0, 0.0, 0.0)
-        wide = FacetCone((e1, e2))
-        assert abs(wide.min_overlap) <= 1e-12
-        assert not wide.is_valid()
-        d = 1.0 / ROOT2
-        tight = FacetCone((e1, (d, d, 0.0, 0.0)))
-        assert abs(tight.min_overlap - d) <= 1e-12
-        assert abs(tight.epsilon - (1.0 - d)) <= 1e-12
-        assert tight.is_valid()
-
-    def test_witness_dominates_member(self):
-        """The witness operator sits above y y^T with a controlled trace."""
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            center = random_unit(rng)
-            xs = []
-            for _ in range(4):
-                x = center + 0.2 * rng.standard_normal(4)
-                xs.append(tuple(x / np.linalg.norm(x)))
-            cone = FacetCone(tuple(xs))
-            if not cone.is_valid():
-                continue
-            lam = rng.uniform(0.1, 1.0, size=4)
-            rho, y = cone_witness_state(cone, lam)
-            assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
-            gap = np.linalg.eigvalsh(rho - np.outer(y, y))
-            assert gap.min() >= -1e-9
-            assert np.trace(rho) <= 1.0 / (1.0 - cone.epsilon) + 1e-9
-
-    def test_witness_domain(self):
-        e1 = (1.0, 0.0, 0.0, 0.0)
-        e2 = (0.0, 1.0, 0.0, 0.0)
-        cone = FacetCone((e1, e2))
-        with pytest.raises(ValueError):
-            cone_witness_state(cone, [-1.0, 1.0])
-        with pytest.raises(ValueError):
-            cone_witness_state(cone, [1.0])
-        flip = FacetCone((e1, (-1.0, 0.0, 0.0, 0.0)))
-        with pytest.raises(ValueError):
-            cone_witness_state(flip, [1.0, 1.0])
-
-
-class TestFacetBound:
-    def test_degenerate_cone_recovers_point_value(self, pef45):
-        """A zero-width cone gives exactly the pure-state functional."""
-        F, _ = pef45
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            x = random_unit(rng)
-            theta = rng.uniform(0.0, math.pi, size=2)
-            cone = FacetCone((tuple(x), tuple(x)))
-            got = facet_bound(F, theta, cone)
-            want = q_alpha(F, theta, np.outer(x, x))
-            assert abs(got - want) <= 1e-12 * max(1.0, want)
-
-    def test_bounds_cone_members(self, pef45):
-        """Any positive combination inside the cone stays under the bound."""
-        F, _ = pef45
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            center = random_unit(rng)
-            xs = []
-            for _ in range(4):
-                x = center + 0.15 * rng.standard_normal(4)
-                xs.append(tuple(x / np.linalg.norm(x)))
-            cone = FacetCone(tuple(xs))
-            if not cone.is_valid():
-                continue
-            theta = rng.uniform(0.0, math.pi, size=2)
-            ub = facet_bound(F, theta, cone)
-            for _ in range(10):
-                y = rng.uniform(0.0, 1.0, size=4) @ np.asarray(xs)
-                y /= np.linalg.norm(y)
-                val = q_alpha(F, theta, np.outer(y, y))
-                assert val <= ub + 1e-12
-
-    def test_invalid_cone_is_unbounded(self, pef45):
-        F, _ = pef45
-        cone = FacetCone(((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)))
-        assert facet_bound(F, (0.5, 1.0), cone) == math.inf
-
-    def test_inflation_formula(self, pef45):
-        """The bound is the corner maximum scaled by the overlap power."""
-        F, _ = pef45
-        rng = np.random.default_rng(3)
-        center = random_unit(rng)
-        xs = []
-        for _ in range(3):
-            x = center + 0.1 * rng.standard_normal(4)
-            xs.append(tuple(x / np.linalg.norm(x)))
-        cone = FacetCone(tuple(xs))
-        theta = (0.7, 1.9)
-        corner_max = max(q_alpha(F, theta, np.outer(x, x)) for x in map(np.asarray, xs))
-        want = corner_max * cone.min_overlap ** (-F.alpha)
-        assert abs(facet_bound(F, theta, cone) - want) <= 1e-12 * want
-
-
 class TestCertifyPefFmax:
-    def test_domain(self, pef45, config22):
+    """The polytope factor's bound over quantum models, from ``certify_fmax``.
+
+    For a pure state ``tau^{1/alpha} = tau``, so the PEF functional is
+    ``q_alpha``; the supremum over all densities bounds it.
+    """
+
+    def test_witness_attains_lower(self, pef45, cert45):
         F, _ = pef45
-        with pytest.raises(ValueError):
-            certify_pef_fmax(F, BellConfig.uniform((0.5,)), 0.1)
-        with pytest.raises(ValueError):
-            certify_pef_fmax(F, config22, 0.0)
-        with pytest.raises(ValueError):
-            certify_pef_fmax(F, config22, 0.1, grid_m=0)
+        got = q_alpha(F, cert45.witness_theta, cert45.witness_tau)
+        assert abs(got - cert45.f_lower) <= 1e-12 * cert45.f_lower
 
-    def test_converged_bracket(self, pefcert45):
-        assert not pefcert45.gap_flag
-        assert pefcert45.f_lower <= pefcert45.f_upper
-        assert pefcert45.f_upper - pefcert45.f_lower <= 1.0 + 1e-6
-
-    def test_witness_attains_lower(self, pef45, pefcert45):
-        F, _ = pef45
-        got = q_alpha(F, pefcert45.witness_theta, pefcert45.witness_tau)
-        assert abs(got - pefcert45.f_lower) <= 1e-12 * pefcert45.f_lower
-
-    def test_upper_bound_dominates_samples(self, pef45, pefcert45):
-        """Random real pure states at random angles stay under the bracket."""
+    def test_upper_bound_dominates_samples(self, pef45, cert45):
+        """Real and complex pure states and rank-2 mixtures at random angles
+        stay under the bracket."""
         F, _ = pef45
         rng = np.random.default_rng(17)
-        for _ in range(300):
-            x = random_unit(rng)
-            theta = rng.uniform(0.0, math.pi, size=2)
-            assert q_alpha(F, theta, np.outer(x, x)) <= pefcert45.f_upper + 1e-9
 
-    def test_recorded_regions_are_sound(self, pef45, pefcert45):
-        """Sampled interior points of kept cells respect the cell bounds."""
+        def unit():
+            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            return x / np.linalg.norm(x)
+
+        states = []
+        for _ in range(300):
+            x = rng.standard_normal(4)
+            states.append(np.outer(x, x) / (x @ x))
+        for _ in range(100):
+            x = unit()
+            states.append(np.outer(x, x.conj()))
+        for _ in range(100):
+            x, y, p = unit(), unit(), rng.uniform()
+            states.append(p * np.outer(x, x.conj()) + (1 - p) * np.outer(y, y.conj()))
+        for tau in states:
+            theta = rng.uniform(0.0, math.pi, size=2)
+            assert q_alpha(F, theta, tau) <= cert45.f_upper + 1e-9
+
+    def test_recorded_regions_are_sound(self, pef45, cert45):
+        """At interior angles of kept cells, sampled states and the inner
+        maximum respect the cell bounds."""
         F, _ = pef45
         rng = np.random.default_rng(23)
-        regions = pefcert45.regions
+        regions = cert45.regions
         assert regions
         idx = rng.choice(len(regions), size=min(60, len(regions)), replace=False)
         for i in idx:
             region = regions[i]
-            if not math.isfinite(region.upper_bound):
-                continue
+            theta = [rng.uniform(lo, hi) for lo, hi in region.cuboid]
+            assert inner_max_tau(F, theta, tol=1e-6).value <= region.upper_bound + 1e-9
             for _ in range(4):
-                point = [rng.uniform(lo, hi) for lo, hi in region.cuboid]
-                x = _phi_vector(*point[:3])
-                val = q_alpha(F, point[3:], np.outer(x, x))
+                x = rng.standard_normal(4)
+                val = q_alpha(F, theta, np.outer(x, x) / (x @ x))
                 assert val <= region.upper_bound + 1e-9
 
-    def test_agrees_with_mixed_state_certifier(self, pef45, config22, pefcert45):
-        """Pure-state and mixed-state brackets trap the same supremum."""
+    def test_agrees_with_mixed_state_certifier(self, pef45, cert45):
+        """The supremum over densities is attained by a pure state, so the
+        pure-state supremum lies in the same bracket."""
         F, _ = pef45
-        mixed = certify_fmax(F, config22, 1e-3, seed=0)
-        assert pefcert45.f_upper >= mixed.f_lower - 1e-9
-        assert pefcert45.f_lower <= mixed.f_upper + 1e-9
+        lam, vecs = np.linalg.eigh(cert45.witness_tau.matrix)
+        assert lam[-1] >= 1.0 - 1e-9 and lam[:-1].sum() <= 1e-9
+        v = vecs[:, -1]
+        pure = q_alpha(F, cert45.witness_theta, np.outer(v, v.conj()))
+        assert abs(pure - cert45.f_lower) <= 1e-9 * cert45.f_lower
+        assert pure <= cert45.f_upper + 1e-9
 
-    def test_scaling_with_gap(self, pef45, config22):
-        """Scaling the factor and the target together scales the bracket."""
+
+class TestQuantumBracket:
+    """``certify_fmax`` brackets a polytope factor over all quantum models."""
+
+    def test_one_homogeneous(self, pef45, config22, cert45):
+        """Scaling the factor and the gap by 1.5 scales the bracket by 1.5
+        and explores the same regions."""
         F, _ = pef45
-        r1 = certify_pef_fmax(F, config22, 0.5, budget=2000, grid_m=1)
-        r2 = certify_pef_fmax(F.scaled(1.5), config22, 0.75, budget=2000, grid_m=1)
-        assert abs(r2.f_upper - 1.5 * r1.f_upper) <= 1e-8 * r2.f_upper
-        assert abs(r2.f_lower - 1.5 * r1.f_lower) <= 1e-12 * r2.f_lower
+        for gap, r1 in (
+            (1e-2, certify_fmax(F, config22, 1e-2, seed=0)),
+            (1e-3, cert45),
+        ):
+            r2 = certify_fmax(F.scaled(1.5), config22, 1.5 * gap, seed=0)
+            assert r1.regions_explored == r2.regions_explored
+            assert abs(r2.f_upper - 1.5 * r1.f_upper) <= 1e-8 * r2.f_upper
+            assert abs(r2.f_lower - 1.5 * r1.f_lower) <= 1e-8 * r2.f_lower
