@@ -278,6 +278,37 @@ def _joint_traces(rho: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> np.ndarray
     return np.real(np.trace(rho @ ops, axis1=1, axis2=2)).reshape(2, 2, 2, 2)
 
 
+def _station_effects(angles: tuple[float, float], eta: float) -> np.ndarray:
+    """``out[x, c]``: one station's effect for outcome ``c`` at setting ``x``.
+
+    The detector fires with probability ``eta``; non-detections are binned
+    into outcome 1.
+    """
+    out = np.empty((2, 2, 2, 2))
+    for x in (0, 1):
+        q0 = (_ID2 + _station_direction(angles[x])) / 2.0
+        out[x, 0] = eta * q0
+        out[x, 1] = _ID2 - eta * q0
+    return out
+
+
+def _quantum_cond_table(
+    rho: np.ndarray,
+    angles_a: tuple[float, float],
+    angles_b: tuple[float, float],
+    eta: float,
+) -> np.ndarray:
+    """Conditional table ``cond[c, z]`` without distribution validation."""
+    p = _joint_traces(rho, _station_effects(angles_a, eta), _station_effects(angles_b, eta))
+    cond = np.zeros((4, 4))
+    for x in (0, 1):
+        for y in (0, 1):
+            for a in (0, 1):
+                for b in (0, 1):
+                    cond[a + 2 * b, x + 2 * y] = max(float(p[x, y, a, b]), 0.0)
+    return cond
+
+
 def distribution_from_quantum(
     rho: np.ndarray,
     angles_a: tuple[float, float],
@@ -295,23 +326,8 @@ def distribution_from_quantum(
     eta = float(efficiency)
     if not (0.0 < eta <= 1.0):
         raise ValueError("efficiency must lie in (0, 1]")
-
-    def effects(angles):
-        # ``out[x, c]``: one station's effect for outcome ``c`` at setting ``x``.
-        out = np.empty((2, 2, 2, 2))
-        for x in (0, 1):
-            for c in (0, 1):
-                q = (_ID2 + (1 - 2 * c) * _station_direction(angles[x])) / 2.0
-                out[x, c] = eta * q + (1.0 - eta) * (_ID2 if c == 1 else 0.0)
-        return out
-
-    p = _joint_traces(rho, effects(angles_a), effects(angles_b))
-    probs = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    probs[(a + 2 * b, x + 2 * y)] = 0.25 * max(float(p[x, y, a, b]), 0.0)
+    cond = _quantum_cond_table(rho, angles_a, angles_b, eta)
+    probs = {(c, z): 0.25 * float(cond[c, z]) for c in range(4) for z in range(4)}
     return TrialDistribution(2, 2, probs, provenance=provenance)
 
 
@@ -357,91 +373,56 @@ def _rotated(rho: np.ndarray, gamma_a: float, gamma_b: float) -> np.ndarray:
     return r @ rho @ r.T
 
 
-def _chsh_of(rho, phi_a, phi_b, gamma_a, gamma_b, eta=1.0) -> float:
-    nu = distribution_from_quantum(
-        _rotated(rho, gamma_a, gamma_b), (0.0, phi_a), (0.0, phi_b), eta
-    )
-    return chsh_value(nu)
-
-
-_NM_OPTIONS = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000}
-
-
-def _maximize_chsh(rho: np.ndarray, seeds: list):
-    best = None
-    for x0 in seeds:
-        res = minimize(
-            lambda v: -_chsh_of(rho, *v),
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options=_NM_OPTIONS,
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return best.x
-
-
-def _chsh_seeds(theta: float, rng: np.random.Generator, extra: int = 16) -> list:
-    # Analytic optimum for a Schmidt angle theta: station 0 measures z and x,
-    # station 1 at +-b with tan b = sin(2 theta); expressed in the rotated
-    # parametrization as (phi_a, phi_b, gamma_a, gamma_b).
-    b = math.atan(max(math.sin(2.0 * theta), 1e-12))
-    seeds = [
-        (math.pi / 2.0, -2.0 * b, 0.0, -b),
-        (math.pi / 2.0, 2.0 * b, 0.0, b),
-    ]
-    seeds += [tuple(rng.uniform(-math.pi / 2, math.pi / 2, size=4)) for _ in range(extra)]
-    return seeds
-
-
 _FAMILY_SEED = 20240117
 
 
 def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistribution:
-    """Reference two-station distributions, optimized deterministically.
+    """Reference two-station distributions, built deterministically.
 
     Parameters
     ----------
     family : {"E", "W", "P"}
         ``"E"``: pure partially entangled state ``cos(theta)|00> +
-        sin(theta)|11>`` with ``param = theta`` in ``[0, pi/4]``;
-        measurement angles maximize the CHSH value.
+        sin(theta)|11>`` with ``param = theta`` in ``[0, pi/4]``, measured at
+        the closed-form CHSH-optimal settings: station 0 along z and x,
+        station 1 at ``+-b`` with ``tan b = sin(2 theta)``.  By the Horodecki
+        criterion (Phys. Lett. A 200, 340 (1995)) its CHSH value is
+        ``2 sqrt(1 + sin(2 theta)**2)``.
         ``"W"``: isotropically mixed singlet-fidelity state with
-        ``param = p`` in ``[0, 1]``; same objective.
+        ``param = p`` in ``[0, 1]``, at the ``theta = pi/4`` settings; its
+        CHSH value is ``2 sqrt(2) p``.
         ``"P"``: detector-efficiency family with ``param = eta`` in
         ``(2/3, 1]``; the state's Schmidt angle and the angles maximize the
         relative entropy to the local polytope, with non-detections binned
         into outcome 1.
     seed : int
-        Offsets the deterministic random multistarts.
+        Offsets the deterministic random multistarts of the P search; the
+        E and W tables do not depend on it.
     """
-    rng = np.random.default_rng(_FAMILY_SEED + seed)
     if family == "E":
         theta = float(param)
         if not (0.0 <= theta <= math.pi / 4.0 + 1e-12):
             raise ValueError("E-family angle must lie in [0, pi/4]")
         rho = _partially_entangled(theta)
-        x = _maximize_chsh(rho, _chsh_seeds(theta, rng))
-        return distribution_from_quantum(
-            _rotated(rho, x[2], x[3]), (0.0, x[0]), (0.0, x[1]),
-            provenance=f"E theta={theta:.12g}",
-        )
-    if family == "W":
+        provenance = f"E theta={theta:.12g}"
+    elif family == "W":
         p = float(param)
         if not (0.0 <= p <= 1.0):
             raise ValueError("W-family mixing weight must lie in [0, 1]")
-        rho = p * _partially_entangled(math.pi / 4.0) + (1.0 - p) * np.eye(4) / 4.0
-        x = _maximize_chsh(rho, _chsh_seeds(math.pi / 4.0, rng))
-        return distribution_from_quantum(
-            _rotated(rho, x[2], x[3]), (0.0, x[0]), (0.0, x[1]),
-            provenance=f"W p={p:.12g}",
-        )
-    if family == "P":
+        theta = math.pi / 4.0
+        rho = p * _partially_entangled(theta) + (1.0 - p) * np.eye(4) / 4.0
+        provenance = f"W p={p:.12g}"
+    elif family == "P":
         eta = float(param)
         if not (2.0 / 3.0 < eta <= 1.0):
             raise ValueError("P-family efficiency must lie in (2/3, 1]")
-        return _p_family(eta, rng)
-    raise ValueError(f"unknown family {family!r}")
+        return _p_family(eta, np.random.default_rng(_FAMILY_SEED + seed))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    b = math.atan(math.sin(2.0 * theta))
+    return distribution_from_quantum(
+        rho, (0.0, math.pi / 2.0), (b, -b), provenance=provenance
+    )
 
 
 def _local_deterministic_tables() -> list[np.ndarray]:
@@ -485,35 +466,13 @@ def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam))))
 
 
-def _quantum_cond_table(
-    rho: np.ndarray, pa: float, pb: float, eta: float
-) -> np.ndarray:
-    """Conditional table ``cond[c, z]`` without distribution validation."""
-    cond = np.zeros((4, 4))
-    effects = []
-    for angles in ((0.0, pa), (0.0, pb)):
-        out = np.empty((2, 2, 2, 2))
-        for x in (0, 1):
-            q0 = (_ID2 + _station_direction(angles[x])) / 2.0
-            out[x, 0] = eta * q0
-            out[x, 1] = _ID2 - eta * q0
-        effects.append(out)
-    p = _joint_traces(rho, *effects)
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    cond[a + 2 * b, x + 2 * y] = max(float(p[x, y, a, b]), 0.0)
-    return cond
-
-
 def _p_family(eta: float, rng: np.random.Generator) -> TrialDistribution:
     mu = np.full(4, 0.25)
 
     def negative_kl(v, e):
         t, pa, pb, ga, gb = v
         rho = _rotated(_partially_entangled(t), ga, gb)
-        return -_kl_to_local(_quantum_cond_table(rho, pa, pb, e), mu)
+        return -_kl_to_local(_quantum_cond_table(rho, (0.0, pa), (0.0, pb), e), mu)
 
     # Continuation in the efficiency: at eta = 1 the strength maximizer is the
     # CHSH-optimal configuration, and the divergence landscape at low eta is

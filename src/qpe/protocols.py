@@ -103,7 +103,6 @@ class ProtocolParams:
     k_i: int
     k_z: int = 0
     k: int = 2
-    extractor: str = "toeplitz"
 
     def __post_init__(self) -> None:
         _require_certified(self.F)
@@ -115,8 +114,6 @@ class ProtocolParams:
             raise ValueError("extractor error must lie in (0, epsilon)")
         if self.k_z < 0:
             raise ValueError("input credit must be nonnegative")
-        if self.extractor != "toeplitz":
-            raise ValueError(f"unsupported extractor {self.extractor!r}")
         if self.k_i < toeplitz_min_ki(self.k_o, self.epsilon_x):
             raise ValueError("input entropy demand below the extractor's need")
 
@@ -162,19 +159,19 @@ def design_params(
     epsilon: float,
     k_z: int = 0,
     k: int = 2,
-    grid_points: int = 256,
 ) -> ProtocolParams | None:
     """Split the error budget to minimize the certification threshold.
 
-    Scans extractor errors on a log grid over ``(0, epsilon)``; each choice
-    fixes the input-entropy demand and hence the threshold.  Returns the
-    cheapest feasible parameter set, or None when no split works.
+    Scans extractor errors on a 256-point log grid over ``(0, epsilon)``;
+    each choice fixes the input-entropy demand and hence the threshold.
+    Returns the cheapest feasible parameter set, or None when no split
+    works.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("total error must lie in (0, 1)")
     _require_certified(F)
     best: ProtocolParams | None = None
-    for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), grid_points):
+    for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), 256):
         eps_x = float(eps_x)
         k_i = toeplitz_min_ki(k_o, eps_x)
         try:
@@ -237,7 +234,7 @@ def run_protocol1(
     """Plain threshold protocol: extract on success, fail otherwise."""
     if params.k_z != 0:
         raise ValueError("the plain protocol takes no input credit")
-    return _run_threshold(params, records, seed_bits)
+    return run_protocol3(params, records, seed_bits)
 
 
 def run_protocol3(
@@ -246,14 +243,6 @@ def run_protocol3(
     seed_bits: np.ndarray,
 ) -> ProtocolResult:
     """Input-crediting variant; with zero credit it reproduces the plain run."""
-    return _run_threshold(params, records, seed_bits)
-
-
-def _run_threshold(
-    params: ProtocolParams,
-    records: Sequence[tuple[int, int]],
-    seed_bits: np.ndarray,
-) -> ProtocolResult:
     crossed, log2_f, trials_used, cbits = _accumulate(params, records)
     bits = None
     if crossed:

@@ -755,8 +755,6 @@ def certify_fmax(
     config: BellConfig,
     gap_target: float,
     budget: int = 20000,
-    grid_m: int = 4,
-    inner_tol: float | None = None,
     workers: int = 1,
     max_iters: int = 10000,
     seed: int = 0,
@@ -764,9 +762,10 @@ def certify_fmax(
 ) -> CertificationResult:
     """Certify the supremum of the inner maximum over all station angles.
 
-    Branch-and-bound over the angle cube ``[0, pi]^k``: every grid vertex is
-    solved by :func:`inner_max_tau` (its certified upper bound is the sound
-    vertex value), cells are bounded axis-by-axis with
+    Branch-and-bound over the angle cube ``[0, pi]^k``, starting from a
+    uniform grid of ``4**k`` cells: every grid vertex is solved by
+    :func:`inner_max_tau` to ``gap_target / 4`` (its certified upper bound
+    is the sound vertex value), cells are bounded axis-by-axis with
     :func:`interval_bound`, and the cell with the largest bound is split in
     half along every axis until the bound meets the best witness within
     ``gap_target`` or the region budget runs out (then ``gap_flag`` is set —
@@ -785,7 +784,7 @@ def certify_fmax(
         raise ValueError("gap target must be positive")
     k = config.k
     order = RenyiOrder.from_beta(F.beta)
-    itol = gap_target / 4.0 if inner_tol is None else inner_tol
+    itol = gap_target / 4.0
     cache: dict[tuple[Fraction, ...], InnerMaxResult] = {}
     bits_list = _bit_tuples(k)
     f_lower = -math.inf
@@ -822,10 +821,10 @@ def certify_fmax(
         ), (lows, highs)
 
     # Initial uniform grid.
-    grid = [Fraction(j, grid_m) for j in range(grid_m + 1)]
+    grid = [Fraction(j, 4) for j in range(5)]
     initial_keys = []
     cells = []
-    for idx in np.ndindex(*([grid_m] * k)):
+    for idx in np.ndindex(*([4] * k)):
         lows = tuple(grid[i] for i in idx)
         highs = tuple(grid[i + 1] for i in idx)
         cells.append((lows, highs))

@@ -289,6 +289,43 @@ class TestFamilies:
         values = [chsh_value(family_distribution("W", float(p))) for p in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2, 0.4, 0.45, math.pi / 4.0])
+    def test_entangled_family_reaches_horodecki_maximum(self, theta):
+        nu = family_distribution("E", theta)
+        want = 2.0 * math.sqrt(1.0 + math.sin(2.0 * theta) ** 2)
+        assert abs(chsh_value(nu) - want) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.75, 1.0])
+    def test_werner_family_reaches_horodecki_maximum(self, p):
+        nu = family_distribution("W", p)
+        assert abs(chsh_value(nu) - 2.0 * ROOT2 * p) <= 1e-12
+
+    @pytest.mark.parametrize("family, param", [("E", 0.2), ("W", 0.8)])
+    def test_tables_do_not_depend_on_seed(self, family, param):
+        ref = family_distribution(family, param, seed=0).probs
+        for seed in (1, 2):
+            assert family_distribution(family, param, seed=seed).probs == ref
+
+    def test_maximal_entanglement_at_tsirelson_settings(self):
+        """E pi/4 is the Born table of Phi+ at A (0, pi/2), B (pi/4, -pi/4)."""
+        phi = np.zeros(4)
+        phi[0] = phi[3] = 1.0 / ROOT2
+        rho = np.outer(phi, phi)
+        angles_a, angles_b = (0.0, math.pi / 2.0), (math.pi / 4.0, -math.pi / 4.0)
+
+        def proj(c, t):
+            d = math.cos(t) * np.diag([1.0, -1.0]) + math.sin(t) * SIGMA_X
+            return (np.eye(2) + (1 - 2 * c) * d) / 2.0
+
+        nu = family_distribution("E", math.pi / 4.0)
+        for x in (0, 1):
+            for y in (0, 1):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        m = np.kron(proj(a, angles_a[x]), proj(b, angles_b[y]))
+                        want = 0.25 * np.trace(rho @ m)
+                        assert abs(nu.probs[(a + 2 * b, x + 2 * y)] - want) <= 1e-15
+
     def test_product_state_is_classical(self):
         nu = family_distribution("E", 0.0)
         assert abs(chsh_value(nu) - 2.0) <= 1e-7

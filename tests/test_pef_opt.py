@@ -149,10 +149,10 @@ class TestOptimizePolytope:
     def test_pinned_rates_at_maximal_violation(self, nu_e):
         """Rates at the singlet-like table, nats per trial."""
         expected = {
-            0.005: 0.6120555050492067,
-            0.02: 0.5748970011961312,
-            0.05: 0.49224154807333204,
-            0.45: 0.07127685884467068,
+            0.005: 0.6120554287955925,
+            0.02: 0.574896976462736,
+            0.05: 0.49224151463591026,
+            0.45: 0.07127685884466979,
         }
         for beta, rate_ref in expected.items():
             _, rate = optimize_pef_polytope(nu_e, beta)

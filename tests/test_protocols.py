@@ -133,8 +133,6 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             dataclasses.replace(good, k_z=-1)
         with pytest.raises(ValueError):
-            dataclasses.replace(good, extractor="trevisan")
-        with pytest.raises(ValueError):
             dataclasses.replace(good, k_i=toeplitz_min_ki(good.k_o, good.epsilon_x) - 1)
 
     def test_uncertified_roles_rejected(self):
