@@ -53,28 +53,6 @@ def toeplitz_extract(
     return (windows[:, ::-1] @ data) & 1
 
 
-def tmps_feasible(
-    k_o: int, k_i: int, k_s: int, n_in: int, delta_x: float
-) -> bool:
-    """Parameter check for the polylog-seed extractor construction.
-
-    Requires ``k_o + 4 log2(k_o) <= k_i - 4 log2(1/delta_x) - 6`` and a seed
-    of at least ``36 log2(k_o) (log2(4 n_in k_o**2 / delta_x**2))**2`` bits.
-    """
-    if k_o < 2 or n_in < 1:
-        return False
-    if not (0.0 < delta_x < 1.0):
-        raise ValueError("extractor error must lie in (0, 1)")
-    lhs = k_o + 4.0 * math.log2(k_o)
-    rhs = k_i - 4.0 * math.log2(1.0 / delta_x) - 6.0
-    if lhs > rhs:
-        return False
-    need = 36.0 * math.log2(k_o) * math.log2(
-        4.0 * n_in * k_o**2 / delta_x**2
-    ) ** 2
-    return k_s >= need
-
-
 def _require_certified(F: TrialFunction) -> None:
     """Reject a factor whose role does not say its supremum is certified."""
     if F.role not in ("qef", "qefp"):

@@ -5,8 +5,8 @@ one trial.  The defining inequality for a quantum estimation factor at power
 ``beta`` bounds the weighted sum of Renyi powers by the total trace; this
 module evaluates that inequality on explicit states, chains log-values over
 records, maximizes the canonical-state functional over density operators
-with a convexity certificate, and runs a branch-and-bound over measurement
-angles to certify a global supremum.
+by a BFGS ascent that stops on its concavity certificate, and runs a
+branch-and-bound over measurement angles to certify a global supremum.
 
 All logs are natural.
 """
@@ -19,10 +19,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .models import BellConfig, povm_vectors
 from .quantum_core import (
@@ -337,41 +337,6 @@ class _BlockProblem:
         K = _divided_difference_matrix(lam, self.alpha)
         return U @ (K * A) @ U.T
 
-    def collapse(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigensystem with clustered eigenvalues replaced by their means."""
-        lam, U = self._decompose(tau)
-        scale = max(lam.max(initial=0.0), 1e-300)
-        out = lam.copy()
-        i = 0
-        while i < lam.size:
-            j = i
-            while j + 1 < lam.size and lam[j + 1] - lam[j] <= 1e-12 * scale:
-                j += 1
-            out[i : j + 1] = lam[i : j + 1].mean()
-            i = j + 1
-        total = out.sum()
-        if total > 0.0:
-            out = out / total * lam.sum()
-        return out, U
-
-
-def _golden_section_max(f: Callable[[float], float], iters: int = 40) -> float:
-    """Argmax of a scalar function on [0, 1] by golden-section search."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
 
 def _invariant_blocks(
     V: np.ndarray, seed: int
@@ -429,12 +394,30 @@ def _invariant_blocks(
     ]
 
 
-class _StopSolve(Exception):
-    """Raised from the quasi-Newton objective: gap met or evaluations spent."""
-
-
 # Weight of the maximally mixed state mixed into every solver iterate.
 _FLOOR = 1e-13
+
+
+def _evaluate(prob: _BlockProblem, x: np.ndarray):
+    """``(g, lambda_max(grad g(tau)), tau, d g / d A)`` at the flat iterate ``A``.
+
+    ``tau = (1 - floor) A A^T / tr(A A^T) + floor I / m``: the identity floor
+    keeps every ``t_i`` positive, so no projector drops out of the gradient
+    and its top eigenvalue stays a sound bound.
+    """
+    m = prob.m
+    A = x.reshape(m, m)
+    S = A @ A.T
+    s = float(np.trace(S))
+    tau = (1.0 - _FLOOR) * (S / s) + _FLOOR * np.eye(m) / m
+    lam, U = prob._decompose(tau)
+    g, t = prob._value_from(lam, U)
+    G = prob.gradient(lam, U, t)
+    # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
+    # identity <G, tau> = g gives <G, S / s> below.
+    c = (g - _FLOOR * float(np.trace(G)) / m) / (1.0 - _FLOOR)
+    GA = (G @ A - c * A) * (2.0 * (1.0 - _FLOOR) / s)
+    return g, float(np.linalg.eigvalsh(G)[-1]), tau, GA.ravel()
 
 
 def _maximize_block(
@@ -444,98 +427,75 @@ def _maximize_block(
     seed: int,
     keep_trace: bool,
 ):
-    """Quasi-Newton ascent that stops on its certified gap.
+    """BFGS ascent over ``A`` (see :func:`_evaluate`) that stops on its certified gap.
 
     The certificate rests on concavity and 1-homogeneity: for any density
     ``sigma``, ``g(sigma) <= <grad g(tau), sigma> <= lambda_max(grad g(tau))``,
-    so the largest gradient eigenvalue at any density ``tau`` is a global
-    upper bound.  L-BFGS-B runs on ``tau = A A^T / tr(A A^T)``, floored by
-    ``_FLOOR`` times the maximally mixed state, with tight tolerances; every
-    objective evaluation also computes that bound, and the solve stops as
-    soon as the running smallest bound is within ``tol`` of the running
-    best value.  A solve that ends uncertified continues
-    with Frank-Wolfe steps (golden-section line search toward the top
-    gradient eigenspace) from its best point.  Each evaluation, in either
-    phase, yields one ``(value, bound)`` pair, and at most ``max_iters`` are
-    made.
+    so the top gradient eigenvalue at any density ``tau`` bounds the supremum.
+    Every evaluation yields one such ``(value, bound)`` pair, so how the
+    ascent picks its points cannot affect soundness.  The solve stops once
+    the best value is within ``tol`` of the smallest bound, or after
+    ``max_iters`` pairs.
+
+    The inverse Hessian starts at ``I / |grad|``, is rescaled to
+    ``s^T y / y^T y`` at the first curvature pair, and is reset to steepest
+    ascent whenever its direction does not ascend.  Steps are halved from 1
+    until the value passes the Armijo test or the trial point's own gap
+    ``lambda_max - g`` is below the current point's.  Near the optimum the
+    gap shrinks linearly in the distance but the value only quadratically,
+    so at tight tolerances values differ by roundoff alone; the gap test
+    keeps the ascent moving there.
     """
     m = prob.m
-    rng = np.random.default_rng(seed)
-
     if m == 1:
         tau = np.array([[1.0]])
         val = prob.value(tau)
         return val, tau, val, True, 1, ((val, val),) if keep_trace else None
 
-    best_val = -math.inf
-    best_tau = np.eye(m) / m
-    best_ub = math.inf
+    best_val, best_tau, best_ub = -math.inf, None, math.inf
     trace = []
 
     def record(g: float, ub: float, tau) -> bool:
-        """Fold one certified pair into the bracket; True once it is met."""
+        """Fold one certified pair into the bracket; True once solving stops."""
         nonlocal best_val, best_tau, best_ub
         if g > best_val:
             best_val, best_tau = g, tau
         best_ub = min(best_ub, ub)
         trace.append((g, ub))
-        return best_ub - best_val <= tol
+        return best_ub - best_val <= tol or len(trace) >= max_iters
 
-    def negative(x):
-        A = x.reshape(m, m)
-        S = A @ A.T
-        s = float(np.trace(S))
-        if s <= 0.0:
-            return 0.0, np.zeros(m * m)
-        # The identity floor keeps every t_i positive, so no projector drops
-        # out of the gradient and its top eigenvalue stays a sound bound.
-        tau = (1.0 - _FLOOR) * (S / s) + _FLOOR * np.eye(m) / m
-        lam, U = prob._decompose(tau)
-        g, t = prob._value_from(lam, U)
-        G = prob.gradient(lam, U, t)
-        met = record(g, float(np.linalg.eigvalsh(G)[-1]), tau)
-        if met or len(trace) >= max_iters:
-            raise _StopSolve
-        # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
-        # identity <G, tau> = g gives <G, S / s> below.
-        c = (g - _FLOOR * float(np.trace(G)) / m) / (1.0 - _FLOOR)
-        GA = (G @ A - c * A) * (2.0 * (1.0 - _FLOOR) / s)
-        return -g, -GA.ravel()
-
-    x0 = (np.eye(m) + 0.05 * rng.standard_normal((m, m))).ravel()
-    try:
-        minimize(negative, x0, jac=True, method="L-BFGS-B",
-                 options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500})
-    except _StopSolve:
-        pass
-
-    converged = best_ub - best_val <= tol
-    tau = best_tau
-    while not converged and len(trace) < max_iters:
-        lam, U = prob.collapse(tau)
-        g, t = prob._value_from(lam, U)
-        G = prob.gradient(lam, U, t)
-        gl, GU = np.linalg.eigh(G)
-        base = (U * lam) @ U.T
-        if record(g, float(gl[-1]), base):
-            converged = True
-            break
-        # Frank-Wolfe direction: the top-eigenvalue cluster of the gradient.
-        top = gl >= gl[-1] - 1e-12 * max(1.0, abs(gl[-1]))
-        W = GU[:, top]
-        delta = (W @ W.T) / float(top.sum())
-
-        def line(eps):
-            return prob.value((1.0 - eps) * base + eps * delta)
-
-        eps = _golden_section_max(line)
-        tau = (1.0 - eps) * base + eps * delta
-        tau = (1.0 - _FLOOR) * tau + _FLOOR * np.eye(m) / m
+    rng = np.random.default_rng(seed)
+    x = (np.eye(m) + 0.05 * rng.standard_normal((m, m))).ravel()
+    g, ub, tau, grad = _evaluate(prob, x)
+    done = record(g, ub, tau)
+    H = np.eye(m * m) / np.linalg.norm(grad)
+    rescale = True
+    while not done:
+        d = H @ grad
+        if not grad @ d > 0.0:
+            H = np.eye(m * m) / np.linalg.norm(grad)
+            d = H @ grad
+        step = 1.0
+        while True:
+            x_new = x + step * d
+            g_new, ub_new, tau_new, grad_new = _evaluate(prob, x_new)
+            done = record(g_new, ub_new, tau_new)
+            if done or g_new >= g + 1e-4 * step * (grad @ d) or ub_new - g_new < ub - g:
+                break
+            step /= 2.0
+        s, y = x_new - x, grad - grad_new
+        sy = s @ y
+        if sy > 0.0:
+            if rescale:
+                H, rescale = np.eye(m * m) * (sy / (y @ y)), False
+            J = np.eye(m * m) - np.outer(s, y) / sy
+            H = J @ H @ J.T + np.outer(s, s) / sy
+        x, g, ub, grad = x_new, g_new, ub_new, grad_new
     return (
         best_val,
         best_tau,
         best_ub,
-        converged,
+        best_ub - best_val <= tol,
         len(trace),
         tuple(trace) if keep_trace else None,
     )
@@ -564,8 +524,8 @@ def inner_max_tau(
         ``value <= sup <= upper_bound``; ``converged`` reports whether the
         requested gap was met within the iteration budget.  ``iterations``
         counts the certified ``(value, bound)`` pairs computed over all
-        blocks (objective evaluations of the quasi-Newton phase plus any
-        Frank-Wolfe steps); ``max_iters`` caps that count per block.
+        blocks, one per point the ascent evaluates; ``max_iters`` caps that
+        count per block.
     """
     config = _config_for(theta, input_dist)
     w, V = _weights_and_vectors(F, config)

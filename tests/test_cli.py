@@ -86,7 +86,7 @@ class TestOptimizeCertify:
         assert code == 0
         res = CertificationResult.from_json(cert.read_text())
         assert res.f_upper - res.f_lower <= 1e-3 + 1e-8
-        assert abs(res.f_upper - 1.000717945) <= 1e-6
+        assert abs(res.f_upper - 1.000779601) <= 1e-6
 
     @pytest.mark.parametrize(
         "name, value, is_global",

@@ -17,7 +17,6 @@ from qpe.protocols import (
     run_protocol2,
     run_protocol3,
     sample_records,
-    tmps_feasible,
     toeplitz_extract,
     toeplitz_min_ki,
     write_records,
@@ -96,29 +95,6 @@ class TestToeplitzExtract:
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):
             toeplitz_extract(np.zeros(10, dtype=np.int64), np.zeros(8, dtype=np.int64), 4)
-
-
-class TestTmpsFeasible:
-    def test_entropy_boundary(self):
-        """k_o = 512 at delta_x = 2**-128 needs k_i = 1066; one less flips."""
-        delta = 2.0**-128
-        need = 36.0 * math.log2(512) * math.log2(4 * 1067 * 512**2 / delta**2) ** 2
-        k_s = int(need) + 1
-        assert tmps_feasible(512, 1067, k_s, 1067, delta)
-        assert tmps_feasible(512, 1066, k_s, 1067, delta)
-        assert not tmps_feasible(512, 1065, k_s, 1067, delta)
-
-    def test_seed_constraint_dominates_for_short_outputs(self):
-        """At k_o = 2 the seed demand, not the entropy demand, binds."""
-        delta = 0.1
-        need = 36.0 * math.log2(2) * math.log2(4 * 1 * 4 / delta**2) ** 2
-        assert not tmps_feasible(2, 10**9, int(need) - 1, 1, delta)
-        assert tmps_feasible(2, 10**9, int(need) + 1, 1, delta)
-
-    def test_degenerate_inputs(self):
-        assert not tmps_feasible(1, 100, 10**9, 100, 0.1)
-        with pytest.raises(ValueError):
-            tmps_feasible(4, 100, 10**9, 100, 0.0)
 
 
 class TestProtocolParams:
