@@ -273,9 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a generation protocol")
     p.add_argument("--function", required=True)
-    p.add_argument("--records", default=None, help="JSONL trial records")
+    p.add_argument(
+        "--records", default=None,
+        help="trial records: JSON lines of {\"c\": ..., \"z\": ...}, or an "
+        "(n, 2) integer array if the name ends in .npy",
+    )
     p.add_argument("--dist", default=None, help="distribution to sample")
-    p.add_argument("--save-records", default=None)
+    p.add_argument(
+        "--save-records", default=None,
+        help="write the sampled records here (.npy by suffix, else JSON lines)",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-o", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)

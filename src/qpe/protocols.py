@@ -8,19 +8,34 @@ seeded extractor.  Three variants are provided: plain (may fail), banked
 (never fails, topping up any certification shortfall from a reserve of
 fresh bits), and input-crediting (accounts for partially deterministic
 input choices).
+
+Records are ``(n, 2)`` int64 arrays of ``(c, z)`` rows from end to end.
+They are read from JSON lines in chunks or from ``.npy`` files, the
+threshold test is one ``cumsum`` over a table of log factors, and the
+Toeplitz hash is a sum mod 2 of blocked FFT convolutions, each block
+checked against its rounding error and recomputed by exact window sums if
+that check fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .models import TrialDistribution, bits_of
+from .models import TrialDistribution
 from .qef_engine import TrialFunction
+
+# Data bits per FFT block of the Toeplitz hash (at least ``k_o``): bounds
+# the FFT's memory and keeps its rounding error far below one half.
+_FFT_BLOCK = 1 << 15
+# Lines per ``json.loads`` call when reading JSON-lines records.
+_CHUNK_LINES = 4096
 
 
 def toeplitz_min_ki(k_o: int, epsilon_x: float) -> int:
@@ -39,18 +54,43 @@ def toeplitz_extract(
 
     The seed supplies the matrix's first column and row (length
     ``len(input) + k_o - 1``); output bit ``j`` is the parity of the input
-    against the reversed seed window ``seed[j : j + len(input)]``, so only
-    the ``k_o`` needed sums are formed.
+    against the reversed seed window ``seed[j : j + len(input)]``.
+
+    The input is cut into blocks of ``max(k_o, 2**15)`` bits.  Each block's
+    integer products with its seed segment are read from one real FFT
+    convolution, rounded with ``rint`` and reduced mod 2, and the blocks'
+    parities are summed mod 2.  The sums are below the block length, so the
+    float rounding error is about 1e-10; a block whose largest error
+    reaches 0.25 is recomputed by exact integer window sums instead.
     """
-    seed = np.asarray(seed_bits, dtype=np.int64) & 1
-    data = np.asarray(input_bits, dtype=np.int64) & 1
+    seed = np.asarray(seed_bits)
+    data = np.asarray(input_bits)
     n_in = data.size
     if seed.size != n_in + k_o - 1:
         raise ValueError(
             f"seed length must be {n_in + k_o - 1}, got {seed.size}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(seed, n_in)
-    return (windows[:, ::-1] @ data) & 1
+    out = np.zeros(k_o, dtype=np.int64)
+    block = max(k_o, _FFT_BLOCK)
+    for start in range(0, n_in, block):
+        stop = min(start + block, n_in)
+        m = stop - start
+        # A circular convolution at least as long as the segment leaves
+        # the k_o entries read below free of wrap-around.
+        size = 1 << (m + k_o - 2).bit_length()
+        # Output j of this block is conv(segment, block)[m - 1 + j].
+        segment = seed[n_in - stop : n_in - start + k_o - 1].astype(np.int64) & 1
+        piece = data[start:stop].astype(np.int64) & 1
+        conv = np.fft.irfft(
+            np.fft.rfft(segment, size) * np.fft.rfft(piece, size), size
+        )[m - 1 : m - 1 + k_o]
+        sums = np.rint(conv)
+        if np.abs(conv - sums).max() < 0.25:
+            out ^= sums.astype(np.int64) & 1
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(segment, m)
+            out ^= (windows[:, ::-1] @ piece) & 1
+    return out
 
 
 def _require_certified(F: TrialFunction) -> None:
@@ -176,37 +216,74 @@ class ProtocolResult:
     bank_used: int = 0
 
 
-def _accumulate(params: ProtocolParams, records: Sequence[tuple[int, int]]):
+def _as_records(records: ArrayLike) -> np.ndarray:
+    """Records as an ``(n, 2)`` int64 array of ``(c, z)`` rows."""
+    arr = np.asarray(records, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"records must be (c, z) pairs, got shape {arr.shape}")
+    return arr
+
+
+def _log2_table(F: TrialFunction, k: int) -> np.ndarray:
+    """``log2 F(c, z)`` indexed by ``[c, z]``: -inf at zeros, NaN off the domain.
+
+    The last column is NaN; inputs outside the factor's keys, clipped to
+    ``[-1, n_z]``, index it.
+    """
+    cells = [
+        key for key in F.keys()
+        if len(key) == 2 and 0 <= key[0] < 1 << k and key[1] >= 0
+    ]
+    n_z = 1 + max((z for _, z in cells), default=-1)
+    table = np.full((1 << k, n_z + 1), np.nan)
+    for c, z in cells:
+        val = F.value(c, z)
+        table[c, z] = -math.inf if val == 0.0 else math.log2(val)
+    return table
+
+
+def _accumulate(params: ProtocolParams, records: ArrayLike):
     """Threshold accumulation with early stopping.
 
     Once the threshold is crossed the sum is frozen (the decision is a
     stopping rule) but outcome bits keep being collected for extraction.
+    The running sum is one ``cumsum`` over ``log2 F`` looked up per record,
+    which adds in record order exactly as a sequential loop does, so the
+    sum, the crossing and ``trials_used`` are bit-identical to one.  Every
+    one of the first ``n`` records is checked, after the crossing as well:
+    its outcome must fit in ``k`` bits and its cell must lie in the
+    factor's domain.
     """
-    if len(records) < params.n:
-        raise ValueError(f"need {params.n} records, got {len(records)}")
-    threshold = params.log2_f_min
-    log2_f = 0.0
-    crossed = False
-    trials_used = params.n
-    cbits = np.empty(params.n * params.k, dtype=np.int64)
-    for i, (c, z) in enumerate(records[: params.n]):
-        cbits[i * params.k : (i + 1) * params.k] = bits_of(c, params.k)
-        if crossed:
-            continue
-        try:
-            val = params.F.value(c, z)
-        except KeyError:
-            raise ValueError(f"record ({c}, {z}) outside the factor's domain")
-        log2_f = -math.inf if val == 0.0 else log2_f + math.log2(val)
-        if log2_f >= threshold:
-            crossed = True
-            trials_used = i + 1
-    return crossed, log2_f, trials_used, cbits
+    records = _as_records(records)
+    n, k = params.n, params.k
+    if len(records) < n:
+        raise ValueError(f"need {n} records, got {len(records)}")
+    c, z = records[:n, 0], records[:n, 1]
+    bad = np.flatnonzero((c < 0) | (c >= 1 << k))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"record {i + 1}: outcome {c[i]} does not fit in {k} bits")
+    table = _log2_table(params.F, k)
+    vals = table[c, np.clip(z, -1, table.shape[1] - 1)]
+    bad = np.flatnonzero(np.isnan(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"record ({c[i]}, {z[i]}) outside the factor's domain")
+    running = np.cumsum(vals, out=vals)
+    first = int(np.argmax(running >= params.log2_f_min))
+    crossed = bool(running[first] >= params.log2_f_min)
+    last = first if crossed else n - 1
+    # c fits in k bits, so the smallest unsigned type holds it and its bits.
+    small = c.astype(np.min_scalar_type((1 << k) - 1))
+    cbits = ((small[:, None] >> np.arange(k, dtype=small.dtype)) & 1).ravel()
+    return crossed, float(running[last]), last + 1, cbits
 
 
 def run_protocol1(
     params: ProtocolParams,
-    records: Sequence[tuple[int, int]],
+    records: ArrayLike,
     seed_bits: np.ndarray,
 ) -> ProtocolResult:
     """Plain threshold protocol: extract on success, fail otherwise."""
@@ -217,7 +294,7 @@ def run_protocol1(
 
 def run_protocol3(
     params: ProtocolParams,
-    records: Sequence[tuple[int, int]],
+    records: ArrayLike,
     seed_bits: np.ndarray,
 ) -> ProtocolResult:
     """Input-crediting variant; with zero credit it reproduces the plain run."""
@@ -236,7 +313,7 @@ def run_protocol3(
 
 def run_protocol2(
     params: ProtocolParams,
-    records: Sequence[tuple[int, int]],
+    records: ArrayLike,
     seed_bits: np.ndarray,
     bank_bits: np.ndarray,
 ) -> ProtocolResult:
@@ -264,7 +341,7 @@ def run_protocol2(
             params=params,
             bank_used=params.k_o,
         )
-    slots = np.zeros(params.k_o, dtype=np.int64)
+    slots = np.zeros(params.k_o, dtype=cbits.dtype)
     slots[:k_b] = bank[:k_b]
     data = np.concatenate([cbits, slots])
     bits = toeplitz_extract(seed_bits, data, params.k_o)
@@ -280,29 +357,105 @@ def run_protocol2(
 
 def sample_records(
     nu: TrialDistribution, n: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Draw ``n`` independent trial records from a joint table."""
+) -> np.ndarray:
+    """Draw ``n`` independent trial records from a joint table.
+
+    Returns an ``(n, 2)`` int64 array of ``(c, z)`` rows.
+    """
     keys = sorted(nu.probs)
     probs = np.array([nu.probs[k] for k in keys])
     probs = probs / probs.sum()
     idx = rng.choice(len(keys), size=n, p=probs)
-    return [keys[i] for i in idx]
+    return np.array(keys, dtype=np.int64).reshape(-1, 2)[idx]
 
 
-def read_records(path: str) -> list[tuple[int, int]]:
-    """Read trial records from JSON-lines: one ``{"c": ..., "z": ...}`` per line."""
-    out = []
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """Records of non-blank JSON lines, parsed by one ``json.loads``.
+
+    The values go through ``int()`` as ``np.fromiter`` converts them.
+    Raises ValueError when the text is not exactly one record per line.
+    """
+    try:
+        objs = json.loads("[" + ",".join(lines) + "]")
+        if len(objs) != len(lines):
+            raise ValueError("more than one JSON value on a line")
+        return np.stack(
+            [np.fromiter(map(itemgetter(key), objs), np.int64, len(objs))
+             for key in ("c", "z")],
+            axis=1,
+        )
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _bad_line(path: str, chunk: list[str], first: int) -> ValueError | None:
+    """The error for the first line of ``chunk`` that is not one record."""
+    for lineno, line in enumerate(chunk, first):
+        if line.isspace():
+            continue
+        try:
+            _parse_lines([line])
+        except ValueError as exc:
+            return ValueError(
+                f"{path} line {lineno}: not a {{\"c\": int, \"z\": int}} "
+                f"record ({exc}): {line.strip()[:80]!r}"
+            )
+    return None
+
+
+def _read_jsonl(path: str) -> np.ndarray:
+    chunks = [np.empty((0, 2), dtype=np.int64)]
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append((int(obj["c"]), int(obj["z"])))
-    return out
+        first = 1
+        while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+            lines = [line for line in chunk if not line.isspace()]
+            try:
+                chunks.append(_parse_lines(lines))
+            except ValueError as exc:
+                raise _bad_line(path, chunk, first) or exc from None
+            first += len(chunk)
+    return np.concatenate(chunks)
 
 
-def write_records(path: str, records: Iterable[tuple[int, int]]) -> None:
+def read_records(path: str) -> np.ndarray:
+    """Read trial records as an ``(n, 2)`` int64 array of ``(c, z)`` rows.
+
+    A path ending in ``.npy`` is loaded with ``np.load`` (no pickles) and
+    must hold an ``(n, 2)`` integer array.  Any other path is JSON lines,
+    one ``{"c": ..., "z": ...}`` object per line in any key order, blank
+    lines skipped and the values taken through ``int()``.  The lines are
+    parsed about 4096 at a time by one ``json.loads`` whose object count
+    must equal the line count; a chunk that fails is parsed again line by
+    line, and the ValueError raised names the first bad line (1-based).
+    The count check alone lets one record span two lines when another line
+    of the same chunk holds two records; every record read is still one
+    ``{"c", "z"}`` object of the file.
+    """
+    if not path.endswith(".npy"):
+        return _read_jsonl(path)
+    arr = np.load(path, allow_pickle=False)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(
+            f"{path}: records must be an (n, 2) integer array, got shape "
+            f"{arr.shape} of dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def write_records(path: str, records: ArrayLike) -> None:
+    """Write records to ``.npy`` (by suffix) or as JSON lines.
+
+    A JSON line is ``json.dumps({"c": c, "z": z})``; each distinct cell is
+    formatted once and the file is written in one call.
+    """
+    arr = _as_records(records)
+    if path.endswith(".npy"):
+        np.save(path, arr)
+        return
+    cells, inverse = np.unique(arr, axis=0, return_inverse=True)
+    lines = np.array(
+        [json.dumps({"c": int(c), "z": int(z)}) + "\n" for c, z in cells],
+        dtype=object,
+    )
     with open(path, "w") as fh:
-        for c, z in records:
-            fh.write(json.dumps({"c": int(c), "z": int(z)}) + "\n")
+        fh.write("".join(lines[inverse.ravel()].tolist()))

@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpe.cli import main
 from qpe.models import TrialDistribution, chsh_value
-from qpe.protocols import sample_records, write_records
+from qpe.protocols import read_records, sample_records, write_records
 from qpe.qef_engine import CertificationResult, TrialFunction
 
 ROOT2 = math.sqrt(2.0)
@@ -266,6 +267,44 @@ class TestRun:
         assert main(argv) != 0
         assert "'pef'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["7", '{"c": 1}'])
+    def test_malformed_record_is_internal_error(
+        self, tmp_path, qef_file, records_file, capsys, bad
+    ):
+        path = tmp_path / "bad.jsonl"
+        lines = Path(records_file).read_text().splitlines()
+        lines[2500] = bad
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        assert main(self.run_argv(qef_file, str(path), str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2501" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_npy_records_give_identical_output(self, tmp_path, qef_file, records_file):
+        npy = tmp_path / "records.npy"
+        write_records(str(npy), read_records(records_file))
+        for protocol in (1, 2, 3):
+            outs = []
+            for records in (records_file, str(npy)):
+                out = tmp_path / f"out{protocol}{len(outs)}.json"
+                argv = self.run_argv(qef_file, records, str(out), protocol=protocol)
+                assert main(argv) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+
+    def test_saves_sampled_records_as_npy(self, tmp_path, qef_file, dist_file, nu_e):
+        saved = tmp_path / "saved.npy"
+        argv = [
+            "--seed", "7", "run", "--function", qef_file, "--dist", dist_file,
+            "--save-records", str(saved), "--n", "4000", "--k-o", "8",
+            "--epsilon", "1e-3", "-o", str(tmp_path / "out.json"),
+        ]
+        assert main(argv) == 0
+        want = sample_records(nu_e, 4000, np.random.default_rng(7))
+        assert np.array_equal(np.load(saved), want)
 
     def test_needs_a_record_source(self, qef_file, capsys):
         argv = [

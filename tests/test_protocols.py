@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from qpe.models import bits_of
 from qpe.protocols import (
     ProtocolParams,
+    _accumulate,
     design_params,
     read_records,
     run_protocol1,
@@ -22,6 +24,8 @@ from qpe.protocols import (
     write_records,
 )
 from qpe.qef_engine import TrialFunction
+
+BLOCK = 2**15
 
 
 def flat_factor(value, beta=0.5, poison=None):
@@ -43,6 +47,27 @@ def make_params(n=50, k_o=8, epsilon=1e-3, k_z=0, beta=0.5, poison=None):
         k_i=toeplitz_min_ki(k_o, eps_x),
         k_z=k_z,
     )
+
+
+def dense_toeplitz_product(seed, data, k_o):
+    """``T @ data mod 2`` with ``T[j, i] = seed[n_in - 1 + j - i]`` built row by row."""
+    n_in = data.size
+    out = np.zeros(k_o, dtype=np.int64)
+    step = max(1, 2**20 // n_in)
+    for j0 in range(0, k_o, step):
+        rows = np.arange(j0, min(j0 + step, k_o))
+        T = seed[n_in - 1 + rows[:, None] - np.arange(n_in)[None, :]]
+        out[rows] = (T @ data) & 1
+    return out
+
+
+def popcount_toeplitz(seed, data, k_o):
+    """Output bit j is the parity of ``(seed >> j) & reversed(data)`` as packed words."""
+    s_word = int.from_bytes(np.packbits(seed.astype(np.uint8), bitorder="little"), "little")
+    d_word = int.from_bytes(
+        np.packbits(data[::-1].astype(np.uint8), bitorder="little"), "little"
+    )
+    return np.array([((s_word >> j) & d_word).bit_count() & 1 for j in range(k_o)])
 
 
 class TestToeplitzMinKi:
@@ -69,13 +94,14 @@ class TestToeplitzExtract:
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            a = rng.integers(0, 2, size=32)
-            b = rng.integers(0, 2, size=32)
-            seed = rng.integers(0, 2, size=32 + 16 - 1)
-            lhs = toeplitz_extract(seed, a ^ b, 16)
-            rhs = toeplitz_extract(seed, a, 16) ^ toeplitz_extract(seed, b, 16)
-            assert np.array_equal(lhs, rhs)
+        for n_in, k_o, reps in ((32, 16, 25), (BLOCK + 100, 64, 3)):
+            for _ in range(reps):
+                a = rng.integers(0, 2, size=n_in)
+                b = rng.integers(0, 2, size=n_in)
+                seed = rng.integers(0, 2, size=n_in + k_o - 1)
+                lhs = toeplitz_extract(seed, a ^ b, k_o)
+                rhs = toeplitz_extract(seed, a, k_o) ^ toeplitz_extract(seed, b, k_o)
+                assert np.array_equal(lhs, rhs)
 
     def test_matches_naive_matrix_multiply(self):
         """Entry (i, j) of the hash matrix is seed[n_in - 1 + i - j]."""
@@ -95,6 +121,63 @@ class TestToeplitzExtract:
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):
             toeplitz_extract(np.zeros(10, dtype=np.int64), np.zeros(8, dtype=np.int64), 4)
+
+    @pytest.mark.parametrize(
+        "n_in, k_o",
+        [(1, 1), (100, 7), (1019, 7), (BLOCK - 1, 7), (BLOCK, 300), (BLOCK + 1, 300),
+         (3 * BLOCK, 2), (3 * BLOCK + 17, 300), (50, BLOCK + 3)],
+    )
+    def test_matches_dense_product_across_blocks(self, n_in, k_o):
+        """Both sides of the FFT block boundaries, and k_o above the block.
+
+        At (1019, 7) and (3 * 2**15, 2) a block's seed segment is one longer
+        than a power of two: the shortest FFT free of wrap-around.
+        """
+        rng = np.random.default_rng(n_in + k_o)
+        seed = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        got = toeplitz_extract(seed, data, k_o)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_toeplitz_product(seed, data, k_o))
+
+    def test_several_blocks_longer_than_default(self):
+        """k_o above 2**15 sets the block length; three blocks of it."""
+        rng = np.random.default_rng(15)
+        k_o = BLOCK + 3
+        n_in = 2 * k_o + 5
+        seed = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        got = toeplitz_extract(seed, data, k_o)
+        assert np.array_equal(got, popcount_toeplitz(seed, data, k_o))
+
+    @pytest.mark.parametrize("noise", [0.4, 0.6])
+    def test_rounding_guard_falls_back_to_exact_sums(self, monkeypatch, noise):
+        """Noise of 0.6 would flip every parity that ``rint`` reads."""
+        rng = np.random.default_rng(16)
+        n_in, k_o = BLOCK + 5, 16
+        seed = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        want = dense_toeplitz_product(seed, data, k_o)
+        windows = np.lib.stride_tricks.sliding_window_view
+        fallbacks = []
+        monkeypatch.setattr(
+            np.lib.stride_tricks, "sliding_window_view",
+            lambda *a, **kw: fallbacks.append(1) or windows(*a, **kw),
+        )
+        assert np.array_equal(toeplitz_extract(seed, data, k_o), want)
+        assert not fallbacks
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + noise)
+        assert np.array_equal(toeplitz_extract(seed, data, k_o), want)
+        assert len(fallbacks) == 2
+
+    def test_paper_scale_matches_popcount(self):
+        rng = np.random.default_rng(17)
+        n_in, k_o = 2 * 10**6, 4096
+        seed = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        got = toeplitz_extract(seed, data, k_o)
+        assert np.array_equal(got, popcount_toeplitz(seed, data, k_o))
 
 
 class TestProtocolParams:
@@ -256,6 +339,59 @@ class TestProtocol1:
         assert res.log2_f == 1000.0 * crossing
 
 
+def sequential_accumulate(params, records):
+    """The record-by-record threshold loop: the reference for ``_accumulate``."""
+    log2_f, crossed, used = 0.0, False, params.n
+    for i, (c, z) in enumerate(records[: params.n]):
+        val = params.F.value(int(c), int(z))
+        log2_f = -math.inf if val == 0.0 else log2_f + math.log2(val)
+        if log2_f >= params.log2_f_min:
+            crossed, used = True, i + 1
+            break
+    cbits = np.concatenate([bits_of(int(c), params.k) for c, _ in records[: params.n]])
+    return crossed, log2_f, used, cbits
+
+
+class TestAccumulate:
+    def random_params(self, rng, n, k_o, poison=None):
+        values = {(c, z): float(rng.uniform(0.6, 1.5)) for c in range(4) for z in range(4)}
+        if poison is not None:
+            values[poison] = 0.0
+        F = TrialFunction(values, 0.2, role="qef")
+        return design_params(F, n, k_o, 1e-3)
+
+    @pytest.mark.parametrize(
+        "k_o, poison_at, crosses",
+        [(8, None, True), (4000, None, False), (8, 3, False), (8, 4500, True)],
+    )
+    def test_matches_sequential_loop(self, k_o, poison_at, crosses):
+        """Crossing, ``log2_f`` and ``trials_used`` bit for bit; -inf and no crossing."""
+        rng = np.random.default_rng(18)
+        n = 5000
+        params = self.random_params(rng, n, k_o, poison=(3, 3))
+        records = np.stack([rng.integers(0, 3, n), rng.integers(0, 4, n)], axis=1)
+        if poison_at is not None:
+            records[poison_at] = (3, 3)
+        got = _accumulate(params, records)
+        want = sequential_accumulate(params, records)
+        assert got[0] is want[0] is crosses
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        assert np.array_equal(got[3], want[3])
+        if poison_at == 3:
+            assert got[1] == -math.inf
+
+    def test_domain_checked_after_the_crossing(self):
+        params = make_params(poison=(3, 3))
+        seed = np.zeros(params.seed_length(), dtype=np.int64)
+        records = [(0, 0)] * (params.n - 1) + [(0, 9)]
+        assert run_protocol1(params, records[:-1] + [(0, 0)], seed).trials_used < params.n
+        with pytest.raises(ValueError, match="domain"):
+            run_protocol1(params, records, seed)
+        with pytest.raises(ValueError, match="does not fit in 2 bits"):
+            run_protocol1(params, records[:-1] + [(-1, 0)], seed)
+
+
 class TestProtocol2:
     def test_no_shortfall_leaves_bank_untouched(self):
         params = make_params(poison=(3, 3))
@@ -348,12 +484,14 @@ class TestRecords:
         path = tmp_path / "records.jsonl"
         records = [(0, 0), (3, 2), (1, 1), (2, 3)]
         write_records(str(path), records)
-        assert read_records(str(path)) == records
+        got = read_records(str(path))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, records)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('{"c": 1, "z": 2}\n\n{"c": 0, "z": 0}\n')
-        assert read_records(str(path)) == [(1, 2), (0, 0)]
+        assert np.array_equal(read_records(str(path)), [(1, 2), (0, 0)])
 
     def test_sampler_matches_table(self, nu_e):
         rng = np.random.default_rng(10)
@@ -361,11 +499,73 @@ class TestRecords:
         records = sample_records(nu_e, n, rng)
         assert len(records) == n
         for key in ((0, 0), (3, 3)):
-            freq = sum(1 for r in records if r == key) / n
+            freq = np.all(records == key, axis=1).sum() / n
             p = nu_e.probs[key]
             assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_sampler_deterministic(self, nu_e):
         a = sample_records(nu_e, 100, np.random.default_rng(11))
         b = sample_records(nu_e, 100, np.random.default_rng(11))
-        assert a == b
+        assert np.array_equal(a, b)
+
+    def test_sampler_draws_unchanged(self, nu_e):
+        """One fancy index over the sorted keys: the rng's draws pick the rows."""
+        keys = sorted(nu_e.probs)
+        probs = np.array([nu_e.probs[k] for k in keys])
+        idx = np.random.default_rng(11).choice(
+            len(keys), size=500, p=probs / probs.sum()
+        )
+        got = sample_records(nu_e, 500, np.random.default_rng(11))
+        assert got.shape == (500, 2) and got.dtype == np.int64
+        assert got.tolist() == [list(keys[i]) for i in idx]
+
+    def test_jsonl_bytes_match_json_dumps(self, tmp_path, nu_e):
+        records = sample_records(nu_e, 3000, np.random.default_rng(13))
+        path = tmp_path / "records.jsonl"
+        write_records(str(path), records)
+        want = "".join(
+            json.dumps({"c": int(c), "z": int(z)}) + "\n" for c, z in records
+        )
+        assert path.read_bytes() == want.encode()
+
+    def test_accepted_inputs(self, tmp_path):
+        """Any key order, blank lines, extra keys, and values through int()."""
+        path = tmp_path / "records.jsonl"
+        lines = ['{"z": 2, "c": 1}', "   ", '{"c": 3.7, "z": "0", "t": 9}', ""]
+        path.write_text("\n".join(lines * 3000))
+        assert np.array_equal(read_records(str(path)), [(1, 2), (3, 0)] * 3000)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("7", "subscriptable"), ('{"c": 1}', "'z'"), ('{"c": 1, "z": 2}, 1', "more than one"),
+         ("{bad", "JSON"), ('{"c": null, "z": 0}', "NoneType"), ("[", "JSON")],
+    )
+    def test_malformed_line_named(self, tmp_path, bad, message):
+        """The error names the 1-based line, also past the first parse chunk."""
+        path = tmp_path / "records.jsonl"
+        good = '{"c": 1, "z": 2}\n'
+        path.write_text(good * 5000 + "\n" + bad + "\n" + good)
+        with pytest.raises(ValueError, match="line 5002: ") as info:
+            read_records(str(path))
+        assert message in str(info.value)
+
+    def test_npy_round_trip(self, tmp_path, nu_e):
+        records = sample_records(nu_e, 1000, np.random.default_rng(14))
+        path = tmp_path / "records.npy"
+        write_records(str(path), records)
+        got = read_records(str(path))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, records)
+        np.save(path, records.astype(np.uint8))
+        assert np.array_equal(read_records(str(path)), records)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.zeros((4, 3), dtype=np.int64), np.zeros(8, dtype=np.int64),
+         np.zeros((4, 2)), np.array([[0, 0]], dtype=object)],
+    )
+    def test_npy_shape_and_dtype_checked(self, tmp_path, arr):
+        path = tmp_path / "records.npy"
+        np.save(path, arr, allow_pickle=True)
+        with pytest.raises(ValueError):
+            read_records(str(path))
