@@ -306,13 +306,12 @@ def min_trials_table(
     params: Iterable[float],
     beta_grid: Sequence[float],
     budget: ErrorBudget,
-    seed: int = 0,
 ) -> list[MinTrialsRow]:
     from .models import family_distribution
 
     rows = []
     for param in params:
-        nu = family_distribution(family, param, seed=seed)
+        nu = family_distribution(family, param)
         try:
             rows.append(min_trials_row(nu, param, beta_grid, budget))
         except ValueError as exc:

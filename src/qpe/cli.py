@@ -60,7 +60,7 @@ def _load_distribution(path: str) -> TrialDistribution:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    nu = family_distribution(args.family, args.param, seed=args.seed)
+    nu = family_distribution(args.family, args.param)
     _emit(nu.to_json(), args.output)
     return 0
 
@@ -100,9 +100,7 @@ def _cmd_mintrials(args: argparse.Namespace) -> int:
     lo, hi, num = args.params
     params = np.linspace(lo, hi, int(num))
     beta_grid = [float(b) for b in args.beta_grid.split(",")]
-    rows = min_trials_table(
-        args.family, params, beta_grid, budget, seed=args.seed
-    )
+    rows = min_trials_table(args.family, params, beta_grid, budget)
     write_mintrials_csv(args.output, rows)
     return 0
 

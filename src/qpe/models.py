@@ -300,13 +300,8 @@ def _quantum_cond_table(
 ) -> np.ndarray:
     """Conditional table ``cond[c, z]`` without distribution validation."""
     p = _joint_traces(rho, _station_effects(angles_a, eta), _station_effects(angles_b, eta))
-    cond = np.zeros((4, 4))
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    cond[a + 2 * b, x + 2 * y] = max(float(p[x, y, a, b]), 0.0)
-    return cond
+    # cond[a + 2 b, x + 2 y] = p[x, y, a, b], clipped at zero.
+    return np.maximum(p.transpose(3, 2, 1, 0).reshape(4, 4), 0.0)
 
 
 def distribution_from_quantum(
@@ -373,9 +368,6 @@ def _rotated(rho: np.ndarray, gamma_a: float, gamma_b: float) -> np.ndarray:
     return r @ rho @ r.T
 
 
-_FAMILY_SEED = 20240117
-
-
 def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistribution:
     """Reference two-station distributions, built deterministically.
 
@@ -394,10 +386,12 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         ``"P"``: detector-efficiency family with ``param = eta`` in
         ``(2/3, 1]``; the state's Schmidt angle and the angles maximize the
         relative entropy to the local polytope, with non-detections binned
-        into outcome 1.
+        into outcome 1.  Nelder-Mead follows the maximizer by continuation
+        from the CHSH-optimal point at ``eta = 1`` down in steps of 0.05,
+        with no restarts: on 13 efficiencies in [0.68, 1] two fixed and two
+        random restarts never beat the continuation by more than 1e-16.
     seed : int
-        Offsets the deterministic random multistarts of the P search; the
-        E and W tables do not depend on it.
+        Ignored; no family depends on it.
     """
     if family == "E":
         theta = float(param)
@@ -416,7 +410,7 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         eta = float(param)
         if not (2.0 / 3.0 < eta <= 1.0):
             raise ValueError("P-family efficiency must lie in (2/3, 1]")
-        return _p_family(eta, np.random.default_rng(_FAMILY_SEED + seed))
+        return _p_family(eta)
     else:
         raise ValueError(f"unknown family {family!r}")
     b = math.atan(math.sin(2.0 * theta))
@@ -445,28 +439,55 @@ _LD_STACK = np.stack(_local_deterministic_tables())  # (16, 4, 4)
 def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
     """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
 
-    The inner minimization over mixtures of deterministic tables uses
-    multiplicative (expectation-maximization) updates on the weight simplex.
-    Each step increases the mixture likelihood, and `log max_i g_i` with
-    `g_i = sum_p nu_p t_i(p) / lam(p)` bounds the remaining gap, so the loop
-    exits with a certified accuracy rather than trusting a local solver.
+    This is the statistical strength of van Dam, Gill and Gruenwald (IEEE
+    Trans. Inf. Theory 51, 2812 (2005)).  The minimization over mixtures
+    ``w`` of deterministic tables uses multiplicative (expectation-
+    maximization) updates ``w_i <- w_i g_i`` with ``g_i = sum_p nu_p t_i(p) /
+    lam(p)``, accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 35,
+    335 (2008)): two EM steps ``w -> w1 -> w2`` give ``r = w1 - w`` and
+    ``v = w2 - 2 w1 + w``, and the cycle moves to ``w - 2 a r + a**2 v`` with
+    ``a = min(-|r|/|v|, -1)``, halving ``a`` toward ``-1`` (which is ``w2``)
+    while any weight would be nonpositive.  ``log max_i g_i`` bounds the
+    remaining gap of the iterate it is evaluated at, and the loop returns
+    only an iterate whose gap is below 1e-12, so the value exceeds the
+    minimum by less than that.  It is never negative.
     """
     mask = cond > 0.0
     w_cz = (mu[None, :] * cond)[mask]
     vals = _LD_STACK[:, mask]  # (16, npts)
+
+    def em(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        w = w * g
+        return w / w.sum()
+
+    def gains(w: np.ndarray) -> np.ndarray:
+        return vals @ (w_cz / np.maximum(w @ vals, 1e-300))
+
     w = np.full(16, 1.0 / 16.0)
     for _ in range(100000):
-        lam = np.maximum(w @ vals, 1e-300)
-        g = vals @ (w_cz / lam)
-        if math.log(max(float(g.max()), 1e-300)) < 1e-9:
+        g = gains(w)
+        if math.log(max(float(g.max()), 1e-300)) < 1e-12:
             break
-        w = w * g
-        w /= w.sum()
+        w1 = em(w, g)
+        w2 = em(w1, gains(w1))
+        r = w1 - w
+        v = w2 - w1 - r
+        nv = float(np.linalg.norm(v))
+        a = min(-float(np.linalg.norm(r)) / nv, -1.0) if nv > 0.0 else -1.0
+        for _ in range(30):
+            x = w - 2.0 * a * r + a * a * v
+            if (x > 0.0).all():
+                break
+            a = (a - 1.0) / 2.0
+        else:
+            x = w2
+        w = x / x.sum()
     lam = np.maximum(w @ vals, 1e-300)
-    return float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam))))
+    # Rounding can leave a local table a few 1e-17 below zero.
+    return max(0.0, float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam)))))
 
 
-def _p_family(eta: float, rng: np.random.Generator) -> TrialDistribution:
+def _p_family(eta: float) -> TrialDistribution:
     mu = np.full(4, 0.25)
 
     def negative_kl(v, e):
@@ -476,7 +497,7 @@ def _p_family(eta: float, rng: np.random.Generator) -> TrialDistribution:
 
     # Continuation in the efficiency: at eta = 1 the strength maximizer is the
     # CHSH-optimal configuration, and the divergence landscape at low eta is
-    # dominated by a flat zero-divergence basin that traps cold restarts.
+    # dominated by a flat zero-divergence basin that traps cold starts.
     rungs = [1.0]
     while rungs[-1] - 0.05 > eta + 1e-12:
         rungs.append(rungs[-1] - 0.05)
@@ -484,30 +505,9 @@ def _p_family(eta: float, rng: np.random.Generator) -> TrialDistribution:
         rungs.append(eta)
     opts = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1500, "maxfev": 3000}
     x = np.array([math.pi / 4.0, math.pi / 2.0, -math.pi / 2.0, 0.0, -math.pi / 4.0])
-    best = None
     for e in rungs:
-        best = minimize(negative_kl, x, args=(e,), method="Nelder-Mead", options=opts)
-        x = best.x
-    seeds = [
-        (0.25, 1.2, -0.8, 0.0, -0.4),
-        (0.12, 0.9, -0.5, 0.0, -0.25),
-    ]
-    seeds += [
-        (rng.uniform(0.02, math.pi / 4), *rng.uniform(-1.5, 1.5, size=2), 0.0,
-         rng.uniform(-0.8, 0.8))
-        for _ in range(2)
-    ]
-    for x0 in seeds:
-        res = minimize(
-            negative_kl,
-            np.asarray(x0, dtype=float),
-            args=(eta,),
-            method="Nelder-Mead",
-            options=opts,
-        )
-        if res.fun < best.fun - 1e-10:
-            best = res
-    t, pa, pb, ga, gb = best.x
+        x = minimize(negative_kl, x, args=(e,), method="Nelder-Mead", options=opts).x
+    t, pa, pb, ga, gb = x
     rho = _rotated(_partially_entangled(t), ga, gb)
     # The divergence is blind to which input is labeled 0, so the optimizer may
     # return any of four equally strong setting relabelings; keep the one that

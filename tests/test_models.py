@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpe.models import (
+    _LD_STACK,
     BellConfig,
     CanonicalState,
     TrialDistribution,
@@ -21,6 +22,10 @@ from qpe.models import (
     povm_vector,
     povm_vectors,
     qubit_povm,
+    _kl_to_local,
+    _partially_entangled,
+    _quantum_cond_table,
+    _rotated,
 )
 from qpe.quantum_core import HermitianOperator
 
@@ -300,7 +305,7 @@ class TestFamilies:
         nu = family_distribution("W", p)
         assert abs(chsh_value(nu) - 2.0 * ROOT2 * p) <= 1e-12
 
-    @pytest.mark.parametrize("family, param", [("E", 0.2), ("W", 0.8)])
+    @pytest.mark.parametrize("family, param", [("E", 0.2), ("W", 0.8), ("P", 0.9)])
     def test_tables_do_not_depend_on_seed(self, family, param):
         ref = family_distribution(family, param, seed=0).probs
         for seed in (1, 2):
@@ -344,3 +349,76 @@ class TestFamilies:
             family_distribution("P", 0.5)
         with pytest.raises(ValueError):
             family_distribution("X", 0.5)
+
+
+def _cond_table(nu: TrialDistribution) -> np.ndarray:
+    return np.array([[nu.cond(c, z) for z in range(4)] for c in range(4)])
+
+
+def _plain_em_kl(cond: np.ndarray, gap: float) -> float:
+    """Relative entropy to the local polytope by unaccelerated EM, stopped
+    once ``log max g`` certifies the given gap."""
+    mask = cond > 0.0
+    nu = 0.25 * cond[mask]
+    vals = _LD_STACK[:, mask]
+    w = np.full(16, 1.0 / 16.0)
+    while True:
+        g = vals @ (nu / (w @ vals))
+        if math.log(g.max()) < gap:
+            return float(np.sum(nu * (np.log(cond[mask]) - np.log(w @ vals))))
+        w = w * g
+        w /= w.sum()
+
+
+MU = np.full(4, 0.25)
+
+
+class TestKlToLocal:
+    def test_chsh_strength_of_maximal_violation(self, nu_e):
+        """Van Dam, Gill and Gruenwald's strength of the Tsirelson table."""
+        bits = _kl_to_local(_cond_table(nu_e), MU) / math.log(2.0)
+        assert abs(bits - 0.0462738469) <= 1e-10
+
+    def test_local_mixture_has_zero_strength(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            cond = np.tensordot(rng.dirichlet(np.ones(16)), _LD_STACK, axes=1)
+            assert 0.0 <= _kl_to_local(cond, MU) <= 1e-12
+
+    def test_within_certified_gap_of_plain_em(self):
+        rng = np.random.default_rng(11)
+        tables = [_cond_table(family_distribution("W", float(p)))
+                  for p in rng.uniform(0.5, 1.0, 3)]
+        tables += [_cond_table(family_distribution("E", float(t)))
+                   for t in rng.uniform(0.05, math.pi / 4.0, 3)]
+        for _ in range(6):
+            t, ga, gb = rng.uniform(0.0, math.pi / 4.0), *rng.uniform(-0.8, 0.8, 2)
+            pa, pb = rng.uniform(-1.5, 1.5, 2)
+            rho = _rotated(_partially_entangled(t), ga, gb)
+            tables.append(_quantum_cond_table(
+                rho, (0.0, pa), (0.0, pb), rng.uniform(0.7, 1.0)))
+        for cond in tables:
+            ref = _plain_em_kl(cond, 1e-14)
+            # The reference itself lies up to its own gap above the minimum.
+            assert -2e-14 <= _kl_to_local(cond, MU) - ref <= 1e-12
+
+
+class TestDetectionFamily:
+    """P tables pinned to the values of the multistart search this
+    continuation replaced: CHSH and relative entropy to the local polytope
+    (nats, evaluated by plain EM to a gap of 1e-15)."""
+
+    @pytest.mark.parametrize("eta, chsh, strength", [
+        (0.82, 2.109802240, 1.575114051391313e-03),
+        (0.9, 2.323625501, 7.712057099292085e-03),
+        (0.98, 2.700511067, 2.435569075061780e-02),
+    ])
+    def test_pinned_points(self, eta, chsh, strength):
+        nu = family_distribution("P", eta)
+        assert abs(chsh_value(nu) - chsh) <= 1e-6
+        assert _plain_em_kl(_cond_table(nu), 1e-15) >= strength - 1e-12
+
+    def test_full_efficiency_is_maximal_violation(self, nu_e):
+        nu = family_distribution("P", 1.0)
+        for key, p in nu_e.probs.items():
+            assert abs(nu.probs[key] - p) <= 1e-6
