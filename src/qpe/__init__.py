@@ -3,15 +3,16 @@
 Subpackage map:
 
 - ``quantum_core``: Hermitian/positive operator substrate, Renyi powers,
-  classical-quantum block distributions, distance measures.
+  classical-quantum block distributions, conditional entropy.
 - ``models``: (k,2,2) Bell-trial configurations, POVMs, canonical states,
   reference trial distributions.
-- ``qef_engine``: trial functions, the defining inequality, chaining,
-  inner maximization over states and certified suprema over configurations.
+- ``qef_engine``: trial functions, the defining inequality, the running
+  log2-factor sums over a record stream, inner maximization over states and
+  certified suprema over configurations.
 - ``estimators``: entropy estimators, probability estimation factors built
   from them, spot-check and binary-model constructions.
-- ``accounting``: smooth min-entropy accounting, trial-count planning and
-  comparison curves against entropy accumulation.
+- ``accounting``: smooth min-entropy accounting and its error offset,
+  trial-count planning and comparison curves against entropy accumulation.
 - ``pef_opt``: classical probability estimation factor optimization over
   polytope models.
 - ``protocols``: executable randomness generation protocols with seeded

@@ -53,6 +53,11 @@ class EntropyCertificate:
     beta: float
 
 
+def _log2_offset(epsilon: float, kappa: float = 1.0, alpha: float = 1.0) -> float:
+    """The threshold offset ``-log2(epsilon**2 * kappa**alpha / 2)`` in bits."""
+    return -math.log2(epsilon**2 * kappa**alpha / 2.0)
+
+
 def minentropy_bound(
     log_qef: float, beta: float, budget: ErrorBudget
 ) -> EntropyCertificate:
@@ -60,50 +65,30 @@ def minentropy_bound(
 
     The conditional probability of the outcome sequence, on the accepted
     event, exceeds ``p`` with probability at most ``delta = epsilon**2 / 2``
-    where ``-log(p) = (log_qef + log(delta)) / beta``; smoothing at
-    ``sqrt(2 delta) = epsilon`` turns this into min-entropy bits, with a
-    ``(alpha/beta) log2(kappa)`` penalty for conditioning on acceptance.
+    where ``-log2(p) = (log2_qef - offset) / beta`` with ``offset =
+    -log2(delta)``.  Smoothing at ``sqrt(2 delta) = epsilon`` turns this
+    into min-entropy bits, whose offset ``-log2(delta kappa**alpha)`` pays
+    for conditioning on acceptance.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    delta = budget.epsilon**2 / 2.0
-    minus_log_p = (log_qef + math.log(delta)) / beta
-    minus_log2_p = minus_log_p * _LOG2_E
     alpha = 1.0 + beta
-    bits = minus_log2_p + alpha / beta * math.log2(budget.kappa)
+    log2_qef = log_qef * _LOG2_E
+    delta = budget.epsilon**2 / 2.0
     return EntropyCertificate(
-        bits=bits,
-        minus_log2_prob=minus_log2_p,
+        bits=(log2_qef - _log2_offset(budget.epsilon, budget.kappa, alpha)) / beta,
+        minus_log2_prob=(log2_qef - _log2_offset(budget.epsilon)) / beta,
         smoothness=math.sqrt(2.0 * delta),
         delta=delta,
         beta=beta,
     )
 
 
-def net_logprob(
-    g: float, n: int, beta: float, budget: ErrorBudget, kappa_bar: float = 1.0
-) -> float:
-    """Expected certified ``-log p`` (nats) after ``n`` trials at rate ``g``.
-
-    ``kappa_bar`` is the acceptance probability actually attained; it enters
-    only for powers above 1, and a warning flags the regime where acceptance
-    is rarer than the error target (the certificate is then vacuous).
-    """
-    if kappa_bar < budget.epsilon:
-        warnings.warn(
-            "acceptance probability below the error target", RuntimeWarning
-        )
-    exponent = beta - 1.0 if beta > 1.0 else 0.0
-    penalty = math.log(budget.epsilon**2 * kappa_bar**exponent / 2.0) / beta
-    return n * g + penalty
-
-
 def n_min_qef(g_bits: float, beta: float, budget: ErrorBudget) -> float:
     """Trials needed before the factor-based certificate goes positive."""
     if g_bits <= 0.0 or beta <= 0.0:
         raise ValueError("rate and power must be positive")
-    alpha = 1.0 + beta
-    off = abs(math.log2(budget.epsilon**2 * budget.kappa**alpha / 2.0))
+    off = _log2_offset(budget.epsilon, budget.kappa, 1.0 + beta)
     return off / (g_bits * beta)
 
 
@@ -130,7 +115,7 @@ def eat_reference_bound(
     budget: ErrorBudget,
 ) -> float:
     """Reference accumulation bound (nats) after ``n`` trials at rate ``h_nats``."""
-    big_l = abs(math.log(budget.epsilon**2 * budget.kappa**2 / 2.0))
+    big_l = _log2_offset(budget.epsilon, budget.kappa, 2.0) * _LOG2
     width = math.log(1.0 + 2.0 * n_outcomes) + math.ceil(k_inf_bits)
     return h_nats * n - 2.0 * math.sqrt(_LOG2_E) * width * math.sqrt(big_l) * math.sqrt(n)
 
@@ -159,7 +144,7 @@ def eat_from_qef_bound(
     Optimizes the power at ``beta = sqrt(2 L / (n c(0)))`` and evaluates the
     second-order constant there; the choice must stay below ``beta_max``.
     """
-    big_l = abs(math.log(budget.epsilon**2 * budget.kappa**2 / 2.0))
+    big_l = _log2_offset(budget.epsilon, budget.kappa, 2.0) * _LOG2
     beta_bar = math.sqrt(2.0 * big_l / (n * tilde_c(0.0)))
     if beta_bar > beta_max:
         raise ValueError(
@@ -170,12 +155,6 @@ def eat_from_qef_bound(
 
 
 # -- rate/penalty curves ------------------------------------------------------
-
-
-def eat_penalty(r: float, n_outcomes: int, k_inf: float) -> float:
-    """Reference per-trial penalty (nats) at log-error ratio ``r = L/n``."""
-    width = math.log(1.0 + 2.0 * n_outcomes) + k_inf
-    return math.sqrt(4.0 * _LOG2_E * width**2 * r)
 
 
 def qef_penalty(r: float, n_outcomes: int, k_inf: float) -> float:

@@ -41,6 +41,10 @@ from .protocols import (
 from .qef_engine import TrialFunction, certify_fmax
 
 
+# Seed bits drawn per ``rng.integers`` call (see ``_random_bits``).
+_BITS_CHUNK = 1 << 16
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         print(text)
@@ -149,13 +153,27 @@ def _read_bits(path: str) -> np.ndarray:
     return np.array([int(c) for c in bits], dtype=np.int64)
 
 
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` fair bits as uint8, the values of ``rng.integers(0, 2, size=n)``.
+
+    They are drawn ``_BITS_CHUNK`` at a time: the values, and the
+    generator's state after them, are those of the one-shot draw, and only
+    one chunk is ever held as int64.
+    """
+    bits = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _BITS_CHUNK):
+        stop = min(start + _BITS_CHUNK, n)
+        bits[start:stop] = rng.integers(0, 2, size=stop - start)
+    return bits
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     F = _load_function(args.function)
     params = _protocol_params(args, F)
     rng = np.random.default_rng(args.seed)
     records = _records_for(args, rng)
     banked = args.protocol == 2
-    seed_bits = rng.integers(0, 2, size=params.seed_length(banked=banked))
+    seed_bits = _random_bits(rng, params.seed_length(banked=banked))
     bank = None
     if banked:
         if args.bank is not None:

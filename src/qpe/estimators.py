@@ -4,8 +4,9 @@ An entropy estimator assigns to each outcome/input pair a real value whose
 expectation lower-bounds conditional entropy against the model.  This module
 converts estimation factors to estimators, builds the second-order constant
 that turns an estimator back into a probability estimation factor at small
-powers, and constructs estimators from guessing-probability tables,
-spot-check schemes, and the two-outcome constrained model.
+powers, builds estimators from guessing-probability tables (one formula
+serves a plain table and the rescaled table of a spot-check scheme), and
+gives the optimal factor of the two-outcome constrained model.
 
 Everything is in nats.
 """
@@ -211,17 +212,18 @@ def ee_from_maxprob(
     ``B`` reports (rescaled) maximum guessing probabilities and ``b_bar``
     the model bound on its expectation, so the estimator's expectation is
     ``-log(b_bar)`` whenever the expectation of ``B`` meets the bound.  With
-    ``conditional`` set, entries are checked to be probabilities.
+    ``conditional`` set, entries are checked to be probabilities; without
+    it any real entry is taken, as in the rescaled spot-check table.
     """
     if not (0.0 < b_bar <= 1.0):
         raise ValueError("the expectation bound must lie in (0, 1]")
     log_b = math.log(b_bar)
     values = {}
     for key, b in B.values.items():
-        if b < 0.0:
-            raise ValueError(f"negative guessing probability at {key}")
-        if conditional and b > 1.0 + 1e-12:
-            raise ValueError(f"conditional guessing probability above 1 at {key}")
+        if conditional and not (0.0 <= b <= 1.0 + 1e-12):
+            raise ValueError(
+                f"conditional guessing probability {b} outside [0, 1] at {key}"
+            )
         values[key] = -log_b + 1.0 - b / b_bar
     return TrialFunction(values, None, role="ee")
 
@@ -269,11 +271,7 @@ def spot_check_scheme(
         values_b[(c, z, 1)] = 1.0 + (b - 1.0) / r
         values_b[(c, z, 0)] = 1.0
     b_r = TrialFunction(values_b, None, role="maxprob")
-    log_b = math.log(b_bar)
-    values_k = {
-        key: -log_b + 1.0 - v / b_bar for key, v in values_b.items()
-    }
-    k_r = TrialFunction(values_k, None, role="ee")
+    k_r = ee_from_maxprob(b_r, b_bar, conditional=False)
     return SpotCheckScheme(
         r=r, z0=z0, b_bar=b_bar, q=q, mu=mu, B_r=b_r, K_r=k_r
     )
@@ -351,9 +349,3 @@ def binary_model(p: float, q: float, beta: float) -> BinaryModel:
     F = TrialFunction({(0, 0): 1.0, (1, 0): f1}, beta, role="pef")
     rate = q * math.log(f1) / beta
     return BinaryModel(p=p, q=q, beta=beta, F=F, rate=rate)
-
-
-def binary_model_rate_limit(p: float, q: float) -> float:
-    """Vanishing-power limit of the binary-model rate: ``(q/p) H(p)`` nats."""
-    h = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-    return q / p * h

@@ -64,10 +64,6 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(width))
 
 
-def pack_bits(bits: Sequence[int]) -> int:
-    return sum(b << i for i, b in enumerate(bits))
-
-
 @dataclass(frozen=True)
 class BellConfig:
     """A (k,2,2) measurement configuration.
@@ -120,21 +116,13 @@ def povm_tensor(config: BellConfig, c: int, z: int) -> HermitianOperator:
     return HermitianOperator(m)
 
 
-def povm_vector(config: BellConfig, c: int, z: int) -> np.ndarray:
-    """Real unit vector spanning the rank-one product projector."""
-    cb, zb = bits_of(c, config.k), bits_of(z, config.k)
-    v = np.array([1.0])
-    for i in range(config.k):
-        v = np.kron(v, _station_vector(cb[i], zb[i], config.angles[i]))
-    return v
-
-
 def povm_vectors(config: BellConfig, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rows ``povm_vector(config, c[j], z[j])`` for packed outcome/input arrays.
+    """Real unit vectors spanning the product projectors of ``(c[j], z[j])``.
 
-    One broadcast outer product per station performs the same
-    multiplications as the ``np.kron`` chain of :func:`povm_vector`, so the
-    rows are bit-identical to it.
+    Row ``j`` is the ``np.kron`` product of the stations' vectors for the
+    packed outcome ``c[j]`` and input ``z[j]``.  One broadcast outer product
+    per station performs the same multiplications as that ``np.kron``
+    chain, so the rows are bit-identical to it.
     """
     c, z = np.asarray(c), np.asarray(z)
     V = np.ones((c.size, 1))
@@ -390,6 +378,10 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         from the CHSH-optimal point at ``eta = 1`` down in steps of 0.05,
         with no restarts: on 13 efficiencies in [0.68, 1] two fixed and two
         random restarts never beat the continuation by more than 1e-16.
+        At ``eta <= 0.70`` the continuation loses the nonlocal branch and
+        returns a local table (CHSH value below 2, zero relative entropy),
+        although Eberhard's settings violate the local bound for every
+        ``eta > 2/3``; ``qpe mintrials`` skips such points with a warning.
     seed : int
         Ignored; no family depends on it.
     """

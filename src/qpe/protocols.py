@@ -28,8 +28,9 @@ from operator import itemgetter
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .accounting import _log2_offset
 from .models import TrialDistribution
-from .qef_engine import TrialFunction
+from .qef_engine import TrialFunction, _as_records, chain
 
 # Data bits per FFT block of the Toeplitz hash (at least ``k_o``): bounds
 # the FFT's memory and keeps its rounding error far below one half.
@@ -158,8 +159,7 @@ class ProtocolParams:
     @property
     def log2_f_min(self) -> float:
         """Threshold on the accumulated log factor (bits)."""
-        delta = self.epsilon_h**2 / 2.0
-        return -self.beta * self.log2_p - math.log2(delta)
+        return self.beta * -self.log2_p + _log2_offset(self.epsilon_h)
 
     @property
     def n_input_bits(self) -> int:
@@ -216,67 +216,25 @@ class ProtocolResult:
     bank_used: int = 0
 
 
-def _as_records(records: ArrayLike) -> np.ndarray:
-    """Records as an ``(n, 2)`` int64 array of ``(c, z)`` rows."""
-    arr = np.asarray(records, dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"records must be (c, z) pairs, got shape {arr.shape}")
-    return arr
-
-
-def _log2_table(F: TrialFunction, k: int) -> np.ndarray:
-    """``log2 F(c, z)`` indexed by ``[c, z]``: -inf at zeros, NaN off the domain.
-
-    The last column is NaN; inputs outside the factor's keys, clipped to
-    ``[-1, n_z]``, index it.
-    """
-    cells = [
-        key for key in F.keys()
-        if len(key) == 2 and 0 <= key[0] < 1 << k and key[1] >= 0
-    ]
-    n_z = 1 + max((z for _, z in cells), default=-1)
-    table = np.full((1 << k, n_z + 1), np.nan)
-    for c, z in cells:
-        val = F.value(c, z)
-        table[c, z] = -math.inf if val == 0.0 else math.log2(val)
-    return table
-
-
 def _accumulate(params: ProtocolParams, records: ArrayLike):
     """Threshold accumulation with early stopping.
 
     Once the threshold is crossed the sum is frozen (the decision is a
     stopping rule) but outcome bits keep being collected for extraction.
-    The running sum is one ``cumsum`` over ``log2 F`` looked up per record,
-    which adds in record order exactly as a sequential loop does, so the
-    sum, the crossing and ``trials_used`` are bit-identical to one.  Every
-    one of the first ``n`` records is checked, after the crossing as well:
-    its outcome must fit in ``k`` bits and its cell must lie in the
-    factor's domain.
+    The running sums are :func:`chain` over the first ``n`` records, which
+    checks every one of them, after the crossing as well.
     """
     records = _as_records(records)
     n, k = params.n, params.k
     if len(records) < n:
         raise ValueError(f"need {n} records, got {len(records)}")
-    c, z = records[:n, 0], records[:n, 1]
-    bad = np.flatnonzero((c < 0) | (c >= 1 << k))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"record {i + 1}: outcome {c[i]} does not fit in {k} bits")
-    table = _log2_table(params.F, k)
-    vals = table[c, np.clip(z, -1, table.shape[1] - 1)]
-    bad = np.flatnonzero(np.isnan(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"record ({c[i]}, {z[i]}) outside the factor's domain")
-    running = np.cumsum(vals, out=vals)
-    first = int(np.argmax(running >= params.log2_f_min))
-    crossed = bool(running[first] >= params.log2_f_min)
+    running = chain(params.F, records[:n], k)
+    threshold = params.log2_f_min
+    first = int(np.argmax(running >= threshold))
+    crossed = bool(running[first] >= threshold)
     last = first if crossed else n - 1
     # c fits in k bits, so the smallest unsigned type holds it and its bits.
-    small = c.astype(np.min_scalar_type((1 << k) - 1))
+    small = records[:n, 0].astype(np.min_scalar_type((1 << k) - 1))
     cbits = ((small[:, None] >> np.arange(k, dtype=small.dtype)) & 1).ravel()
     return crossed, float(running[last]), last + 1, cbits
 

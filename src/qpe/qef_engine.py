@@ -3,12 +3,13 @@
 A trial function assigns a nonnegative weight to every outcome/input pair of
 one trial.  The defining inequality for a quantum estimation factor at power
 ``beta`` bounds the weighted sum of Renyi powers by the total trace; this
-module evaluates that inequality on explicit states, chains log-values over
-records, maximizes the canonical-state functional over density operators
-by a BFGS ascent that stops on its concavity certificate, and runs a
-branch-and-bound over measurement angles to certify a global supremum.
+module evaluates that inequality on explicit states, accumulates a factor's
+log2 values over a record stream (the running sums that the protocols'
+threshold test reads), maximizes the canonical-state functional over density
+operators by a BFGS ascent that stops on its concavity certificate, and runs
+a branch-and-bound over measurement angles to certify a global supremum.
 
-All logs are natural.
+All logs are natural except the record sums of :func:`chain`, in bits.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.optimize import brentq
 
 from .models import BellConfig, povm_vectors
@@ -170,32 +172,62 @@ def qef_inequality_check(
     return rho.trace_total() - total
 
 
-def chain(Fs, records: Iterable[tuple[int, int]]) -> float:
-    """Accumulated ``sum_i log F_i(c_i, z_i)`` over a record stream.
+def _as_records(records: ArrayLike) -> np.ndarray:
+    """Records as an ``(n, 2)`` int64 array of ``(c, z)`` rows."""
+    arr = np.asarray(records, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"records must be (c, z) pairs, got shape {arr.shape}")
+    return arr
 
-    ``Fs`` is a single trial function applied to every record or a sequence
-    with one entry per record (entries may be chosen adaptively from the
-    past, which is the caller's responsibility).  A zero value at an
-    observed record yields ``-inf`` with a warning.
+
+def _log2_table(F: TrialFunction, k: int) -> np.ndarray:
+    """``log2 F(c, z)`` indexed by ``[c, z]``: -inf at zeros, NaN off the domain.
+
+    The last column is NaN; inputs outside the factor's keys, clipped to
+    ``[-1, n_z]``, index it.
     """
-    records = list(records)
-    if isinstance(Fs, TrialFunction):
-        seq: Sequence[TrialFunction] = [Fs] * len(records)
-    else:
-        seq = list(Fs)
-        if len(seq) != len(records):
-            raise ValueError("need one trial function per record")
-    total = 0.0
-    for i, ((c, z), F) in enumerate(zip(records, seq)):
-        v = F.value(c, z)
-        if v < 0.0:
-            raise ValueError(f"negative trial-function value at record {i}")
-        if v == 0.0:
-            warnings.warn(f"zero trial-function value at record {i}", RuntimeWarning)
-            total = -math.inf
-        elif total > -math.inf:
-            total += math.log(v)
-    return total
+    cells = [
+        key for key in F.keys()
+        if len(key) == 2 and 0 <= key[0] < 1 << k and key[1] >= 0
+    ]
+    n_z = 1 + max((z for _, z in cells), default=-1)
+    table = np.full((1 << k, n_z + 1), np.nan)
+    for c, z in cells:
+        val = F.value(c, z)
+        table[c, z] = -math.inf if val == 0.0 else math.log2(val)
+    return table
+
+
+def chain(F: TrialFunction, records: ArrayLike, k: int = 2) -> np.ndarray:
+    """Running sums ``sum_{j <= i} log2 F(c_j, z_j)`` over a record stream.
+
+    ``records`` holds ``(c, z)`` rows.  Every outcome must fit in ``k``
+    bits and every cell must lie in the factor's domain; otherwise a
+    ValueError names the first bad record (1-based).  The sums are one
+    ``cumsum`` over a table of ``log2 F``, which adds in record order
+    exactly as a sequential loop does.  A zero value makes the sums
+    ``-inf`` from its record on, with a warning.
+    """
+    records = _as_records(records)
+    c, z = records[:, 0], records[:, 1]
+    bad = np.flatnonzero((c < 0) | (c >= 1 << k))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"record {i + 1}: outcome {c[i]} does not fit in {k} bits")
+    table = _log2_table(F, k)
+    vals = table[c, np.clip(z, -1, table.shape[1] - 1)]
+    bad = np.flatnonzero(np.isnan(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"record ({c[i]}, {z[i]}) outside the factor's domain")
+    running = np.cumsum(vals, out=vals)
+    # The log values are finite or -inf, so a zero shows in the last sum.
+    if running.size and running[-1] == -math.inf:
+        i = int(np.argmax(running == -math.inf))
+        warnings.warn(f"zero trial-function value at record {i + 1}", RuntimeWarning)
+    return running
 
 
 def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:

@@ -1,4 +1,4 @@
-"""Hermitian operator substrate: spectra, positive parts, distances, Renyi powers.
+"""Hermitian operator substrate: spectra, Renyi powers, conditional entropy.
 
 All linear algebra is dense and eigendecomposition-based.  Operators are
 small (dimension a few dozen at most), so numerical robustness is preferred
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -134,9 +134,6 @@ class HermitianOperator:
         w = self.eigenvalues
         return float(max(abs(w[0]), abs(w[-1]))) if self.dim else 0.0
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
-
     # -- positive-semidefinite helpers ----------------------------------
 
     def psd_eigenvalues(self) -> np.ndarray:
@@ -193,17 +190,6 @@ class HermitianOperator:
         out[on] = np.log(w[on])
         v = self.eigenvectors
         return (v * out) @ v.conj().T
-
-    def trace_abs(self) -> float:
-        """Trace norm (sum of absolute eigenvalues)."""
-        return float(np.abs(self.eigenvalues).sum())
-
-
-def positive_part(a: HermitianOperator) -> HermitianOperator:
-    """Projection onto the positive eigenspaces: sum of ``max(lam, 0)`` terms."""
-    w, v = a.eigenvalues, a.eigenvectors
-    w = np.clip(w, 0.0, None)
-    return HermitianOperator((v * w) @ v.conj().T)
 
 
 def _as_operator(x) -> HermitianOperator:
@@ -263,9 +249,6 @@ class CqDistribution:
     def keys(self):
         return self._blocks.keys()
 
-    def items(self):
-        return self._blocks.items()
-
     def marginal(self, z) -> HermitianOperator:
         """Block sum over outcomes at fixed input, cached."""
         if z not in self._marginals:
@@ -273,19 +256,8 @@ class CqDistribution:
             self._marginals[z] = HermitianOperator(total)
         return self._marginals[z]
 
-    def total(self) -> HermitianOperator:
-        return HermitianOperator(
-            sum(op.matrix for op in self._blocks.values())
-        )
-
     def trace_total(self) -> float:
         return float(sum(op.trace() for op in self._blocks.values()))
-
-    def prob(self, c, z) -> float:
-        return self._blocks[(c, z)].trace()
-
-    def input_prob(self, z) -> float:
-        return self.marginal(z).trace()
 
     def is_normalized(self, tol: float = TOL_NORM) -> bool:
         return abs(self.trace_total() - 1.0) <= tol
@@ -296,45 +268,6 @@ class CqDistribution:
                 f"{what} requires a normalized distribution, "
                 f"total trace {self.trace_total():.12g}"
             )
-
-
-# -- distances ----------------------------------------------------------
-
-
-def tv_distance(a: CqDistribution, b: CqDistribution) -> float:
-    """Total variation distance between two normalized cq distributions.
-
-    Computed as half the sum of blockwise trace norms of the differences,
-    which equals the sum of blockwise traces of positive parts.
-    """
-    if a.c_range != b.c_range or a.z_range != b.z_range or a.dim != b.dim:
-        raise ValueError("distributions must share ranges and dimension")
-    a.require_normalized("tv_distance")
-    b.require_normalized("tv_distance")
-    total = 0.0
-    for key in a.keys():
-        diff = HermitianOperator(a.block(*key).matrix - b.block(*key).matrix)
-        total += diff.trace_abs()
-    return 0.5 * total
-
-
-def purified_distance(a: CqDistribution, b: CqDistribution) -> float:
-    """Purified distance ``sqrt(1 - F^2)`` with blockwise root fidelity.
-
-    ``F`` is the sum over keys of the nuclear norm of
-    ``sqrt(rho(u)) sqrt(tau(u))``; for normalized inputs it lies in [0, 1].
-    """
-    if a.c_range != b.c_range or a.z_range != b.z_range or a.dim != b.dim:
-        raise ValueError("distributions must share ranges and dimension")
-    a.require_normalized("purified_distance")
-    b.require_normalized("purified_distance")
-    fid = 0.0
-    for key in a.keys():
-        ra = a.block(*key).power(0.5).matrix
-        rb = b.block(*key).power(0.5).matrix
-        fid += float(np.linalg.svd(ra @ rb, compute_uv=False).sum())
-    fid = min(max(fid, 0.0), 1.0)
-    return math.sqrt(max(0.0, 1.0 - fid * fid))
 
 
 # -- Renyi powers ---------------------------------------------------------
@@ -458,76 +391,3 @@ def conditional_entropy(rho: CqDistribution) -> float:
             total -= float(np.real(np.trace(block.matrix @ log_marg)))
     return -total
 
-
-# -- optimal guessing ------------------------------------------------------
-
-
-def max_prob(rho: CqDistribution, mode: str = "diagonal_exact") -> float:
-    """Maximum probability of guessing the outcome from the quantum side.
-
-    Parameters
-    ----------
-    rho : CqDistribution
-        Normalized distribution.  The guess is made per input ``z`` from the
-        quantum system, so the value is
-        ``sum_z max-over-measurements sum_c tr(M_c rho(cz))``.
-    mode : str
-        ``"diagonal_exact"`` requires all blocks diagonal (classical case)
-        and takes ``sum_z max_c`` of the diagonal mass.
-        ``"helstrom_binary"`` is exact for two outcomes.
-        ``"pgm_lower"`` is the pretty-good-measurement lower bound.
-    """
-    rho.require_normalized("max_prob")
-    if mode == "diagonal_exact":
-        for key, op in rho.items():
-            off = op.matrix - np.diag(np.diag(op.matrix))
-            if np.abs(off).max(initial=0.0) > TOL_HERM * max(1.0, op.fro_norm()):
-                raise ValueError(f"block {key} is not diagonal")
-        total = 0.0
-        for z in rho.z_range:
-            diags = np.array(
-                [np.real(np.diag(rho.block(c, z).matrix)) for c in rho.c_range]
-            )
-            total += float(diags.max(axis=0).sum())
-        return total
-    if mode == "helstrom_binary":
-        if len(rho.c_range) != 2:
-            raise ValueError("helstrom_binary requires exactly two outcomes")
-        c0, c1 = rho.c_range
-        total = 0.0
-        for z in rho.z_range:
-            diff = HermitianOperator(
-                rho.block(c0, z).matrix - rho.block(c1, z).matrix
-            )
-            total += 0.5 * (rho.input_prob(z) + diff.trace_abs())
-        return total
-    if mode == "pgm_lower":
-        total = 0.0
-        for z in rho.z_range:
-            inv_sqrt = rho.marginal(z).power(-0.5).matrix
-            for c in rho.c_range:
-                m = inv_sqrt @ rho.block(c, z).matrix @ inv_sqrt
-                total += float(np.real(np.trace(m @ rho.block(c, z).matrix)))
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def helstrom_dual_operators(rho: CqDistribution) -> dict:
-    """Per-input dual certificates for the two-outcome optimal guess.
-
-    Returns a map ``z -> Y_z`` with ``Y_z >= rho(cz)`` for both outcomes and
-    ``sum_z tr Y_z`` equal to the Helstrom value; used to cross-check
-    :func:`max_prob`.
-    """
-    if len(rho.c_range) != 2:
-        raise ValueError("dual certificate is for two outcomes")
-    c0, c1 = rho.c_range
-    out = {}
-    for z in rho.z_range:
-        a = rho.block(c0, z).matrix
-        b = rho.block(c1, z).matrix
-        diff = HermitianOperator(a - b)
-        w, v = diff.eigenvalues, diff.eigenvectors
-        abs_diff = (v * np.abs(w)) @ v.conj().T
-        out[z] = HermitianOperator((a + b + abs_diff) / 2.0)
-    return out

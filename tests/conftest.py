@@ -10,6 +10,8 @@ import pytest
 from qpe.models import (
     BellConfig,
     CanonicalState,
+    _station_vector,
+    bits_of,
     canonical_cq_state,
     family_distribution,
 )
@@ -62,5 +64,19 @@ def canonical_sampler():
         tau = a @ a.conj().T
         tau /= np.trace(tau).real
         return canonical_cq_state(CanonicalState(config, HermitianOperator(tau)))
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def povm_vector():
+    """Reference product-projector vector: the ``np.kron`` chain of stations."""
+
+    def make(config: BellConfig, c: int, z: int) -> np.ndarray:
+        cb, zb = bits_of(c, config.k), bits_of(z, config.k)
+        v = np.array([1.0])
+        for i in range(config.k):
+            v = np.kron(v, _station_vector(cb[i], zb[i], config.angles[i]))
+        return v
 
     return make

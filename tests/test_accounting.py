@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,14 +15,12 @@ from qpe.accounting import (
     MinTrialsRow,
     c_tilde,
     eat_from_qef_bound,
-    eat_penalty,
     eat_reference_bound,
     min_trials_row,
     min_trials_table,
     minentropy_bound,
     n_min_eat_from_ee,
     n_min_qef,
-    net_logprob,
     qef_penalty,
     r_max_eat,
     r_max_qef,
@@ -29,6 +28,8 @@ from qpe.accounting import (
     write_rmax_csv,
 )
 from qpe.estimators import _A, iota0
+from qpe.protocols import ProtocolParams, toeplitz_min_ki
+from qpe.qef_engine import TrialFunction
 
 LOG2 = math.log(2.0)
 LOG2_E = 1.0 / LOG2
@@ -99,39 +100,39 @@ class TestMinentropyBound:
             minentropy_bound(1.0, -0.1, ErrorBudget(1e-6))
 
 
-class TestNetLogprob:
-    def test_small_power_ignores_acceptance(self):
-        """For powers at or below 1 the attained acceptance drops out."""
-        budget = ErrorBudget(1e-6)
-        for beta in (0.1, 1.0):
-            a = net_logprob(0.5, 1000, beta, budget, kappa_bar=1.0)
-            b = net_logprob(0.5, 1000, beta, budget, kappa_bar=0.3)
-            assert a == b
+class TestSingleThresholdFormula:
+    """Protocol threshold, certificate and trial count share one offset."""
 
-    def test_large_power_formula(self):
-        budget = ErrorBudget(1e-4)
-        beta, kbar = 1.5, 0.25
-        got = net_logprob(0.3, 500, beta, budget, kappa_bar=kbar)
-        penalty = math.log(budget.epsilon**2 * kbar ** (beta - 1.0) / 2.0) / beta
-        assert abs(got - (500 * 0.3 + penalty)) <= 1e-12 * abs(got)
+    def test_threshold_certifies_the_demanded_bits(self):
+        """At ``log2_f_min`` the certificate holds exactly ``k_i + k_z`` bits."""
+        rng = np.random.default_rng(91)
+        F = TrialFunction({(c, z): 1.0 for c in range(4) for z in range(4)}, 0.5, "qef")
+        for _ in range(60):
+            beta = float(rng.uniform(0.01, 1.0))
+            eps = float(10.0 ** rng.uniform(-9, -3))
+            k_o = int(rng.integers(1, 2000))
+            params = ProtocolParams(
+                F=dataclasses.replace(F, beta=beta), n=100, k_o=k_o, epsilon=eps,
+                epsilon_x=eps / 2.0, k_i=toeplitz_min_ki(k_o, eps / 2.0),
+                k_z=int(rng.choice([0, 7])),
+            )
+            cert = minentropy_bound(
+                params.log2_f_min * LOG2, beta, ErrorBudget(params.epsilon_h)
+            )
+            assert abs(cert.bits - (params.k_i + params.k_z)) <= 1e-9
 
-    def test_rate_recovered_at_large_n(self):
-        budget = ErrorBudget(1e-9)
-        g, beta = 0.2, 0.05
-        for n in (10**4, 10**6, 10**8):
-            per_trial = net_logprob(g, n, beta, budget) / n
-            assert abs(per_trial - g) <= abs(math.log(budget.epsilon**2 / 2.0) / beta) / n + 1e-15
-
-    def test_doubling_trials_recovers_penalty(self):
-        """net(2n) - 2 net(n) equals the (negative) fixed penalty once."""
-        budget = ErrorBudget(1e-6)
-        g, n, beta = 0.4, 2000, 0.1
-        gap = net_logprob(g, 2 * n, beta, budget) - 2.0 * net_logprob(g, n, beta, budget)
-        assert abs(gap - abs(math.log(budget.epsilon**2 / 2.0) / beta)) <= 1e-9
-
-    def test_warns_when_acceptance_below_target(self):
-        with pytest.warns(RuntimeWarning):
-            net_logprob(0.5, 100, 0.1, ErrorBudget(1e-2), kappa_bar=1e-3)
+    def test_trial_count_is_the_zero_of_the_certificate(self):
+        rng = np.random.default_rng(92)
+        for _ in range(60):
+            beta = float(rng.uniform(0.01, 2.5))
+            g = float(rng.uniform(0.01, 1.0))
+            budget = ErrorBudget(
+                float(10.0 ** rng.uniform(-9, -3)), kappa=float(rng.choice([1.0, 0.5]))
+            )
+            n = n_min_qef(g, beta, budget)
+            bits = minentropy_bound(n * g * beta * LOG2, beta, budget).bits
+            assert abs(bits) <= 1e-9 * n * g
+            assert minentropy_bound(1.01 * n * g * beta * LOG2, beta, budget).bits > 0.0
 
 
 class TestNMinQef:
@@ -309,9 +310,11 @@ class TestRateCurves:
         assert abs(qef_penalty(r, n_out, k_inf) - expected) <= 1e-15
 
     def test_eat_penalty_formula(self):
+        """The reference penalty sqrt(4 log2(e) width^2 r) at r_max_eat is the rate."""
         width = math.log(9.0) + 2.0
-        expected = math.sqrt(4.0 * LOG2_E * width**2 * 1e-3)
-        assert abs(eat_penalty(1e-3, 4, 2.0) - expected) <= 1e-15
+        for h in (0.05, 0.3, 1.2):
+            r = r_max_eat(h, 4, 2.0)
+            assert math.isclose(math.sqrt(4.0 * LOG2_E * width**2 * r), h, rel_tol=1e-15)
 
     def test_qef_curve_dominates_reference(self):
         """The factor analysis tolerates a larger log-error ratio everywhere."""

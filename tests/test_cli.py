@@ -10,9 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpe import cli
 from qpe.cli import main
 from qpe.models import TrialDistribution, chsh_value
-from qpe.protocols import read_records, sample_records, write_records
+from qpe.protocols import (
+    design_params,
+    read_records,
+    run_protocol2,
+    sample_records,
+    write_records,
+)
 from qpe.qef_engine import CertificationResult, TrialFunction
 
 ROOT2 = math.sqrt(2.0)
@@ -187,6 +194,42 @@ class TestRun:
         assert set(got["bits"]) <= {"0", "1"}
         assert got["log2_f"] >= got["log2_f_min"]
         assert got["trials_used"] <= 4000
+
+    def test_seed_bits_are_one_int64_draw_in_uint8(self):
+        """Chunked draws give one draw's values and leave later draws as they were."""
+        chunk = cli._BITS_CHUNK
+        for seed in (0, 1, 2):
+            for n in (1, chunk - 1, chunk, 2 * chunk + 4095):
+                one = np.random.default_rng(seed)
+                want, after = one.integers(0, 2, size=n), one.integers(0, 2, size=64)
+                rng = np.random.default_rng(seed)
+                got = cli._random_bits(rng, n)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want)
+                assert np.array_equal(rng.integers(0, 2, size=64), after)
+
+    def test_sampled_banked_run_matches_int64_draws(
+        self, tmp_path, qef02, qef_file, dist_file, nu_e
+    ):
+        """Records, seed bits (more than one chunk) and bank from one generator."""
+        n, k_o = 40000, 64
+        out = tmp_path / "out.json"
+        argv = [
+            "--seed", "3", "run", "--function", qef_file, "--dist", dist_file,
+            "--n", str(n), "--k-o", str(k_o), "--epsilon", "1e-3",
+            "--protocol", "2", "-o", str(out),
+        ]
+        assert main(argv) == 0
+        params = design_params(qef02, n, k_o, 1e-3)
+        assert params.seed_length(banked=True) > cli._BITS_CHUNK
+        rng = np.random.default_rng(3)
+        records = sample_records(nu_e, n, rng)
+        seed = rng.integers(0, 2, size=params.seed_length(banked=True))
+        bank = rng.integers(0, 2, size=k_o)
+        want = run_protocol2(params, records, seed, bank)
+        got = json.loads(out.read_text())
+        assert got["bits"] == "".join(str(int(b)) for b in want.bits)
+        assert got["trials_used"] == want.trials_used
 
     def test_protocol1_short_stream_reports_failure(
         self, tmp_path, qef_file, nu_e, capsys

@@ -9,7 +9,6 @@ import pytest
 
 from qpe.estimators import (
     binary_model,
-    binary_model_rate_limit,
     ee_from_maxprob,
     ee_from_qef,
     expansion_rate,
@@ -239,6 +238,11 @@ class TestEeFromMaxprob:
         with pytest.raises(ValueError):
             ee_from_maxprob(big, 1.0)
         ee_from_maxprob(big, 1.0, conditional=False)
+        negative = B.scaled(-3.0)
+        with pytest.raises(ValueError):
+            ee_from_maxprob(negative, 0.5)
+        K = ee_from_maxprob(negative, 0.5, conditional=False)
+        assert K.value(0, 0) == -math.log(0.5) + 1.0 + 3.0 / 0.5
 
 
 def small_scheme(r: float):
@@ -300,6 +304,14 @@ class TestSpotCheckScheme:
             assert abs(scheme.input_entropy() - exact) <= 1e-12
             if r <= q / math.e:
                 assert scheme.input_entropy() <= -2.0 * r * math.log(r)
+
+    def test_estimator_is_the_maxprob_formula(self):
+        """K_r = -log(b_bar) + 1 - B_r/b_bar bit for bit, negative test entries included."""
+        _, _, scheme = small_scheme(0.1)
+        b_bar = scheme.b_bar
+        assert min(scheme.B_r.values.values()) < 0.0
+        for key, b in scheme.B_r.values.items():
+            assert scheme.K_r.value(*key) == -math.log(b_bar) + 1.0 - b / b_bar
 
     def test_unknown_fixed_input_rejected(self):
         B, _, _ = small_scheme(0.1)
@@ -382,12 +394,14 @@ class TestBinaryModel:
         assert abs(model.rate - q * math.log(f1) / beta) <= 1e-15
 
     def test_vanishing_power_limit(self):
+        """The rate tends to the closed form (q/p) H(p)."""
         for p, q in ((0.5, 0.5), (0.1, 0.05), (0.01, 0.01)):
+            shannon = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
             model = binary_model(p, q, 1e-4)
-            assert abs(model.rate - binary_model_rate_limit(p, q)) <= 1e-3
+            assert abs(model.rate - (q / p) * shannon) <= 1e-3
 
     def test_symmetric_limit_is_log_two(self):
-        assert abs(binary_model_rate_limit(0.5, 0.5) - math.log(2.0)) <= 1e-15
+        assert abs(binary_model(0.5, 0.5, 1e-6).rate - math.log(2.0)) <= 1e-6
 
     def test_estimator_optimality_witness(self):
         """At vanishing power the model's estimator attains the strength."""
@@ -395,7 +409,8 @@ class TestBinaryModel:
         model = binary_model(p, q, 1e-4)
         K = ee_from_qef(model.F)
         expect = (1.0 - q) * K.value(0, 0) + q * K.value(1, 0)
-        assert abs(expect - binary_model_rate_limit(p, q)) <= 1e-3
+        shannon = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+        assert abs(expect - (q / p) * shannon) <= 1e-3
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,95 @@
+"""Every public top-level function and class of ``qpe`` has a caller.
+
+A name counts as called when it is loaded (as a name or an attribute)
+somewhere other than its own definition: in ``src/qpe``, in
+``perfbench/*.py`` or in ``tests/test_acceptance.py``.  Unit tests alone do
+not keep a name alive.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "qpe").glob("*.py"))
+CALLERS = [
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+# Names kept without a caller, each for its reason.
+ALLOWED = {
+    "minentropy_bound": "paper fact: the min-entropy certificate of an accumulated factor",
+    "power_reduce": "paper fact: F**gamma is a factor at power gamma*beta, gamma in (0, 1]",
+    "constant_one": "paper fact: the all-ones function is a factor at every power",
+    "conditional_entropy": "test reference: entropy estimates must lie below it",
+    "pef_inequality_check": "test reference: polytope factors are checked against it",
+}
+
+
+def _loads(node: ast.AST) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_name_is_loaded_outside_its_definition():
+    trees = {path: ast.parse(path.read_text()) for path in SRC}
+    outside = set().union(*(_loads(ast.parse(p.read_text())) for p in CALLERS))
+    # The names each top-level statement of src loads.
+    statements = [(node, _loads(node)) for tree in trees.values() for node in tree.body]
+    uncalled = {}
+    for path, tree in trees.items():
+        for node in _definitions(tree):
+            if node.name not in outside and not any(
+                node.name in loads for other, loads in statements if other is not node
+            ):
+                uncalled[node.name] = path.name
+    assert {name: f for name, f in uncalled.items() if name not in ALLOWED} == {}
+    # An allowlisted name that gained a caller leaves the list.
+    assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def _wraps(node: ast.AST):
+    """``(module, attribute argument)`` of each ``rec.wrap`` call under ``node``."""
+    for call in ast.walk(node):
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "wrap"
+        ):
+            yield call.args[0].id, call.args[1]
+
+
+def test_names_wrapped_by_the_benchmark_exist():
+    """``perfbench/run.py`` wraps layers by module and attribute name."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    wrapped = [
+        (mod, arg.value) for mod, arg in _wraps(tree) if isinstance(arg, ast.Constant)
+    ]
+    # A loop over string names passes its variable as the attribute.
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and isinstance(loop.target, ast.Name):
+            for mod, arg in _wraps(loop):
+                if isinstance(arg, ast.Name) and arg.id == loop.target.id:
+                    wrapped += [(mod, elt.value) for elt in loop.iter.elts]
+    assert len(wrapped) > 15
+    missing = [
+        f"{mod}.{attr}" for mod, attr in wrapped
+        if not hasattr(importlib.import_module(f"qpe.{mod}"), attr)
+    ]
+    assert missing == []

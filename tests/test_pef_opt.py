@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qpe.estimators import binary_model, binary_model_rate_limit
+from qpe.estimators import binary_model
 from qpe.models import TrialDistribution
 from qpe.pef_opt import (
     chsh_variant_value,
@@ -198,7 +198,8 @@ class TestOptimizePolytope:
         _, rate = optimize_pef_polytope(obs, 0.1, vertices=verts)
         assert abs(rate - binary_model(p, q, 0.1).rate) <= 1e-5
         _, tiny = optimize_pef_polytope(obs, 1e-4, vertices=verts)
-        assert abs(tiny - binary_model_rate_limit(p, q)) <= 1e-3
+        shannon = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+        assert abs(tiny - (q / p) * shannon) <= 1e-3
 
     def test_domain(self, nu_e):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Estimation-factor engine: the defining inequality, chaining, certification."""
+"""Estimation-factor engine: the defining inequality, record sums, certification."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qpe import qef_engine
-from qpe.models import BellConfig, povm_vector
+from qpe.models import BellConfig
 from qpe.qef_engine import (
     CertificationResult,
     _BlockProblem,
@@ -162,7 +162,9 @@ class TestChain:
     def test_all_ones_accumulate_zero(self):
         F = constant_one(2, 2, 0.1)
         records = [(c, z) for c in range(4) for z in range(4)]
-        assert chain(F, records) == 0.0
+        running = chain(F, records)
+        assert running.shape == (16,)
+        assert not running.any()
 
     def test_law_of_large_numbers(self):
         """The per-trial mean of log F approaches its expectation."""
@@ -175,21 +177,40 @@ class TestChain:
         n = 100000
         draws = rng.choice(len(keys), size=n, p=p)
         records = [keys[i] for i in draws]
-        total = chain(F, records)
+        total = chain(F, records, k=1)[-1] * math.log(2.0)
         expect = float(p @ logs)
         se = float(np.sqrt(p @ (logs - expect) ** 2 / n))
         assert abs(total / n - expect) <= 3.0 * se
 
     def test_zero_value_flags_minus_infinity(self):
         F = TrialFunction({(0, 0): 0.0, (1, 0): 2.0}, 0.1, role="qef")
-        with pytest.warns(RuntimeWarning):
-            out = chain(F, [(1, 0), (0, 0), (1, 0)])
-        assert out == -math.inf
+        with pytest.warns(RuntimeWarning, match="record 2"):
+            out = chain(F, [(1, 0), (0, 0), (1, 0)], k=1)
+        assert out.tolist() == [1.0, -math.inf, -math.inf]
 
-    def test_adaptive_sequence_length_checked(self):
-        F = constant_one(1, 1, 0.1)
-        with pytest.raises(ValueError):
-            chain([F, F], [(0, 0)])
+    def test_matches_sequential_loop(self):
+        """Each running sum equals a record-by-record ``log2`` loop bit for bit."""
+        rng = np.random.default_rng(36)
+        values = {(c, z): float(rng.uniform(0.5, 1.7)) for c in range(4) for z in range(4)}
+        F = TrialFunction(values, 0.2, role="qef")
+        records = rng.integers(0, 4, size=(3000, 2))
+        total, want = 0.0, []
+        for c, z in records:
+            total += math.log2(values[(int(c), int(z))])
+            want.append(total)
+        assert chain(F, records).tolist() == want
+
+    def test_records_checked(self):
+        F = constant_one(2, 2, 0.1)
+        assert chain(F, []).shape == (0,)
+        with pytest.raises(ValueError, match="record 2: outcome 4 does not fit in 2 bits"):
+            chain(F, [(0, 0), (4, 0)])
+        with pytest.raises(ValueError, match=r"record \(1, 9\) outside the factor's domain"):
+            chain(F, [(0, 0), (1, 9)])
+        with pytest.raises(ValueError, match="outside the factor's domain"):
+            chain(F, [(0, -1)])
+        with pytest.raises(ValueError, match="pairs"):
+            chain(F, [(0, 0, 0)])
 
     def test_two_trial_chained_inequality(self):
         """Products of per-trial factors stay factors on composed states.
@@ -416,7 +437,7 @@ class TestInnerSolver:
         }
         return TrialFunction(values, float(rng.uniform(0.05, 0.9)), role="candidate")
 
-    def test_vectors_match_povm_vector_loop(self):
+    def test_vectors_match_povm_vector_loop(self, povm_vector):
         rng = np.random.default_rng(41)
         for _ in range(60):
             k = int(rng.integers(1, 4))

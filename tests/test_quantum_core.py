@@ -1,9 +1,8 @@
-"""Operator substrate: Hermitian decompositions, Renyi powers, distances.
+"""Operator substrate: Hermitian decompositions, Renyi powers, entropies.
 
-Oracles are written independently of the package internals: positive parts
-and trace norms come from a direct eigendecomposition, classical cases from
-scalar formulas, and measurement values from explicit semidefinite
-feasibility checks.
+Oracles are written independently of the package internals: spectra and
+fractional powers come from a direct eigendecomposition, classical cases
+from scalar formulas.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from qpe.quantum_core import (
     HermitianOperator,
     RenyiOrder,
     conditional_entropy,
-    helstrom_dual_operators,
-    max_prob,
-    positive_part,
-    purified_distance,
     renyi_power,
-    tv_distance,
 )
 
 
@@ -39,16 +33,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None):
     a = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def random_cq(rng: np.random.Generator, n_c: int, n_z: int, dim: int):
-    """Normalized classical-quantum blocks with uniform inputs."""
-    blocks = {}
-    for z in range(n_z):
-        weights = rng.dirichlet(np.ones(n_c))
-        for c in range(n_c):
-            blocks[(c, z)] = weights[c] / n_z * random_density(rng, dim)
-    return CqDistribution({k: HermitianOperator(v) for k, v in blocks.items()})
 
 
 class TestHermitianOperator:
@@ -80,77 +64,6 @@ class TestHermitianOperator:
     def test_psd_predicates(self):
         assert HermitianOperator(np.diag([1.0, 0.0])).is_psd()
         assert not HermitianOperator(np.diag([1.0, -1e-6])).is_psd()
-
-
-class TestPositivePart:
-    def test_sign_split(self):
-        out = positive_part(HermitianOperator(np.diag([1.0, -2.0])))
-        assert np.allclose(out.matrix, np.diag([1.0, 0.0]))
-
-    def test_zero(self):
-        out = positive_part(HermitianOperator(np.zeros((3, 3))))
-        assert np.allclose(out.matrix, 0.0)
-
-    def test_random_matches_projection_oracle(self):
-        """Positive part equals the sum of positive-eigenvalue projectors."""
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = random_hermitian(rng, 4)
-            lam, vec = np.linalg.eigh(a)
-            oracle = sum(
-                l * np.outer(vec[:, i], vec[:, i].conj())
-                for i, l in enumerate(lam)
-                if l > 0.0
-            )
-            out = positive_part(HermitianOperator(a)).matrix
-            assert np.allclose(out, oracle, atol=1e-10)
-
-
-class TestDistances:
-    def test_tv_identical_is_zero(self):
-        rng = np.random.default_rng(6)
-        a = random_cq(rng, 2, 2, 3)
-        assert tv_distance(a, a) <= 1e-12
-
-    def test_tv_disjoint_classical_is_one(self):
-        a = CqDistribution.classical({(0, 0): 1.0, (1, 0): 0.0})
-        b = CqDistribution.classical({(0, 0): 0.0, (1, 0): 1.0})
-        assert abs(tv_distance(a, b) - 1.0) <= 1e-12
-
-    def test_tv_matches_trace_norm_oracle(self):
-        """Half the summed trace norms of the block differences."""
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = random_cq(rng, 2, 2, 3)
-            b = random_cq(rng, 2, 2, 3)
-            total = 0.0
-            for key in a.keys():
-                d = a.block(*key).matrix - b.block(*key).matrix
-                total += np.abs(np.linalg.eigvalsh(d)).sum()
-            assert abs(tv_distance(a, b) - total / 2.0) <= 1e-10
-
-    def test_purified_identical_and_orthogonal(self):
-        rng = np.random.default_rng(8)
-        a = random_cq(rng, 2, 2, 2)
-        assert purified_distance(a, a) <= 1e-7
-        e0 = CqDistribution(
-            {(0, 0): HermitianOperator(np.diag([1.0, 0.0]))}
-        )
-        e1 = CqDistribution(
-            {(0, 0): HermitianOperator(np.diag([0.0, 1.0]))}
-        )
-        assert abs(purified_distance(e0, e1) - 1.0) <= 1e-12
-
-    def test_sandwich_between_tv_bounds(self):
-        """TV <= PD <= sqrt(2 TV) on random normalized pairs."""
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            a = random_cq(rng, 2, 2, 2)
-            b = random_cq(rng, 2, 2, 2)
-            tv = tv_distance(a, b)
-            pd = purified_distance(a, b)
-            assert tv <= pd + 1e-9
-            assert pd <= math.sqrt(2.0 * tv) + 1e-9
 
 
 class TestRenyiPower:
@@ -260,32 +173,3 @@ class TestConditionalEntropy:
                             h -= p[c, z, e] * math.log(p[c, z, e] / pz)
             assert abs(conditional_entropy(rho) - h) <= 1e-9 * max(1.0, joint)
 
-
-class TestMaxProb:
-    def test_uniform_binary(self):
-        rho = CqDistribution.classical({(0, 0): 0.5, (1, 0): 0.5})
-        assert abs(max_prob(rho) - 0.5) <= 1e-9
-
-    def test_perfectly_distinguishable(self):
-        rho = CqDistribution(
-            {
-                (0, 0): HermitianOperator(np.diag([0.5, 0.0])),
-                (1, 0): HermitianOperator(np.diag([0.0, 0.5])),
-            }
-        )
-        assert abs(max_prob(rho) - 1.0) <= 1e-9
-
-    def test_helstrom_dual_feasibility(self):
-        """The dual operator dominates every block and matches the value."""
-        rng = np.random.default_rng(16)
-        for _ in range(50):
-            rho = random_cq(rng, 2, 1, 2)
-            out = helstrom_dual_operators(rho)
-            value = max_prob(rho, mode="helstrom_binary")
-            for z, y in out.items():
-                ym = y.matrix
-                for c in (0, 1):
-                    gap = np.linalg.eigvalsh(ym - rho.block(c, z).matrix)
-                    assert gap.min() >= -1e-9
-            dual_total = sum(y.trace() for y in out.values())
-            assert abs(value - dual_total) <= 1e-9
