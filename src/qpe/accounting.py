@@ -239,45 +239,53 @@ class MinTrialsRow:
         return self.n_eat / self.n_qef
 
 
+# Powers whose factor-based counts agree to this relative tolerance are tied.
+_TIE_RTOL = 1e-9
+
+
 def min_trials_row(
     nu,
     param: float,
     beta_grid: Sequence[float],
     budget: ErrorBudget,
-    vertices=None,
 ) -> MinTrialsRow:
     """Optimize the factor power over a grid and compare trial counts.
 
-    The reference count reuses the optimal factor's estimator, whose range
-    ceiling is ``max |log2 F| / beta``.
+    The power with the fewest factor-based trials wins.  Powers within a
+    relative ``_TIE_RTOL`` of that count are tied, as when the rate is
+    exactly inverse in the power, and the tie goes to the smallest
+    reference count, so the comparison is made against the stronger
+    reference.  The reference count reuses each power's optimal factor's
+    estimator, whose range ceiling is ``max |log2 F| / beta``.
     """
     from .models import chsh_value
     from .pef_opt import optimize_pef_polytope
 
-    best = None
+    i_hat = chsh_value(nu)
+    rows = []
     for beta in beta_grid:
-        F, rate = optimize_pef_polytope(nu, beta, vertices=vertices)
+        F, rate = optimize_pef_polytope(nu, beta)
         if rate <= 0.0:
             continue
         g_bits = rate * _LOG2_E
-        n_qef = n_min_qef(g_bits, beta, budget)
-        if best is None or n_qef < best[0]:
-            best = (n_qef, beta, g_bits, F)
-    if best is None:
+        k_inf_bits = F.max_abs_log() * _LOG2_E / beta
+        n_outcomes = len({k[0] for k in F.keys()})
+        rows.append(
+            MinTrialsRow(
+                param=param,
+                i_hat=i_hat,
+                beta=beta,
+                g_bits=g_bits,
+                k_inf_bits=k_inf_bits,
+                n_qef=n_min_qef(g_bits, beta, budget),
+                n_eat=n_min_eat_from_ee(g_bits, k_inf_bits, n_outcomes, budget),
+            )
+        )
+    if not rows:
         raise ValueError("no positive rate on the power grid")
-    n_qef, beta, g_bits, F = best
-    k_inf_bits = F.max_abs_log() * _LOG2_E / beta
-    n_outcomes = len({k[0] for k in F.keys()})
-    n_eat = n_min_eat_from_ee(g_bits, k_inf_bits, n_outcomes, budget)
-    return MinTrialsRow(
-        param=param,
-        i_hat=chsh_value(nu),
-        beta=beta,
-        g_bits=g_bits,
-        k_inf_bits=k_inf_bits,
-        n_qef=n_qef,
-        n_eat=n_eat,
-    )
+    n_best = min(row.n_qef for row in rows)
+    tied = [row for row in rows if row.n_qef <= n_best * (1.0 + _TIE_RTOL)]
+    return min(tied, key=lambda row: row.n_eat)
 
 
 def min_trials_table(

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``family`` (model distributions), ``optimize`` (polytope
-factors), ``certify`` (branch-and-bound supremum brackets), ``mintrials``
-(trial-count comparison tables and rate curves), ``run`` (threshold and
-banked protocols), ``expand`` (spot-check rate tables).  Exit status 0
-covers protocol failures (they are a reported outcome, not an error); 1
-marks internal errors, 2 usage errors.
+factors, optionally certified into QEFs), ``certify`` (branch-and-bound
+supremum brackets), ``mintrials`` (trial-count comparison tables and rate
+curves), ``run`` (threshold and banked protocols), ``expand`` (spot-check
+rate tables).  Exit status 0 covers protocol failures (they are a reported
+outcome, not an error); 1 marks internal errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -69,28 +69,40 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
+def _station_config(F: TrialFunction) -> BellConfig:
+    """Uniform-input stations, one per input bit of ``F``."""
+    n_z = len({key[1] for key in F.keys()})
+    k = max(1, (n_z - 1).bit_length())
+    if 1 << k != n_z:
+        raise ValueError("trial function inputs do not fill a power of two")
+    return BellConfig.uniform((0.0,) * k)
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
     nu = _load_distribution(args.dist)
     vertices = local_deterministic_vertices() if args.local_only else None
     F, rate = optimize_pef_polytope(nu, args.beta, vertices=vertices)
+    if args.certify is not None:
+        cert = certify_fmax(F, _station_config(F), args.certify, seed=args.seed)
+        if cert.gap_flag:
+            raise ValueError(
+                f"certified gap {cert.f_upper - cert.f_lower:.3g} misses the "
+                f"target {args.certify:g}; no factor written"
+            )
+        # Dividing by the certified supremum makes the factor a QEF.
+        F = F.scaled(1.0 / cert.f_upper, role="qef")
+        rate -= math.log(cert.f_upper) / args.beta
+        print(f"f_upper {cert.f_upper:.12g}", file=sys.stderr)
     _emit(F.to_json(), args.output)
     print(f"rate_nats_per_trial {rate:.12g}", file=sys.stderr)
     return 0
 
 
-def _infer_k(F: TrialFunction) -> int:
-    n_z = len({key[1] for key in F.keys()})
-    k = max(1, (n_z - 1).bit_length())
-    if 1 << k != n_z:
-        raise ValueError("trial function inputs do not fill a power of two")
-    return k
-
-
 def _cmd_certify(args: argparse.Namespace) -> int:
     F = _load_function(args.function)
-    k = _infer_k(F)
-    config = BellConfig.uniform((0.0,) * k)
-    result = certify_fmax(F, config, args.gap, budget=args.budget, seed=args.seed)
+    result = certify_fmax(
+        F, _station_config(F), args.gap, budget=args.budget, seed=args.seed
+    )
     _emit(result.to_json(), args.output)
     return 0
 
@@ -265,6 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--local-only",
         action="store_true",
         help="constrain to local vertices only",
+    )
+    p.add_argument(
+        "--certify",
+        type=float,
+        default=None,
+        metavar="GAP",
+        help="bracket the factor's quantum supremum to GAP and write it "
+        "divided by the upper bound, as a qef",
     )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_optimize)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -20,7 +21,7 @@ from qpe.protocols import (
     sample_records,
     write_records,
 )
-from qpe.qef_engine import CertificationResult, TrialFunction
+from qpe.qef_engine import CertificationResult, TrialFunction, certify_fmax
 
 ROOT2 = math.sqrt(2.0)
 
@@ -83,6 +84,47 @@ class TestOptimizeCertify:
         F = TrialFunction.from_json(out.read_text())
         assert F.beta == 0.45
         assert F.role == "pef"
+
+    def test_family_optimize_certify_run(self, tmp_path, capsys):
+        """``optimize --certify`` writes a qef that ``run`` accepts, with no
+        hand-written factor in between."""
+        dist, qef, out = (tmp_path / n for n in ("e.json", "qef.json", "out.json"))
+        theta = repr(math.pi / 4.0)
+        assert main(["family", "--family", "E", "--param", theta, "-o", str(dist)]) == 0
+        assert main(["optimize", "--dist", str(dist), "--beta", "0.2"]) == 0
+        pef_rate = float(capsys.readouterr().err.split()[-1])
+        argv = ["optimize", "--dist", str(dist), "--beta", "0.2",
+                "--certify", "1e-3", "-o", str(qef)]
+        assert main(argv) == 0
+        err = dict(line.split() for line in capsys.readouterr().err.splitlines())
+        f_upper = float(err["f_upper"])
+        assert 1.0 <= f_upper <= 1.0 + 1e-2
+        rate = float(err["rate_nats_per_trial"])
+        assert abs(rate - (pef_rate - math.log(f_upper) / 0.2)) <= 1e-9
+        F = TrialFunction.from_json(qef.read_text())
+        assert F.role == "qef" and F.beta == 0.2
+        argv = [
+            "run", "--function", str(qef), "--dist", str(dist),
+            "--n", "20000", "--k-o", "64", "--epsilon", "1e-6", "-o", str(out),
+        ]
+        assert main(argv) == 0
+        got = json.loads(out.read_text())
+        assert got["success"] is True
+        assert len(got["bits"]) == 64
+
+    def test_optimize_certify_unmet_gap_fails(
+        self, tmp_path, dist_file, monkeypatch, capsys
+    ):
+        """A bracket that misses its gap target writes no factor."""
+        monkeypatch.setattr(
+            cli, "certify_fmax", functools.partial(certify_fmax, budget=4)
+        )
+        out = tmp_path / "qef.json"
+        argv = ["optimize", "--dist", dist_file, "--beta", "0.2",
+                "--certify", "1e-3", "-o", str(out)]
+        assert main(argv) == 1
+        assert "misses the target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_certify_qef_bracket(self, tmp_path, dist_file):
         pef = tmp_path / "pef.json"
