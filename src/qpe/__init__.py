@@ -5,7 +5,7 @@ Subpackage map:
 - ``quantum_core``: Hermitian/positive operator substrate, Renyi powers,
   classical-quantum block distributions, conditional entropy.
 - ``models``: (k,2,2) Bell-trial configurations, POVMs, canonical states,
-  reference trial distributions.
+  reference trial distributions, CHSH correlators.
 - ``qef_engine``: trial functions, the defining inequality, the running
   log2-factor sums over a record stream, inner maximization over states and
   certified suprema over configurations.
@@ -14,7 +14,8 @@ Subpackage map:
 - ``accounting``: smooth min-entropy accounting and its error offset,
   trial-count planning and comparison curves against entropy accumulation.
 - ``pef_opt``: classical probability estimation factor optimization over
-  polytope models.
+  polytope models, given as arrays of vertex tables ``t[c, z]`` (by default
+  the 16 local deterministic tables and the 64 Tsirelson cuts).
 - ``protocols``: executable randomness generation protocols with seeded
   extraction.
 """

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from scipy.optimize import brentq
 
-from .estimators import _A, iota0
+from .estimators import _second_order_sum
 
 _LOG2 = math.log(2.0)
 _LOG2_E = 1.0 / _LOG2
@@ -124,12 +124,11 @@ def c_tilde(beta: float, n_outcomes: int, k_inf: float) -> float:
     """Worst-case second-order constant given only a range bound ``k_inf`` (nats)."""
     if not (0.0 <= beta < 1.0):
         raise ValueError("beta must lie in [0, 1)")
-    spread = math.log(n_outcomes) + k_inf
-    w0 = spread + _LOG2
-    wb = (1.0 - beta) * spread + _LOG2
-    return (
-        2.0 * _A(w0) + math.exp(k_inf * beta) / (1.0 - beta) ** 2 * _A(wb)
-    ) / 3.0
+    return _second_order_sum(math.log(n_outcomes) + k_inf, k_inf, beta) / 3.0
+
+
+# The largest power ``eat_from_qef_bound`` may choose.
+_BETA_MAX = 0.4999
 
 
 def eat_from_qef_bound(
@@ -137,18 +136,17 @@ def eat_from_qef_bound(
     tilde_c: Callable[[float], float],
     n: int,
     budget: ErrorBudget,
-    beta_max: float = 0.4999,
 ) -> float:
     """Accumulation-style bound (nats) derived from the factor machinery.
 
     Optimizes the power at ``beta = sqrt(2 L / (n c(0)))`` and evaluates the
-    second-order constant there; the choice must stay below ``beta_max``.
+    second-order constant there; the choice must stay below ``_BETA_MAX``.
     """
     big_l = _log2_offset(budget.epsilon, budget.kappa, 2.0) * _LOG2
     beta_bar = math.sqrt(2.0 * big_l / (n * tilde_c(0.0)))
-    if beta_bar > beta_max:
+    if beta_bar > _BETA_MAX:
         raise ValueError(
-            f"optimal power {beta_bar:.4f} exceeds {beta_max}; need more trials"
+            f"optimal power {beta_bar:.4f} exceeds {_BETA_MAX}; need more trials"
         )
     penalty = math.sqrt(2.0) * math.sqrt(tilde_c(beta_bar)) * math.sqrt(big_l) * math.sqrt(n)
     return h_nats * n - penalty
@@ -239,10 +237,6 @@ class MinTrialsRow:
         return self.n_eat / self.n_qef
 
 
-# Powers whose factor-based counts agree to this relative tolerance are tied.
-_TIE_RTOL = 1e-9
-
-
 def min_trials_row(
     nu,
     param: float,
@@ -251,15 +245,19 @@ def min_trials_row(
 ) -> MinTrialsRow:
     """Optimize the factor power over a grid and compare trial counts.
 
-    The power with the fewest factor-based trials wins.  Powers within a
-    relative ``_TIE_RTOL`` of that count are tied, as when the rate is
-    exactly inverse in the power, and the tie goes to the smallest
-    reference count, so the comparison is made against the stronger
-    reference.  The reference count reuses each power's optimal factor's
-    estimator, whose range ceiling is ``max |log2 F| / beta``.
+    The power with the fewest factor-based trials wins.  A count is
+    proportional to ``1 / (beta rate)``, and the optimizer certifies
+    ``beta rate`` to within its duality gap ``pef_opt._TOL``, so a power
+    whose count is within a relative ``_TOL / (beta rate)`` of the fewest is
+    tied, as when the rate is exactly inverse in the power.  The rule holds
+    only where the optimizer raised no gap ``RuntimeWarning``: a warned gap
+    exceeds ``_TOL``, and the choice among the powers is then not certified.  The tie goes to the smallest reference count, so
+    the comparison is made against the stronger reference.  The reference
+    count reuses each power's optimal factor's estimator, whose range
+    ceiling is ``max |log2 F| / beta``.
     """
     from .models import chsh_value
-    from .pef_opt import optimize_pef_polytope
+    from .pef_opt import _TOL, optimize_pef_polytope
 
     i_hat = chsh_value(nu)
     rows = []
@@ -284,7 +282,10 @@ def min_trials_row(
     if not rows:
         raise ValueError("no positive rate on the power grid")
     n_best = min(row.n_qef for row in rows)
-    tied = [row for row in rows if row.n_qef <= n_best * (1.0 + _TIE_RTOL)]
+    tied = [
+        row for row in rows
+        if row.n_qef * (1.0 - _TOL / (row.beta * row.g_bits * _LOG2)) <= n_best
+    ]
     return min(tied, key=lambda row: row.n_eat)
 
 

@@ -26,7 +26,7 @@ from .accounting import (
 )
 from .estimators import expansion_rate, spot_check_scheme
 from .models import BellConfig, TrialDistribution, family_distribution
-from .pef_opt import local_deterministic_vertices, optimize_pef_polytope
+from .pef_opt import LOCAL_TABLES, optimize_pef_polytope
 from .protocols import (
     ProtocolParams,
     ProtocolResult,
@@ -80,8 +80,8 @@ def _station_config(F: TrialFunction) -> BellConfig:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     nu = _load_distribution(args.dist)
-    vertices = local_deterministic_vertices() if args.local_only else None
-    F, rate = optimize_pef_polytope(nu, args.beta, vertices=vertices)
+    tables = LOCAL_TABLES if args.local_only else None
+    F, rate = optimize_pef_polytope(nu, args.beta, tables=tables)
     if args.certify is not None:
         cert = certify_fmax(F, _station_config(F), args.certify, seed=args.seed)
         if cert.gap_flag:
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--local-only",
         action="store_true",
-        help="constrain to local vertices only",
+        help="constrain to the 16 local deterministic tables only, "
+        "without the Tsirelson cuts",
     )
     p.add_argument(
         "--certify",

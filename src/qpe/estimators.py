@@ -82,19 +82,23 @@ class QefpConstant:
     n_outcomes: int
 
 
+def _second_order_sum(spread: float, k_max: float, beta: float) -> float:
+    """``2 A(w0) + exp(k_max beta) / (1 - beta)**2 A(wb)``, three times a
+    second-order constant, at ``w0 = spread + log 2`` and
+    ``wb = (1 - beta) spread + log 2``."""
+    log2_ = math.log(2.0)
+    return 2.0 * _A(spread + log2_) + math.exp(k_max * beta) / (1.0 - beta) ** 2 * _A(
+        (1.0 - beta) * spread + log2_
+    )
+
+
 def _headline_c(K: TrialFunction, nu_z: Mapping[int, float], beta: float, n: int) -> float:
-    log_n, log2_ = math.log(n), math.log(2.0)
+    log_n = math.log(n)
     total = 0.0
     for z, weight in nu_z.items():
         ks = [K.value(c, z) for c in range(n)]
         spread = max(max(log_n - k, k) for k in ks)
-        k_max = max(ks)
-        w0 = spread + log2_
-        wb = (1.0 - beta) * spread + log2_
-        total += weight * (
-            2.0 * _A(w0)
-            + math.exp(k_max * beta) / (1.0 - beta) ** 2 * _A(wb)
-        )
+        total += weight * _second_order_sum(spread, max(ks), beta)
     return total / 3.0
 
 

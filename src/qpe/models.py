@@ -314,6 +314,15 @@ def distribution_from_quantum(
     return TrialDistribution(2, 2, probs, provenance=provenance)
 
 
+# ``(-1)**(a + b)`` of the packed two-station outcome ``c = a + 2 b``.
+_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def correlators(t: np.ndarray) -> np.ndarray:
+    """``E[..., z] = sum_c (-1)**(a + b) t[..., c, z]`` of two-station tables."""
+    return (_PARITY[:, None] * t).sum(axis=-2)
+
+
 def chsh_value(nu: TrialDistribution) -> float:
     """CHSH functional of a two-station table with uniform inputs.
 
@@ -325,15 +334,8 @@ def chsh_value(nu: TrialDistribution) -> float:
     for z in range(4):
         if abs(nu.mu_z(z) - 0.25) > 1e-9:
             raise ValueError("CHSH evaluation expects uniform inputs")
-    total = 0.0
-    for x in (0, 1):
-        for y in (0, 1):
-            corr = 0.0
-            for a in (0, 1):
-                for b in (0, 1):
-                    corr += (-1.0) ** (a + b) * nu.cond(a + 2 * b, x + 2 * y)
-            total += corr * (1.0 if x * y == 0 else -1.0)
-    return total
+    e = correlators(np.array([[nu.cond(c, z) for z in range(4)] for c in range(4)]))
+    return float(e[0] + e[1] + e[2] - e[3])
 
 
 # -- reference families -----------------------------------------------------
@@ -425,7 +427,9 @@ def _local_deterministic_tables() -> list[np.ndarray]:
     return tables
 
 
+# Shared by the local-polytope helpers here and by ``pef_opt``, so read-only.
 _LD_STACK = np.stack(_local_deterministic_tables())  # (16, 4, 4)
+_LD_STACK.flags.writeable = False
 
 
 def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:

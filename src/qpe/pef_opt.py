@@ -2,9 +2,11 @@
 
 A probability estimation factor constrains outcome probabilities directly:
 ``sum_cz mu(z) nu(c|z)**alpha F(cz) <= 1`` must hold for every distribution
-the model admits.  Here the model is a polytope of conditional tables
-(local-deterministic vertices, optionally tightened toward the quantum set),
-so optimizing the log-factor rate is a finite convex program, solved by
+the model admits.  Here the model is a polytope whose vertices are
+conditional tables ``t[c, z]``: by default ``MODEL_TABLES``, the 16 local
+deterministic tables and the 64 points where the quantum correlation bounds
+cut the no-signaling polytope.  Each table is one linear constraint row, so
+optimizing the log-factor rate is a finite convex program, solved by
 primal-dual interior-point Newton steps that stop on a closed-form duality
 gap.  The factor's supremum over quantum models is bracketed by
 :func:`qpe.qef_engine.certify_fmax`.
@@ -12,14 +14,12 @@ gap.  The factor's supremum over quantum models is bracketed by
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from typing import Sequence
 
 import numpy as np
 
-from .models import _LD_STACK, TrialDistribution
+from .models import _LD_STACK, TrialDistribution, correlators
 from .qef_engine import TrialFunction
 
 
@@ -36,97 +36,48 @@ def local_deterministic_vertices() -> tuple[TrialDistribution, ...]:
     )
 
 
-def pr_box_vertices() -> tuple[TrialDistribution, ...]:
-    """The 8 nonlocal no-signaling vertices (uniform marginals)."""
-    out = []
-    for flags in range(8):
-        ax, by, g = flags & 1, (flags >> 1) & 1, (flags >> 2) & 1
-        probs = {}
-        for z in range(4):
-            x, y = z & 1, (z >> 1) & 1
-            target = (x & y) ^ (ax & x) ^ (by & y) ^ g
-            for c in range(4):
-                a, b = c & 1, (c >> 1) & 1
-                probs[(c, z)] = 0.125 if (a ^ b) == target else 0.0
-        out.append(TrialDistribution(2, 2, probs, provenance=f"pr {flags}"))
-    return tuple(out)
+def _tsirelson_cuts() -> np.ndarray:
+    """The 64 points where the quantum correlation bounds cut the
+    no-signaling polytope, eight per nonlocal vertex (PR box).
 
-
-def chsh_variant_value(dist: TrialDistribution, signs: Sequence[int]) -> float:
-    """Signed correlator sum ``sum_xy signs[x+2y] E(xy)`` of a two-station table."""
-    total = 0.0
-    for z in range(4):
-        e = sum(
-            (-1) ** ((c & 1) + ((c >> 1) & 1)) * dist.cond(c, z) for c in range(4)
-        )
-        total += signs[z] * e
-    return total
-
-
-def tsirelson_cut_vertices() -> tuple[TrialDistribution, ...]:
-    """The 64 points where the quantum correlation bounds cut no-signaling edges.
-
-    Each nonlocal vertex exceeds ``2 sqrt(2)`` on exactly one CHSH sign
-    pattern, and the bounding plane for that pattern crosses the edges toward
-    the eight deterministic tables on the same face at the mixture weight
-    ``sqrt(2) - 1``.  Together with the deterministic tables, these mixtures
-    are all the vertices of the no-signaling polytope restricted by the
-    eight correlation bounds.
+    Box ``ax + 2 by + 4 g`` puts 1/2 on each outcome ``c = a + 2 b`` with
+    ``a ^ b = x y ^ ax x ^ by y ^ g`` at input ``z = x + 2 y``.  Each box
+    exceeds ``2 sqrt(2)`` on one CHSH sign pattern, the signs of its
+    correlators, and the quantum bound on that pattern cuts the edges toward
+    the 8 local tables that reach 2 on it at the box weight ``sqrt(2) - 1``.
+    With the local tables, the cuts are all the vertices of the no-signaling
+    polytope restricted by the eight correlation bounds.  The mixtures are
+    taken of joint tables at uniform inputs and normalized over ``c``, as
+    :meth:`qpe.models.TrialDistribution.cond` does.
     """
-    t = math.sqrt(2.0) - 1.0
-    locals_ = local_deterministic_vertices()
-    out = []
-    for box in pr_box_vertices():
-        signs = tuple(
-            round(
-                sum(
-                    (-1) ** ((c & 1) + ((c >> 1) & 1)) * box.cond(c, z)
-                    for c in range(4)
-                )
-            )
-            for z in range(4)
-        )
-        for ld in locals_:
-            if round(chsh_variant_value(ld, signs)) != 2:
-                continue
-            probs = {
-                key: t * box.probs[key] + (1.0 - t) * ld.probs[key]
-                for key in box.probs
-            }
-            out.append(
-                TrialDistribution(
-                    2, 2, probs, provenance=f"cut {box.provenance}|{ld.provenance}"
-                )
-            )
-    return tuple(out)
+    c, z, flags = np.arange(4)[:, None], np.arange(4), np.arange(8)[:, None, None]
+    target = (z & (z >> 1)) ^ (flags & z & 1) ^ ((flags >> 1) & (z >> 1)) ^ (flags >> 2)
+    boxes = 0.5 * (((c ^ (c >> 1)) & 1) == target)
+    box, ld = np.nonzero(correlators(boxes) @ correlators(_LD_STACK).T == 2.0)
+    w = math.sqrt(2.0) - 1.0
+    joint = w * (0.25 * boxes[box]) + (1.0 - w) * (0.25 * _LD_STACK[ld])
+    return joint / joint.sum(axis=1, keepdims=True)
 
 
-@functools.cache
-def default_model_vertices() -> tuple[TrialDistribution, ...]:
-    """The 80 default vertices, built once: building them checks every
-    table and takes about three quarters of an optimizer call."""
-    return local_deterministic_vertices() + tsirelson_cut_vertices()
+CUT_TABLES = _tsirelson_cuts()
+LOCAL_TABLES = _LD_STACK
+# The default model: the 16 local tables, then the 64 cuts.  Every call
+# shares these arrays, so they are read-only.
+MODEL_TABLES = np.concatenate([LOCAL_TABLES, CUT_TABLES])
+CUT_TABLES.flags.writeable = False
+MODEL_TABLES.flags.writeable = False
 
 
-def pef_inequality_check(
-    F: TrialFunction,
-    vertices: Sequence[TrialDistribution] | None = None,
-    input_dist: Sequence[float] | None = None,
-) -> float:
-    """Worst-case slack ``1 - sum_cz mu(z) nu(c|z)**alpha F(cz)`` over vertices."""
-    if vertices is None:
-        vertices = default_model_vertices()
+def pef_inequality_check(F: TrialFunction) -> float:
+    """Worst-case slack ``1 - sum_cz mu(z) t[c, z]**alpha F(cz)`` over the
+    tables ``t`` of ``MODEL_TABLES`` at uniform inputs, one table at a time."""
     keys = sorted(F.keys())
-    if input_dist is None:
-        nz = len({z for _, z in keys})
-        mu = {z: 1.0 / nz for _, z in keys}
-    else:
-        mu = {z: input_dist[z] for _, z in keys}
+    mu = 1.0 / len({z for _, z in keys})
     alpha = F.alpha
     worst = -math.inf
-    for v in vertices:
+    for t in MODEL_TABLES:
         total = sum(
-            mu[z] * v.cond(c, z) ** alpha * F.value(c, z) for c, z in keys
+            mu * float(t[c, z]) ** alpha * F.value(c, z) for c, z in keys
         )
         worst = max(worst, total)
     return 1.0 - worst
@@ -195,30 +146,33 @@ def _max_log_factor(a: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]:
 def optimize_pef_polytope(
     nu: TrialDistribution,
     beta: float,
-    vertices: Sequence[TrialDistribution] | None = None,
+    tables: np.ndarray | None = None,
 ) -> tuple[TrialFunction, float]:
     """Best polytope-sound factor at power ``beta`` for the observed table.
 
-    Maximizes ``sum_cz nu(cz) log F(cz)`` subject to the vertex constraints
-    with :func:`_max_log_factor`, a primal-dual interior-point method whose
-    point is certified within a duality gap of ``_TOL``; the factor is
-    rescaled onto the polytope's boundary, so it is always feasible.  The
-    all-ones factor (scaled down if a vertex exceeds one on it) is returned
+    ``tables`` is an ``(m, n_c, n_z)`` array of the model's vertex tables
+    ``t[c, z]`` (default ``MODEL_TABLES``), and each gives the constraint
+    row ``mu(z) t[c, z]**alpha``.  Maximizes ``sum_cz nu(cz) log F(cz)``
+    subject to those rows with :func:`_max_log_factor`, a primal-dual
+    interior-point method whose point is certified within a duality gap of
+    ``_TOL``; the factor is rescaled onto the polytope's boundary, so it is
+    always feasible.  The
+    all-ones factor (scaled down if a row exceeds one on it) is returned
     instead unless the optimum beats it by more than the gap, so a table
     inside the polytope gets a rate of at most zero, not roundoff.  Returns
     the factor and its rate in nats per trial.
     """
     if beta <= 0.0:
         raise ValueError("the power must be positive")
-    if vertices is None:
-        vertices = default_model_vertices()
-    alpha = 1.0 + beta
+    if tables is None:
+        tables = MODEL_TABLES
+    if tables.shape[1:] != (1 << nu.c_bits, 1 << nu.z_bits):
+        raise ValueError(f"model tables of shape {tables.shape} do not fit the table")
     keys = sorted(nu.probs)
     nu_vec = np.array([nu.probs[k] for k in keys])
-    mu = nu.input_marginal()
-    a_full = np.array(
-        [[mu[z] * v.cond(c, z) ** alpha for c, z in keys] for v in vertices]
-    )
+    c, z = np.array(keys).T
+    mu = np.array([nu.mu_z(zk) for _, zk in keys])
+    a_full = mu * tables[:, c, z] ** (1.0 + beta)
     mask = nu_vec > 0.0
     a_m = a_full[:, mask]
     nu_m = nu_vec[mask]

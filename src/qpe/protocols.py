@@ -176,7 +176,6 @@ def design_params(
     k_o: int,
     epsilon: float,
     k_z: int = 0,
-    k: int = 2,
 ) -> ProtocolParams | None:
     """Split the error budget to minimize the certification threshold.
 
@@ -195,7 +194,7 @@ def design_params(
         try:
             cand = ProtocolParams(
                 F=F, n=n, k_o=k_o, epsilon=epsilon, epsilon_x=eps_x,
-                k_i=k_i, k_z=k_z, k=k,
+                k_i=k_i, k_z=k_z,
             )
         except ValueError:
             continue

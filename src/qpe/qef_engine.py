@@ -28,7 +28,6 @@ from scipy.optimize import brentq
 
 from .models import BellConfig, povm_vectors
 from .quantum_core import (
-    SUPPORT_TOL,
     CqDistribution,
     HermitianOperator,
     RenyiOrder,
@@ -135,12 +134,12 @@ class TrialFunction:
         return cls(values, None if beta is None else float(beta), role)
 
 
-def constant_one(c_bits: int, z_bits: int, beta: float, role: str = "qef") -> TrialFunction:
-    """The all-ones trial function on a packed ``(c, z)`` grid."""
+def constant_one(c_bits: int, z_bits: int, beta: float) -> TrialFunction:
+    """The all-ones quantum estimation factor on a packed ``(c, z)`` grid."""
     values = {
         (c, z): 1.0 for c in range(1 << c_bits) for z in range(1 << z_bits)
     }
-    return TrialFunction(values, beta, role)
+    return TrialFunction(values, beta, "qef")
 
 
 # -- the defining inequality on explicit states -----------------------------
@@ -150,7 +149,6 @@ def qef_inequality_check(
     F: TrialFunction,
     rho: CqDistribution,
     kind: str = "sandwiched",
-    support_tol: float = SUPPORT_TOL,
 ) -> float:
     """Slack ``tr rho - sum_cz F(cz) S_alpha(rho(cz) | rho(z))``.
 
@@ -166,9 +164,7 @@ def qef_inequality_check(
             weight = F.value(c, z)
             if weight == 0.0:
                 continue
-            total += weight * renyi_power(
-                rho.block(c, z), marg, order, kind=kind, support_tol=support_tol
-            )
+            total += weight * renyi_power(rho.block(c, z), marg, order, kind=kind)
     return rho.trace_total() - total
 
 
@@ -282,15 +278,15 @@ def _config_for(theta: Sequence[float], input_dist=None) -> BellConfig:
     return BellConfig(len(angles), angles, tuple(float(p) for p in input_dist))
 
 
-def q_alpha(F: TrialFunction, theta: Sequence[float], tau, input_dist=None) -> float:
+def q_alpha(F: TrialFunction, theta: Sequence[float], tau) -> float:
     """Canonical-state functional ``sum_cz mu(z) F(cz) tr(tau^{1/alpha} P_cz)^alpha``.
 
     For rank-one projectors this equals the weighted sum of sandwiched Renyi
     powers of the canonical state built from ``tau``; it is concave and
     1-homogeneous in ``tau``.  Each station angle in ``theta`` is read modulo
-    ``2 pi``.
+    ``2 pi``, and the inputs are uniform.
     """
-    config = _config_for(theta, input_dist)
+    config = _config_for(theta)
     w, V = _weights_and_vectors(F, config)
     op = tau if isinstance(tau, HermitianOperator) else HermitianOperator(tau)
     if op.dim != config.dim:
@@ -748,7 +744,6 @@ def certify_fmax(
     gap_target: float,
     budget: int = 20000,
     workers: int = 1,
-    max_iters: int = 10000,
     seed: int = 0,
     keep_regions: bool = False,
 ) -> CertificationResult:
@@ -787,7 +782,7 @@ def certify_fmax(
         for key in sorted(set(keys).difference(cache)):
             res = inner_max_tau(
                 F, tuple(float(fr) * math.pi for fr in key), tol=itol,
-                input_dist=config.input_dist, max_iters=max_iters, seed=seed,
+                input_dist=config.input_dist, seed=seed,
             )
             cache[key] = res
             if res.value > f_lower:

@@ -159,34 +159,34 @@ class HermitianOperator:
             return False
         return True
 
-    def support_projector(self, rel_cut: float = KERNEL_CUT) -> np.ndarray:
-        """Projector onto eigenvalues above ``rel_cut`` times the largest."""
+    def support_projector(self) -> np.ndarray:
+        """Projector onto eigenvalues above ``KERNEL_CUT`` times the largest."""
         w, v = self._eig()
         top = abs(w[0]) if self.dim else 0.0
-        keep = np.abs(w) > rel_cut * top
+        keep = np.abs(w) > KERNEL_CUT * top
         vs = v[:, keep]
         return vs @ vs.conj().T
 
-    def power(self, p: float, rel_cut: float = KERNEL_CUT) -> "HermitianOperator":
+    def power(self, p: float) -> "HermitianOperator":
         """Positive-semidefinite fractional power with relative-kernel semantics.
 
-        Kernel eigenvalues (below ``rel_cut`` times the largest) map to 0
+        Kernel eigenvalues (below ``KERNEL_CUT`` times the largest) map to 0
         for every exponent, so negative powers are inverses on the support.
         """
         w = self.psd_eigenvalues()
         top = w[0] if self.dim else 0.0
         out = np.zeros_like(w)
-        on = w > rel_cut * top
+        on = w > KERNEL_CUT * top
         out[on] = w[on] ** p
         v = self.eigenvectors
         return HermitianOperator((v * out) @ v.conj().T)
 
-    def support_log(self, rel_cut: float = KERNEL_CUT) -> np.ndarray:
+    def support_log(self) -> np.ndarray:
         """Matrix log on the support, zero on the kernel (a plain ndarray)."""
         w = self.psd_eigenvalues()
         top = w[0] if self.dim else 0.0
         out = np.zeros_like(w)
-        on = w > rel_cut * top
+        on = w > KERNEL_CUT * top
         out[on] = np.log(w[on])
         v = self.eigenvectors
         return (v * out) @ v.conj().T
@@ -259,8 +259,8 @@ class CqDistribution:
     def trace_total(self) -> float:
         return float(sum(op.trace() for op in self._blocks.values()))
 
-    def is_normalized(self, tol: float = TOL_NORM) -> bool:
-        return abs(self.trace_total() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.trace_total() - 1.0) <= TOL_NORM
 
     def require_normalized(self, what: str) -> None:
         if not self.is_normalized():
@@ -295,7 +295,6 @@ def renyi_power(
     sigma,
     order: RenyiOrder,
     kind: str = "sandwiched",
-    support_tol: float = SUPPORT_TOL,
     normalized: bool = False,
 ) -> float:
     """Renyi power of ``rho`` relative to ``sigma`` at order ``alpha``.
@@ -305,7 +304,7 @@ def renyi_power(
     rho, sigma : HermitianOperator or array_like
         Positive semidefinite operators.  The support of ``rho`` must be
         contained in the support of ``sigma`` to relative tolerance
-        ``support_tol``; negative powers of ``sigma`` act on its support.
+        ``SUPPORT_TOL``; negative powers of ``sigma`` act on its support.
     order : RenyiOrder
         The order ``alpha = 1 + beta``, ``beta > 0``.
     kind : {"sandwiched", "petz"}
@@ -340,10 +339,10 @@ def renyi_power(
     if sigma_scale <= 0.0:
         raise ValueError("sigma = 0 with rho != 0 violates support containment")
     leak = _support_leak(rho, sigma)
-    if leak > support_tol:
+    if leak > SUPPORT_TOL:
         raise ValueError(
             f"support of rho leaks outside support of sigma: "
-            f"relative mass {leak:.3e} > {support_tol:.0e}"
+            f"relative mass {leak:.3e} > {SUPPORT_TOL:.0e}"
         )
 
     if kind == "sandwiched":

@@ -376,17 +376,20 @@ class TestMinTrials:
 
     def test_tied_powers_pick_the_stronger_reference(self):
         """At W 0.75 the rate is inverse in the power, so both powers need
-        the same trials to 1e-10; the tie goes to the smaller reference
-        count, in either grid order."""
+        the same trials to 1e-10.  W 0.7075 is nearly local: its counts agree
+        to 1e-6, but the optimizer's gap certifies them only to about 2e-3,
+        relative.  Either way the tie goes to the smaller reference count, in
+        either grid order."""
         from qpe.models import family_distribution
 
-        nu = family_distribution("W", 0.75)
         budget = ErrorBudget(1e-6)
-        rows = {b: min_trials_row(nu, 0.75, [b], budget) for b in (0.05, 0.2)}
-        assert math.isclose(rows[0.05].n_qef, rows[0.2].n_qef, rel_tol=1e-10)
-        assert rows[0.05].n_eat < rows[0.2].n_eat
-        for grid in ([0.05, 0.2], [0.2, 0.05]):
-            assert min_trials_row(nu, 0.75, grid, budget) == rows[0.05]
+        for p, rtol in ((0.75, 1e-10), (0.7075, 1e-6)):
+            nu = family_distribution("W", p)
+            rows = {b: min_trials_row(nu, p, [b], budget) for b in (0.05, 0.2)}
+            assert math.isclose(rows[0.05].n_qef, rows[0.2].n_qef, rel_tol=rtol)
+            assert rows[0.05].n_eat < rows[0.2].n_eat
+            for grid in ([0.05, 0.2], [0.2, 0.05]):
+                assert min_trials_row(nu, p, grid, budget) == rows[0.05]
 
     def test_table_skips_zero_rate_points(self):
         """A non-violating point cannot fund a positive rate and is skipped."""

@@ -1,9 +1,11 @@
-"""Every public top-level function and class of ``qpe`` has a caller.
+"""Every public top-level function and class of ``qpe`` has a caller, and
+every optional parameter of a ``qpe`` function is set by one.
 
 A name counts as called when it is loaded (as a name or an attribute)
-somewhere other than its own definition: in ``src/qpe``, in
-``perfbench/*.py`` or in ``tests/test_acceptance.py``.  Unit tests alone do
-not keep a name alive.
+somewhere other than its own definition, and a parameter counts as set when
+a call of its function passes it by keyword or by position: in
+``src/qpe``, in ``perfbench/*.py`` or in ``tests/test_acceptance.py``.
+Unit tests alone do not keep a name or a parameter alive.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ ALLOWED = {
     "constant_one": "paper fact: the all-ones function is a factor at every power",
     "conditional_entropy": "test reference: entropy estimates must lie below it",
     "pef_inequality_check": "test reference: polytope factors are checked against it",
+}
+
+# Optional parameters kept although no caller sets them, each for its reason.
+UNSET_ALLOWED = {
+    "qefp_constant(mode=)": "paper fact: the tight constant, against the headline one",
+    "certify_fmax(keep_regions=)": "soundness evidence: kept regions are sampled against their bounds",
+    "inner_max_tau(max_iters=)": "pair cap: a unit test requires tight gaps within 3000 pairs",
+    "write_rmax_csv(h_start=)": "the rate grid of the comparison curves",
+    "write_rmax_csv(h_step=)": "the rate grid of the comparison curves",
+    "from_json(role=)": "a stored trial function read under another role",
 }
 
 
@@ -62,6 +74,60 @@ def test_every_public_name_is_loaded_outside_its_definition():
     assert {name: f for name, f in uncalled.items() if name not in ALLOWED} == {}
     # An allowlisted name that gained a caller leaves the list.
     assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def _optional_parameters(tree: ast.Module):
+    """``(function, parameter, position)`` of each optional parameter of the
+    module's functions and methods.  The position counts the arguments a
+    caller passes (``self`` and ``cls`` are bound); it is None for
+    keyword-only parameters."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [
+                (sub, 0 if any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in sub.decorator_list
+                ) else 1)
+                for sub in node.body if isinstance(sub, ast.FunctionDef)
+            ]
+        else:
+            continue
+        for fn, bound in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield fn.name, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None
+
+
+def _calls(tree: ast.Module):
+    """``(called name, positional count, keyword names)`` of each call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield name, len(node.args), {kw.arg for kw in node.keywords}
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    calls = [call for path in SRC + CALLERS for call in _calls(ast.parse(path.read_text()))]
+    unset = [
+        f"{fn}({param}=)"
+        for path in SRC
+        for fn, param, position in _optional_parameters(ast.parse(path.read_text()))
+        if not any(
+            name == fn and (param in keywords or (position is not None and n > position))
+            for name, n, keywords in calls
+        )
+    ]
+    assert sorted(set(unset) - set(UNSET_ALLOWED)) == []
+    # An allowlisted parameter that gained a caller leaves the list.
+    assert sorted(unset) == sorted(UNSET_ALLOWED)
 
 
 def _wraps(node: ast.AST):

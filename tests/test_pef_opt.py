@@ -1,4 +1,4 @@
-"""Polytope factors: vertices, the rate optimizer, and their quantum bracket."""
+"""Polytope factors: vertex tables, the rate optimizer, and their quantum bracket."""
 
 from __future__ import annotations
 
@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from qpe.estimators import binary_model
-from qpe.models import TrialDistribution
+from qpe.models import TrialDistribution, chsh_value, correlators
 from qpe.pef_opt import (
-    chsh_variant_value,
-    default_model_vertices,
+    CUT_TABLES,
+    LOCAL_TABLES,
+    MODEL_TABLES,
     local_deterministic_vertices,
     optimize_pef_polytope,
     pef_inequality_check,
-    pr_box_vertices,
-    tsirelson_cut_vertices,
 )
 from qpe.qef_engine import certify_fmax, inner_max_tau, q_alpha
 
@@ -29,6 +28,12 @@ BETA_GRID = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.45)
 
 # The eight CHSH sign patterns: an odd number of minus signs.
 PATTERNS = [s for s in itertools.product((-1, 1), repeat=4) if np.prod(s) == -1]
+
+
+def variant_values(tables):
+    """``values[..., i] = sum_z PATTERNS[i][z] E(z)``: each table's signed
+    correlator sum on each CHSH sign pattern."""
+    return correlators(tables) @ np.array(PATTERNS, dtype=float).T
 
 
 def strategy_loop_tables():
@@ -47,6 +52,42 @@ def strategy_loop_tables():
     return out
 
 
+def box_loop_tables():
+    """Joint table of each PR box, outcome by outcome: box ``ax + 2 by + 4 g``
+    puts 1/8 on ``(c, z)`` when ``a ^ b = x y ^ ax x ^ by y ^ g``."""
+    out = []
+    for flags in range(8):
+        ax, by, g = flags & 1, (flags >> 1) & 1, (flags >> 2) & 1
+        probs = {}
+        for z in range(4):
+            x, y = z & 1, (z >> 1) & 1
+            for c in range(4):
+                a, b = c & 1, (c >> 1) & 1
+                hit = (a ^ b) == (x & y) ^ (ax & x) ^ (by & y) ^ g
+                probs[(c, z)] = 0.125 if hit else 0.0
+        out.append(probs)
+    return out
+
+
+def loop_correlators(t):
+    """``E(z) = sum_c (-1)**(a + b) t[c, z]``, outcome by outcome."""
+    return np.array(
+        [sum((-1) ** ((c & 1) + (c >> 1)) * t[c, z] for c in range(4)) for z in range(4)]
+    )
+
+
+def cond_array(probs):
+    """``t[c, z]`` of a joint table, normalized over ``c`` by a validated
+    :class:`TrialDistribution`."""
+    dist = TrialDistribution(2, 2, probs)
+    return np.array([[dist.cond(c, z) for z in range(4)] for c in range(4)])
+
+
+# The 8 PR boxes, the nonlocal vertices of the no-signaling polytope that
+# the cuts are taken toward, as conditional tables.
+PR_BOXES = np.array([cond_array(b) for b in box_loop_tables()])
+
+
 @pytest.fixture(scope="module")
 def pef45(nu_e):
     return optimize_pef_polytope(nu_e, 0.45)
@@ -62,70 +103,96 @@ def cert45(pef45, config22):
 
 class TestVertices:
     def test_counts(self):
+        assert LOCAL_TABLES.shape == (16, 4, 4)
+        assert PR_BOXES.shape == (8, 4, 4)
+        assert CUT_TABLES.shape == (64, 4, 4)
+        assert MODEL_TABLES.shape == (80, 4, 4)
         assert len(local_deterministic_vertices()) == 16
-        assert len(pr_box_vertices()) == 8
-        assert len(tsirelson_cut_vertices()) == 64
-        assert len(default_model_vertices()) == 80
 
     def test_deterministic_tables(self):
-        """Each local vertex has one unit conditional per setting."""
-        for v in local_deterministic_vertices():
+        """Each local table has one unit conditional per setting."""
+        for t in LOCAL_TABLES:
             for z in range(4):
-                cond = sorted(v.cond(c, z) for c in range(4))
-                assert cond == [0.0, 0.0, 0.0, 1.0]
+                assert sorted(t[:, z]) == [0.0, 0.0, 0.0, 1.0]
+
+    def test_tables_are_normalized(self):
+        """Every table, boxes included, sums to one over ``c``."""
+        for tables in (MODEL_TABLES, PR_BOXES):
+            assert np.abs(tables.sum(axis=1) - 1.0).max() <= 1e-12
+            assert tables.min() >= 0.0
+
+    def test_tables_are_no_signaling(self):
+        """Each station's conditional marginal ignores the other's setting."""
+        for tables in (MODEL_TABLES, PR_BOXES):
+            # t[m, b, a, y, x]: outcomes and settings split by station.
+            t = tables.reshape(-1, 2, 2, 2, 2)
+            marg_a = t.sum(axis=1)  # [m, a, y, x]
+            marg_b = t.sum(axis=2)  # [m, b, y, x]
+            assert np.abs(marg_a[:, :, 0] - marg_a[:, :, 1]).max() <= 1e-10
+            assert np.abs(marg_b[..., 0] - marg_b[..., 1]).max() <= 1e-10
 
     def test_variant_values(self):
         """Locals reach 2, boxes reach 4, cut points reach 2 sqrt(2)."""
-        for v in local_deterministic_vertices():
-            vals = [chsh_variant_value(v, s) for s in PATTERNS]
-            assert abs(max(vals) - 2.0) <= 1e-12
-        for v in pr_box_vertices():
-            vals = [chsh_variant_value(v, s) for s in PATTERNS]
-            assert abs(max(vals) - 4.0) <= 1e-12
-            assert sum(1 for x in vals if x > 2.0 + 1e-9) == 1
-        for v in tsirelson_cut_vertices():
-            vals = [chsh_variant_value(v, s) for s in PATTERNS]
-            assert abs(max(vals) - 2.0 * ROOT2) <= 1e-12
+        for vals in variant_values(LOCAL_TABLES):
+            assert abs(vals.max() - 2.0) <= 1e-12
+        for vals in variant_values(PR_BOXES):
+            assert abs(vals.max() - 4.0) <= 1e-12
+            assert np.sum(vals > 2.0 + 1e-9) == 1
+        for vals in variant_values(CUT_TABLES):
+            assert abs(vals.max() - 2.0 * ROOT2) <= 1e-12
+
+    def test_cut_reaches_tsirelson_on_its_box_pattern(self):
+        """Box ``i // 8``'s cuts reach ``2 sqrt(2)`` on the pattern of the box's
+        correlator signs, and the box reaches 4 there."""
+        for i, t in enumerate(CUT_TABLES):
+            pattern = correlators(PR_BOXES[i // 8])
+            assert sorted(np.abs(pattern)) == [1.0] * 4
+            assert abs(correlators(t) @ pattern - 2.0 * ROOT2) <= 1e-12
+            assert correlators(PR_BOXES[i // 8]) @ pattern == 4.0
 
     def test_tables_match_strategy_loop(self):
-        """Every default vertex equals its strategy-by-strategy reference."""
+        """Every table equals its loop-built reference: the local tables and
+        their ``TrialDistribution`` view, and each cut at weight
+        ``sqrt(2) - 1`` between a box and a local table that reaches 2 on the
+        box's pattern, taken box by box."""
         ref = strategy_loop_tables()
-        got = default_model_vertices()
-        for v, (prov, probs) in zip(got, ref):
+        for t, v, (prov, probs) in zip(
+            LOCAL_TABLES, local_deterministic_vertices(), ref
+        ):
             assert v.provenance == prov
             assert list(v.probs.items()) == list(probs.items())
-        t = ROOT2 - 1.0
-        locals_ = dict(ref)
-        boxes = {b.provenance: b.probs for b in pr_box_vertices()}
-        for v in got[16:]:
-            box, ld = v.provenance.removeprefix("cut ").split("|")
-            want = {
-                key: t * p + (1.0 - t) * locals_[ld][key]
-                for key, p in boxes[box].items()
-            }
-            assert list(v.probs.items()) == list(want.items())
+            assert np.array_equal(t, cond_array(probs))
+        boxes = box_loop_tables()
+        w = ROOT2 - 1.0
+        want = []
+        for box in boxes:
+            signs = loop_correlators(cond_array(box))
+            for _, ld in ref:
+                if round(float(loop_correlators(cond_array(ld)) @ signs)) == 2:
+                    want.append(
+                        cond_array(
+                            {key: w * p + (1.0 - w) * ld[key] for key, p in box.items()}
+                        )
+                    )
+        assert np.array_equal(CUT_TABLES, np.array(want))
+        assert np.array_equal(MODEL_TABLES, np.concatenate([LOCAL_TABLES, CUT_TABLES]))
 
     def test_no_vertex_exceeds_quantum_bound(self):
-        for v in default_model_vertices():
-            for s in PATTERNS:
-                assert chsh_variant_value(v, s) <= 2.0 * ROOT2 + 1e-9
+        assert variant_values(MODEL_TABLES).max() <= 2.0 * ROOT2 + 1e-9
 
     def test_vertices_distinct(self):
-        seen = set()
-        for v in default_model_vertices():
-            key = tuple(
-                round(v.probs[(c, z)], 12) for c in range(4) for z in range(4)
-            )
-            assert key not in seen
-            seen.add(key)
+        keys = {tuple(np.round(t, 12).ravel()) for t in MODEL_TABLES}
+        assert len(keys) == len(MODEL_TABLES)
 
     def test_variant_matches_standard_functional(self):
-        """The all-but-last sign pattern is the usual correlator sum."""
-        from qpe.models import chsh_value
-
-        for v in tsirelson_cut_vertices()[:8]:
-            got = chsh_variant_value(v, (1, 1, 1, -1))
-            assert abs(got - chsh_value(v)) <= 1e-12
+        """The correlators are the outcome-by-outcome sums, and the
+        all-but-last sign pattern is the usual correlator sum."""
+        want = np.array([loop_correlators(t) for t in MODEL_TABLES])
+        assert np.array_equal(correlators(MODEL_TABLES), want)
+        for t in CUT_TABLES[:8]:
+            got = float(correlators(t) @ np.array([1.0, 1.0, 1.0, -1.0]))
+            probs = {(c, z): 0.25 * float(t[c, z]) for c in range(4) for z in range(4)}
+            assert abs(got - chsh_value(TrialDistribution(2, 2, probs))) <= 1e-12
 
 
 class TestPefInequalityCheck:
@@ -215,8 +282,8 @@ class TestOptimizePolytope:
         w = np.array([nu.probs[key] for key in keys])
         a = np.array(
             [
-                [nu.mu_z(z) * v.cond(c, z) ** (1.0 + beta) for c, z in keys]
-                for v in default_model_vertices()
+                [nu.mu_z(z) * float(t[c, z]) ** (1.0 + beta) for c, z in keys]
+                for t in MODEL_TABLES
             ]
         )
         res = minimize(
@@ -248,30 +315,29 @@ class TestOptimizePolytope:
     def test_binary_model_embedding(self):
         """A capped-success model solved by the dual matches the closed form."""
         p, q = 0.3, 0.2
-
-        def table(s0, s1):
-            return TrialDistribution(
-                1,
-                1,
-                {
-                    (0, 0): (1.0 - s0) / 2.0,
-                    (1, 0): s0 / 2.0,
-                    (0, 1): (1.0 - s1) / 2.0,
-                    (1, 1): s1 / 2.0,
-                },
-            )
-
-        verts = [table(a, b) for a in (0.0, p) for b in (0.0, p)]
-        obs = table(q, q)
-        _, rate = optimize_pef_polytope(obs, 0.1, vertices=verts)
+        # Vertex tables t[m, c, z]: success c = 1 at rate s0 under z = 0 and
+        # s1 under z = 1, each capped at p.
+        tables = np.array(
+            [[[1.0 - s0, 1.0 - s1], [s0, s1]] for s0 in (0.0, p) for s1 in (0.0, p)]
+        )
+        obs = TrialDistribution(
+            1, 1, {(c, z): (q if c else 1.0 - q) / 2.0 for c in (0, 1) for z in (0, 1)}
+        )
+        _, rate = optimize_pef_polytope(obs, 0.1, tables=tables)
         assert abs(rate - binary_model(p, q, 0.1).rate) <= 1e-5
-        _, tiny = optimize_pef_polytope(obs, 1e-4, vertices=verts)
+        _, tiny = optimize_pef_polytope(obs, 1e-4, tables=tables)
         shannon = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
         assert abs(tiny - (q / p) * shannon) <= 1e-3
 
     def test_domain(self, nu_e):
         with pytest.raises(ValueError):
             optimize_pef_polytope(nu_e, 0.0)
+        # Model tables must cover the observed table's (c, z) grid.
+        one_bit = TrialDistribution(1, 1, {(c, z): 0.25 for c in (0, 1) for z in (0, 1)})
+        with pytest.raises(ValueError):
+            optimize_pef_polytope(one_bit, 0.1)
+        with pytest.raises(ValueError):
+            optimize_pef_polytope(nu_e, 0.1, tables=MODEL_TABLES[:, :2, :2])
 
 
 class TestCertifyPefFmax:
