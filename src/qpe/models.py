@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.optimize import minimize
 
 from .quantum_core import CqDistribution, HermitianOperator, TOL_NORM
@@ -116,23 +117,30 @@ def povm_tensor(config: BellConfig, c: int, z: int) -> HermitianOperator:
     return HermitianOperator(m)
 
 
-def povm_vectors(config: BellConfig, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def povm_vectors(angles: ArrayLike, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Real unit vectors spanning the product projectors of ``(c[j], z[j])``.
 
-    Row ``j`` is the ``np.kron`` product of the stations' vectors for the
-    packed outcome ``c[j]`` and input ``z[j]``.  One broadcast outer product
-    per station performs the same multiplications as that ``np.kron``
-    chain, so the rows are bit-identical to it.
+    ``angles`` holds the ``k`` station angles along its last axis; leading
+    axes stack configurations, and the result is ``(..., n, 2**k)``.  Row
+    ``j`` is the ``np.kron`` product of the stations' vectors (those of
+    :func:`_station_vector`) for the packed outcome ``c[j]`` and input
+    ``z[j]``.  One broadcast outer product per station performs the same
+    multiplications as that ``np.kron`` chain, so the rows are bit-identical
+    to it.
     """
+    angles = np.asarray(angles, dtype=float)
     c, z = np.asarray(c), np.asarray(z)
-    V = np.ones((c.size, 1))
-    for i, phi in enumerate(config.angles):
-        # table[z_i, c_i] is station i's unit vector for that setting and outcome.
-        table = np.array([
-            [_station_vector(cb, zb, phi) for cb in (0, 1)] for zb in (0, 1)
-        ])
-        S = table[(z >> i) & 1, (c >> i) & 1]
-        V = (V[:, :, None] * S[:, None, :]).reshape(c.size, -1)
+    lead = angles.shape[:-1]
+    V = np.ones(lead + (c.size, 1))
+    for i in range(angles.shape[-1]):
+        phi = angles[..., i]
+        # Setting 0 measures at angle 0, setting 1 at phi.
+        half = np.stack([np.zeros_like(phi), phi], -1) / 2.0
+        cos, sin = np.cos(half), np.sin(half)
+        # table[..., z_i, c_i, :] is station i's unit vector for that setting and outcome.
+        table = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
+        S = table[..., (z >> i) & 1, (c >> i) & 1, :]
+        V = (V[..., :, :, None] * S[..., :, None, :]).reshape(lead + (c.size, -1))
     return V
 
 

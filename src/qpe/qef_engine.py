@@ -9,17 +9,19 @@ threshold test reads), maximizes the canonical-state functional over density
 operators by a BFGS ascent that stops on its concavity certificate, and runs
 a branch-and-bound over measurement angles to certify a global supremum.
 
+The branch-and-bound splits regions in sweeps and solves each sweep's new
+vertices together: one lockstep ascent advances every block problem of one
+dimension, and :func:`inner_max_tau` is the same solver on a batch of one.
+
 All logs are natural except the record sums of :func:`chain`, in bits.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -241,19 +243,21 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
 
 
 def _weights_and_vectors(
-    F: TrialFunction, config: BellConfig
+    F: TrialFunction, input_dist: Sequence[float], angles: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero weights ``mu(z) F(cz)`` and matching projector vectors.
 
-    Rows run over ``z`` then ``c``.
+    Rows run over ``z`` then ``c``.  ``angles`` is one configuration's
+    station angles, or a stack of them along leading axes (see
+    :func:`povm_vectors`); the weights are shared by the whole stack.
     """
-    d = config.dim
-    w = np.array([config.mu(z) * F.value(c, z) for z in range(d) for c in range(d)])
+    d = len(input_dist)
+    w = np.array([input_dist[z] * F.value(c, z) for z in range(d) for c in range(d)])
     rows = np.flatnonzero(w > 0.0)
     if rows.size == 0:
         raise ValueError("trial function vanishes everywhere")
     z, c = np.divmod(rows, d)
-    return w[rows], povm_vectors(config, c, z)
+    return w[rows], povm_vectors(angles, c, z)
 
 
 def _wrap_angle(t: float) -> float:
@@ -270,12 +274,9 @@ def _wrap_angle(t: float) -> float:
     return math.pi if w <= -math.pi else w
 
 
-def _config_for(theta: Sequence[float], input_dist=None) -> BellConfig:
-    """Configuration at raw station angles ``theta``, each read modulo ``2 pi``."""
-    angles = tuple(_wrap_angle(float(t)) for t in theta)
-    if input_dist is None:
-        return BellConfig.uniform(angles)
-    return BellConfig(len(angles), angles, tuple(float(p) for p in input_dist))
+def _config_for(theta: Sequence[float]) -> BellConfig:
+    """Uniform-input configuration at raw station angles ``theta``, each read modulo ``2 pi``."""
+    return BellConfig.uniform(tuple(_wrap_angle(float(t)) for t in theta))
 
 
 def q_alpha(F: TrialFunction, theta: Sequence[float], tau) -> float:
@@ -287,7 +288,7 @@ def q_alpha(F: TrialFunction, theta: Sequence[float], tau) -> float:
     ``2 pi``, and the inputs are uniform.
     """
     config = _config_for(theta)
-    w, V = _weights_and_vectors(F, config)
+    w, V = _weights_and_vectors(F, config.input_dist, config.angles)
     op = tau if isinstance(tau, HermitianOperator) else HermitianOperator(tau)
     if op.dim != config.dim:
         raise ValueError("state dimension must match the configuration")
@@ -309,7 +310,7 @@ class InnerMaxResult(NamedTuple):
 
 
 def _divided_difference_matrix(lam: np.ndarray, alpha: float) -> np.ndarray:
-    """Divided differences of ``x -> x**(1/alpha)`` over an eigenvalue list.
+    """Divided differences of ``x -> x**(1/alpha)`` over eigenvalue lists ``lam[..., :]``.
 
     Near-degenerate pairs fall back to the derivative at the midpoint, which
     keeps entries finite and accurate; exact zeros give zero rows (the
@@ -319,13 +320,13 @@ def _divided_difference_matrix(lam: np.ndarray, alpha: float) -> np.ndarray:
     p = 1.0 / alpha
     lam = np.clip(lam, 0.0, None)
     f = lam**p
-    n = lam.size
-    diff = lam[:, None] - lam[None, :]
-    close = np.abs(diff) <= 1e-9 * max(lam.max(initial=0.0), 1e-300)
-    mid = np.clip((lam[:, None] + lam[None, :]) / 2.0, 1e-300, None)
+    diff = lam[..., :, None] - lam[..., None, :]
+    scale = np.maximum(lam.max(axis=-1, initial=0.0), 1e-300)
+    close = np.abs(diff) <= 1e-9 * scale[..., None, None]
+    mid = np.clip((lam[..., :, None] + lam[..., None, :]) / 2.0, 1e-300, None)
     deriv = p * mid ** (p - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (f[:, None] - f[None, :]) / diff
+        quot = (f[..., :, None] - f[..., None, :]) / diff
     k = np.where(close, deriv, quot)
     # A zero cluster has infinite derivative; those entries only multiply
     # kernel components, so cap them at a large finite value.
@@ -333,97 +334,76 @@ def _divided_difference_matrix(lam: np.ndarray, alpha: float) -> np.ndarray:
 
 
 class _BlockProblem:
-    """Maximize ``sum_i w_i (v_i^T tau^{1/alpha} v_i)^alpha`` over densities."""
+    """Maximize ``sum_i w_i (v_i^T tau^{1/alpha} v_i)^alpha`` over densities.
+
+    ``V`` is ``(..., n, m)`` and ``w`` is ``(..., n)``: leading axes stack
+    problems of one shape, and every method broadcasts over them, taking
+    ``tau`` as ``(..., m, m)`` and giving one value per problem.
+    """
 
     def __init__(self, V: np.ndarray, w: np.ndarray, alpha: float):
         self.V = V
         self.w = w
         self.alpha = alpha
-        self.m = V.shape[1]
-        self._cols = V.reshape(-1, self.m, 1)
+        self.m = V.shape[-1]
+
+    def __getitem__(self, idx) -> "_BlockProblem":
+        """The problems ``idx`` of a stack."""
+        return _BlockProblem(self.V[idx], self.w[idx], self.alpha)
 
     def _decompose(self, tau: np.ndarray):
-        lam, U = np.linalg.eigh((tau + tau.T) / 2.0)
+        lam, U = np.linalg.eigh((tau + np.swapaxes(tau, -1, -2)) / 2.0)
         return np.maximum(lam, 0.0), U
 
-    def value(self, tau: np.ndarray) -> float:
+    def value(self, tau: np.ndarray):
         lam, U = self._decompose(tau)
         return self._value_from(lam, U)[0]
 
     def _value_from(self, lam, U):
-        root = (U * lam ** (1.0 / self.alpha)) @ U.T
-        # ``t_i = v_i^T root v_i`` as one batched (1, m) by (m, 1) product,
-        # in the order numpy's optimized einsum contracts it.
-        rv = (root.T @ self.V.T).T.reshape(-1, 1, self.m)
-        t = np.maximum((rv @ self._cols).reshape(-1), 0.0)
-        return float((self.w * t**self.alpha).sum()), t
+        root = (U * lam[..., None, :] ** (1.0 / self.alpha)) @ np.swapaxes(U, -1, -2)
+        t = np.maximum(((self.V @ root) * self.V).sum(axis=-1), 0.0)
+        return (self.w * t**self.alpha).sum(axis=-1), t
 
     def gradient(self, lam, U, t) -> np.ndarray:
         coeff = self.w * self.alpha * t ** (self.alpha - 1.0)
-        M = (self.V * coeff[:, None]).T @ self.V
-        A = U.T @ M @ U
+        M = np.swapaxes(self.V * coeff[..., None], -1, -2) @ self.V
+        Ut = np.swapaxes(U, -1, -2)
         K = _divided_difference_matrix(lam, self.alpha)
-        return U @ (K * A) @ U.T
+        return U @ (K * (Ut @ M @ U)) @ Ut
 
 
-def _invariant_blocks(
-    V: np.ndarray, seed: int
-) -> list[np.ndarray]:
-    """Orthonormal bases of subspaces invariant under all ``v_i v_i^T``.
+# A station with ``|sin phi|`` at most this has commuting settings (phi is 0
+# or pi up to roundoff).  The coherence such a split neglects moves the
+# supremum at second order only: on random candidates split at ``|sin phi|``
+# up to 1e-3, every bound stayed above the unsplit value within 3e-15.
+_COMMUTING_SIN = 1e-8
 
-    A seeded random positive combination of the projectors is diagonalized;
-    its eigenvalue clusters are glued together whenever some projector has
-    mass bridging two clusters.  The resulting components are verified to
-    carry each projector entirely; on any doubt the trivial decomposition
-    is returned, which is always sound.
+
+def _invariant_blocks(angles: np.ndarray) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Orthonormal bases of subspaces invariant under every projector.
+
+    ``angles`` is a ``(P, k)`` stack of station angles.  A station whose two
+    settings commute (``|sin phi| <= _COMMUTING_SIN``) splits along its z
+    basis; the projectors of any other station generate all 2x2 matrices, so
+    it is one 2-dim factor.  A block is the Kronecker product of one factor
+    per station, station 0 leftmost.  Returns ``(rows, bases)`` for each
+    group of configurations, rows of ``angles``, whose stations commute alike.
     """
-    n, d = V.shape
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.5, 1.5, size=n)
-    R = (V * u[:, None]).T @ V
-    lam, U = np.linalg.eigh(R)
-    scale = max(np.abs(lam).max(initial=0.0), 1.0)
-    clusters = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or lam[i] - lam[i - 1] > 1e-8 * scale:
-            clusters.append(list(range(start, i)))
-            start = i
-    parent = list(range(len(clusters)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    proj = U.T @ V.T  # (d, n): eigenbasis components of each vector
-    masses = np.stack([
-        np.linalg.norm(proj[idx, :], axis=0) for idx in clusters
-    ])  # (n_clusters, n)
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            if np.any(masses[i] * masses[j] > 1e-10):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(len(clusters)):
-        groups.setdefault(find(i), []).append(i)
-    # member[g, i] = 1 when cluster i belongs to component g.
-    member = np.zeros((len(groups), len(clusters)))
-    for g, idx in enumerate(groups.values()):
-        member[g, idx] = 1.0
-    # Verify every projector lives inside exactly one component.
-    if np.any((member @ masses**2).max(axis=0) < 1.0 - 1e-10):
-        return [np.eye(d)]
-    return [
-        U[:, sorted(j for i in idx for j in clusters[i])] for idx in groups.values()
-    ]
+    split = np.abs(np.sin(angles)) <= _COMMUTING_SIN
+    eye, groups = np.eye(2), []
+    for mask in np.unique(split, axis=0):
+        bases = [np.ones((1, 1))]
+        for commuting in mask:
+            factors = (eye[:, :1], eye[:, 1:]) if commuting else (eye,)
+            bases = [np.kron(b, f) for b in bases for f in factors]
+        groups.append((np.flatnonzero((split == mask).all(axis=1)), bases))
+    return groups
 
 
 # Weight of the maximally mixed state mixed into every solver iterate.
 _FLOOR = 1e-13
+# Default cap on the certified pairs of one block solve.
+_MAX_PAIRS = 10000
 
 
 def _evaluate(prob: _BlockProblem, x: np.ndarray):
@@ -431,21 +411,22 @@ def _evaluate(prob: _BlockProblem, x: np.ndarray):
 
     ``tau = (1 - floor) A A^T / tr(A A^T) + floor I / m``: the identity floor
     keeps every ``t_i`` positive, so no projector drops out of the gradient
-    and its top eigenvalue stays a sound bound.
+    and its top eigenvalue stays a sound bound.  ``x`` is ``(..., m * m)``,
+    one iterate per problem of a stack.
     """
     m = prob.m
-    A = x.reshape(m, m)
-    S = A @ A.T
-    s = float(np.trace(S))
+    A = x.reshape(x.shape[:-1] + (m, m))
+    S = A @ np.swapaxes(A, -1, -2)
+    s = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
     tau = (1.0 - _FLOOR) * (S / s) + _FLOOR * np.eye(m) / m
     lam, U = prob._decompose(tau)
     g, t = prob._value_from(lam, U)
     G = prob.gradient(lam, U, t)
     # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
     # identity <G, tau> = g gives <G, S / s> below.
-    c = (g - _FLOOR * float(np.trace(G)) / m) / (1.0 - _FLOOR)
-    GA = (G @ A - c * A) * (2.0 * (1.0 - _FLOOR) / s)
-    return g, float(np.linalg.eigvalsh(G)[-1]), tau, GA.ravel()
+    c = (g - _FLOOR * np.trace(G, axis1=-2, axis2=-1) / m) / (1.0 - _FLOOR)
+    GA = (G @ A - c[..., None, None] * A) * (2.0 * (1.0 - _FLOOR) / s)
+    return g, np.linalg.eigvalsh(G)[..., -1], tau, GA.reshape(x.shape)
 
 
 def _maximize_block(
@@ -455,96 +436,187 @@ def _maximize_block(
     seed: int,
     keep_trace: bool,
 ):
-    """BFGS ascent over ``A`` (see :func:`_evaluate`) that stops on its certified gap.
+    """BFGS ascents over ``A`` (see :func:`_evaluate`) that stop on their certified gaps.
+
+    ``prob`` is a stack of problems of one shape, and each is solved as if
+    alone: the ascents run in lockstep, each step evaluating one trial point
+    of every problem still running, and a problem leaves the stack once it
+    stops.  Every problem starts from the same seeded point.
 
     The certificate rests on concavity and 1-homogeneity: for any density
     ``sigma``, ``g(sigma) <= <grad g(tau), sigma> <= lambda_max(grad g(tau))``,
     so the top gradient eigenvalue at any density ``tau`` bounds the supremum.
     Every evaluation yields one such ``(value, bound)`` pair, so how the
-    ascent picks its points cannot affect soundness.  The solve stops once
-    the best value is within ``tol`` of the smallest bound, or after
-    ``max_iters`` pairs.
+    ascent picks its points cannot affect soundness.  A solve stops once its
+    best value is within ``tol`` of its smallest bound, or after
+    ``max_iters`` pairs.  On one-dimensional blocks the only density is
+    ``[[1]]``, so its value is exact and one pair.
 
     The inverse Hessian starts at ``I / |grad|``, is rescaled to
     ``s^T y / y^T y`` at the first curvature pair, and is reset to steepest
     ascent whenever its direction does not ascend.  Steps are halved from 1
-    until the value passes the Armijo test or the trial point's own gap
-    ``lambda_max - g`` is below the current point's.  Near the optimum the
-    gap shrinks linearly in the distance but the value only quadratically,
-    so at tight tolerances values differ by roundoff alone; the gap test
-    keeps the ascent moving there.
+    until the value passes the Armijo test, or the trial point's own gap
+    ``lambda_max - g`` is below the current point's and its value is at
+    most ``tol`` below it.  Near the optimum the gap shrinks linearly in the
+    distance but the value only quadratically, so at tight tolerances values
+    differ by roundoff alone; the gap test keeps the ascent moving there.
+    Without its value floor, a point with a smaller gap but a far lower value
+    could be taken, and from such points the ascent can creep on for
+    thousands of steps.
+
+    Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
+    problem; ``trace`` lists each problem's ``(value, bound)`` pairs, or is
+    None without ``keep_trace``.
     """
-    m = prob.m
+    b, m = prob.w.shape[0], prob.m
     if m == 1:
-        tau = np.array([[1.0]])
+        tau = np.ones((b, 1, 1))
         val = prob.value(tau)
-        return val, tau, val, True, 1, ((val, val),) if keep_trace else None
+        trace = [((v, v),) for v in val.tolist()] if keep_trace else None
+        return val, tau, val.copy(), np.ones(b, dtype=bool), np.ones(b, dtype=int), trace
 
-    best_val, best_tau, best_ub = -math.inf, None, math.inf
-    trace = []
-
-    def record(g: float, ub: float, tau) -> bool:
-        """Fold one certified pair into the bracket; True once solving stops."""
-        nonlocal best_val, best_tau, best_ub
-        if g > best_val:
-            best_val, best_tau = g, tau
-        best_ub = min(best_ub, ub)
-        trace.append((g, ub))
-        return best_ub - best_val <= tol or len(trace) >= max_iters
-
+    eye = np.eye(m * m)
     rng = np.random.default_rng(seed)
-    x = (np.eye(m) + 0.05 * rng.standard_normal((m, m))).ravel()
-    g, ub, tau, grad = _evaluate(prob, x)
-    done = record(g, ub, tau)
-    H = np.eye(m * m) / np.linalg.norm(grad)
-    rescale = True
-    while not done:
-        d = H @ grad
-        if not grad @ d > 0.0:
-            H = np.eye(m * m) / np.linalg.norm(grad)
-            d = H @ grad
-        step = 1.0
-        while True:
-            x_new = x + step * d
-            g_new, ub_new, tau_new, grad_new = _evaluate(prob, x_new)
-            done = record(g_new, ub_new, tau_new)
-            if done or g_new >= g + 1e-4 * step * (grad @ d) or ub_new - g_new < ub - g:
-                break
-            step /= 2.0
-        s, y = x_new - x, grad - grad_new
-        sy = s @ y
-        if sy > 0.0:
-            if rescale:
-                H, rescale = np.eye(m * m) * (sy / (y @ y)), False
-            J = np.eye(m * m) - np.outer(s, y) / sy
-            H = J @ H @ J.T + np.outer(s, s) / sy
-        x, g, ub, grad = x_new, g_new, ub_new, grad_new
+    x = np.tile(np.eye(m) + 0.05 * rng.standard_normal((m, m)), (b, 1, 1)).reshape(b, -1)
+    g, ub, best_tau, grad = _evaluate(prob, x)
+    best_val, best_ub = g.copy(), ub.copy()
+    pairs = np.ones(b, dtype=int)
+    trace = [[pair] for pair in zip(g.tolist(), ub.tolist())] if keep_trace else None
+    H = eye / np.linalg.norm(grad, axis=-1)[:, None, None]
+    rescale = np.ones(b, dtype=bool)
+    d, slope, step = np.empty_like(x), np.empty(b), np.ones(b)
+
+    def aim(i: np.ndarray) -> None:
+        """Start line searches of problems ``i``, resetting ``H`` where it does not ascend."""
+        bad = i[~((grad[i] * (H[i] @ grad[i][:, :, None])[:, :, 0]).sum(axis=-1) > 0.0)]
+        H[bad] = eye / np.linalg.norm(grad[bad], axis=-1)[:, None, None]
+        d[i] = (H[i] @ grad[i][:, :, None])[:, :, 0]
+        slope[i] = (grad[i] * d[i]).sum(axis=-1)
+        step[i] = 1.0
+
+    run = np.flatnonzero((best_ub - best_val > tol) & (pairs < max_iters))
+    aim(run)
+    while run.size:
+        x_new = x[run] + step[run, None] * d[run]
+        g_new, ub_new, tau_new, grad_new = _evaluate(prob[run], x_new)
+        up = g_new > best_val[run]
+        best_val[run[up]] = g_new[up]
+        best_tau[run[up]] = tau_new[up]
+        best_ub[run] = np.minimum(best_ub[run], ub_new)
+        pairs[run] += 1
+        if keep_trace:
+            for i, pair in zip(run.tolist(), zip(g_new.tolist(), ub_new.tolist())):
+                trace[i].append(pair)
+        stop = (best_ub[run] - best_val[run] <= tol) | (pairs[run] >= max_iters)
+        accept = ~stop & (
+            (g_new >= g[run] + 1e-4 * step[run] * slope[run])
+            | ((ub_new - g_new < ub[run] - g[run]) & (g_new >= g[run] - tol))
+        )
+        step[run[~stop & ~accept]] /= 2.0
+        moved = run[accept]
+        if moved.size:
+            s = x_new[accept] - x[moved]
+            y = grad[moved] - grad_new[accept]
+            sy = (s * y).sum(axis=-1)
+            curved = sy > 0.0
+            i, s, y, sy = moved[curved], s[curved], y[curved], sy[curved, None, None]
+            first = rescale[i]
+            H[i[first]] = eye * sy[first] / (y[first] * y[first]).sum(axis=-1)[:, None, None]
+            rescale[i] = False
+            J = eye - s[:, :, None] * y[:, None, :] / sy
+            H[i] = J @ H[i] @ np.swapaxes(J, -1, -2) + s[:, :, None] * s[:, None, :] / sy
+            x[moved], g[moved], ub[moved], grad[moved] = (
+                x_new[accept], g_new[accept], ub_new[accept], grad_new[accept]
+            )
+            aim(moved)
+        run = run[~stop]
     return (
         best_val,
         best_tau,
         best_ub,
         best_ub - best_val <= tol,
-        len(trace),
-        tuple(trace) if keep_trace else None,
+        pairs,
+        [tuple(t) for t in trace] if keep_trace else None,
     )
+
+
+def _solve_vertices(
+    F: TrialFunction,
+    input_dist: Sequence[float],
+    angles: np.ndarray,
+    tol: float,
+    max_iters: int,
+    seed: int,
+    keep_trace: bool,
+):
+    """Certified inner maxima at a ``(P, k)`` stack of station angles in (-pi, pi].
+
+    Each configuration splits into the invariant blocks of
+    :func:`_invariant_blocks`.  The supremum over block-diagonal states
+    equals the best single block by homogeneity, so each block is solved
+    separately and the largest certified bound over blocks bounds the
+    supremum.  All blocks of one dimension, over the whole stack, are solved
+    by one call of :func:`_maximize_block`; a block that no projector reaches
+    is skipped (its functional is zero).
+
+    Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
+    configuration; ``pairs`` sums the certified pairs over blocks, and
+    ``trace`` merges the blocks' traces in block order (None without
+    ``keep_trace``).
+    """
+    w, V = _weights_and_vectors(F, input_dist, angles)
+    P, d = V.shape[0], V.shape[2]
+    value, bound = np.full(P, -math.inf), np.full(P, -math.inf)
+    tau = np.zeros((P, d, d))
+    pairs = np.zeros(P, dtype=int)
+    converged = np.ones(P, dtype=bool)
+    traces = [[] for _ in range(P)] if keep_trace else None
+    # Every block of one configuration has the same dimension.
+    by_dim: dict[int, list] = {}
+    for rows, bases in _invariant_blocks(angles):
+        for basis in bases:
+            Vb = V[rows] @ basis
+            keep = (Vb * Vb).sum(axis=-1) > 1e-12
+            live = keep.any(axis=1)
+            Vb = np.where(keep[:, :, None], Vb, 0.0)
+            by_dim.setdefault(basis.shape[1], []).append((rows[live], Vb[live], basis))
+    for parts in by_dim.values():
+        owner = np.concatenate([rows for rows, _, _ in parts])
+        prob = _BlockProblem(
+            np.concatenate([Vb for _, Vb, _ in parts]),
+            np.broadcast_to(w, (owner.size, w.size)),
+            F.alpha,
+        )
+        val, tau_b, ub, conv, n, tr = _maximize_block(prob, tol, max_iters, seed, keep_trace)
+        np.maximum.at(bound, owner, ub)
+        np.add.at(pairs, owner, n)
+        np.logical_and.at(converged, owner, conv)
+        j = 0
+        for rows, _, basis in parts:
+            for p in rows.tolist():
+                if val[j] > value[p]:
+                    value[p], tau[p] = val[j], basis @ tau_b[j] @ basis.T
+                if keep_trace:
+                    traces[p].extend(tr[j])
+                j += 1
+    converged &= bound - value <= tol
+    return value, tau, bound, converged, pairs, traces
 
 
 def inner_max_tau(
     F: TrialFunction,
     theta: Sequence[float],
     tol: float = 1e-9,
-    input_dist=None,
-    max_iters: int = 10000,
-    seed: int = 0,
+    max_iters: int = _MAX_PAIRS,
     keep_trace: bool = False,
 ) -> InnerMaxResult:
     """Certified maximum of the canonical-state functional over densities.
 
-    The algebra generated by the projectors is split into invariant blocks
-    first; the supremum over block-diagonal states equals the best single
-    block by homogeneity, so each block is solved separately and the largest
-    certified upper bound over blocks bounds the global supremum.  Each
-    station angle in ``theta`` is read modulo ``2 pi``.
+    A batch of one for the solver of :func:`certify_fmax`: the algebra
+    generated by the projectors is split into invariant blocks in closed
+    form, and each block is solved by a BFGS ascent that stops on its
+    certified gap (see :func:`_maximize_block`).  Each station angle in
+    ``theta`` is read modulo ``2 pi``, and the inputs are uniform.
 
     Returns
     -------
@@ -555,40 +627,17 @@ def inner_max_tau(
         blocks, one per point the ascent evaluates; ``max_iters`` caps that
         count per block.
     """
-    config = _config_for(theta, input_dist)
-    w, V = _weights_and_vectors(F, config)
-    alpha = F.alpha
-    d = config.dim
-    blocks = _invariant_blocks(V, seed)
-    best = None
-    total_iters = 0
-    all_conv = True
-    global_ub = -math.inf
-    merged_trace: list = []
-    for basis in blocks:
-        Vb = V @ basis
-        keep = np.linalg.norm(Vb, axis=1) ** 2 > 1e-12
-        if not np.any(keep):
-            continue
-        prob = _BlockProblem(Vb[keep], w[keep], alpha)
-        val, tau_b, ub, conv, iters, tr = _maximize_block(
-            prob, tol, max_iters, seed, keep_trace
-        )
-        total_iters += iters
-        all_conv = all_conv and conv
-        global_ub = max(global_ub, ub)
-        if tr:
-            merged_trace.extend(tr)
-        if best is None or val > best[0]:
-            best = (val, basis @ tau_b @ basis.T)
-    value, tau_full = best
+    config = _config_for(theta)
+    value, tau, bound, converged, pairs, traces = _solve_vertices(
+        F, config.input_dist, np.array([config.angles]), tol, max_iters, 0, keep_trace
+    )
     return InnerMaxResult(
-        value=value,
-        tau=HermitianOperator(tau_full),
-        upper_bound=global_ub,
-        converged=all_conv and (global_ub - value <= tol),
-        iterations=total_iters,
-        trace=tuple(merged_trace) if keep_trace else None,
+        value=float(value[0]),
+        tau=HermitianOperator(tau[0]),
+        upper_bound=float(bound[0]),
+        converged=bool(converged[0]),
+        iterations=int(pairs[0]),
+        trace=tuple(traces[0]) if keep_trace else None,
     )
 
 
@@ -749,129 +798,106 @@ def certify_fmax(
 ) -> CertificationResult:
     """Certify the supremum of the inner maximum over all station angles.
 
-    Branch-and-bound over the angle cube ``[0, pi]^k``, starting from a
-    uniform grid of ``4**k`` cells: every grid vertex is solved by
-    :func:`inner_max_tau` to ``gap_target / 4`` (its certified upper bound
-    is the sound vertex value), cells are bounded axis-by-axis with
-    :func:`interval_bound`, and the cell with the largest bound is split in
-    half along every axis until the bound meets the best witness within
-    ``gap_target`` or the region budget runs out (then ``gap_flag`` is set —
-    the bounds stay sound either way).
+    Branch-and-bound over the angle cube ``[0, pi]^k`` in sweeps, starting
+    from a uniform grid of ``4**k`` cells.  Every cell vertex is solved to
+    ``gap_target / 4`` (its certified upper bound is the sound vertex
+    value), and a cell is bounded axis-by-axis with :func:`interval_bound`,
+    capped by its parent's bound.  Each sweep splits every cell whose bound
+    exceeds the best witness by more than ``gap_target`` in half along every
+    axis, highest bound first, until the region budget runs out (then
+    ``gap_flag`` is set; the bounds stay sound either way).  The sweep's new
+    vertices are then solved together: every block of one dimension, over
+    all of them, advances in one lockstep ascent (:func:`_maximize_block`),
+    whose BFGS start ``seed`` seeds.  The search ends when no cell is left
+    to split.
 
     The supremum runs over all densities, so the bracket also covers
     probability estimation factors: for a pure ``tau``,
     ``tau**(1/alpha) = tau`` and the factor's functional equals
     :func:`q_alpha`.
 
-    ``workers`` is ignored: vertices are solved one after another.  A
-    thread pool gave identical brackets at about twice the wall time, and
-    the keyword is still accepted so that existing callers keep working.
+    ``workers`` is ignored: each sweep's vertices are solved as one batch in
+    this process.  The keyword is still accepted so that existing callers
+    keep working.
     """
     if gap_target <= 0.0:
         raise ValueError("gap target must be positive")
     k = config.k
     order = RenyiOrder.from_beta(F.beta)
-    itol = gap_target / 4.0
-    cache: dict[tuple[Fraction, ...], InnerMaxResult] = {}
     bits_list = _bit_tuples(k)
+    # Cell corners are dyadic fractions of pi, held as floats, in which
+    # halving and subtracting them is exact.
+    vertex_ub: dict[tuple[float, ...], float] = {}
     f_lower = -math.inf
-    witness: tuple[tuple[float, ...], HermitianOperator] | None = None
+    witness: tuple[tuple[float, ...], np.ndarray] | None = None
 
-    def eval_vertices(keys: list[tuple[Fraction, ...]]) -> None:
-        nonlocal f_lower, witness
-        for key in sorted(set(keys).difference(cache)):
-            res = inner_max_tau(
-                F, tuple(float(fr) * math.pi for fr in key), tol=itol,
-                input_dist=config.input_dist, seed=seed,
-            )
-            cache[key] = res
-            if res.value > f_lower:
-                f_lower = res.value
-                witness = (tuple(float(fr) * math.pi for fr in key), res.tau)
+    def corners(lows, highs) -> list[tuple[float, ...]]:
+        return [
+            tuple(highs[a] if bits[a] else lows[a] for a in range(k)) for bits in bits_list
+        ]
 
-    def make_region(lows: tuple[Fraction, ...], highs: tuple[Fraction, ...], cap: float):
-        corners = {
-            bits: tuple(highs[a] if bits[a] else lows[a] for a in range(k))
-            for bits in bits_list
-        }
-        eval_vertices(list(corners.values()))
-        ubs = {bits: cache[key].upper_bound for bits, key in corners.items()}
-        widths = [float(highs[a] - lows[a]) * math.pi for a in range(k)]
-        ub = min(_reduce_box(ubs, widths, order), cap)
-        return Region(
-            cuboid=tuple(
-                (float(lows[a]) * math.pi, float(highs[a]) * math.pi)
-                for a in range(k)
-            ),
-            vertex_values=tuple(ubs[bits] for bits in bits_list),
-            upper_bound=ub,
-        ), (lows, highs)
-
-    # Initial uniform grid.
-    grid = [Fraction(j, 4) for j in range(5)]
-    initial_keys = []
-    cells = []
-    for idx in np.ndindex(*([4] * k)):
-        lows = tuple(grid[i] for i in idx)
-        highs = tuple(grid[i + 1] for i in idx)
-        cells.append((lows, highs))
-        for bits in bits_list:
-            initial_keys.append(
-                tuple(highs[a] if bits[a] else lows[a] for a in range(k))
-            )
-    eval_vertices(initial_keys)
-
-    heap: list = []
-    store: dict[int, tuple[Region, tuple]] = {}
-    counter = 0
-    created = len(cells)
+    grid = [j / 4 for j in range(5)]
+    # Cells to bound, each ``(lows, highs, cap)``, and cells left to split.
+    pending = [
+        (tuple(grid[i] for i in idx), tuple(grid[i + 1] for i in idx), math.inf)
+        for idx in np.ndindex(*([4] * k))
+    ]
+    live: list[tuple[float, tuple, tuple]] = []
+    created = len(pending)
     pruned_cap = -math.inf
-    kept: list[Region] = []
-
-    def push(region: Region, bounds_key) -> None:
-        nonlocal counter, pruned_cap
-        if keep_regions:
-            kept.append(region)
-        if region.upper_bound <= f_lower + gap_target:
-            pruned_cap = max(pruned_cap, region.upper_bound)
-            return
-        store[counter] = (region, bounds_key)
-        heapq.heappush(heap, (-region.upper_bound, counter))
-        counter += 1
-
-    for lows, highs in cells:
-        region, bkey = make_region(lows, highs, math.inf)
-        push(region, bkey)
-
     gap_flag = False
-    while heap:
-        neg_ub, rid = heapq.heappop(heap)
-        region, (lows, highs) = store.pop(rid)
-        top_ub = -neg_ub
-        if top_ub <= f_lower + gap_target:
-            pruned_cap = max(pruned_cap, top_ub)
-            break
-        if created + (1 << k) > budget:
-            gap_flag = True
-            pruned_cap = max(pruned_cap, top_ub)
-            break
-        mids = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
-        for bits in bits_list:
-            clows = tuple(mids[a] if bits[a] else lows[a] for a in range(k))
-            chighs = tuple(highs[a] if bits[a] else mids[a] for a in range(k))
-            child, ckey = make_region(clows, chighs, top_ub)
-            created += 1
-            push(child, ckey)
+    kept: list[Region] = []
+    while pending:
+        keys = sorted(
+            {key for lows, highs, _ in pending for key in corners(lows, highs)}
+            .difference(vertex_ub)
+        )
+        thetas = np.array(keys) * math.pi
+        value, tau, bound, _, _, _ = _solve_vertices(
+            F, config.input_dist, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
+        )
+        vertex_ub.update(zip(keys, bound.tolist()))
+        best = int(np.argmax(value))
+        if value[best] > f_lower:
+            f_lower, witness = float(value[best]), (tuple(thetas[best].tolist()), tau[best])
+        for lows, highs, cap in pending:
+            ubs = [vertex_ub[key] for key in corners(lows, highs)]
+            widths = [(highs[a] - lows[a]) * math.pi for a in range(k)]
+            ub = min(_reduce_box(dict(zip(bits_list, ubs)), widths, order), cap)
+            if keep_regions:
+                kept.append(Region(
+                    cuboid=tuple((lo * math.pi, hi * math.pi) for lo, hi in zip(lows, highs)),
+                    vertex_values=tuple(ubs),
+                    upper_bound=ub,
+                ))
+            live.append((ub, lows, highs))
+        pending, unsplit = [], []
+        live.sort(key=lambda cell: cell[0], reverse=True)
+        for ub, lows, highs in live:
+            if ub <= f_lower + gap_target:
+                pruned_cap = max(pruned_cap, ub)
+            elif created + (1 << k) > budget:
+                gap_flag = True
+                unsplit.append((ub, lows, highs))
+            else:
+                mids = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
+                for bits in bits_list:
+                    pending.append((
+                        tuple(mids[a] if bits[a] else lows[a] for a in range(k)),
+                        tuple(highs[a] if bits[a] else mids[a] for a in range(k)),
+                        ub,
+                    ))
+                created += 1 << k
+        live = unsplit
 
-    remaining = max((reg.upper_bound for reg, _ in store.values()), default=-math.inf)
-    f_upper = max(f_lower, pruned_cap, remaining) + NUMERIC_SLACK
+    f_upper = max(f_lower, pruned_cap, *(ub for ub, _, _ in live)) + NUMERIC_SLACK
     theta_star, tau_star = witness
     return CertificationResult(
         beta=F.beta,
         f_lower=f_lower,
         f_upper=f_upper,
         witness_theta=theta_star,
-        witness_tau=tau_star,
+        witness_tau=HermitianOperator(tau_star),
         regions_explored=created,
         gap_flag=gap_flag,
         regions=tuple(kept) if keep_regions else None,

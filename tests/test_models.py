@@ -137,7 +137,7 @@ class TestPovmTensor:
                 )
                 singles.append(v)
         c, z = np.divmod(np.arange(16), 4)
-        assert povm_vectors(config, c, z).tobytes() == np.array(singles).tobytes()
+        assert povm_vectors(config.angles, c, z).tobytes() == np.array(singles).tobytes()
 
 
 class TestCanonicalCqState:

@@ -11,6 +11,7 @@ import pytest
 
 from qpe import qef_engine
 from qpe.models import BellConfig
+from qpe.pef_opt import optimize_pef_polytope
 from qpe.qef_engine import (
     CertificationResult,
     _BlockProblem,
@@ -325,11 +326,11 @@ class TestAnglePeriodicity:
         assert _config_for((3.0 * math.pi,)).angles == (math.pi,)
         # One ulp above pi: the float remainder rounds up to a full turn.
         assert _config_for((math.nextafter(math.pi, 4.0),)).angles == (math.pi,)
-        got = _config_for((1.5 * math.pi, -2.5 * math.pi), (0.1, 0.2, 0.3, 0.4))
+        got = _config_for((1.5 * math.pi, -2.5 * math.pi))
         assert all(-math.pi < t <= math.pi for t in got.angles)
         assert abs(got.angles[0] + math.pi / 2.0) <= 1e-15
         assert abs(got.angles[1] + math.pi / 2.0) <= 1e-15
-        assert got.input_dist == (0.1, 0.2, 0.3, 0.4)
+        assert got.input_dist == (0.25,) * 4
         with pytest.raises(ValueError):
             _config_for((math.nan,))
         with pytest.raises(ValueError):
@@ -457,19 +458,35 @@ class TestInnerSolver:
                     if w > 0.0:
                         ws.append(w)
                         vs.append(povm_vector(config, c, z))
-            w, V = _weights_and_vectors(F, config)
+            w, V = _weights_and_vectors(F, config.input_dist, config.angles)
             assert w.tobytes() == np.asarray(ws).tobytes()
             assert V.shape == (len(vs), d)
             assert V.tobytes() == np.asarray(vs).tobytes()
 
     def test_blocks_carry_each_projector(self):
+        """Closed-form blocks: a station splits along z exactly when its two
+        settings commute, float pi and wrapped angles included."""
         rng = np.random.default_rng(42)
         F = self._random_candidate(rng)
-        for theta, count in (((0.0, 0.0), 4), ((0.0, 1.3), 2), ((0.7, 1.9), 1)):
-            _, V = _weights_and_vectors(F, _config_for(theta))
-            bases = _invariant_blocks(V, 0)
-            assert len(bases) == count
-            assert sum(b.shape[1] for b in bases) == 4
+        cases = (
+            ((0.0, 0.0), (1, 1, 1, 1)),
+            ((0.0, 1.3), (2, 2)),
+            ((0.7, 1.9), (4,)),
+            ((math.pi, 0.4), (2, 2)),
+            ((0.5, math.pi), (2, 2)),
+            ((math.pi, math.pi), (1, 1, 1, 1)),
+            ((2.0 * math.pi, 1.3), (2, 2)),
+        )
+        angles = np.array([_config_for(theta).angles for theta, _ in cases])
+        groups = _invariant_blocks(angles)
+        assert sorted(p for rows, _ in groups for p in rows.tolist()) == list(range(len(cases)))
+        for p, (theta, dims) in enumerate(cases):
+            [bases] = [bases for rows, bases in groups if p in rows]
+            assert tuple(b.shape[1] for b in bases) == dims
+            stacked = np.concatenate(bases, axis=1)
+            assert np.array_equal(stacked.T @ stacked, np.eye(4))
+            config = _config_for(theta)
+            _, V = _weights_and_vectors(F, config.input_dist, config.angles)
             for v in V:
                 mass = max(float(np.linalg.norm(b.T @ v) ** 2) for b in bases)
                 assert mass >= 1.0 - 1e-10
@@ -506,6 +523,21 @@ class TestInnerSolver:
         assert out.converged
         assert out.iterations <= 50
 
+    def test_gap_test_keeps_the_value(self):
+        """A trial point with a smaller gap but a far lower value is not taken.
+
+        Here the iterate at pair 4 has value 1.29.  Taking the next trial
+        point (value 0.60, smaller gap) left the ascent creeping up by about
+        1e-7 a step, for 897 pairs at tol 2.5e-3 and 1310 at tol 1e-9.
+        """
+        values = [0.69, 0.77, 0.45, 1.01, 1.49, 1.59, 0.53, 0.17,
+                  0.35, 0.74, 1.69, 0.40, 1.26, 0.15, 1.05, 1.48]
+        F = TrialFunction({(c, z): values[4 * c + z] for c in range(4) for z in range(4)}, 0.61)
+        for tol in (2.5e-3, 1e-9):
+            out = inner_max_tau(F, (math.pi / 32, 15 * math.pi / 16), tol=tol)
+            assert out.converged
+            assert out.iterations <= 50
+
     def test_bound_sound_at_rank_deficient_iterate(self):
         """An iterate whose kernel holds a projector still yields a sound bound.
 
@@ -523,12 +555,75 @@ class TestInnerSolver:
         V = rng.standard_normal((6, 4))
         V /= np.linalg.norm(V, axis=1)[:, None]
         prob = _BlockProblem(V, rng.uniform(0.1, 1.0, size=6), 1.3)
-        val, tau, ub, conv, iters, trace = qef_engine._maximize_block(
-            prob, 0.0, 7, 0, True
+        stack = _BlockProblem(prob.V[None], prob.w[None], prob.alpha)
+        val, tau, ub, conv, iters, trace = (
+            out[0] for out in qef_engine._maximize_block(stack, 0.0, 7, 0, True)
         )
         assert not conv and iters == 7 and len(trace) == 7
         assert val == max(g for g, _ in trace) and ub == min(u for _, u in trace)
         assert abs(prob.value(tau) - val) <= 1e-15
+
+    @staticmethod
+    def _stack_of_problems(rng: np.random.Generator) -> _BlockProblem:
+        """Random 2-dim problems of mixed difficulty, and the ``V = I``
+        problem of ``test_bound_sound_at_rank_deficient_iterate``."""
+        V = rng.standard_normal((7, 3, 2))
+        V /= np.linalg.norm(V, axis=2)[:, :, None]
+        w = rng.uniform(0.1, 2.0, size=(7, 3)) ** np.arange(1, 8)[:, None]
+        V = np.concatenate([V, [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]]])
+        w = np.concatenate([w, [[1.0, 2.0, 0.0]]])
+        return _BlockProblem(V, w, 1.5)
+
+    def test_stacked_solves_match_single_solves(self):
+        """Each problem of a stack gets the pairs it gets alone, and its value
+        and bound within 1e-12, also when a pair cap stops only some of them."""
+        prob = self._stack_of_problems(np.random.default_rng(46))
+        pairs = sorted(qef_engine._maximize_block(prob, 1e-13, 10000, 0, False)[4].tolist())
+        assert pairs[0] < pairs[-1]
+        for cap in (10000, pairs[len(pairs) // 2]):
+            val, tau, ub, conv, n, trace = qef_engine._maximize_block(prob, 1e-13, cap, 0, True)
+            assert 0 < conv.sum() < 8 if cap < 10000 else conv.all()
+            for i in range(8):
+                one = qef_engine._maximize_block(prob[[i]], 1e-13, cap, 0, True)
+                assert n[i] == one[4][0] == len(trace[i])
+                assert abs(val[i] - one[0][0]) <= 1e-12
+                assert abs(ub[i] - one[2][0]) <= 1e-12
+                assert conv[i] == one[3][0]
+        # The pure iterate e0 e0^T of V = I, evaluated within the stack.
+        x = np.tile(np.eye(2).ravel(), (8, 1))
+        x[7] = [1.0, 0.0, 0.0, 0.0]
+        g, ub, _, _ = qef_engine._evaluate(prob, x)
+        assert g[7] <= 1.0 + 1e-12 and ub[7] >= 2.0 - 1e-12
+        g1, ub1, _, _ = qef_engine._evaluate(prob[7], x[7])
+        assert abs(g[7] - g1) <= 1e-15 and abs(ub[7] - ub1) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_dim_blocks_take_their_only_density(self):
+        """A 1-dim block is solved exactly, in one pair and without the
+        ascent: its only density is ``[[1]]``.  Configurations whose blocks
+        differ in dimension solve alike in one stack and alone."""
+        rng = np.random.default_rng(47)
+        prob = _BlockProblem(
+            rng.standard_normal((3, 5, 1)), rng.uniform(0.1, 1.0, (3, 5)), 1.4
+        )
+        val, tau, ub, conv, n, trace = qef_engine._maximize_block(prob, 1e-9, 100, 0, True)
+        assert conv.all() and n.tolist() == [1, 1, 1]
+        for i in range(3):
+            exact = _BlockProblem(prob.V[i], prob.w[i], 1.4).value(np.array([[1.0]]))
+            assert val[i] == ub[i] == exact and trace[i] == ((exact, exact),)
+            assert tau[i].tolist() == [[1.0]]
+        F = self._random_candidate(rng)
+        angles = np.array([(0.0, 0.0), (0.0, 1.3), (0.7, 1.9), (math.pi, math.pi)])
+        mu = (0.25,) * 4
+        value, tau, bound, conv, pairs, _ = qef_engine._solve_vertices(
+            F, mu, angles, 1e-9, 10000, 0, False
+        )
+        assert pairs[0] == pairs[3] == 4
+        for p in range(4):
+            one = qef_engine._solve_vertices(F, mu, angles[p:p + 1], 1e-9, 10000, 0, False)
+            assert pairs[p] == one[4][0] and conv[p] == one[3][0]
+            assert abs(value[p] - one[0][0]) <= 1e-12
+            assert abs(bound[p] - one[2][0]) <= 1e-12
 
 
 class TestIntervalBound:
@@ -629,6 +724,19 @@ class TestCertifyFmax:
         del data["gap_flag"], data["gap_target"]
         old = CertificationResult.from_json(json.dumps(data))
         assert old.gap_flag is False and old.gap_target is None
+
+    def test_sweeps_pin_the_search(self, nu_e, config22):
+        """Sweeps split the regions the one-at-a-time search split: the same
+        count and a bracket within the gap of its ``(f_lower, f_upper)``."""
+        F, _ = optimize_pef_polytope(nu_e, 0.2)
+        res = certify_fmax(F, config22, 1e-3, seed=0)
+        assert res.regions_explored == 320 and not res.gap_flag
+        assert abs(res.f_lower - 1.0) <= 1e-3
+        assert abs(res.f_upper - 1.0006632130135131) <= 1e-3
+        F, _ = optimize_pef_polytope(nu_e, 0.05)
+        res = certify_fmax(F, config22, 1e-5, budget=40, seed=0)
+        assert res.regions_explored == 40 and res.gap_flag
+        assert res.f_upper >= res.f_lower
 
     def test_gap_target_domain(self, pef02, config22):
         F, _ = pef02
