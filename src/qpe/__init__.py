@@ -4,8 +4,9 @@ Subpackage map:
 
 - ``quantum_core``: Hermitian/positive operator substrate, Renyi powers,
   classical-quantum block distributions, conditional entropy.
-- ``models``: (k,2,2) Bell-trial configurations, POVMs, canonical states,
-  reference trial distributions, CHSH correlators.
+- ``models``: (k,2,2) Bell-trial configurations, one station vector table
+  behind their projectors, canonical states, reference trial distributions
+  (detector loss as binning), CHSH correlators.
 - ``qef_engine``: trial functions, the defining inequality, the running
   log2-factor sums over a record stream, inner maximization over states and
   certified suprema over configurations.

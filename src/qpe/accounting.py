@@ -189,17 +189,16 @@ def r_max_qef(h_nats: float, n_outcomes: int, k_inf: float) -> float:
     return float(brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
-def write_rmax_csv(
-    path: str,
-    n_outcomes: int,
-    k_inf: float,
-    h_start: float = 0.01,
-    h_step: float = 0.05,
-) -> int:
+# Rate grid of the comparison curves: from 0.01 nats in steps of 0.05.
+_H_START = 0.01
+_H_STEP = 0.05
+
+
+def write_rmax_csv(path: str, n_outcomes: int, k_inf: float) -> int:
     """Write ``h_nats,r_eat,r_qef`` rows for rates up to ``log(n_outcomes)``."""
     h_max = math.log(n_outcomes)
     rows = []
-    h = h_start
+    h = _H_START
     while h <= h_max + 1e-12:
         rows.append(
             (
@@ -208,7 +207,7 @@ def write_rmax_csv(
                 r_max_qef(h, n_outcomes, k_inf),
             )
         )
-        h += h_step
+        h += _H_STEP
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h_nats", "r_eat", "r_qef"])

@@ -71,11 +71,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _station_config(F: TrialFunction) -> BellConfig:
     """Uniform-input stations, one per input bit of ``F``."""
-    n_z = len({key[1] for key in F.keys()})
-    k = max(1, (n_z - 1).bit_length())
-    if 1 << k != n_z:
-        raise ValueError("trial function inputs do not fill a power of two")
-    return BellConfig.uniform((0.0,) * k)
+    return BellConfig.uniform((0.0,) * F.stations)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:

@@ -2,10 +2,12 @@
 
 Stations are binary-input binary-outcome.  Input 0 always measures along z;
 input 1 measures in the xz-plane at a station angle ``phi``, so every
-projector in a configuration is real symmetric and rank one.  Multi-station
-operators are Kronecker products with station 0 as the leftmost factor;
-outcome and input tuples pack into ints little-endian (bit ``i`` belongs to
-station ``i``).
+projector is ``v v^T`` for a real unit vector ``v``.  One table,
+:func:`_station_table`, holds those vectors; product vectors (station 0 the
+leftmost Kronecker factor), canonical blocks and the reference families'
+Born tables are built from it, with detector loss a binning of
+non-detections into outcome 1.  Outcome and input tuples pack into ints
+little-endian (bit ``i`` belongs to station ``i``).
 """
 
 from __future__ import annotations
@@ -21,41 +23,10 @@ from scipy.optimize import minimize
 
 from .quantum_core import CqDistribution, HermitianOperator, TOL_NORM
 
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_ID2 = np.eye(2)
-
 # Tolerance for the non-signaling checks on trial distributions.
 TOL_NOSIG = 1e-10
 # Tolerance on probability-table normalization.
 TOL_PROB = 1e-12
-
-
-def _station_direction(phi: float) -> np.ndarray:
-    return math.cos(phi) * _PAULI_Z + math.sin(phi) * _PAULI_X
-
-
-def qubit_povm(c: int, z: int, phi: float) -> HermitianOperator:
-    """Rank-one projector for outcome ``c`` of setting ``z`` at one station.
-
-    Setting 0 measures z; setting 1 measures ``cos(phi) z + sin(phi) x``.
-    """
-    if c not in (0, 1) or z not in (0, 1):
-        raise ValueError(f"outcome and setting must be bits, got c={c}, z={z}")
-    if not (-math.pi < phi <= math.pi):
-        raise ValueError(f"station angle must lie in (-pi, pi], got {phi}")
-    direction = _PAULI_Z if z == 0 else _station_direction(phi)
-    sign = 1.0 if c == 0 else -1.0
-    return HermitianOperator((_ID2 + sign * direction) / 2.0)
-
-
-def _station_vector(c: int, z: int, phi: float) -> np.ndarray:
-    """Unit eigenvector spanning ``qubit_povm(c, z, phi)``."""
-    angle = 0.0 if z == 0 else phi
-    v = np.array([math.cos(angle / 2.0), math.sin(angle / 2.0)])
-    if c == 1:
-        v = np.array([-v[1], v[0]])
-    return v
 
 
 def bits_of(value: int, width: int) -> tuple[int, ...]:
@@ -65,81 +36,73 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(width))
 
 
+def _station_table(angles: ArrayLike) -> np.ndarray:
+    """``table[..., x, c, :]``: unit vector spanning outcome ``c`` of setting ``x``.
+
+    ``angles[..., x]`` is setting ``x``'s measurement angle in the xz-plane:
+    outcome 0 projects onto the +1 eigenvector of ``cos(a) Z + sin(a) X``,
+    ``(cos(a/2), sin(a/2))``, and outcome 1 onto its orthogonal complement.
+    Leading axes stack stations and configurations.
+    """
+    half = np.asarray(angles, dtype=float) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    table = np.empty(half.shape + (2, 2))
+    table[..., 0, 0], table[..., 0, 1] = cos, sin
+    table[..., 1, 0], table[..., 1, 1] = -sin, cos
+    return table
+
+
 @dataclass(frozen=True)
 class BellConfig:
-    """A (k,2,2) measurement configuration.
+    """A (k,2,2) measurement configuration with uniform inputs.
 
     ``angles[i]`` is station ``i``'s input-1 measurement angle; input 0 is
-    fixed along z.  ``input_dist`` is the distribution of the packed input
-    ``z`` over ``2**k`` values.  Angles are held normalized to (-pi, pi] and
-    anything else is rejected; the factor engine's entry points (``q_alpha``,
+    fixed along z.  Each of the ``2**k`` packed inputs ``z`` has probability
+    ``2**-k``.  Angles are held normalized to (-pi, pi] and anything else is
+    rejected; the factor engine's entry points (``q_alpha``,
     ``inner_max_tau``) reduce raw angles modulo ``2 pi`` before building one.
     """
 
-    k: int
     angles: tuple[float, ...]
-    input_dist: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if not self.angles:
             raise ValueError("at least one station is required")
-        if len(self.angles) != self.k:
-            raise ValueError("one angle per station is required")
         for phi in self.angles:
             if not (-math.pi < phi <= math.pi):
                 raise ValueError(f"station angle {phi} outside (-pi, pi]")
-        if len(self.input_dist) != 1 << self.k:
-            raise ValueError("input distribution must cover 2**k inputs")
-        if any(p < 0.0 for p in self.input_dist):
-            raise ValueError("input probabilities must be nonnegative")
-        if abs(sum(self.input_dist) - 1.0) > TOL_NORM:
-            raise ValueError("input distribution must sum to one")
 
     @classmethod
     def uniform(cls, angles: Sequence[float]) -> "BellConfig":
-        k = len(angles)
-        return cls(k, tuple(float(a) for a in angles), (1.0 / (1 << k),) * (1 << k))
+        return cls(tuple(float(a) for a in angles))
+
+    @property
+    def k(self) -> int:
+        return len(self.angles)
 
     @property
     def dim(self) -> int:
         return 1 << self.k
-
-    def mu(self, z: int) -> float:
-        return self.input_dist[z]
-
-
-def povm_tensor(config: BellConfig, c: int, z: int) -> HermitianOperator:
-    """Product projector for packed outcome ``c`` under packed input ``z``."""
-    cb, zb = bits_of(c, config.k), bits_of(z, config.k)
-    m = np.array([[1.0]])
-    for i in range(config.k):
-        m = np.kron(m, qubit_povm(cb[i], zb[i], config.angles[i]).matrix)
-    return HermitianOperator(m)
 
 
 def povm_vectors(angles: ArrayLike, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Real unit vectors spanning the product projectors of ``(c[j], z[j])``.
 
     ``angles`` holds the ``k`` station angles along its last axis; leading
-    axes stack configurations, and the result is ``(..., n, 2**k)``.  Row
-    ``j`` is the ``np.kron`` product of the stations' vectors (those of
-    :func:`_station_vector`) for the packed outcome ``c[j]`` and input
-    ``z[j]``.  One broadcast outer product per station performs the same
-    multiplications as that ``np.kron`` chain, so the rows are bit-identical
-    to it.
+    axes stack configurations, and the result is ``(..., n, 2**k)``.  Each
+    station measures setting 0 at angle 0 and setting 1 at its angle (see
+    :func:`_station_table`).  Row ``j`` is the ``np.kron`` product, station 0
+    leftmost, of the stations' vectors for the packed outcome ``c[j]`` and
+    input ``z[j]``; one broadcast outer product per station performs the
+    same multiplications as that chain, so the rows are bit-identical to it.
     """
     angles = np.asarray(angles, dtype=float)
     c, z = np.asarray(c), np.asarray(z)
     lead = angles.shape[:-1]
+    table = _station_table(np.stack([np.zeros_like(angles), angles], -1))
     V = np.ones(lead + (c.size, 1))
     for i in range(angles.shape[-1]):
-        phi = angles[..., i]
-        # Setting 0 measures at angle 0, setting 1 at phi.
-        half = np.stack([np.zeros_like(phi), phi], -1) / 2.0
-        cos, sin = np.cos(half), np.sin(half)
-        # table[..., z_i, c_i, :] is station i's unit vector for that setting and outcome.
-        table = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
-        S = table[..., (z >> i) & 1, (c >> i) & 1, :]
+        S = table[..., i, (z >> i) & 1, (c >> i) & 1, :]
         V = (V[..., :, :, None] * S[..., :, None, :]).reshape(lead + (c.size, -1))
     return V
 
@@ -161,15 +124,18 @@ class CanonicalState:
 
 
 def canonical_cq_state(s: CanonicalState) -> CqDistribution:
-    """Blocks ``mu(z) sqrt(tau) P_{c|z} sqrt(tau)`` over the full ``(c, z)`` grid."""
-    root = s.tau.power(0.5).matrix
-    blocks = {}
-    for z in range(s.config.dim):
-        mu = s.config.mu(z)
-        for c in range(s.config.dim):
-            p = povm_tensor(s.config, c, z).matrix
-            blocks[(c, z)] = HermitianOperator(mu * (root @ p @ root))
-    return CqDistribution(blocks)
+    """Blocks ``2**-k sqrt(tau) P_{c|z} sqrt(tau)`` over the full ``(c, z)`` grid.
+
+    With ``P_{c|z} = v v^T`` for a row ``v`` of :func:`povm_vectors`, a block
+    is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.
+    """
+    d = s.config.dim
+    z, c = np.divmod(np.arange(d * d), d)
+    U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5).matrix / math.sqrt(d)
+    return CqDistribution({
+        (int(ci), int(zi)): HermitianOperator(np.outer(u.conj(), u))
+        for ci, zi, u in zip(c, z, U)
+    })
 
 
 # -- trial distributions ---------------------------------------------------
@@ -265,39 +231,27 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def _joint_traces(rho: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """``p[x, y, a, b] = Re tr(rho kron(ea[x, a], eb[y, b]))`` for station effects."""
-    ops = (
-        ea[:, None, :, None, :, None, :, None]
-        * eb[None, :, None, :, None, :, None, :]
-    ).reshape(16, 4, 4)
-    return np.real(np.trace(rho @ ops, axis1=1, axis2=2)).reshape(2, 2, 2, 2)
-
-
-def _station_effects(angles: tuple[float, float], eta: float) -> np.ndarray:
-    """``out[x, c]``: one station's effect for outcome ``c`` at setting ``x``.
-
-    The detector fires with probability ``eta``; non-detections are binned
-    into outcome 1.
-    """
-    out = np.empty((2, 2, 2, 2))
-    for x in (0, 1):
-        q0 = (_ID2 + _station_direction(angles[x])) / 2.0
-        out[x, 0] = eta * q0
-        out[x, 1] = _ID2 - eta * q0
-    return out
-
-
 def _quantum_cond_table(
     rho: np.ndarray,
     angles_a: tuple[float, float],
     angles_b: tuple[float, float],
     eta: float,
 ) -> np.ndarray:
-    """Conditional table ``cond[c, z]`` without distribution validation."""
-    p = _joint_traces(rho, _station_effects(angles_a, eta), _station_effects(angles_b, eta))
-    # cond[a + 2 b, x + 2 y] = p[x, y, a, b], clipped at zero.
-    return np.maximum(p.transpose(3, 2, 1, 0).reshape(4, 4), 0.0)
+    """Conditional table ``cond[c, z]`` without distribution validation.
+
+    The ideal table is ``Re v^T rho v`` over the 16 product vectors of the
+    two stations' tables; detector loss then acts on each station's outcome
+    as the column-stochastic ``m = [[eta, 0], [1 - eta, 1]]``, one
+    ``kron(m, m)`` on the packed ``c = a + 2 b`` axis.
+    """
+    ta, tb = _station_table((angles_a, angles_b))
+    # v[x, y, a, b] = kron(ta[x, a], tb[y, b]), station 0 leftmost.
+    v = (ta[:, None, :, None, :, None] * tb[None, :, None, :, None, :]).reshape(16, 4)
+    p = np.real(((v @ rho) * v).sum(axis=1)).reshape(2, 2, 2, 2)
+    m = np.array([[eta, 0.0], [1.0 - eta, 1.0]])
+    # ideal[a + 2 b, x + 2 y] = p[x, y, a, b], clipped at zero after the loss.
+    ideal = p.transpose(3, 2, 1, 0).reshape(4, 4)
+    return np.maximum(_kron2(m, m) @ ideal, 0.0)
 
 
 def distribution_from_quantum(
@@ -310,9 +264,10 @@ def distribution_from_quantum(
     """Two-station trial distribution of a two-qubit state, uniform inputs.
 
     ``angles_a[x]`` is station 0's measurement angle under setting ``x``
-    (likewise station 1).  With ``efficiency < 1`` each station's detector
-    fires with that probability and non-detections are binned into
-    outcome 1.
+    (likewise station 1), read by :func:`_station_table`.  With
+    ``efficiency < 1`` each station's detector fires with that probability
+    and non-detections are binned into outcome 1: the ideal table's outcome
+    0 keeps weight ``eta`` and passes ``1 - eta`` to outcome 1.
     """
     eta = float(efficiency)
     if not (0.0 < eta <= 1.0):

@@ -121,12 +121,11 @@ class ProtocolParams:
     epsilon_x: float
     k_i: int
     k_z: int = 0
-    k: int = 2
 
     def __post_init__(self) -> None:
         _require_certified(self.F)
-        if self.n < 1 or self.k_o < 1 or self.k < 1:
-            raise ValueError("trial count, output length, stations must be positive")
+        if self.n < 1 or self.k_o < 1:
+            raise ValueError("trial count and output length must be positive")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("total error must lie in (0, 1)")
         if not (0.0 < self.epsilon_x < self.epsilon):
@@ -163,7 +162,7 @@ class ProtocolParams:
 
     @property
     def n_input_bits(self) -> int:
-        return self.k * self.n
+        return self.F.stations * self.n
 
     def seed_length(self, banked: bool = False) -> int:
         n_in = self.n_input_bits + (self.k_o if banked else 0)
@@ -224,7 +223,7 @@ def _accumulate(params: ProtocolParams, records: ArrayLike):
     checks every one of them, after the crossing as well.
     """
     records = _as_records(records)
-    n, k = params.n, params.k
+    n, k = params.n, params.F.stations
     if len(records) < n:
         raise ValueError(f"need {n} records, got {len(records)}")
     running = chain(params.F, records[:n], k)

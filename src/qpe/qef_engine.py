@@ -64,8 +64,9 @@ class TrialFunction:
                 raise ValueError(f"role {self.role!r} requires beta > 0")
             if self.role == "qefp" and not (self.beta < 0.5):
                 raise ValueError("qefp powers must lie in (0, 1/2)")
+        # A power below the float resolution of 1 leaves no Renyi order alpha > 1.
         if self.beta is not None and not (
-            math.isfinite(self.beta) and self.beta > 0.0
+            math.isfinite(self.beta) and 1.0 + self.beta > 1.0
         ):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         table = {}
@@ -89,6 +90,15 @@ class TrialFunction:
         if self.beta is None:
             raise ValueError("this trial function carries no power")
         return 1.0 + self.beta
+
+    @property
+    def stations(self) -> int:
+        """Station count ``k``: the factor's distinct inputs number ``2**k``."""
+        n_z = len({key[1] for key in self.values})
+        k = max(1, (n_z - 1).bit_length())
+        if 1 << k != n_z:
+            raise ValueError("trial function inputs do not fill a power of two")
+        return k
 
     def value(self, *key) -> float:
         return self.values[tuple(key)]
@@ -127,13 +137,11 @@ class TrialFunction:
         )
 
     @classmethod
-    def from_json(cls, text: str, role: str | None = None) -> "TrialFunction":
+    def from_json(cls, text: str) -> "TrialFunction":
         data = json.loads(text)
         values = {tuple(int(x) for x in row[:-1]): float(row[-1]) for row in data["values"]}
         beta = data["beta"]
-        if role is None:
-            role = data.get("role", "candidate")
-        return cls(values, None if beta is None else float(beta), role)
+        return cls(values, None if beta is None else float(beta), data.get("role", "candidate"))
 
 
 def constant_one(c_bits: int, z_bits: int, beta: float) -> TrialFunction:
@@ -242,17 +250,15 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
 # -- canonical-state functional ---------------------------------------------
 
 
-def _weights_and_vectors(
-    F: TrialFunction, input_dist: Sequence[float], angles: ArrayLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero weights ``mu(z) F(cz)`` and matching projector vectors.
+def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero weights ``F(cz) / 2**k`` (uniform inputs) and matching projector vectors.
 
     Rows run over ``z`` then ``c``.  ``angles`` is one configuration's
     station angles, or a stack of them along leading axes (see
     :func:`povm_vectors`); the weights are shared by the whole stack.
     """
-    d = len(input_dist)
-    w = np.array([input_dist[z] * F.value(c, z) for z in range(d) for c in range(d)])
+    d = 1 << np.shape(angles)[-1]
+    w = np.array([F.value(c, z) / d for z in range(d) for c in range(d)])
     rows = np.flatnonzero(w > 0.0)
     if rows.size == 0:
         raise ValueError("trial function vanishes everywhere")
@@ -288,7 +294,7 @@ def q_alpha(F: TrialFunction, theta: Sequence[float], tau) -> float:
     ``2 pi``, and the inputs are uniform.
     """
     config = _config_for(theta)
-    w, V = _weights_and_vectors(F, config.input_dist, config.angles)
+    w, V = _weights_and_vectors(F, config.angles)
     op = tau if isinstance(tau, HermitianOperator) else HermitianOperator(tau)
     if op.dim != config.dim:
         raise ValueError("state dimension must match the configuration")
@@ -542,7 +548,6 @@ def _maximize_block(
 
 def _solve_vertices(
     F: TrialFunction,
-    input_dist: Sequence[float],
     angles: np.ndarray,
     tol: float,
     max_iters: int,
@@ -564,7 +569,7 @@ def _solve_vertices(
     ``trace`` merges the blocks' traces in block order (None without
     ``keep_trace``).
     """
-    w, V = _weights_and_vectors(F, input_dist, angles)
+    w, V = _weights_and_vectors(F, angles)
     P, d = V.shape[0], V.shape[2]
     value, bound = np.full(P, -math.inf), np.full(P, -math.inf)
     tau = np.zeros((P, d, d))
@@ -629,7 +634,7 @@ def inner_max_tau(
     """
     config = _config_for(theta)
     value, tau, bound, converged, pairs, traces = _solve_vertices(
-        F, config.input_dist, np.array([config.angles]), tol, max_iters, 0, keep_trace
+        F, np.array([config.angles]), tol, max_iters, 0, keep_trace
     )
     return InnerMaxResult(
         value=float(value[0]),
@@ -854,7 +859,7 @@ def certify_fmax(
         )
         thetas = np.array(keys) * math.pi
         value, tau, bound, _, _, _ = _solve_vertices(
-            F, config.input_dist, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
+            F, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
         )
         vertex_ub.update(zip(keys, bound.tolist()))
         best = int(np.argmax(value))

@@ -10,7 +10,6 @@ import pytest
 from qpe.models import (
     BellConfig,
     CanonicalState,
-    _station_vector,
     bits_of,
     canonical_cq_state,
     family_distribution,
@@ -66,6 +65,14 @@ def canonical_sampler():
         return canonical_cq_state(CanonicalState(config, HermitianOperator(tau)))
 
     return make
+
+
+def _station_vector(c: int, z: int, phi: float) -> np.ndarray:
+    """Unit vector for outcome ``c`` of setting ``z`` at one station: setting 0
+    measures at angle 0, setting 1 at ``phi``."""
+    angle = 0.0 if z == 0 else phi
+    v = np.array([math.cos(angle / 2.0), math.sin(angle / 2.0)])
+    return v if c == 0 else np.array([-v[1], v[0]])
 
 
 @pytest.fixture(scope="session")

@@ -336,7 +336,7 @@ class TestRateCurves:
 
     def test_rmax_csv(self, tmp_path):
         path = tmp_path / "rmax.csv"
-        count = write_rmax_csv(str(path), 2, 1.0, h_start=0.1, h_step=0.2)
+        count = write_rmax_csv(str(path), 2, 1.0)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["h_nats", "r_eat", "r_qef"]
@@ -345,8 +345,11 @@ class TestRateCurves:
             h = float(row[0])
             assert abs(float(row[1]) - r_max_eat(h, 2, 1.0)) <= 1e-9
             assert abs(float(row[2]) - r_max_qef(h, 2, 1.0)) <= 1e-9
-        assert abs(float(rows[1][0]) - 0.1) <= 1e-12
-        assert abs(float(rows[2][0]) - 0.3) <= 1e-12
+        # The default grid, 0.01 to 0.66 nats in steps of 0.05, below log 2.
+        assert count == 14
+        assert abs(float(rows[1][0]) - 0.01) <= 1e-12
+        assert abs(float(rows[2][0]) - 0.06) <= 1e-12
+        assert abs(float(rows[-1][0]) - 0.66) <= 1e-12
 
 
 class TestMinTrials:

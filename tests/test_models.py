@@ -17,9 +17,7 @@ from qpe.models import (
     chsh_value,
     distribution_from_quantum,
     family_distribution,
-    povm_tensor,
     povm_vectors,
-    qubit_povm,
     _kl_to_local,
     _partially_entangled,
     _quantum_cond_table,
@@ -57,73 +55,84 @@ class TestBitPacking:
             bits_of(-1, 2)
 
 
+def _projectors(angles) -> np.ndarray:
+    """``P[z, c]``: outer products of the :func:`povm_vectors` rows."""
+    d = 1 << len(angles)
+    z, c = np.divmod(np.arange(d * d), d)
+    V = povm_vectors(angles, c, z)
+    return (V[:, :, None] * V[:, None, :]).reshape(d, d, d, d)
+
+
+def _qubit_projector(c: int, t: float) -> np.ndarray:
+    """``(I + (-1)**c (cos t Z + sin t X)) / 2``."""
+    direction = math.cos(t) * np.diag([1.0, -1.0]) + math.sin(t) * SIGMA_X
+    return (np.eye(2) + (1 - 2 * c) * direction) / 2.0
+
+
 class TestQubitPovm:
     def test_setting_zero_is_z_projector(self):
         for phi in (-1.0, 0.0, 2.0):
-            assert np.allclose(qubit_povm(0, 0, phi).matrix, np.diag([1.0, 0.0]))
-            assert np.allclose(qubit_povm(1, 0, phi).matrix, np.diag([0.0, 1.0]))
+            P = _projectors((phi,))
+            assert np.allclose(P[0, 0], np.diag([1.0, 0.0]))
+            assert np.allclose(P[0, 1], np.diag([0.0, 1.0]))
 
     def test_x_measurement(self):
-        got = qubit_povm(1, 1, math.pi / 2.0).matrix
+        got = _projectors((math.pi / 2.0,))[1, 1]
         assert np.allclose(got, (np.eye(2) - SIGMA_X) / 2.0)
 
     def test_completeness(self):
         rng = np.random.default_rng(20)
         for phi in rng.uniform(-math.pi + 1e-9, math.pi, size=100):
-            total = qubit_povm(0, 1, phi).matrix + qubit_povm(1, 1, phi).matrix
-            assert np.allclose(total, np.eye(2), atol=1e-12)
+            P = _projectors((phi,))
+            assert np.allclose(P[1, 0] + P[1, 1], np.eye(2), atol=1e-12)
+            for c in (0, 1):
+                assert np.allclose(P[1, c], _qubit_projector(c, phi), atol=1e-12)
 
     def test_rank_one_projector(self):
         rng = np.random.default_rng(21)
         for phi in rng.uniform(-math.pi + 1e-9, math.pi, size=20):
-            p = qubit_povm(0, 1, phi).matrix
+            p = _projectors((phi,))[1, 0]
             assert np.allclose(p @ p, p, atol=1e-12)
             assert abs(np.trace(p) - 1.0) <= 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            qubit_povm(2, 0, 0.0)
+            BellConfig.uniform(())
         with pytest.raises(ValueError):
-            qubit_povm(0, 0, 3.5)
+            BellConfig.uniform((3.5,))
+        with pytest.raises(ValueError):
+            BellConfig.uniform((0.0, -math.pi))
 
 
 class TestPovmTensor:
     def test_single_station_reduction(self):
+        """A two-station projector is the Kronecker product of the stations'."""
         rng = np.random.default_rng(22)
-        for phi in rng.uniform(-1.5, 1.5, size=20):
-            config = BellConfig.uniform((phi,))
-            for c in (0, 1):
-                for z in (0, 1):
-                    assert np.allclose(
-                        povm_tensor(config, c, z).matrix,
-                        qubit_povm(c, z, phi).matrix,
-                    )
+        for _ in range(20):
+            angles = tuple(rng.uniform(-1.5, 1.5, size=2))
+            P = _projectors(angles)
+            Pa, Pb = _projectors(angles[:1]), _projectors(angles[1:])
+            for c in range(4):
+                for z in range(4):
+                    want = np.kron(Pa[z & 1, c & 1], Pb[z >> 1, c >> 1])
+                    assert np.allclose(P[z, c], want, atol=1e-12)
 
     def test_aligned_angles_are_diagonal(self):
-        config = BellConfig.uniform((0.0, 0.0))
-        for c in range(4):
-            for z in range(4):
-                m = povm_tensor(config, c, z).matrix
-                assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-12
+        for m in _projectors((0.0, 0.0)).reshape(16, 4, 4):
+            assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-12
 
     def test_completeness(self):
         rng = np.random.default_rng(23)
-        for k in (2, 3):
-            angles = tuple(rng.uniform(-1.5, 1.5, size=k))
-            config = BellConfig.uniform(angles)
-            for z in range(config.dim):
-                total = sum(
-                    povm_tensor(config, c, z).matrix for c in range(config.dim)
-                )
-                assert np.allclose(total, np.eye(config.dim), atol=1e-12)
+        for k in (1, 2, 3):
+            P = _projectors(tuple(rng.uniform(-1.5, 1.5, size=k)))
+            for z in range(1 << k):
+                assert np.allclose(P[z].sum(axis=0), np.eye(1 << k), atol=1e-12)
 
     def test_projector_property(self):
         rng = np.random.default_rng(24)
-        config = BellConfig.uniform(tuple(rng.uniform(-1.5, 1.5, size=2)))
-        for c in range(4):
-            for z in range(4):
-                m = povm_tensor(config, c, z).matrix
-                assert np.abs(m @ m - m).max() <= 1e-12
+        for m in _projectors(tuple(rng.uniform(-1.5, 1.5, size=2))).reshape(16, 4, 4):
+            assert np.abs(m @ m - m).max() <= 1e-12
+            assert np.linalg.matrix_rank(m) == 1
 
     def test_vector_spans_projector(self, povm_vector):
         rng = np.random.default_rng(25)
@@ -132,9 +141,11 @@ class TestPovmTensor:
         for c in range(4):
             for z in range(4):
                 v = povm_vector(config, c, z)
-                assert np.allclose(
-                    np.outer(v, v), povm_tensor(config, c, z).matrix, atol=1e-12
+                want = np.kron(
+                    _qubit_projector(c & 1, config.angles[0] if z & 1 else 0.0),
+                    _qubit_projector(c >> 1, config.angles[1] if z >> 1 else 0.0),
                 )
+                assert np.allclose(np.outer(v, v), want, atol=1e-12)
                 singles.append(v)
         c, z = np.divmod(np.arange(16), 4)
         assert povm_vectors(config.angles, c, z).tobytes() == np.array(singles).tobytes()
@@ -157,7 +168,7 @@ class TestCanonicalCqState:
         rho = canonical_cq_state(CanonicalState(config, HermitianOperator(tau)))
         assert abs(rho.trace_total() - 1.0) <= 1e-10
         for z in range(4):
-            assert abs(rho.marginal(z).trace() - config.mu(z)) <= 1e-12
+            assert abs(rho.marginal(z).trace() - 0.25) <= 1e-12
 
     def test_bell_state_reaches_tsirelson(self):
         """A rotated Bell state in canonical form hits 2 sqrt(2)."""
@@ -264,7 +275,8 @@ class TestDistributionFromQuantum:
             rho /= np.trace(rho).real
             angles_a = tuple(rng.uniform(-math.pi, math.pi, size=2))
             angles_b = tuple(rng.uniform(-math.pi, math.pi, size=2))
-            eta = float(rng.uniform(0.7, 1.0))
+            # Down to the P family's (2/3, 1] domain, the bound included.
+            eta = 1.0 - float(rng.uniform(0.0, 1.0 / 3.0 - 1e-3))
 
             def effect(c, t):
                 d = math.cos(t) * z_op + math.sin(t) * SIGMA_X

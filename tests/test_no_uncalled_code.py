@@ -35,9 +35,6 @@ UNSET_ALLOWED = {
     "qefp_constant(mode=)": "paper fact: the tight constant, against the headline one",
     "certify_fmax(keep_regions=)": "soundness evidence: kept regions are sampled against their bounds",
     "inner_max_tau(max_iters=)": "pair cap: a unit test requires tight gaps within 3000 pairs",
-    "write_rmax_csv(h_start=)": "the rate grid of the comparison curves",
-    "write_rmax_csv(h_step=)": "the rate grid of the comparison curves",
-    "from_json(role=)": "a stored trial function read under another role",
 }
 
 

@@ -348,7 +348,7 @@ def sequential_accumulate(params, records):
         if log2_f >= params.log2_f_min:
             crossed, used = True, i + 1
             break
-    cbits = np.concatenate([bits_of(int(c), params.k) for c, _ in records[: params.n]])
+    cbits = np.concatenate([bits_of(int(c), params.F.stations) for c, _ in records[: params.n]])
     return crossed, log2_f, used, cbits
 
 

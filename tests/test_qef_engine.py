@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpe import qef_engine
-from qpe.models import BellConfig
+from qpe.models import BellConfig, CanonicalState, canonical_cq_state
 from qpe.pef_opt import optimize_pef_polytope
 from qpe.qef_engine import (
     CertificationResult,
@@ -69,7 +71,7 @@ class TestTrialFunction:
         assert back.values == F.values
         assert back.beta == F.beta
         assert back.role == "pef"
-        assert TrialFunction.from_json(F.to_json(), role="qef").role == "qef"
+        assert TrialFunction.from_json(F.to_json()).scaled(1.0, role="qef").role == "qef"
 
     def test_json_round_robin_keys(self):
         F = TrialFunction({(0, 0, 0): 1.0, (0, 0, 1): 2.0}, 0.3)
@@ -277,8 +279,29 @@ class TestPowerReduce:
             rho = canonical_sampler(rng)
             assert qef_inequality_check(G, rho) >= -1e-9
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 1.0, exclude_min=True),
+        angles=st.tuples(*[st.floats(-math.pi, math.pi, exclude_min=True)] * 2),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    )
+    def test_reduced_factor_keeps_slack_on_drawn_states(self, qef02, gamma, angles, entries):
+        if 1.0 + qef02.beta * gamma == 1.0:
+            # No Renyi order alpha > 1 is that close to 1 in floats.
+            with pytest.raises(ValueError):
+                power_reduce(qef02, gamma)
+            return
+        a = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+        tau = a @ a.conj().T
+        assume(np.trace(tau).real > 1e-6)
+        tau /= np.trace(tau).real
+        config = BellConfig.uniform(angles)
+        rho = canonical_cq_state(CanonicalState(config, HermitianOperator(tau)))
+        assert qef_inequality_check(power_reduce(qef02, gamma), rho) >= -1e-9
+
     def test_gamma_domain(self, qef02):
-        for gamma in (0.0, 1.5, -0.1):
+        # 1e-300 leaves a power whose order 1 + beta rounds to 1.
+        for gamma in (0.0, 1.5, -0.1, 1e-300):
             with pytest.raises(ValueError):
                 power_reduce(qef02, gamma)
 
@@ -330,7 +353,7 @@ class TestAnglePeriodicity:
         assert all(-math.pi < t <= math.pi for t in got.angles)
         assert abs(got.angles[0] + math.pi / 2.0) <= 1e-15
         assert abs(got.angles[1] + math.pi / 2.0) <= 1e-15
-        assert got.input_dist == (0.25,) * 4
+        assert (got.k, got.dim) == (2, 4)
         with pytest.raises(ValueError):
             _config_for((math.nan,))
         with pytest.raises(ValueError):
@@ -454,11 +477,11 @@ class TestInnerSolver:
             ws, vs = [], []
             for z in range(d):
                 for c in range(d):
-                    w = config.mu(z) * F.value(c, z)
+                    w = F.value(c, z) / d
                     if w > 0.0:
                         ws.append(w)
                         vs.append(povm_vector(config, c, z))
-            w, V = _weights_and_vectors(F, config.input_dist, config.angles)
+            w, V = _weights_and_vectors(F, config.angles)
             assert w.tobytes() == np.asarray(ws).tobytes()
             assert V.shape == (len(vs), d)
             assert V.tobytes() == np.asarray(vs).tobytes()
@@ -486,7 +509,7 @@ class TestInnerSolver:
             stacked = np.concatenate(bases, axis=1)
             assert np.array_equal(stacked.T @ stacked, np.eye(4))
             config = _config_for(theta)
-            _, V = _weights_and_vectors(F, config.input_dist, config.angles)
+            _, V = _weights_and_vectors(F, config.angles)
             for v in V:
                 mass = max(float(np.linalg.norm(b.T @ v) ** 2) for b in bases)
                 assert mass >= 1.0 - 1e-10
@@ -614,13 +637,12 @@ class TestInnerSolver:
             assert tau[i].tolist() == [[1.0]]
         F = self._random_candidate(rng)
         angles = np.array([(0.0, 0.0), (0.0, 1.3), (0.7, 1.9), (math.pi, math.pi)])
-        mu = (0.25,) * 4
         value, tau, bound, conv, pairs, _ = qef_engine._solve_vertices(
-            F, mu, angles, 1e-9, 10000, 0, False
+            F, angles, 1e-9, 10000, 0, False
         )
         assert pairs[0] == pairs[3] == 4
         for p in range(4):
-            one = qef_engine._solve_vertices(F, mu, angles[p:p + 1], 1e-9, 10000, 0, False)
+            one = qef_engine._solve_vertices(F, angles[p:p + 1], 1e-9, 10000, 0, False)
             assert pairs[p] == one[4][0] and conv[p] == one[3][0]
             assert abs(value[p] - one[0][0]) <= 1e-12
             assert abs(bound[p] - one[2][0]) <= 1e-12
