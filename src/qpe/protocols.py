@@ -10,11 +10,14 @@ fresh bits), and input-crediting (accounts for partially deterministic
 input choices).
 
 Records are ``(n, 2)`` int64 arrays of ``(c, z)`` rows from end to end.
-They are read from JSON lines in chunks or from ``.npy`` files, the
-threshold test is one ``cumsum`` over a table of log factors, and the
-Toeplitz hash is a sum mod 2 of blocked FFT convolutions, each block
-checked against its rounding error and recomputed by exact window sums if
-that check fails.
+They are read from ``.npy`` files or from JSON lines.  A JSON-lines file in
+exactly the format ``write_records`` writes for single-digit values is read
+as bytes and checked against that line's template; any other file is parsed
+in chunks by ``json.loads``, which alone gives the values of other formats
+and the errors that name a malformed line.  The threshold test is one
+``cumsum`` over a table of log factors, and the Toeplitz hash is a sum mod
+2 of blocked FFT convolutions, each block checked against its rounding
+error and recomputed by exact window sums if that check fails.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -32,10 +36,11 @@ from .accounting import _log2_offset
 from .models import TrialDistribution
 from .qef_engine import TrialFunction, _as_records, chain
 
-# Data bits per FFT block of the Toeplitz hash (at least ``k_o``): bounds
-# the FFT's memory and keeps its rounding error far below one half.
+# Smallest FFT length of a Toeplitz hash block: bounds the FFT's memory and
+# keeps its rounding error far below one half.
 _FFT_BLOCK = 1 << 15
-# Lines per ``json.loads`` call when reading JSON-lines records.
+# Lines per ``json.loads`` call, or per byte-template check, when reading
+# JSON-lines records.
 _CHUNK_LINES = 4096
 
 
@@ -57,12 +62,16 @@ def toeplitz_extract(
     ``len(input) + k_o - 1``); output bit ``j`` is the parity of the input
     against the reversed seed window ``seed[j : j + len(input)]``.
 
-    The input is cut into blocks of ``max(k_o, 2**15)`` bits.  Each block's
-    integer products with its seed segment are read from one real FFT
-    convolution, rounded with ``rint`` and reduced mod 2, and the blocks'
-    parities are summed mod 2.  The sums are below the block length, so the
-    float rounding error is about 1e-10; a block whose largest error
-    reaches 0.25 is recomputed by exact integer window sums instead.
+    Each block's integer products with its seed segment are read from one
+    real FFT convolution, rounded with ``rint`` and reduced mod 2, and the
+    blocks' parities are summed mod 2.  The FFT length is the larger of
+    ``2**15`` and the smallest power of two above ``2 * k_o - 2``, and a
+    block holds as many input bits as that FFT can convolve with their
+    ``m + k_o - 1`` seed bits without wrap-around: the FFT length less
+    ``k_o - 1``, so at least ``k_o``.  A last, shorter block gets the
+    shortest such FFT.  The sums are below the block length, so the float
+    rounding error is about 1e-10; a block whose largest error reaches 0.25
+    is recomputed by exact integer window sums instead.
     """
     seed = np.asarray(seed_bits)
     data = np.asarray(input_bits)
@@ -72,7 +81,7 @@ def toeplitz_extract(
             f"seed length must be {n_in + k_o - 1}, got {seed.size}"
         )
     out = np.zeros(k_o, dtype=np.int64)
-    block = max(k_o, _FFT_BLOCK)
+    block = max(_FFT_BLOCK, 1 << (2 * k_o - 2).bit_length()) - k_o + 1
     for start in range(0, n_in, block):
         stop = min(start + block, n_in)
         m = stop - start
@@ -359,6 +368,42 @@ def _bad_line(path: str, chunk: list[str], first: int) -> ValueError | None:
     return None
 
 
+def _read_canonical(path: str) -> np.ndarray | None:
+    """Records of a file whose every line is ``write_records``' line for
+    single-digit values, or None.
+
+    Such a line is ``json.dumps({"c": D, "z": D})`` and a newline, 17 bytes
+    whose two digit columns are read as ``byte - 48``.  The file is read
+    about 4096 lines at a time as bytes, and each line is checked against
+    that template, the digit columns against ``0`` to ``9``.  Returns None,
+    having read nothing, for a path that is not a regular file (a pipe has
+    no size) or whose size is not a whole number of lines; and at the first
+    byte that does not fit.
+    """
+    line = np.frombuffer((json.dumps({"c": 0, "z": 0}) + "\n").encode(), np.uint8)
+    # Largest allowed byte - template byte per column, as uint8 (a byte
+    # below the template's wraps round to a large value).
+    limit = np.where(line == ord("0"), 9, 0).astype(np.uint8)
+    digits = np.flatnonzero(limit)
+    if not os.path.isfile(path):
+        return None
+    n, extra = divmod(os.path.getsize(path), line.size)
+    if extra:
+        return None
+    records = np.empty((n, 2), dtype=np.int64)
+    with open(path, "rb") as fh:
+        for start in range(0, n, _CHUNK_LINES):
+            count = min(_CHUNK_LINES, n - start)
+            chunk = np.frombuffer(fh.read(count * line.size), np.uint8)
+            if chunk.size != count * line.size:
+                return None
+            rows = chunk.reshape(count, line.size) - line
+            if (rows > limit).any():
+                return None
+            records[start : start + count] = rows[:, digits]
+    return records
+
+
 def _read_jsonl(path: str) -> np.ndarray:
     chunks = [np.empty((0, 2), dtype=np.int64)]
     with open(path) as fh:
@@ -379,16 +424,27 @@ def read_records(path: str) -> np.ndarray:
     A path ending in ``.npy`` is loaded with ``np.load`` (no pickles) and
     must hold an ``(n, 2)`` integer array.  Any other path is JSON lines,
     one ``{"c": ..., "z": ...}`` object per line in any key order, blank
-    lines skipped and the values taken through ``int()``.  The lines are
-    parsed about 4096 at a time by one ``json.loads`` whose object count
-    must equal the line count; a chunk that fails is parsed again line by
-    line, and the ValueError raised names the first bad line (1-based).
-    The count check alone lets one record span two lines when another line
-    of the same chunk holds two records; every record read is still one
-    ``{"c", "z"}`` object of the file.
+    lines skipped and the values taken through ``int()``.
+
+    A file in exactly the format ``write_records`` writes for values 0 to
+    9 (every line ``{"c": D, "z": D}`` and a newline) is read as bytes,
+    with no ``json.loads``.  At the first byte that does not fit that
+    format (a size that is not a whole number of 17-byte lines, a blank
+    line, CRLF, other spacing or key order, extra keys, a value of more
+    than one digit, a last line without its newline) the file is parsed
+    again from its start as below, so the values and the errors are those
+    of the parse below; the bytes before that point are read twice.
+
+    The lines are parsed about 4096 at a time by one ``json.loads`` whose
+    object count must equal the line count; a chunk that fails is parsed
+    again line by line, and the ValueError raised names the first bad line
+    (1-based).  The count check alone lets one record span two lines when
+    another line of the same chunk holds two records; every record read is
+    still one ``{"c", "z"}`` object of the file.
     """
     if not path.endswith(".npy"):
-        return _read_jsonl(path)
+        records = _read_canonical(path)
+        return _read_jsonl(path) if records is None else records
     arr = np.load(path, allow_pickle=False)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise ValueError(

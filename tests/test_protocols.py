@@ -5,14 +5,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qpe.models import bits_of
 from qpe.protocols import (
+    _CHUNK_LINES,
     ProtocolParams,
     _accumulate,
+    _read_canonical,
+    _read_jsonl,
     design_params,
     read_records,
     run_protocol1,
@@ -59,6 +66,19 @@ def dense_toeplitz_product(seed, data, k_o):
         T = seed[n_in - 1 + rows[:, None] - np.arange(n_in)[None, :]]
         out[rows] = (T @ data) & 1
     return out
+
+
+def window_sums(seed, data, k_o):
+    """Output bit j as the parity of the exact window sum of the reversed
+    ``seed[j : j + n_in]`` against the data."""
+    windows = np.lib.stride_tricks.sliding_window_view(seed, data.size)
+    assert windows.shape[0] == k_o
+    return (windows[:, ::-1] @ data) & 1
+
+
+def data_block(k_o):
+    """Input bits per FFT block: the FFT length less ``k_o - 1``."""
+    return max(BLOCK, 1 << (2 * k_o - 2).bit_length()) - k_o + 1
 
 
 def popcount_toeplitz(seed, data, k_o):
@@ -130,8 +150,9 @@ class TestToeplitzExtract:
     def test_matches_dense_product_across_blocks(self, n_in, k_o):
         """Both sides of the FFT block boundaries, and k_o above the block.
 
-        At (1019, 7) and (3 * 2**15, 2) a block's seed segment is one longer
-        than a power of two: the shortest FFT free of wrap-around.
+        At (1019, 7) the seed segment is one longer than a power of two, and
+        every full block's segment is exactly its FFT length: the shortest
+        FFTs free of wrap-around.
         """
         rng = np.random.default_rng(n_in + k_o)
         seed = rng.integers(0, 2, size=n_in + k_o - 1)
@@ -141,10 +162,11 @@ class TestToeplitzExtract:
         assert np.array_equal(got, dense_toeplitz_product(seed, data, k_o))
 
     def test_several_blocks_longer_than_default(self):
-        """k_o above 2**15 sets the block length; three blocks of it."""
+        """k_o above 2**15 sets the FFT length, 2**17, and so the block
+        length; three blocks of it."""
         rng = np.random.default_rng(15)
         k_o = BLOCK + 3
-        n_in = 2 * k_o + 5
+        n_in = 2 * data_block(k_o) + 5
         seed = rng.integers(0, 2, size=n_in + k_o - 1)
         data = rng.integers(0, 2, size=n_in)
         got = toeplitz_extract(seed, data, k_o)
@@ -170,6 +192,48 @@ class TestToeplitzExtract:
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + noise)
         assert np.array_equal(toeplitz_extract(seed, data, k_o), want)
         assert len(fallbacks) == 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n_in=st.integers(1, 3 * BLOCK),
+        k_o=st.one_of(st.integers(1, 64), st.integers(BLOCK // 2 - 2, BLOCK + 2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_in_input_and_seed(self, n_in, k_o, seed):
+        """GF(2)-linear in the input bits for a fixed seed, and in the seed
+        for fixed input bits."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, 2, size=(2, n_in))
+        s, t = rng.integers(0, 2, size=(2, n_in + k_o - 1))
+        hash_sa = toeplitz_extract(s, a, k_o)
+        assert np.array_equal(
+            toeplitz_extract(s, a ^ b, k_o), hash_sa ^ toeplitz_extract(s, b, k_o)
+        )
+        assert np.array_equal(
+            toeplitz_extract(s ^ t, a, k_o), hash_sa ^ toeplitz_extract(t, a, k_o)
+        )
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @example(k_o=BLOCK // 2 + 1, blocks=1, offset=1, seed=2)
+    @given(
+        k_o=st.sampled_from([1, 2, 7, 300, 1024, BLOCK // 2 - 1, BLOCK // 2]),
+        blocks=st.sampled_from([1, 2]),
+        offset=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_window_sums_at_block_edges(self, k_o, blocks, offset, seed):
+        """Inputs one bit short of, at and one past a whole number of data
+        blocks, with k_o on both sides of half the smallest FFT, where the
+        FFT length doubles (the explicit example)."""
+        # The exact sums cost k_o * n_in products: one block is enough at
+        # k_o near half the FFT.
+        assume(blocks == 1 or k_o < BLOCK // 2 - 1)
+        n_in = blocks * data_block(k_o) + offset
+        rng = np.random.default_rng(seed)
+        seed_bits = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        got = toeplitz_extract(seed_bits, data, k_o)
+        assert np.array_equal(got, window_sums(seed_bits, data, k_o))
 
     def test_paper_scale_matches_popcount(self):
         rng = np.random.default_rng(17)
@@ -548,6 +612,90 @@ class TestRecords:
         with pytest.raises(ValueError, match="line 5002: ") as info:
             read_records(str(path))
         assert message in str(info.value)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 17, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1,
+                           2 * _CHUNK_LINES, 2 * _CHUNK_LINES + 1]),
+        wide=st.sampled_from([0, 17, 34]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_written_files_read_as_parsed(self, tmp_path_factory, n, wide, seed):
+        """``write_records`` files read back the same through the byte path
+        as through ``json.loads``.
+
+        ``wide`` values of two digits lengthen as many lines by one byte: a
+        multiple of 17 of them leaves a whole number of 17-byte lines, which
+        the byte checks must refuse.  With single digits only, the byte path
+        reads the file.
+        """
+        assume(wide <= 2 * n)
+        rng = np.random.default_rng(seed)
+        records = rng.integers(0, 10, size=(n, 2))
+        cells = rng.choice(2 * n, size=wide, replace=False)
+        records.ravel()[cells] = rng.integers(10, 100, size=wide)
+        path = str(tmp_path_factory.mktemp("records") / "records.jsonl")
+        write_records(path, records)
+        got = read_records(path)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, records)
+        assert np.array_equal(got, _read_jsonl(path))
+        assert (_read_canonical(path) is None) == (wide > 0)
+
+    @pytest.mark.parametrize(
+        "near, crlf",
+        [('{"c": 1, "z": 2}', False), ('{"c": 10, "z": 0}\n', False),
+         ('{"z": 2, "c": 1}\n', False), ('{"c":  1, "z": 2 }\n', False),
+         ('{ "c":1, "z": 2}\n', False), ('{"c": 1, "z": 2, "t": 0}\n', False),
+         ('{"c": 1, "z": 2}\n', True), ("\n", False)],
+        ids=["no-final-newline", "two-digit", "swapped-keys", "extra-spaces",
+             "respaced-17-bytes", "extra-key", "crlf", "blank-line"],
+    )
+    def test_near_canonical_files_read_as_parsed(self, tmp_path, near, crlf):
+        """One line past the first chunk that the byte path must not read.
+
+        Blank lines after it make the file a whole number of 17-byte lines,
+        so the byte checks, not the size, must refuse it; a final line
+        without its newline is the one case the size alone refuses.
+        """
+        good = '{"c": 3, "z": 1}\n'
+        text = good * (_CHUNK_LINES + 900) + near
+        if near.endswith("\n"):
+            text += good * 40
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        if near.endswith("\n"):
+            text += "\n" * (-len(text) % len(good))
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(text.encode())
+        assert _read_canonical(str(path)) is None
+        got = read_records(str(path))
+        assert np.array_equal(got, _read_jsonl(str(path)))
+
+    def test_malformed_canonical_width_line_named(self, tmp_path):
+        """A 17-byte line with a letter for a digit gets the parse's error."""
+        path = tmp_path / "records.jsonl"
+        good = '{"c": 1, "z": 2}\n'
+        path.write_text(good * 5001 + '{"c": x, "z": 0}\n' + good * 30)
+        with pytest.raises(ValueError) as want:
+            _read_jsonl(str(path))
+        with pytest.raises(ValueError, match="line 5002: ") as info:
+            read_records(str(path))
+        assert str(info.value) == str(want.value)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_parsed(self, tmp_path):
+        """A pipe reports no size, so the byte path leaves it unopened."""
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_text, args=('{"c": 1, "z": 2}\n' * 3,), daemon=True
+        )
+        writer.start()
+        got = read_records(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(got, [(1, 2)] * 3)
 
     def test_npy_round_trip(self, tmp_path, nu_e):
         records = sample_records(nu_e, 1000, np.random.default_rng(14))
