@@ -127,15 +127,15 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
     """Blocks ``2**-k sqrt(tau) P_{c|z} sqrt(tau)`` over the full ``(c, z)`` grid.
 
     With ``P_{c|z} = v v^T`` for a row ``v`` of :func:`povm_vectors`, a block
-    is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.
+    is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.  The ``u`` form
+    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``, and one broadcast outer
+    product builds the distribution's ``(n_z, n_c, d, d)`` block stack.
     """
     d = s.config.dim
     z, c = np.divmod(np.arange(d * d), d)
     U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5).matrix / math.sqrt(d)
-    return CqDistribution({
-        (int(ci), int(zi)): HermitianOperator(np.outer(u.conj(), u))
-        for ci, zi, u in zip(c, z, U)
-    })
+    U = U.reshape(d, d, d)
+    return CqDistribution(U.conj()[..., :, None] * U[..., None, :])
 
 
 # -- trial distributions ---------------------------------------------------

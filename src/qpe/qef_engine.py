@@ -164,18 +164,20 @@ def qef_inequality_check(
 
     Nonnegative slack on every model state is the defining property of an
     estimation factor at power ``F.beta`` (sandwiched kind; the Petz kind
-    with ``beta <= 1`` defines the stronger variant).
+    with ``beta <= 1`` defines the stronger variant).  One broadcast
+    :func:`renyi_power` call evaluates the state's ``(n_z, n_c)`` block
+    stack against its ``(n_z, 1)`` marginal stack, so every block is
+    checked, zero-weight blocks included.  Every cell of ``rho`` must be in
+    ``F``'s domain.
     """
     order = RenyiOrder.from_beta(F.beta)
-    total = 0.0
-    for z in rho.z_range:
-        marg = rho.marginal(z)
-        for c in rho.c_range:
-            weight = F.value(c, z)
-            if weight == 0.0:
-                continue
-            total += weight * renyi_power(rho.block(c, z), marg, order, kind=kind)
-    return rho.trace_total() - total
+    cells = [(c, z) for z in rho.z_range for c in rho.c_range]
+    for cell in cells:
+        if cell not in F.values:
+            raise ValueError(f"cell {cell} of the state is outside the factor's domain")
+    weights = np.reshape([F.values[cell] for cell in cells], (len(rho.z_range), -1))
+    powers = renyi_power(rho.blocks, rho.marginals, order, kind=kind)
+    return rho.trace_total() - float((weights * powers).sum())
 
 
 def _as_records(records: ArrayLike) -> np.ndarray:

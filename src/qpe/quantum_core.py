@@ -2,10 +2,18 @@
 
 All linear algebra is dense and eigendecomposition-based.  Operators are
 small (dimension a few dozen at most), so numerical robustness is preferred
-over asymptotic speed everywhere: spectra are cached once per operator,
-reconstruction error is checked, and tiny negative eigenvalues produced by
-roundoff are clipped under an explicit relative threshold before fractional
-powers are taken.
+over asymptotic speed everywhere: reconstruction error is checked, and tiny
+negative eigenvalues produced by roundoff are clipped under an explicit
+relative threshold before fractional powers are taken.
+
+Operators come in stacks.  A :class:`HermitianOperator` holds one matrix or
+an ``(..., d, d)`` stack of them, and computes the spectra of the whole stack
+at most once, by one broadcast eigendecomposition.  Every check, clip and
+kernel cut applies to each matrix on its own, with tolerances relative to
+that matrix.  A :class:`CqDistribution` keeps its blocks and its marginals as
+two such stacks, and :func:`renyi_power` broadcasts over stacks, so a whole
+distribution is evaluated in a few array calls; one matrix is the stack of
+one.
 
 Entropic quantities are in nats unless a function name says otherwise.
 """
@@ -51,44 +59,101 @@ class RenyiOrder:
         return cls(1.0 + beta)
 
 
+# -- stacked helpers --------------------------------------------------------
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v diag(w) v*`` for every matrix of a stack."""
+    return (v * w[..., None, :]) @ _dagger(v)
+
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))
+
+
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix from its eigenvalues ``w[..., :]``."""
+    return np.abs(w).max(axis=-1, initial=0.0)
+
+
+def _any(mask: np.ndarray) -> bool:
+    # Much cheaper than ``mask.any()`` on the numpy scalar of one matrix.
+    return np.count_nonzero(mask) > 0
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Stack index of the first failing matrix (``()`` for one matrix)."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
+def _where(index: tuple) -> str:
+    return f" at stack index {index}" if index else ""
+
+
+def _per_matrix(x: np.ndarray):
+    """A plain Python scalar for one matrix, the array for a stack."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 class HermitianOperator:
-    """A dense Hermitian matrix with a lazily cached spectral decomposition.
+    """A dense Hermitian matrix, or a stack of them, with a lazily cached spectral decomposition.
 
     Parameters
     ----------
     entries : array_like
-        Square matrix.  Hermiticity is enforced to relative tolerance
-        ``TOL_HERM`` (against the largest entry magnitude); the residual
-        skew part is symmetrized away.
+        A square matrix ``(d, d)`` or a stack ``(..., d, d)``.  Hermiticity
+        is enforced on each matrix to relative tolerance ``TOL_HERM``
+        (against its largest entry magnitude); the residual skew part is
+        symmetrized away.
 
     Notes
     -----
     Instances are immutable: the entry array is frozen, and the spectrum is
-    computed at most once.  Fractional powers, logs and support projectors
-    all share the single decomposition.
+    computed at most once, for the whole stack.  Fractional powers, logs and
+    kernels all share the single decomposition and act on each
+    matrix of a stack on its own.  Per-matrix quantities (:meth:`trace`,
+    :meth:`is_psd`) are Python scalars for one matrix and arrays over the
+    stack axes for a stack.
     """
 
-    __slots__ = ("_m", "dim", "_spectrum")
+    __slots__ = ("_m", "dim", "_spectrum", "_psd")
 
     def __init__(self, entries) -> None:
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        scale = float(np.abs(m).max()) if m.size else 0.0
-        if scale > 0.0:
-            skew = float(np.abs(m - m.conj().T).max())
-            if skew > TOL_HERM * scale:
-                raise ValueError(
-                    f"matrix is not Hermitian: skew {skew:.3e} exceeds "
-                    f"{TOL_HERM:.0e} * {scale:.3e}"
-                )
-        m = (m + m.conj().T) / 2.0
+        mh = _dagger(m)
+        scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+        skew = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+        bad = skew > TOL_HERM * scale
+        if _any(bad):
+            i = _first(bad)
+            raise ValueError(
+                f"matrix{_where(i)} is not Hermitian: skew {skew[i]:.3e} exceeds "
+                f"{TOL_HERM:.0e} * {scale[i]:.3e}"
+            )
+        m = (m + mh) / 2.0
         m.setflags(write=False)
         self._m = m
-        self.dim = int(m.shape[0])
-        self._spectrum = None
+        self.dim = int(m.shape[-1])
+        self._spectrum = self._psd = None
+
+    def _at(self, index: tuple) -> "HermitianOperator":
+        # The matrix at an integer index of the stack axes: it shares the
+        # stack's checks and cached spectra, so none is repeated.
+        out = object.__new__(HermitianOperator)
+        out._m, out.dim = self._m[index], self.dim
+        out._spectrum = None if self._spectrum is None else (
+            self._spectrum[0][index], self._spectrum[1][index]
+        )
+        out._psd = None if self._psd is None else self._psd[index]
+        return out
 
     # -- basic views ---------------------------------------------------
 
@@ -97,24 +162,23 @@ class HermitianOperator:
         return self._m
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"HermitianOperator(dim={self.dim}, trace={self.trace():.6g})"
+        return f"HermitianOperator(shape={self._m.shape})"
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self._m)))
-
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self._m))
+    def trace(self):
+        return _per_matrix(np.real(np.trace(self._m, axis1=-2, axis2=-1)))
 
     # -- spectrum ------------------------------------------------------
 
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        # Cached descending eigensystem with a reconstruction check.
+        # Cached descending eigensystem with a reconstruction check per matrix.
         if self._spectrum is None:
             w, v = np.linalg.eigh(self._m)
-            w, v = w[::-1].copy(), v[:, ::-1].copy()
-            resid = np.linalg.norm((v * w) @ v.conj().T - self._m)
-            if resid > TOL_SPECTRUM * max(1.0, self.fro_norm()):
-                raise ValueError(f"eigendecomposition failed: residual {resid:.3e}")
+            w, v = w[..., ::-1], v[..., ::-1]
+            resid = _fro(_from_spectrum(w, v) - self._m)
+            bad = resid > TOL_SPECTRUM * np.maximum(1.0, _fro(self._m))
+            if _any(bad):
+                i = _first(bad)
+                raise ValueError(f"eigendecomposition failed{_where(i)}: residual {resid[i]:.3e}")
             w.setflags(write=False)
             v.setflags(write=False)
             self._spectrum = (w, v)
@@ -122,7 +186,7 @@ class HermitianOperator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order."""
+        """Eigenvalues in descending order, along the last axis."""
         return self._eig()[0]
 
     @property
@@ -130,42 +194,47 @@ class HermitianOperator:
         """Orthonormal eigenvectors, columns matching :attr:`eigenvalues`."""
         return self._eig()[1]
 
-    def spectral_norm(self) -> float:
-        w = self.eigenvalues
-        return float(max(abs(w[0]), abs(w[-1]))) if self.dim else 0.0
-
     # -- positive-semidefinite helpers ----------------------------------
 
-    def psd_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues with roundoff negatives clipped to zero.
-
-        Eigenvalues in ``[-TOL_PSD * ||A||, 0)`` are set to 0; anything more
-        negative means the operator is genuinely not positive semidefinite
-        and a ``ValueError`` is raised.
-        """
+    def _psd_floor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues, each matrix's least eigenvalue, and its roundoff floor."""
         w = self.eigenvalues
-        floor = -TOL_PSD * max(1e-300, self.spectral_norm())
-        if w[-1] < floor:
-            raise ValueError(
-                f"operator is not positive semidefinite: min eigenvalue "
-                f"{w[-1]:.3e} below {floor:.3e}"
-            )
-        return np.clip(w, 0.0, None)
+        return w, w.min(axis=-1, initial=0.0), -TOL_PSD * np.maximum(1e-300, _norms(w))
 
-    def is_psd(self) -> bool:
-        try:
-            self.psd_eigenvalues()
-        except ValueError:
-            return False
-        return True
+    def psd_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues with roundoff negatives clipped to zero, cached.
 
-    def support_projector(self) -> np.ndarray:
-        """Projector onto eigenvalues above ``KERNEL_CUT`` times the largest."""
-        w, v = self._eig()
-        top = abs(w[0]) if self.dim else 0.0
-        keep = np.abs(w) > KERNEL_CUT * top
-        vs = v[:, keep]
-        return vs @ vs.conj().T
+        Eigenvalues in ``[-TOL_PSD * ||A||, 0)`` are set to 0, with ``||A||``
+        the norm of their own matrix; anything more negative means that
+        matrix is genuinely not positive semidefinite and a ``ValueError``
+        is raised.
+        """
+        if self._psd is None:
+            w, low, floor = self._psd_floor()
+            bad = low < floor
+            if _any(bad):
+                i = _first(bad)
+                raise ValueError(
+                    f"operator{_where(i)} is not positive semidefinite: min eigenvalue "
+                    f"{low[i]:.3e} below {floor[i]:.3e}"
+                )
+            self._psd = np.maximum(w, 0.0)
+            self._psd.setflags(write=False)
+        return self._psd
+
+    def is_psd(self):
+        """Whether each matrix passes :meth:`psd_eigenvalues`."""
+        _, low, floor = self._psd_floor()
+        return _per_matrix(low >= floor)
+
+    def _on_support(self, f) -> np.ndarray:
+        # f of the clipped spectrum on each matrix's support, 0 on its kernel.
+        w = self.psd_eigenvalues()
+        on = w > KERNEL_CUT * w[..., :1]
+        return _from_spectrum(np.where(on, f(np.where(on, w, 1.0)), 0.0), self.eigenvectors)
+
+    def _power(self, p: float) -> np.ndarray:
+        return self._on_support(lambda w: w**p)
 
     def power(self, p: float) -> "HermitianOperator":
         """Positive-semidefinite fractional power with relative-kernel semantics.
@@ -173,23 +242,11 @@ class HermitianOperator:
         Kernel eigenvalues (below ``KERNEL_CUT`` times the largest) map to 0
         for every exponent, so negative powers are inverses on the support.
         """
-        w = self.psd_eigenvalues()
-        top = w[0] if self.dim else 0.0
-        out = np.zeros_like(w)
-        on = w > KERNEL_CUT * top
-        out[on] = w[on] ** p
-        v = self.eigenvectors
-        return HermitianOperator((v * out) @ v.conj().T)
+        return HermitianOperator(self._power(p))
 
     def support_log(self) -> np.ndarray:
         """Matrix log on the support, zero on the kernel (a plain ndarray)."""
-        w = self.psd_eigenvalues()
-        top = w[0] if self.dim else 0.0
-        out = np.zeros_like(w)
-        on = w > KERNEL_CUT * top
-        out[on] = np.log(w[on])
-        v = self.eigenvectors
-        return (v * out) @ v.conj().T
+        return self._on_support(np.log)
 
 
 def _as_operator(x) -> HermitianOperator:
@@ -201,40 +258,66 @@ class CqDistribution:
 
     Parameters
     ----------
-    blocks : mapping
-        ``(c, z) -> HermitianOperator`` (or array_like).  All blocks must
-        share one dimension and be positive semidefinite to tolerance
-        ``TOL_PSD`` relative to each block's norm.  The key set must be the
-        full product of the ``c`` and ``z`` ranges that appear.
+    blocks : mapping or array_like
+        Either ``(c, z) -> HermitianOperator`` (or array_like), whose key set
+        must be the full product of the ``c`` and ``z`` values that appear,
+        or an ``(n_z, n_c, d, d)`` array whose ``[z, c]`` matrix is the block
+        ``(c, z)`` for ``c`` in ``range(n_c)`` and ``z`` in ``range(n_z)``.
+        All blocks share one dimension and must be positive semidefinite to
+        tolerance ``TOL_PSD`` relative to each block's own norm.
 
     Notes
     -----
-    Block keys are plain hashables, normally small ints.  The object is a
-    value type: blocks are not mutated after construction, and marginals
-    over ``c`` are cached.
+    The blocks are stored as one stacked operator, :attr:`blocks`, of shape
+    ``(n_z, n_c, d, d)``: its ``[iz, ic]`` matrix is the block at the
+    ``ic``-th value of :attr:`c_range` and the ``iz``-th of :attr:`z_range`.
+    Their spectra come from one broadcast eigendecomposition when the blocks
+    are checked.  :attr:`marginals` stacks the ``n_z`` block sums over
+    outcomes as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks;
+    it and its spectra are computed on first use.  The object is a value
+    type: blocks are not mutated after construction.
     """
 
-    __slots__ = ("_blocks", "dim", "c_range", "z_range", "_marginals")
+    __slots__ = ("blocks", "dim", "c_range", "z_range", "_index", "_marginals")
 
-    def __init__(self, blocks: Mapping) -> None:
-        if not blocks:
-            raise ValueError("at least one block is required")
-        ops = {k: _as_operator(v) for k, v in blocks.items()}
-        cs = sorted({k[0] for k in ops})
-        zs = sorted({k[1] for k in ops})
-        if set(ops) != {(c, z) for c in cs for z in zs}:
-            raise ValueError("block keys must form a full (c, z) product")
-        dims = {op.dim for op in ops.values()}
-        if len(dims) != 1:
-            raise ValueError(f"blocks must share one dimension, got {sorted(dims)}")
-        for k, op in ops.items():
-            if not op.is_psd():
-                raise ValueError(f"block {k} is not positive semidefinite")
-        self._blocks = ops
-        self.dim = dims.pop()
+    def __init__(self, blocks) -> None:
+        if isinstance(blocks, Mapping):
+            if not blocks:
+                raise ValueError("at least one block is required")
+            cs = sorted({k[0] for k in blocks})
+            zs = sorted({k[1] for k in blocks})
+            if set(blocks) != {(c, z) for c in cs for z in zs}:
+                raise ValueError("block keys must form a full (c, z) product")
+            mats = {
+                k: np.asarray(v.matrix if isinstance(v, HermitianOperator) else v, dtype=complex)
+                for k, v in blocks.items()
+            }
+            shapes = {m.shape for m in mats.values()}
+            if len(shapes) != 1:
+                raise ValueError(f"blocks must share one dimension, got {sorted(shapes)}")
+            stack = np.array([[mats[(c, z)] for c in cs] for z in zs])
+            keys = list(blocks)
+        else:
+            stack = np.asarray(blocks, dtype=complex)
+            if stack.ndim != 4 or 0 in stack.shape[:2]:
+                raise ValueError(f"a block array must be (n_z, n_c, d, d), got shape {stack.shape}")
+            cs, zs = range(stack.shape[1]), range(stack.shape[0])
+            keys = [(c, z) for z in zs for c in cs]
+        if stack.ndim != 4:
+            raise ValueError(f"expected square matrix blocks, got shape {stack.shape[2:]}")
+        ops = HermitianOperator(stack)
+        bad = ~ops.is_psd()
+        if _any(bad):
+            iz, ic = _first(bad)
+            raise ValueError(f"block {(cs[ic], zs[iz])} is not positive semidefinite")
+        zpos = {z: i for i, z in enumerate(zs)}
+        cpos = {c: i for i, c in enumerate(cs)}
+        self.blocks = ops
+        self.dim = ops.dim
         self.c_range = tuple(cs)
         self.z_range = tuple(zs)
-        self._marginals: dict = {}
+        self._index = {k: (zpos[k[1]], cpos[k[0]]) for k in keys}
+        self._marginals = None
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -244,20 +327,24 @@ class CqDistribution:
     # -- access ---------------------------------------------------------
 
     def block(self, c, z) -> HermitianOperator:
-        return self._blocks[(c, z)]
+        return self.blocks._at(self._index[(c, z)])
 
     def keys(self):
-        return self._blocks.keys()
+        return self._index.keys()
+
+    @property
+    def marginals(self) -> HermitianOperator:
+        """Block sums over outcomes, one per input, as an ``(n_z, 1, d, d)`` stack."""
+        if self._marginals is None:
+            self._marginals = HermitianOperator(self.blocks.matrix.sum(axis=1, keepdims=True))
+        return self._marginals
 
     def marginal(self, z) -> HermitianOperator:
-        """Block sum over outcomes at fixed input, cached."""
-        if z not in self._marginals:
-            total = sum(self._blocks[(c, z)].matrix for c in self.c_range)
-            self._marginals[z] = HermitianOperator(total)
-        return self._marginals[z]
+        """Block sum over outcomes at fixed input."""
+        return self.marginals._at((self.z_range.index(z), 0))
 
     def trace_total(self) -> float:
-        return float(sum(op.trace() for op in self._blocks.values()))
+        return float(self.blocks.trace().sum())
 
     def is_normalized(self) -> bool:
         return abs(self.trace_total() - 1.0) <= TOL_NORM
@@ -273,21 +360,18 @@ class CqDistribution:
 # -- Renyi powers ---------------------------------------------------------
 
 
-def _support_leak(rho: HermitianOperator, sigma: HermitianOperator) -> float:
-    """Relative mass of ``rho`` outside the support of ``sigma``."""
-    kernel = np.eye(sigma.dim) - sigma.support_projector()
-    leak = float(np.linalg.norm(kernel @ rho.matrix))
-    return leak / max(1.0, rho.fro_norm())
+def _support_leak(rho: HermitianOperator, sigma: HermitianOperator):
+    """Relative mass of each ``rho`` outside the support of its ``sigma``.
 
-
-def _clip_tiny_negatives(w: np.ndarray, scale: float) -> np.ndarray:
-    floor = -TOL_PSD * max(1e-300, scale)
-    if w.min(initial=0.0) < floor:
-        raise ValueError(
-            f"unexpected negative eigenvalue {w.min():.3e} "
-            f"(threshold {floor:.3e})"
-        )
-    return np.clip(w, 0.0, None)
+    The kernel of ``sigma`` spans its eigenvalues at most ``KERNEL_CUT`` times
+    the largest; when no ``sigma`` has one, nothing can leak.
+    """
+    w, v = sigma._eig()
+    kernel = np.abs(w) <= KERNEL_CUT * np.abs(w[..., :1])
+    if not _any(kernel):
+        return 0.0
+    leak = _fro(_from_spectrum(kernel.astype(float), v) @ rho.matrix)
+    return leak / np.maximum(1.0, _fro(rho.matrix))
 
 
 def renyi_power(
@@ -296,14 +380,16 @@ def renyi_power(
     order: RenyiOrder,
     kind: str = "sandwiched",
     normalized: bool = False,
-) -> float:
+):
     """Renyi power of ``rho`` relative to ``sigma`` at order ``alpha``.
 
     Parameters
     ----------
     rho, sigma : HermitianOperator or array_like
-        Positive semidefinite operators.  The support of ``rho`` must be
-        contained in the support of ``sigma`` to relative tolerance
+        Positive semidefinite operators, or stacks ``(..., d, d)`` of them
+        whose stack axes broadcast against each other; each pair is
+        evaluated on its own.  The support of each ``rho`` must be contained
+        in the support of its ``sigma`` to relative tolerance
         ``SUPPORT_TOL``; negative powers of ``sigma`` act on its support.
     order : RenyiOrder
         The order ``alpha = 1 + beta``, ``beta > 0``.
@@ -317,8 +403,9 @@ def renyi_power(
 
     Returns
     -------
-    float
-        The power; ``0.0`` when both operators vanish (and for ``rho = 0``).
+    float or ndarray
+        The power of each pair over the broadcast stack axes (a float for
+        one pair); ``0`` where ``rho = 0``.
     """
     rho = _as_operator(rho)
     sigma = _as_operator(sigma)
@@ -329,46 +416,40 @@ def renyi_power(
     alpha, beta = order.alpha, order.beta
     if kind == "petz" and alpha > 2.0 + 1e-12:
         raise ValueError("petz powers are only supported for alpha <= 2")
-    rho.psd_eigenvalues()
 
-    rho_scale = rho.spectral_norm()
-    sigma_scale = sigma.spectral_norm()
-    if rho_scale <= 0.0:
+    live = _norms(rho.psd_eigenvalues()) > 0.0
+    dead_sigma = _norms(sigma.eigenvalues) <= 0.0
+    if not _any(live):
         # Both-zero and rho-zero cases are defined as 0.
-        return 0.0
-    if sigma_scale <= 0.0:
-        raise ValueError("sigma = 0 with rho != 0 violates support containment")
-    leak = _support_leak(rho, sigma)
-    if leak > SUPPORT_TOL:
+        return _per_matrix(np.zeros(np.broadcast_shapes(live.shape, dead_sigma.shape)))
+    bad = live & dead_sigma
+    if _any(bad):
         raise ValueError(
-            f"support of rho leaks outside support of sigma: "
-            f"relative mass {leak:.3e} > {SUPPORT_TOL:.0e}"
+            f"sigma = 0 with rho != 0{_where(_first(bad))} violates support containment"
+        )
+    leak = _support_leak(rho, sigma)
+    bad = leak > SUPPORT_TOL
+    if _any(bad):
+        i = _first(bad)
+        raise ValueError(
+            f"support of rho leaks outside support of sigma{_where(i)}: "
+            f"relative mass {leak[i]:.3e} > {SUPPORT_TOL:.0e}"
         )
 
     if kind == "sandwiched":
-        s = sigma.power(-beta / (2.0 * alpha)).matrix
-        inner = HermitianOperator(s @ rho.matrix @ s)
-        w = _clip_tiny_negatives(inner.eigenvalues, inner.spectral_norm())
-        value = float((w**alpha).sum())
+        s = sigma._power(-beta / (2.0 * alpha))
+        w = HermitianOperator(s @ rho.matrix @ s).psd_eigenvalues()
+        value = (w**alpha).sum(axis=-1)
     else:
-        ra = rho.power(alpha).matrix
-        sb = sigma.power(-beta).matrix
-        value = float(np.real(np.trace(ra @ sb)))
-        value = max(value, 0.0)
+        ra = rho._power(alpha)
+        sb = sigma._power(-beta)
+        value = np.maximum(np.real(np.trace(ra @ sb, axis1=-2, axis2=-1)), 0.0)
     if normalized:
-        value /= rho.trace()
-    return value
+        value = value / np.where(live, rho.trace(), 1.0)
+    return _per_matrix(value)
 
 
 # -- entropies ------------------------------------------------------------
-
-
-def _entropy_weights(op: HermitianOperator) -> float:
-    """``tr(rho log rho)`` over the support of ``rho``."""
-    w = op.psd_eigenvalues()
-    top = w[0] if op.dim else 0.0
-    on = w > KERNEL_CUT * top
-    return float((w[on] * np.log(w[on])).sum())
 
 
 def conditional_entropy(rho: CqDistribution) -> float:
@@ -379,14 +460,10 @@ def conditional_entropy(rho: CqDistribution) -> float:
     supports automatically.
     """
     rho.require_normalized("conditional_entropy")
-    total = 0.0
-    for z in rho.z_range:
-        log_marg = rho.marginal(z).support_log()
-        for c in rho.c_range:
-            block = rho.block(c, z)
-            if block.trace() <= 0.0:
-                continue
-            total += _entropy_weights(block)
-            total -= float(np.real(np.trace(block.matrix @ log_marg)))
-    return -total
-
+    w = rho.blocks.psd_eigenvalues()
+    on = w > KERNEL_CUT * w[..., :1]
+    own = (w * np.log(np.where(on, w, 1.0))).sum()
+    cross = np.real(np.trace(
+        rho.blocks.matrix @ rho.marginals.support_log(), axis1=-2, axis2=-1
+    )).sum()
+    return -float(own - cross)

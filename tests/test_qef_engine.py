@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qpe import qef_engine
 from qpe.models import BellConfig, CanonicalState, canonical_cq_state
@@ -30,13 +31,46 @@ from qpe.qef_engine import (
     q_alpha,
     qef_inequality_check,
 )
-from qpe.quantum_core import CqDistribution, HermitianOperator, RenyiOrder
+from qpe.quantum_core import CqDistribution, HermitianOperator, RenyiOrder, renyi_power
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def chained_case(f: np.ndarray, beta: float, entries: np.ndarray):
+    """A product factor and a composed two-trial state on a 4-dimensional memory.
+
+    ``f[t, c, z]`` is trial ``t``'s weight.  ``entries`` holds 20 complex 2x2
+    matrices as ``[re/im, j]``: ``a_j a_j*`` is the trial-1 block of cell ``j``
+    for ``j < 4`` and the trial-2 block, given trial-1 cell ``(j - 4) // 4``,
+    of cell ``(j - 4) % 4``.  Cells ``(c, z)`` are numbered ``c + 2 z``.  The
+    composed state has unit trace unless it is zero.
+    """
+    a = entries[0] + 1j * entries[1]
+    rho = a @ a.conj().swapaxes(-1, -2)
+    blocks, values = {}, {}
+    for (c1, z1, c2, z2) in np.ndindex(2, 2, 2, 2):
+        key = (c1 + 2 * c2, z1 + 2 * z2)
+        first = c1 + 2 * z1
+        blocks[key] = np.kron(rho[first], rho[4 + 4 * first + c2 + 2 * z2])
+        values[key] = f[0, c1, z1] * f[1, c2, z2]
+    total = sum(np.trace(b).real for b in blocks.values())
+    if total > 0.0:
+        blocks = {k: b / total for k, b in blocks.items()}
+    return TrialFunction(values, beta, role="qef"), CqDistribution(blocks)
+
+
+def per_block_slack(F: TrialFunction, rho: CqDistribution, kind: str) -> float:
+    """The defining inequality's slack as a loop of single-pair Renyi powers."""
+    order = RenyiOrder.from_beta(F.beta)
+    total = 0.0
+    for c, z in rho.keys():
+        block, marg = rho.block(c, z).matrix, rho.marginal(z).matrix
+        total += F.value(c, z) * renyi_power(block, marg, order, kind=kind)
+    return rho.trace_total() - total
 
 
 class TestTrialFunction:
@@ -160,6 +194,57 @@ class TestQefInequalityCheck:
             )
             assert abs(qef_inequality_check(F, rho) - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["sandwiched", "petz"])
+    def test_stacked_matches_per_block_loop(self, kind):
+        """One broadcast evaluation equals a loop of single-pair powers."""
+        rng = np.random.default_rng(38)
+
+        def factor(k):
+            n = 1 << k
+            values = {(c, z): float(rng.uniform(0.0, 2.0)) for c in range(n) for z in range(n)}
+            return TrialFunction(values, float(rng.uniform(0.05, 0.95)), role="qef")
+
+        def canonical(k, rank=None):
+            d = 1 << k
+            a = rng.standard_normal((d, rank or d)) + 1j * rng.standard_normal((d, rank or d))
+            tau = a @ a.conj().T
+            config = BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=k)))
+            return canonical_cq_state(CanonicalState(config, HermitianOperator(tau / np.trace(tau).real)))
+
+        cases = [(factor(k), canonical(k)) for k in (1, 2, 3) for _ in range(3)]
+        # Rank-deficient states: every marginal tau / 2**k has a kernel.
+        cases += [(factor(k), canonical(k, rank)) for k, rank in ((1, 1), (2, 1), (2, 3), (3, 2))]
+        # |0><0| measured at angle 0 leaves the block (1, 0) zero.
+        zero = canonical_cq_state(CanonicalState(
+            BellConfig.uniform((0.0,)), HermitianOperator(np.diag([1.0, 0.0]))
+        ))
+        assert not zero.block(1, 0).matrix.any()
+        cases.append((factor(1), zero))
+        for _ in range(5):
+            joint = rng.dirichlet(np.ones(8)).reshape(2, 4)
+            joint[rng.integers(0, 2), rng.integers(0, 4)] = 0.0
+            joint[:, rng.integers(0, 4)] = 0.0
+            rho = CqDistribution.classical({(c, z): joint[c, z] for c in range(2) for z in range(4)})
+            values = {(c, z): float(rng.uniform(0.0, 2.0)) for c in range(2) for z in range(4)}
+            cases.append((TrialFunction(values, 0.4, role="qef"), rho))
+        for _ in range(5):
+            f = rng.uniform(0.2, 1.0, size=(2, 2, 2))
+            cases.append(chained_case(f, 0.3, rng.standard_normal((2, 20, 2, 2))))
+        for F, rho in cases:
+            got = qef_inequality_check(F, rho, kind=kind)
+            assert abs(got - per_block_slack(F, rho, kind)) <= 1e-13
+
+    def test_cell_outside_factor_domain_named(self):
+        F = constant_one(1, 1, 0.2)
+        rho = CqDistribution.classical({(c, z): 0.125 for c in range(4) for z in range(2)})
+        with pytest.raises(ValueError, match=r"cell \(2, 0\) of the state is outside"):
+            qef_inequality_check(F, rho)
+
+    def test_petz_above_order_two_rejected(self, canonical_sampler):
+        rho = canonical_sampler(np.random.default_rng(39))
+        with pytest.raises(ValueError, match="alpha <= 2"):
+            qef_inequality_check(constant_one(2, 2, 1.5), rho, kind="petz")
+
 
 class TestChain:
     def test_all_ones_accumulate_zero(self):
@@ -215,48 +300,24 @@ class TestChain:
         with pytest.raises(ValueError, match="pairs"):
             chain(F, [(0, 0, 0)])
 
-    def test_two_trial_chained_inequality(self):
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        f=arrays(np.float64, (2, 2, 2), elements=st.floats(0.0, 1.0)),
+        beta=st.floats(0.01, 1.0),
+        kind=st.sampled_from(["sandwiched", "petz"]),
+        entries=arrays(np.float64, (2, 20, 2, 2), elements=st.floats(-1.0, 1.0)),
+    )
+    def test_two_trial_chained_inequality(self, f, beta, kind, entries):
         """Products of per-trial factors stay factors on composed states.
 
         Trial-2 model states depend on the trial-1 outcome and input; the
         composed quantum memory is the tensor product (dimension 4).  Any
-        pointwise-below-one function is a factor, so random such pairs give
-        chained factors whose composed slack must stay nonnegative.
+        pointwise-below-one function is a factor of either kind at
+        ``beta <= 1``, so drawn such pairs give chained factors whose
+        composed slack must stay nonnegative.
         """
-        rng = np.random.default_rng(36)
-        beta = 0.3
-        for _ in range(20):
-            f1 = {
-                (c, z): float(rng.uniform(0.2, 1.0)) for c in (0, 1) for z in (0, 1)
-            }
-            f2 = {
-                (c, z): float(rng.uniform(0.2, 1.0)) for c in (0, 1) for z in (0, 1)
-            }
-            p1 = rng.dirichlet(np.ones(2), size=2)  # p1[z1][c1]
-            blocks = {}
-            for c1 in (0, 1):
-                for z1 in (0, 1):
-                    rho1 = 0.5 * p1[z1][c1] * random_density(rng, 2)
-                    p2 = rng.dirichlet(np.ones(2), size=2)
-                    for c2 in (0, 1):
-                        for z2 in (0, 1):
-                            rho2 = 0.5 * p2[z2][c2] * random_density(rng, 2)
-                            blocks[(c1 + 2 * c2, z1 + 2 * z2)] = np.kron(rho1, rho2)
-            rho = CqDistribution(
-                {k: HermitianOperator(v) for k, v in blocks.items()}
-            )
-            G = TrialFunction(
-                {
-                    (c1 + 2 * c2, z1 + 2 * z2): f1[(c1, z1)] * f2[(c2, z2)]
-                    for c1 in (0, 1)
-                    for z1 in (0, 1)
-                    for c2 in (0, 1)
-                    for z2 in (0, 1)
-                },
-                beta,
-                role="qef",
-            )
-            assert qef_inequality_check(G, rho) >= -1e-9
+        G, rho = chained_case(f, beta, entries)
+        assert qef_inequality_check(G, rho, kind=kind) >= -1e-9
 
 
 class TestPowerReduce:

@@ -173,3 +173,75 @@ class TestConditionalEntropy:
                             h -= p[c, z, e] * math.log(p[c, z, e] / pz)
             assert abs(conditional_entropy(rho) - h) <= 1e-9 * max(1.0, joint)
 
+
+
+class TestStacks:
+    """Stacks of operators: each matrix is checked and evaluated on its own."""
+
+    def test_stacked_renyi_matches_pairs(self):
+        """A broadcast stack equals a loop of single-pair calls, zero blocks included."""
+        rng = np.random.default_rng(16)
+        sigma = np.stack([random_density(rng, 3), random_density(rng, 3, rank=2)])
+        lam, vec = np.linalg.eigh(sigma)
+        # Square roots with the rank-2 kernel exactly zero: r X r stays in the support.
+        roots = (vec * np.where(lam > 1e-12, np.sqrt(np.abs(lam)), 0.0)[:, None]) @ vec.conj().swapaxes(1, 2)
+        rho = np.stack([[r @ random_density(rng, 3) @ r for _ in range(3)] for r in roots])
+        rho[0, 1] = 0.0
+        # Kernels and floors are relative to each matrix, not to the stack.
+        sigma[1] *= 1e-14
+        rho[1] *= 1e-14
+        for kind in ("sandwiched", "petz"):
+            for normalized in (False, True):
+                order = RenyiOrder(float(rng.uniform(1.05, 1.95)))
+                got = renyi_power(rho, sigma[:, None], order, kind=kind, normalized=normalized)
+                assert got.shape == (2, 3)
+                for i, j in np.ndindex(2, 3):
+                    ref = renyi_power(rho[i, j], sigma[i], order, kind=kind, normalized=normalized)
+                    assert abs(got[i, j] - ref) <= 1e-13 * ref
+                assert got[0, 1] == 0.0
+
+    def test_stack_errors_name_the_pair(self):
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        order = RenyiOrder(1.5)
+        with pytest.raises(ValueError, match=r"leaks outside support of sigma at stack index \(1,\)"):
+            renyi_power(np.stack([up, up]), np.stack([up, down]), order)
+        with pytest.raises(ValueError, match=r"leaks outside support of sigma at stack index \(1,\)"):
+            renyi_power(np.stack([up, up]), np.stack([np.eye(2), down]), order)
+        rho = np.stack([[up] * 3, [up, up, up + down]]) / 4.0
+        with pytest.raises(ValueError, match=r"leaks outside support of sigma at stack index \(1, 2\)"):
+            renyi_power(rho, np.stack([up, up])[:, None], order, kind="petz")
+        with pytest.raises(ValueError, match=r"sigma = 0 with rho != 0 at stack index \(1,\)"):
+            renyi_power(np.stack([up, up]), np.stack([np.eye(2), np.zeros((2, 2))]), order)
+        got = renyi_power(np.stack([up, np.zeros((2, 2))]), np.stack([up, np.zeros((2, 2))]), order)
+        assert got.tolist() == [1.0, 0.0]
+
+    def test_hermiticity_is_per_matrix(self):
+        skewed = np.array([[1e-6, 1e-15], [0.0, 1e-6]])
+        with pytest.raises(ValueError, match=r"matrix at stack index \(1,\) is not Hermitian"):
+            HermitianOperator(np.stack([np.eye(2), skewed]))
+
+    def test_psd_floor_is_per_matrix(self):
+        """A small matrix's negative eigenvalue is judged against its own norm."""
+        small = np.diag([1e-6, -1e-12])
+        ops = HermitianOperator(np.stack([np.diag([1.0, 0.0]), small]))
+        assert ops.is_psd().tolist() == [True, False]
+        with pytest.raises(ValueError, match=r"at stack index \(1,\) is not positive semidefinite"):
+            ops.psd_eigenvalues()
+        with pytest.raises(ValueError, match=r"block \(1, 0\) is not positive semidefinite"):
+            CqDistribution({(0, 0): np.diag([1.0, 0.0]), (1, 0): small})
+        # Roundoff below the block's own floor is clipped, not rejected.
+        rho = CqDistribution({(0, 0): np.diag([1.0, 0.0]), (1, 0): np.diag([1e-6, -1e-17])})
+        assert rho.block(1, 0).psd_eigenvalues().tolist() == [1e-6, 0.0]
+
+    def test_blocks_share_the_stacked_spectrum(self):
+        rng = np.random.default_rng(17)
+        blocks = {(c, z): random_density(rng, 3) / 4.0 for c in range(2) for z in range(2)}
+        rho = CqDistribution(blocks)
+        assert rho.blocks.matrix.shape == (2, 2, 3, 3)
+        assert rho.marginals.matrix.shape == (2, 1, 3, 3)
+        assert list(rho.keys()) == list(blocks)
+        for (c, z), block in blocks.items():
+            op = rho.block(c, z)
+            assert np.array_equal(op.matrix, HermitianOperator(block).matrix)
+            assert np.allclose(op.eigenvalues, HermitianOperator(block).eigenvalues, atol=1e-15)
+            assert np.allclose(rho.marginal(z).matrix, blocks[(0, z)] + blocks[(1, z)], atol=1e-15)
