@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from scipy.optimize import brentq
-
 from .estimators import _second_order_sum
 
 _LOG2 = math.log(2.0)
@@ -175,18 +173,24 @@ def r_max_eat(h_nats: float, n_outcomes: int, k_inf: float) -> float:
 
 
 def r_max_qef(h_nats: float, n_outcomes: int, k_inf: float) -> float:
-    """Largest ``L/n`` with a nonnegative factor-based bound at rate ``h_nats``."""
+    """Largest ``L/n`` with a nonnegative factor-based bound at rate ``h_nats``.
+
+    The ratio at which :func:`qef_penalty` reaches ``h_nats``.  The penalty
+    rises from 0 to infinity over ``(0, c(0)/2)``, so the root exists; its
+    log is bisected there, and 64 halvings find it to float resolution at
+    any scale.
+    """
     if h_nats <= 0.0:
         raise ValueError("rate must be positive")
-    c0 = c_tilde(0.0, n_outcomes, k_inf)
-    hi = c0 / 2.0 * (1.0 - 1e-12)
-    lo = 1e-300
-
-    def gap(r: float) -> float:
-        return qef_penalty(r, n_outcomes, k_inf) - h_nats
-
-    # The penalty runs from 0 to infinity over (0, c0/2), so a root exists.
-    return float(brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    lo = math.log(1e-300)
+    hi = math.log(c_tilde(0.0, n_outcomes, k_inf) / 2.0 * (1.0 - 1e-12))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if qef_penalty(math.exp(mid), n_outcomes, k_inf) < h_nats:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
 
 
 # Rate grid of the comparison curves: from 0.01 nats in steps of 0.05.
@@ -250,10 +254,11 @@ def min_trials_row(
     whose count is within a relative ``_TOL / (beta rate)`` of the fewest is
     tied, as when the rate is exactly inverse in the power.  The rule holds
     only where the optimizer raised no gap ``RuntimeWarning``: a warned gap
-    exceeds ``_TOL``, and the choice among the powers is then not certified.  The tie goes to the smallest reference count, so
-    the comparison is made against the stronger reference.  The reference
-    count reuses each power's optimal factor's estimator, whose range
-    ceiling is ``max |log2 F| / beta``.
+    exceeds ``_TOL``, and the choice among the powers is then not certified.
+    The tie goes to the smallest reference count, so the comparison is made
+    against the stronger reference.  The reference count reuses each
+    power's optimal factor's estimator, whose range ceiling is
+    ``max |log2 F| / beta``.
     """
     from .models import chsh_value
     from .pef_opt import _TOL, optimize_pef_polytope

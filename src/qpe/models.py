@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.optimize import minimize
 
 from .quantum_core import CqDistribution, HermitianOperator, TOL_NORM
 
@@ -447,6 +446,9 @@ def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
 
 
 def _p_family(eta: float) -> TrialDistribution:
+    # Imported here, so that only this family's search loads SciPy.
+    from scipy.optimize import minimize
+
     mu = np.full(4, 0.25)
 
     def negative_kl(v, e):

@@ -12,6 +12,8 @@ a branch-and-bound over measurement angles to certify a global supremum.
 The branch-and-bound splits regions in sweeps and solves each sweep's new
 vertices together: one lockstep ascent advances every block problem of one
 dimension, and :func:`inner_max_tau` is the same solver on a batch of one.
+A sweep's cells are arrays, bounded along each axis by one call of
+:func:`interval_bound`, whose interior maxima have a closed form.
 
 All logs are natural except the record sums of :func:`chain`, in bits.
 """
@@ -26,7 +28,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.optimize import brentq
 
 from .models import BellConfig, povm_vectors
 from .quantum_core import (
@@ -651,7 +652,7 @@ def inner_max_tau(
 # -- interval bound over one angle ------------------------------------------
 
 
-def interval_bound(f: float, f_prime: float, phi: float, order: RenyiOrder) -> float:
+def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: RenyiOrder):
     """Upper bound for the supremum over an angle interval of width ``phi``.
 
     Given sound values ``f`` and ``f_prime`` at the two endpoints, the
@@ -661,43 +662,39 @@ def interval_bound(f: float, f_prime: float, phi: float, order: RenyiOrder) -> f
 
     whose log is concave on ``(0, phi)``, capped by
     ``(phi / sin phi)^alpha max(f, f')``.  Requires ``phi in (0, pi/2]``.
+    With ``t = tan(x - phi/2)``, ``(log u)' = 0`` is the quadratic
+    ``beta a t^2 + b t - a = 0``, where ``a = cos(phi/2) (f' - f)`` and
+    ``b = (1 + beta) sin(phi/2) (f' + f)``, so the maximum has a closed form:
+    at the root ``2a / (b + sqrt(b^2 + 4 beta a^2))`` when that lies inside
+    the interval, else at the nearer endpoint.  (At the other root,
+    ``sin(phi-x) f + sin x f' < 0``.)  The arguments broadcast, and each
+    interval is bounded independently; a float is returned for scalar
+    arguments.
     """
-    if not (0.0 < phi <= math.pi / 2.0 + 1e-12):
+    # Flat arrays, so that scalars take NumPy's array loops, not its scalar
+    # ones, whose powers may round differently.
+    shape = np.broadcast_shapes(np.shape(f), np.shape(f_prime), np.shape(phi))
+    f, f_prime, phi = (np.broadcast_to(a, shape).ravel() for a in (f, f_prime, phi))
+    if not np.all((0.0 < phi) & (phi <= math.pi / 2.0 + 1e-12)):
         raise ValueError("interval width must lie in (0, pi/2]")
-    if f < 0.0 or f_prime < 0.0:
+    if np.any((f < 0.0) | (f_prime < 0.0)):
         raise ValueError("endpoint values must be nonnegative")
-    if f == 0.0 and f_prime == 0.0:
-        return 0.0
     alpha, beta = order.alpha, order.beta
-    cap = (phi / math.sin(phi)) ** alpha * max(f, f_prime)
-    sphi = math.sin(phi)
-
-    def u(x: float) -> float:
-        s0, s1 = math.sin(phi - x), math.sin(x)
-        return (s0 + s1) ** beta * (s0 * f + s1 * f_prime) / sphi**alpha
-
-    def du(x: float) -> float:
-        s0, s1 = math.sin(phi - x), math.sin(x)
-        c0, c1 = math.cos(phi - x), math.cos(x)
-        return beta * (c1 - c0) / (s1 + s0) + (c1 * f_prime - c0 * f) / (
-            s1 * f_prime + s0 * f
-        )
-
-    # Endpoint derivative signs decide whether the interior maximum exists;
-    # they are infinite (toward the interior) when an endpoint value is 0.
-    if f > 0.0 and du(0.0) <= 0.0:
-        return min(f, cap)
-    if f_prime > 0.0 and du(phi) >= 0.0:
-        return min(f_prime, cap)
-    lo = 0.0 if f > 0.0 else phi * 1e-12
-    hi = phi if f_prime > 0.0 else phi * (1.0 - 1e-12)
-    try:
-        root = brentq(du, lo, hi, xtol=1e-12 * phi, rtol=8.9e-16)
-    except ValueError:
-        # Root pushed onto an endpoint by roundoff; the cap is always sound.
-        return cap
-    bound = max(u(root), f, f_prime)
-    return min(bound, cap)
+    top = np.maximum(f, f_prime)
+    cap = (phi / np.sin(phi)) ** alpha * top
+    a = np.cos(phi / 2.0) * (f_prime - f)
+    b = (1.0 + beta) * np.sin(phi / 2.0) * (f_prime + f)
+    # Both values 0 make t = 0/0, and then the bound is f = 0.
+    with np.errstate(invalid="ignore"):
+        t = 2.0 * a / (b + np.hypot(b, 2.0 * math.sqrt(beta) * a))
+    x = phi / 2.0 + np.arctan(t)
+    s0, s1 = np.sin(phi - x), np.sin(x)
+    peak = (s0 + s1) ** beta * (s0 * f + s1 * f_prime) / np.sin(phi) ** alpha
+    bound = np.where(
+        np.abs(t) < np.tan(phi / 2.0), np.maximum(peak, top), np.where(t > 0.0, f_prime, f)
+    )
+    bound = np.minimum(bound, cap).reshape(shape)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 # -- certified supremum over configurations ----------------------------------
@@ -772,28 +769,6 @@ class CertificationResult:
         )
 
 
-def _bit_tuples(k: int) -> list[tuple[int, ...]]:
-    return [tuple((i >> j) & 1 for j in range(k)) for i in range(1 << k)]
-
-
-def _reduce_box(
-    corner_ubs: dict[tuple[int, ...], float],
-    widths: Sequence[float],
-    order: RenyiOrder,
-) -> float:
-    """Axis-by-axis interval bound over a k-dimensional angle box."""
-    vals = dict(corner_ubs)
-    for width in widths:
-        new = {}
-        rests = {bits[1:] for bits in vals}
-        for rest in rests:
-            new[rest] = interval_bound(
-                vals[(0,) + rest], vals[(1,) + rest], width, order
-            )
-        vals = new
-    return vals[()]
-
-
 def certify_fmax(
     F: TrialFunction,
     config: BellConfig,
@@ -806,8 +781,8 @@ def certify_fmax(
     """Certify the supremum of the inner maximum over all station angles.
 
     Branch-and-bound over the angle cube ``[0, pi]^k`` in sweeps, starting
-    from a uniform grid of ``4**k`` cells.  Every cell vertex is solved to
-    ``gap_target / 4`` (its certified upper bound is the sound vertex
+    from a uniform grid of ``4**k`` cubic cells.  Every cell vertex is solved
+    to ``gap_target / 4`` (its certified upper bound is the sound vertex
     value), and a cell is bounded axis-by-axis with :func:`interval_bound`,
     capped by its parent's bound.  Each sweep splits every cell whose bound
     exceeds the best witness by more than ``gap_target`` in half along every
@@ -815,8 +790,9 @@ def certify_fmax(
     ``gap_flag`` is set; the bounds stay sound either way).  The sweep's new
     vertices are then solved together: every block of one dimension, over
     all of them, advances in one lockstep ascent (:func:`_maximize_block`),
-    whose BFGS start ``seed`` seeds.  The search ends when no cell is left
-    to split.
+    whose BFGS start ``seed`` seeds.  A sweep's cells are held as arrays,
+    and each axis of all of them is cut by one :func:`interval_bound` call.
+    The search ends when no cell is left to split.
 
     The supremum runs over all densities, so the bracket also covers
     probability estimation factors: for a pure ``tau``,
@@ -831,73 +807,66 @@ def certify_fmax(
         raise ValueError("gap target must be positive")
     k = config.k
     order = RenyiOrder.from_beta(F.beta)
-    bits_list = _bit_tuples(k)
-    # Cell corners are dyadic fractions of pi, held as floats, in which
-    # halving and subtracting them is exact.
-    vertex_ub: dict[tuple[float, ...], float] = {}
+    # Row ``i`` holds the bits of ``i``, axis 0 lowest: a unit cube's corners.
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    # The cells to bound: lower corners, sides and their parents' bounds.
+    # Corners and sides are dyadic fractions of pi, held as floats, in which
+    # halving and adding them is exact.
+    lows = np.array(list(np.ndindex(*([4] * k)))) / 4.0
+    side = np.full(len(lows), 0.25)
+    cap = np.full(len(lows), math.inf)
+    # The solved vertices, sorted, and their certified bounds.
+    vertices, vertex_ub = np.empty((0, k)), np.empty(0)
     f_lower = -math.inf
     witness: tuple[tuple[float, ...], np.ndarray] | None = None
-
-    def corners(lows, highs) -> list[tuple[float, ...]]:
-        return [
-            tuple(highs[a] if bits[a] else lows[a] for a in range(k)) for bits in bits_list
-        ]
-
-    grid = [j / 4 for j in range(5)]
-    # Cells to bound, each ``(lows, highs, cap)``, and cells left to split.
-    pending = [
-        (tuple(grid[i] for i in idx), tuple(grid[i + 1] for i in idx), math.inf)
-        for idx in np.ndindex(*([4] * k))
-    ]
-    live: list[tuple[float, tuple, tuple]] = []
-    created = len(pending)
-    pruned_cap = -math.inf
+    created = len(lows)
+    unsplit_ub = -math.inf
     gap_flag = False
     kept: list[Region] = []
-    while pending:
-        keys = sorted(
-            {key for lows, highs, _ in pending for key in corners(lows, highs)}
-            .difference(vertex_ub)
+    while len(lows):
+        corners = (lows[:, None, :] + side[:, None, None] * bits).reshape(-1, k)
+        points, index = np.unique(
+            np.concatenate([vertices, corners]), axis=0, return_inverse=True
         )
-        thetas = np.array(keys) * math.pi
+        index = index.ravel()  # NumPy 2.0.0 returns it as a column.
+        new = np.ones(len(points), dtype=bool)
+        new[index[: len(vertices)]] = False
+        thetas = points[new] * math.pi
         value, tau, bound, _, _, _ = _solve_vertices(
             F, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
         )
-        vertex_ub.update(zip(keys, bound.tolist()))
         best = int(np.argmax(value))
         if value[best] > f_lower:
             f_lower, witness = float(value[best]), (tuple(thetas[best].tolist()), tau[best])
-        for lows, highs, cap in pending:
-            ubs = [vertex_ub[key] for key in corners(lows, highs)]
-            widths = [(highs[a] - lows[a]) * math.pi for a in range(k)]
-            ub = min(_reduce_box(dict(zip(bits_list, ubs)), widths, order), cap)
-            if keep_regions:
-                kept.append(Region(
-                    cuboid=tuple((lo * math.pi, hi * math.pi) for lo, hi in zip(lows, highs)),
-                    vertex_values=tuple(ubs),
-                    upper_bound=ub,
-                ))
-            live.append((ub, lows, highs))
-        pending, unsplit = [], []
-        live.sort(key=lambda cell: cell[0], reverse=True)
-        for ub, lows, highs in live:
-            if ub <= f_lower + gap_target:
-                pruned_cap = max(pruned_cap, ub)
-            elif created + (1 << k) > budget:
-                gap_flag = True
-                unsplit.append((ub, lows, highs))
-            else:
-                mids = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
-                for bits in bits_list:
-                    pending.append((
-                        tuple(mids[a] if bits[a] else lows[a] for a in range(k)),
-                        tuple(highs[a] if bits[a] else mids[a] for a in range(k)),
-                        ub,
-                    ))
-                created += 1 << k
-        live = unsplit
+        ub_at = np.empty(len(points))
+        ub_at[~new], ub_at[new] = vertex_ub, bound
+        ubs = ub_at[index[len(vertices):]].reshape(-1, 1 << k)
+        vertices, vertex_ub = points, ub_at
+        # Corner bounds as ``[bit k-1, ..., bit 0, cell]``: axis 0 is cut first.
+        box = ubs.T.reshape((2,) * k + (-1,))
+        for _ in range(k):
+            box = interval_bound(box[..., 0, :], box[..., 1, :], side * math.pi, order)
+        ub = np.minimum(box, cap)
+        if keep_regions:
+            cuboids = np.stack([lows, lows + side[:, None]], axis=-1) * math.pi
+            kept += [
+                Region(tuple(map(tuple, c)), tuple(u), b)
+                for c, u, b in zip(cuboids.tolist(), ubs.tolist(), ub.tolist())
+            ]
+        # Split the cells above the witness by more than the gap, highest
+        # bound first, while the budget lasts.
+        rank = np.argsort(-ub, kind="stable")
+        rank = rank[ub[rank] > f_lower + gap_target]
+        room = max(0, (budget - created) // (1 << k))
+        gap_flag = gap_flag or len(rank) > room
+        rank = rank[:room]
+        unsplit_ub = max(unsplit_ub, float(np.delete(ub, rank).max(initial=-math.inf)))
+        half = side[rank] / 2.0
+        lows = (lows[rank][:, None, :] + half[:, None, None] * bits).reshape(-1, k)
+        side, cap = np.repeat(half, 1 << k), np.repeat(ub[rank], 1 << k)
+        created += len(lows)
 
-    f_upper = max(f_lower, pruned_cap, *(ub for ub, _, _ in live)) + NUMERIC_SLACK
+    f_upper = max(f_lower, unsplit_ub) + NUMERIC_SLACK
     theta_star, tau_star = witness
     return CertificationResult(
         beta=F.beta,

@@ -6,6 +6,9 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -453,3 +456,11 @@ class TestExpand:
                  "--r-grid", "0.1:3", "-o", str(tmp_path / "x.csv")]
             )
         assert err.value.code == 2
+
+
+def test_import_leaves_scipy_out():
+    """Importing the CLI, and so every module it reaches, loads no SciPy."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, qpe.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

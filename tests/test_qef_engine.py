@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -59,7 +59,8 @@ def chained_case(f: np.ndarray, beta: float, entries: np.ndarray):
         values[key] = f[0, c1, z1] * f[1, c2, z2]
     total = sum(np.trace(b).real for b in blocks.values())
     if total > 0.0:
-        blocks = {k: b / total for k, b in blocks.items()}
+        # Complex division by a subnormal total overflows; the parts do not.
+        blocks = {k: b.real / total + 1j * (b.imag / total) for k, b in blocks.items()}
     return TrialFunction(values, beta, role="qef"), CqDistribution(blocks)
 
 
@@ -306,6 +307,13 @@ class TestChain:
         beta=st.floats(0.01, 1.0),
         kind=st.sampled_from(["sandwiched", "petz"]),
         entries=arrays(np.float64, (2, 20, 2, 2), elements=st.floats(-1.0, 1.0)),
+    )
+    # A composed trace of about 1.4e-309, a subnormal.
+    @example(
+        f=np.ones((2, 2, 2)),
+        beta=0.5,
+        kind="sandwiched",
+        entries=np.where(np.arange(160).reshape(2, 20, 2, 2) == 0, 1.0, 6.52451814e-156),
     )
     def test_two_trial_chained_inequality(self, f, beta, kind, entries):
         """Products of per-trial factors stay factors on composed states.
@@ -709,7 +717,78 @@ class TestInnerSolver:
             assert abs(bound[p] - one[2][0]) <= 1e-12
 
 
+def brentq_interval_bound(f: float, f_prime: float, phi: float, order: RenyiOrder) -> float:
+    """The scalar ``brentq`` interval bound that the closed form replaced."""
+    from scipy.optimize import brentq
+
+    if f == 0.0 and f_prime == 0.0:
+        return 0.0
+    alpha, beta = order.alpha, order.beta
+    cap = (phi / math.sin(phi)) ** alpha * max(f, f_prime)
+    sphi = math.sin(phi)
+
+    def u(x: float) -> float:
+        s0, s1 = math.sin(phi - x), math.sin(x)
+        return (s0 + s1) ** beta * (s0 * f + s1 * f_prime) / sphi**alpha
+
+    def du(x: float) -> float:
+        s0, s1 = math.sin(phi - x), math.sin(x)
+        c0, c1 = math.cos(phi - x), math.cos(x)
+        return beta * (c1 - c0) / (s1 + s0) + (c1 * f_prime - c0 * f) / (
+            s1 * f_prime + s0 * f
+        )
+
+    if f > 0.0 and du(0.0) <= 0.0:
+        return min(f, cap)
+    if f_prime > 0.0 and du(phi) >= 0.0:
+        return min(f_prime, cap)
+    lo = 0.0 if f > 0.0 else phi * 1e-12
+    hi = phi if f_prime > 0.0 else phi * (1.0 - 1e-12)
+    try:
+        root = brentq(du, lo, hi, xtol=1e-12 * phi, rtol=8.9e-16)
+    except ValueError:
+        return cap
+    return min(max(u(root), f, f_prime), cap)
+
+
+# Values are 0 or at least 1e-100, and widths at least 1e-12.  Below that, a
+# width times a value leaves the normal float range, and neither the grid of
+# the bound curve nor the ``brentq`` reference keeps its precision.  The
+# branch-and-bound's cells and vertex values stay far inside.
+endpoint_values = st.one_of(st.just(0.0), st.floats(1e-100, 100.0))
+
+
 class TestIntervalBound:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        f=arrays(np.float64, 6, elements=endpoint_values),
+        f_prime=arrays(np.float64, 6, elements=endpoint_values),
+        phi=arrays(np.float64, 6, elements=st.floats(1e-12, math.pi / 2.0)),
+        alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    )
+    def test_closed_form_bound_properties(self, f, f_prime, phi, alpha):
+        """One array call equals the scalar calls, lies between the larger
+        endpoint and the cap, dominates the bound curve on a grid, and is
+        never below the ``brentq`` bound by more than 1e-15 relative, nor
+        above it by more than 1e-12."""
+        order = RenyiOrder(alpha)
+        bound = interval_bound(f, f_prime, phi, order)
+        assert bound.shape == (6,)
+        xs = np.linspace(0.0, 1.0, 201)[1:-1]
+        for i in range(6):
+            fi, fpi, w = float(f[i]), float(f_prime[i]), float(phi[i])
+            one = interval_bound(fi, fpi, w, order)
+            assert isinstance(one, float) and one == bound[i]
+            # NumPy's power may round the cap one unit differently.
+            cap = (w / math.sin(w)) ** alpha * max(fi, fpi)
+            assert max(fi, fpi) <= one <= cap * (1.0 + 1e-15)
+            x = xs * w
+            s0, s1 = np.sin(w - x), np.sin(x)
+            u = (s0 + s1) ** order.beta * (s0 * fi + s1 * fpi) / math.sin(w) ** alpha
+            assert u.max() <= one * (1.0 + 1e-12)
+            ref = brentq_interval_bound(fi, fpi, w, order)
+            assert ref * (1.0 - 1e-15) <= one <= ref * (1.0 + 1e-12)
+
     def test_dominates_endpoints(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
@@ -784,6 +863,25 @@ class TestCertifyFmax:
             )
             inner = inner_max_tau(F, theta, tol=1e-6)
             assert region.upper_bound >= inner.value - 1e-9
+
+    def test_cells_match_the_per_cell_reduction(self, nu_e, config22):
+        """A cell's bound is at most the scalar axis-by-axis reduction of its
+        corner bounds, axis 0 first, and equals it in the first sweep, whose
+        cells have no parent's cap."""
+        F, _ = optimize_pef_polytope(nu_e, 0.2)
+        res = certify_fmax(F, config22, 1e-3, seed=0, keep_regions=True)
+        order = RenyiOrder.from_beta(F.beta)
+        for i, region in enumerate(res.regions):
+            # Corner j is high on axis a when bit a of j is set.
+            vals = list(region.vertex_values)
+            for lo, hi in region.cuboid:
+                vals = [
+                    interval_bound(v0, v1, hi - lo, order)
+                    for v0, v1 in zip(vals[0::2], vals[1::2])
+                ]
+            assert region.upper_bound <= vals[0] * (1.0 + 1e-12)
+            if i < 16:
+                assert abs(region.upper_bound - vals[0]) <= 1e-12 * vals[0]
 
     def test_witness_attains_f_lower(self, pef02, cert02):
         F, _ = pef02
