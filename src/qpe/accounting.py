@@ -16,6 +16,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+# Called as module attributes, so that wrappers installed on those modules
+# (perfbench's spans) see the family and optimizer calls made here.
+from . import models, pef_opt
 from .estimators import _second_order_sum
 
 _LOG2 = math.log(2.0)
@@ -260,13 +263,10 @@ def min_trials_row(
     power's optimal factor's estimator, whose range ceiling is
     ``max |log2 F| / beta``.
     """
-    from .models import chsh_value
-    from .pef_opt import _TOL, optimize_pef_polytope
-
-    i_hat = chsh_value(nu)
+    i_hat = models.chsh_value(nu)
     rows = []
     for beta in beta_grid:
-        F, rate = optimize_pef_polytope(nu, beta)
+        F, rate = pef_opt.optimize_pef_polytope(nu, beta)
         if rate <= 0.0:
             continue
         g_bits = rate * _LOG2_E
@@ -288,7 +288,7 @@ def min_trials_row(
     n_best = min(row.n_qef for row in rows)
     tied = [
         row for row in rows
-        if row.n_qef * (1.0 - _TOL / (row.beta * row.g_bits * _LOG2)) <= n_best
+        if row.n_qef * (1.0 - pef_opt._TOL / (row.beta * row.g_bits * _LOG2)) <= n_best
     ]
     return min(tied, key=lambda row: row.n_eat)
 
@@ -299,11 +299,9 @@ def min_trials_table(
     beta_grid: Sequence[float],
     budget: ErrorBudget,
 ) -> list[MinTrialsRow]:
-    from .models import family_distribution
-
     rows = []
     for param in params:
-        nu = family_distribution(family, param)
+        nu = models.family_distribution(family, param)
         try:
             rows.append(min_trials_row(nu, param, beta_grid, budget))
         except ValueError as exc:

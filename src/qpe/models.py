@@ -6,8 +6,10 @@ projector is ``v v^T`` for a real unit vector ``v``.  One table,
 :func:`_station_table`, holds those vectors; product vectors (station 0 the
 leftmost Kronecker factor), canonical blocks and the reference families'
 Born tables are built from it, with detector loss a binning of
-non-detections into outcome 1.  Outcome and input tuples pack into ints
-little-endian (bit ``i`` belongs to station ``i``).
+non-detections into outcome 1.  The detection-efficiency family starts at
+the binned Bell operator's optimum and is refined by a NumPy BFGS on the
+relative entropy to the local polytope.  Outcome and input tuples pack into
+ints little-endian (bit ``i`` belongs to station ``i``).
 """
 
 from __future__ import annotations
@@ -303,21 +305,11 @@ def chsh_value(nu: TrialDistribution) -> float:
 # -- reference families -----------------------------------------------------
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
 def _partially_entangled(theta: float) -> np.ndarray:
     psi = np.zeros(4)
     psi[0] = math.cos(theta)
     psi[3] = math.sin(theta)
     return np.outer(psi, psi)
-
-
-def _rotated(rho: np.ndarray, gamma_a: float, gamma_b: float) -> np.ndarray:
-    r = _kron2(_ry(gamma_a), _ry(gamma_b))
-    return r @ rho @ r.T
 
 
 def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistribution:
@@ -336,16 +328,15 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         ``param = p`` in ``[0, 1]``, at the ``theta = pi/4`` settings; its
         CHSH value is ``2 sqrt(2) p``.
         ``"P"``: detector-efficiency family with ``param = eta`` in
-        ``(2/3, 1]``; the state's Schmidt angle and the angles maximize the
-        relative entropy to the local polytope, with non-detections binned
-        into outcome 1.  Nelder-Mead follows the maximizer by continuation
-        from the CHSH-optimal point at ``eta = 1`` down in steps of 0.05,
-        with no restarts: on 13 efficiencies in [0.68, 1] two fixed and two
-        random restarts never beat the continuation by more than 1e-16.
-        At ``eta <= 0.70`` the continuation loses the nonlocal branch and
-        returns a local table (CHSH value below 2, zero relative entropy),
-        although Eberhard's settings violate the local bound for every
-        ``eta > 2/3``; ``qpe mintrials`` skips such points with a warning.
+        ``(2/3, 1]``: the state ``cos(t)|00> + sin(t)|11>`` and four angles
+        maximize the relative entropy to the local polytope, non-detections
+        binned into outcome 1.  The seed is the Bell operator's optimum: with
+        binned observables ``eta (cos(phi) Z + sin(phi) X) - (1 - eta) I``
+        and setting 0 at ``phi = 0``, the top eigenvector of ``sum s_xy A_x
+        kron B_y`` over a 25 x 25 grid of setting-1 angles and the four CHSH
+        sign patterns; its Schmidt decomposition gives ``t`` and one
+        rotation ``Ry(g)`` per station, a shift of that station's angles by
+        ``-g``.  BFGS on the exact gradient of the strength refines all five.
     seed : int
         Ignored; no family depends on it.
     """
@@ -394,21 +385,18 @@ _LD_STACK = np.stack(_local_deterministic_tables())  # (16, 4, 4)
 _LD_STACK.flags.writeable = False
 
 
-def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
-    """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
+def _local_projection(cond: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The local table ``lam*[c, z]`` closest to ``cond[c, z]`` in relative entropy.
 
-    This is the statistical strength of van Dam, Gill and Gruenwald (IEEE
-    Trans. Inf. Theory 51, 2812 (2005)).  The minimization over mixtures
-    ``w`` of deterministic tables uses multiplicative (expectation-
-    maximization) updates ``w_i <- w_i g_i`` with ``g_i = sum_p nu_p t_i(p) /
-    lam(p)``, accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 35,
-    335 (2008)): two EM steps ``w -> w1 -> w2`` give ``r = w1 - w`` and
-    ``v = w2 - 2 w1 + w``, and the cycle moves to ``w - 2 a r + a**2 v`` with
-    ``a = min(-|r|/|v|, -1)``, halving ``a`` toward ``-1`` (which is ``w2``)
-    while any weight would be nonpositive.  ``log max_i g_i`` bounds the
-    remaining gap of the iterate it is evaluated at, and the loop returns
-    only an iterate whose gap is below 1e-12, so the value exceeds the
-    minimum by less than that.  It is never negative.
+    The minimization over mixtures ``w`` of deterministic tables uses
+    multiplicative (expectation-maximization) updates ``w_i <- w_i g_i`` with
+    ``g_i = sum_p nu_p t_i(p) / lam(p)``, accelerated by SQUAREM (Varadhan
+    and Roland, Scand. J. Stat. 35, 335 (2008)): two EM steps ``w -> w1 ->
+    w2`` give ``r = w1 - w`` and ``v = w2 - 2 w1 + w``, and the cycle moves to
+    ``w - 2 a r + a**2 v`` with ``a = min(-|r|/|v|, -1)``, halving ``a``
+    toward ``-1`` (which is ``w2``) while any weight would be nonpositive.
+    ``log max_i g_i`` bounds the remaining gap of the iterate it is evaluated
+    at, and the loop returns only an iterate whose gap is below 1e-12.
     """
     mask = cond > 0.0
     w_cz = (mu[None, :] * cond)[mask]
@@ -440,44 +428,107 @@ def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
         else:
             x = w2
         w = x / x.sum()
-    lam = np.maximum(w @ vals, 1e-300)
+    return np.maximum(np.tensordot(w, _LD_STACK, axes=1), 1e-300)
+
+
+def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
+    """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
+
+    This is the statistical strength of van Dam, Gill and Gruenwald (IEEE
+    Trans. Inf. Theory 51, 2812 (2005)), taken at :func:`_local_projection`'s
+    table, so it exceeds the minimum by less than 1e-12.  It is never negative.
+    """
+    mask = cond > 0.0
+    lam = _local_projection(cond, mu)[mask]
     # Rounding can leave a local table a few 1e-17 below zero.
+    w_cz = (mu[None, :] * cond)[mask]
     return max(0.0, float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam)))))
 
 
+def _p_seed(eta: float) -> np.ndarray:
+    """``(t, a0, a1, b0, b1)`` at the binned Bell operator's optimum on a grid."""
+    grid = np.linspace(0.0, math.pi, 25)
+    pauli_z, pauli_x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    obs = eta * (np.cos(grid)[:, None, None] * pauli_z
+                 + np.sin(grid)[:, None, None] * pauli_x) - (1.0 - eta) * np.eye(2)
+    obs = np.stack([np.broadcast_to(obs[0], obs.shape), obs])  # [x, angle]
+    pairs = np.einsum("xiac,yjbd->xyijabcd", obs, obs).reshape(2, 2, 25, 25, 4, 4)
+    signs = 1.0 - 2.0 * np.eye(4).reshape(4, 2, 2)  # one minus sign per pattern
+    lam, vec = np.linalg.eigh(np.einsum("sxy,xyij...->sij...", signs, pairs))
+    s, i, j = np.unravel_index(np.argmax(lam[..., -1]), lam.shape[:-1])
+    u, schmidt, wt = np.linalg.svd(vec[s, i, j, :, -1].reshape(2, 2))
+    # A reflection in u or w moves into the sign of the second Schmidt weight;
+    # the first columns then give the stations' rotations Ry(ga), Ry(gb).
+    t = math.atan2(np.linalg.det(u) * np.linalg.det(wt) * schmidt[1], schmidt[0])
+    ga, gb = 2.0 * math.atan2(u[1, 0], u[0, 0]), 2.0 * math.atan2(wt[0, 1], wt[0, 0])
+    return np.array([t, -ga, grid[i] - ga, -gb, grid[j] - gb])
+
+
+def _p_strength(v: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
+    """Strength of the P table at ``v = (t, a0, a1, b0, b1)``, and its gradient.
+
+    The table is :func:`_quantum_cond_table`'s for ``cos(t)|00> + sin(t)|11>``
+    at angles ``(a0, a1)`` and ``(b0, b1)``.  By the envelope theorem the
+    strength's derivative in ``cond`` is ``mu (log(cond / lam*) + 1)`` at the
+    closest local table ``lam*``.  A Born probability is an amplitude squared;
+    the amplitude's derivative in ``t`` is the amplitude at ``t + pi/2``, and
+    in a station angle half the amplitude at that angle ``+ pi``.
+    """
+    # Rows: v, then t + pi/2, then station 0's angles + pi, then station 1's.
+    pts = v + np.array([[0.0] * 5, [math.pi / 2.0, 0, 0, 0, 0],
+                        [0, math.pi, math.pi, 0, 0], [0, 0, 0, math.pi, math.pi]])
+    coef = np.stack([np.cos(pts[:, 0]), np.sin(pts[:, 0])], -1)
+    ta, tb = _station_table(pts[:, 1:3]), _station_table(pts[:, 3:])
+    amp = np.einsum("nk,nxak,nybk->nxyab", coef, ta, tb)
+    m = np.array([[eta, 0.0], [1.0 - eta, 1.0]])
+    loss = _kron2(m, m)
+    # As in _quantum_cond_table: ideal[a + 2 b, x + 2 y] = amp[0, x, y, a, b]**2.
+    cond = np.maximum(loss @ (amp[0] ** 2).transpose(3, 2, 1, 0).reshape(4, 4), 0.0)
+    mask = cond > 0.0
+    lam = _local_projection(cond, np.full(4, 0.25))
+    log_ratio = np.log(np.where(mask, cond, 1.0) / lam)
+    d_cond = np.where(mask, 0.25 * (log_ratio + 1.0), 0.0)
+    d_amp = amp[0] * (loss.T @ d_cond).reshape(2, 2, 2, 2).transpose(3, 2, 1, 0)
+    grad = [2.0 * np.sum(d_amp * amp[1]), *(d_amp * amp[2]).sum(axis=(1, 2, 3)),
+            *(d_amp * amp[3]).sum(axis=(0, 2, 3))]
+    return float(np.sum(0.25 * cond * log_ratio)), np.array(grad)
+
+
+def _bfgs_max(fun, x: np.ndarray) -> np.ndarray:
+    """Maximize ``fun(x) -> (value, gradient)`` by BFGS with Armijo backtracking,
+    until an accepted step gains at most 1e-13 of the value or none is found."""
+    f, g = fun(x)
+    h = np.eye(x.size)
+    for it in range(200):
+        d = h @ g
+        for step in 0.5 ** np.arange(50):
+            f1, g1 = fun(x + step * d)
+            if f1 >= f + 1e-4 * step * (g @ d):
+                break
+        else:
+            return x
+        s, y = step * d, g - g1
+        x, gain, f, g = x + s, f1 - f, f1, g1
+        if gain <= 1e-13 * abs(f):
+            return x
+        sy = float(s @ y)
+        if sy > 0.0:
+            if it == 0:
+                h *= sy / float(y @ y)
+            r = np.eye(x.size) - np.outer(s, y) / sy
+            h = r @ h @ r.T + np.outer(s, s) / sy
+    return x
+
+
 def _p_family(eta: float) -> TrialDistribution:
-    # Imported here, so that only this family's search loads SciPy.
-    from scipy.optimize import minimize
-
-    mu = np.full(4, 0.25)
-
-    def negative_kl(v, e):
-        t, pa, pb, ga, gb = v
-        rho = _rotated(_partially_entangled(t), ga, gb)
-        return -_kl_to_local(_quantum_cond_table(rho, (0.0, pa), (0.0, pb), e), mu)
-
-    # Continuation in the efficiency: at eta = 1 the strength maximizer is the
-    # CHSH-optimal configuration, and the divergence landscape at low eta is
-    # dominated by a flat zero-divergence basin that traps cold starts.
-    rungs = [1.0]
-    while rungs[-1] - 0.05 > eta + 1e-12:
-        rungs.append(rungs[-1] - 0.05)
-    if abs(rungs[-1] - eta) > 1e-12:
-        rungs.append(eta)
-    opts = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1500, "maxfev": 3000}
-    x = np.array([math.pi / 4.0, math.pi / 2.0, -math.pi / 2.0, 0.0, -math.pi / 4.0])
-    for e in rungs:
-        x = minimize(negative_kl, x, args=(e,), method="Nelder-Mead", options=opts).x
-    t, pa, pb, ga, gb = x
-    rho = _rotated(_partially_entangled(t), ga, gb)
+    t, a0, a1, b0, b1 = _bfgs_max(lambda v: _p_strength(v, eta), _p_seed(eta))
+    rho = _partially_entangled(t)
     # The divergence is blind to which input is labeled 0, so the optimizer may
     # return any of four equally strong setting relabelings; keep the one that
     # puts the violation on the standard CHSH orientation.
     candidates = [
-        distribution_from_quantum(
-            rho, aa, bb, eta, provenance=f"P eta={eta:.12g}"
-        )
-        for aa in ((0.0, pa), (pa, 0.0))
-        for bb in ((0.0, pb), (pb, 0.0))
+        distribution_from_quantum(rho, aa, bb, eta, provenance=f"P eta={eta:.12g}")
+        for aa in ((a0, a1), (a1, a0))
+        for bb in ((b0, b1), (b1, b0))
     ]
     return max(candidates, key=chsh_value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import functools
 import json
@@ -458,9 +459,25 @@ class TestExpand:
         assert err.value.code == 2
 
 
-def test_import_leaves_scipy_out():
-    """Importing the CLI, and so every module it reaches, loads no SciPy."""
+def test_import_leaves_scipy_out(tmp_path):
+    """Importing the CLI, and so every module it reaches, loads no SciPy; no
+    module of ``qpe`` imports it; and the P-family trial counts run in an
+    interpreter where any SciPy import raises."""
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import sys, qpe.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    argv = ["mintrials", "--family", "P", "--params", "0.68:0.98:3",
+            "--beta-grid", "0.05,0.2", "-o", str(tmp_path / "p.csv")]
+    code = ("import sys; sys.modules['scipy'] = None; import qpe.cli; "
+            f"sys.exit(qpe.cli.main({argv!r}))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    for path in sorted((src / "qpe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), path.name

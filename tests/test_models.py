@@ -19,9 +19,10 @@ from qpe.models import (
     family_distribution,
     povm_vectors,
     _kl_to_local,
+    _p_seed,
+    _p_strength,
     _partially_entangled,
     _quantum_cond_table,
-    _rotated,
 )
 from qpe.quantum_core import HermitianOperator
 
@@ -405,9 +406,10 @@ class TestKlToLocal:
         for _ in range(6):
             t, ga, gb = rng.uniform(0.0, math.pi / 4.0), *rng.uniform(-0.8, 0.8, 2)
             pa, pb = rng.uniform(-1.5, 1.5, 2)
-            rho = _rotated(_partially_entangled(t), ga, gb)
+            # Ry(ga) kron Ry(gb) on the state, folded into the angles.
             tables.append(_quantum_cond_table(
-                rho, (0.0, pa), (0.0, pb), rng.uniform(0.7, 1.0)))
+                _partially_entangled(t), (-ga, pa - ga), (-gb, pb - gb),
+                rng.uniform(0.7, 1.0)))
         for cond in tables:
             ref = _plain_em_kl(cond, 1e-14)
             # The reference itself lies up to its own gap above the minimum.
@@ -415,19 +417,48 @@ class TestKlToLocal:
 
 
 class TestDetectionFamily:
-    """P tables pinned to the values of the multistart search this
-    continuation replaced: CHSH and relative entropy to the local polytope
-    (nats, evaluated by plain EM to a gap of 1e-15)."""
+    """P tables pinned to earlier searches: CHSH and relative entropy to the
+    local polytope (nats, evaluated by plain EM to a gap of 1e-15).  The
+    pins at 0.82, 0.9 and 0.98 come from a multistart search, the others
+    from the Nelder-Mead continuation from eta = 1 that the Bell-operator
+    seed replaced."""
 
     @pytest.mark.parametrize("eta, chsh, strength", [
+        (0.72, 2.005966946, 2.687113698258251e-05),
+        (0.75, 2.021031745, 1.523936631295887e-04),
+        (0.8, 2.075835133, 9.258358635685147e-04),
         (0.82, 2.109802240, 1.575114051391313e-03),
+        (0.85, 2.174816118, 3.098409013003363e-03),
         (0.9, 2.323625501, 7.712057099292085e-03),
+        (0.95, 2.532960308, 1.624537522149258e-02),
         (0.98, 2.700511067, 2.435569075061780e-02),
+        (1.0, 2.828427125, 3.207458648004852e-02),
     ])
     def test_pinned_points(self, eta, chsh, strength):
         nu = family_distribution("P", eta)
         assert abs(chsh_value(nu) - chsh) <= 1e-6
         assert _plain_em_kl(_cond_table(nu), 1e-15) >= strength - 1e-12
+
+    @pytest.mark.parametrize("eta", [0.68, 0.7])
+    def test_nonlocal_near_eberhard_bound(self, eta):
+        """Eberhard's bound leaves nonlocal tables at every eta > 2/3."""
+        nu = family_distribution("P", eta)
+        assert chsh_value(nu) > 2.0
+        assert _plain_em_kl(_cond_table(nu), 1e-15) > 0.0
+
+    def test_strength_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(41)
+        h = 1e-5
+        for eta in (0.95, 1.0):
+            for _ in range(3):
+                v = _p_seed(eta) + rng.normal(0.0, 0.2, 5)
+                value, grad = _p_strength(v, eta)
+                assert value > 1e-3
+                fd = np.array([
+                    _p_strength(v + h * e, eta)[0] - _p_strength(v - h * e, eta)[0]
+                    for e in np.eye(5)
+                ]) / (2.0 * h)
+                assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
     def test_full_efficiency_is_maximal_violation(self, nu_e):
         nu = family_distribution("P", 1.0)
