@@ -4,19 +4,21 @@ Stations are binary-input binary-outcome.  Input 0 always measures along z;
 input 1 measures in the xz-plane at a station angle ``phi``, so every
 projector is ``v v^T`` for a real unit vector ``v``.  One table,
 :func:`_station_table`, holds those vectors; product vectors (station 0 the
-leftmost Kronecker factor), canonical blocks and the reference families'
-Born tables are built from it, with detector loss a binning of
-non-detections into outcome 1.  The detection-efficiency family starts at
-the binned Bell operator's optimum and is refined by a NumPy BFGS on the
-relative entropy to the local polytope.  Outcome and input tuples pack into
-ints little-endian (bit ``i`` belongs to station ``i``).
+leftmost Kronecker factor), canonical blocks, the reference families' Born
+tables and the detection-efficiency seed's observables are built from it,
+with detector loss a binning of non-detections into outcome 1.  The
+detection-efficiency family starts at the binned Bell operator's optimum
+and is refined by a NumPy BFGS on the relative entropy to the local
+polytope.  Outcome and input tuples pack into ints little-endian (bit ``i``
+belongs to station ``i``).  A trial distribution is read through its
+``[c, z]`` arrays; its ``(c, z)`` dict is only for JSON and outside input.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -146,22 +148,26 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
 class TrialDistribution:
     """Joint distribution of packed outcomes and inputs for one trial.
 
-    ``probs[(c, z)]`` is the joint probability.  For two stations the
-    conditional tables are checked for non-signaling.
+    ``probs[(c, z)]`` is the joint probability, held as the validated dict in
+    its given order.  Construction also builds three read-only arrays:
+    ``joint[c, z]``, the same table; ``mu[z]``, the input marginal; and
+    ``cond[c, z]``, the conditional table, 0 on an unused input.  For two
+    stations the conditional tables are checked for non-signaling.
     """
 
     c_bits: int
     z_bits: int
     probs: Mapping[tuple[int, int], float]
-    provenance: str = ""
+    joint: np.ndarray = field(init=False, repr=False)
+    mu: np.ndarray = field(init=False, repr=False)
+    cond: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.c_bits < 1 or self.z_bits < 1:
             raise ValueError("bit widths must be positive")
         nc, nz = 1 << self.c_bits, 1 << self.z_bits
         table = dict(self.probs)
-        expected = {(c, z) for c in range(nc) for z in range(nz)}
-        if set(table) != expected:
+        if set(table) != set(np.ndindex(nc, nz)):
             raise ValueError("probability table must cover the full (c, z) grid")
         for key, p in table.items():
             if p < -TOL_PROB:
@@ -171,44 +177,26 @@ class TrialDistribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total:.12g}, not 1")
         object.__setattr__(self, "probs", table)
-        object.__setattr__(self, "_mu", tuple(
-            sum(table[(c, z)] for c in range(nc)) for z in range(nz)
-        ))
+        joint = np.array([[table[(c, z)] for z in range(nz)] for c in range(nc)])
+        mu = joint.sum(axis=0)
+        cond = np.divide(joint, mu, out=np.zeros_like(joint), where=mu > 0.0)
+        for name, value in (("joint", joint), ("mu", mu), ("cond", cond)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.c_bits == 2 and self.z_bits == 2:
             self._check_nosignaling()
 
     def _check_nosignaling(self) -> None:
         # Each station's conditional marginal must not depend on the other
-        # station's setting.
-        for z in range(4):
-            if self.mu_z(z) <= 0.0:
-                raise ValueError("two-station tables require all inputs used")
-        for a in (0, 1):
-            for x in (0, 1):
-                vals = {
-                    y: sum(self.cond(a + 2 * b, x + 2 * y) for b in (0, 1))
-                    for y in (0, 1)
-                }
-                if abs(vals[0] - vals[1]) > TOL_NOSIG:
-                    raise ValueError("station-0 marginal signals station 1")
-        for b in (0, 1):
-            for y in (0, 1):
-                vals = {
-                    x: sum(self.cond(a + 2 * b, x + 2 * y) for a in (0, 1))
-                    for x in (0, 1)
-                }
-                if abs(vals[0] - vals[1]) > TOL_NOSIG:
-                    raise ValueError("station-1 marginal signals station 0")
-
-    def mu_z(self, z: int) -> float:
-        return self._mu[z]
-
-    def cond(self, c: int, z: int) -> float:
-        mu = self.mu_z(z)
-        return self.probs[(c, z)] / mu if mu > 0.0 else 0.0
-
-    def input_marginal(self) -> dict[int, float]:
-        return {z: self.mu_z(z) for z in range(1 << self.z_bits)}
+        # station's setting: t[b, a, y, x] = cond[a + 2 b, x + 2 y].
+        if (self.mu <= 0.0).any():
+            raise ValueError("two-station tables require all inputs used")
+        t = self.cond.reshape(2, 2, 2, 2)
+        station0, station1 = t.sum(axis=0), t.sum(axis=1)
+        if (np.abs(station0[:, 0] - station0[:, 1]) > TOL_NOSIG).any():
+            raise ValueError("station-0 marginal signals station 1")
+        if (np.abs(station1[..., 0] - station1[..., 1]) > TOL_NOSIG).any():
+            raise ValueError("station-1 marginal signals station 0")
 
     def to_json(self) -> str:
         items = sorted(self.probs.items())
@@ -260,7 +248,6 @@ def distribution_from_quantum(
     angles_a: tuple[float, float],
     angles_b: tuple[float, float],
     efficiency: float = 1.0,
-    provenance: str = "",
 ) -> TrialDistribution:
     """Two-station trial distribution of a two-qubit state, uniform inputs.
 
@@ -275,7 +262,7 @@ def distribution_from_quantum(
         raise ValueError("efficiency must lie in (0, 1]")
     cond = _quantum_cond_table(rho, angles_a, angles_b, eta)
     probs = {(c, z): 0.25 * float(cond[c, z]) for c in range(4) for z in range(4)}
-    return TrialDistribution(2, 2, probs, provenance=provenance)
+    return TrialDistribution(2, 2, probs)
 
 
 # ``(-1)**(a + b)`` of the packed two-station outcome ``c = a + 2 b``.
@@ -295,10 +282,9 @@ def chsh_value(nu: TrialDistribution) -> float:
     """
     if nu.c_bits != 2 or nu.z_bits != 2:
         raise ValueError("CHSH needs a two-station table")
-    for z in range(4):
-        if abs(nu.mu_z(z) - 0.25) > 1e-9:
-            raise ValueError("CHSH evaluation expects uniform inputs")
-    e = correlators(np.array([[nu.cond(c, z) for z in range(4)] for c in range(4)]))
+    if (np.abs(nu.mu - 0.25) > 1e-9).any():
+        raise ValueError("CHSH evaluation expects uniform inputs")
+    e = correlators(nu.cond)
     return float(e[0] + e[1] + e[2] - e[3])
 
 
@@ -345,14 +331,12 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         if not (0.0 <= theta <= math.pi / 4.0 + 1e-12):
             raise ValueError("E-family angle must lie in [0, pi/4]")
         rho = _partially_entangled(theta)
-        provenance = f"E theta={theta:.12g}"
     elif family == "W":
         p = float(param)
         if not (0.0 <= p <= 1.0):
             raise ValueError("W-family mixing weight must lie in [0, 1]")
         theta = math.pi / 4.0
         rho = p * _partially_entangled(theta) + (1.0 - p) * np.eye(4) / 4.0
-        provenance = f"W p={p:.12g}"
     elif family == "P":
         eta = float(param)
         if not (2.0 / 3.0 < eta <= 1.0):
@@ -361,27 +345,23 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
     else:
         raise ValueError(f"unknown family {family!r}")
     b = math.atan(math.sin(2.0 * theta))
-    return distribution_from_quantum(
-        rho, (0.0, math.pi / 2.0), (b, -b), provenance=provenance
-    )
+    return distribution_from_quantum(rho, (0.0, math.pi / 2.0), (b, -b))
 
 
-def _local_deterministic_tables() -> list[np.ndarray]:
-    """All 16 two-station deterministic conditional tables ``t[c, z]``."""
-    tables = []
-    strategies = [lambda x: 0, lambda x: 1, lambda x: x, lambda x: 1 - x]
-    for fa in strategies:
-        for fb in strategies:
-            t = np.zeros((4, 4))
-            for x in (0, 1):
-                for y in (0, 1):
-                    t[fa(x) + 2 * fb(y), x + 2 * y] = 1.0
-            tables.append(t)
-    return tables
+def _local_deterministic_tables() -> np.ndarray:
+    """All 16 two-station deterministic conditional tables ``t[c, z]``.
+
+    Table ``4 i + j`` answers ``a = f_i(x)`` and ``b = f_j(y)``, with the
+    strategies ``f(x) = 0, 1, x, 1 - x``.
+    """
+    f = np.array([[0, 0], [1, 1], [0, 1], [1, 0]])  # f[i, x]
+    n = np.arange(4)  # the packed values of both c and z
+    c = f[:, None, n & 1] + 2 * f[None, :, n >> 1]  # the answer c[i, j, z]
+    return np.ascontiguousarray(n[:, None] == c[:, :, None, :], float).reshape(16, 4, 4)
 
 
 # Shared by the local-polytope helpers here and by ``pef_opt``, so read-only.
-_LD_STACK = np.stack(_local_deterministic_tables())  # (16, 4, 4)
+_LD_STACK = _local_deterministic_tables()
 _LD_STACK.flags.writeable = False
 
 
@@ -448,9 +428,9 @@ def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
 def _p_seed(eta: float) -> np.ndarray:
     """``(t, a0, a1, b0, b1)`` at the binned Bell operator's optimum on a grid."""
     grid = np.linspace(0.0, math.pi, 25)
-    pauli_z, pauli_x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    obs = eta * (np.cos(grid)[:, None, None] * pauli_z
-                 + np.sin(grid)[:, None, None] * pauli_x) - (1.0 - eta) * np.eye(2)
+    # Binned, eta (cos Z + sin X) - (1 - eta) I is 2 eta v0 v0^T - I.
+    v0 = _station_table(grid)[:, 0]
+    obs = 2.0 * eta * v0[:, :, None] * v0[:, None, :] - np.eye(2)
     obs = np.stack([np.broadcast_to(obs[0], obs.shape), obs])  # [x, angle]
     pairs = np.einsum("xiac,yjbd->xyijabcd", obs, obs).reshape(2, 2, 25, 25, 4, 4)
     signs = 1.0 - 2.0 * np.eye(4).reshape(4, 2, 2)  # one minus sign per pattern
@@ -527,7 +507,7 @@ def _p_family(eta: float) -> TrialDistribution:
     # return any of four equally strong setting relabelings; keep the one that
     # puts the violation on the standard CHSH orientation.
     candidates = [
-        distribution_from_quantum(rho, aa, bb, eta, provenance=f"P eta={eta:.12g}")
+        distribution_from_quantum(rho, aa, bb, eta)
         for aa in ((a0, a1), (a1, a0))
         for bb in ((b0, b1), (b1, b0))
     ]

@@ -27,12 +27,9 @@ def local_deterministic_vertices() -> tuple[TrialDistribution, ...]:
     """The 16 local deterministic tables, uniform inputs."""
     return tuple(
         TrialDistribution(
-            2,
-            2,
-            {(c, z): 0.25 * float(t[c, z]) for z in range(4) for c in range(4)},
-            provenance=f"ld {i // 4}{i % 4}",
+            2, 2, {(c, z): 0.25 * float(t[c, z]) for z in range(4) for c in range(4)}
         )
-        for i, t in enumerate(_LD_STACK)
+        for t in _LD_STACK
     )
 
 
@@ -47,8 +44,8 @@ def _tsirelson_cuts() -> np.ndarray:
     the 8 local tables that reach 2 on it at the box weight ``sqrt(2) - 1``.
     With the local tables, the cuts are all the vertices of the no-signaling
     polytope restricted by the eight correlation bounds.  The mixtures are
-    taken of joint tables at uniform inputs and normalized over ``c``, as
-    :meth:`qpe.models.TrialDistribution.cond` does.
+    taken of joint tables at uniform inputs and normalized over ``c``, like
+    :attr:`qpe.models.TrialDistribution.cond`.
     """
     c, z, flags = np.arange(4)[:, None], np.arange(4), np.arange(8)[:, None, None]
     target = (z & (z >> 1)) ^ (flags & z & 1) ^ ((flags >> 1) & (z >> 1)) ^ (flags >> 2)
@@ -166,16 +163,11 @@ def optimize_pef_polytope(
         raise ValueError("the power must be positive")
     if tables is None:
         tables = MODEL_TABLES
-    if tables.shape[1:] != (1 << nu.c_bits, 1 << nu.z_bits):
+    if tables.shape[1:] != nu.joint.shape:
         raise ValueError(f"model tables of shape {tables.shape} do not fit the table")
-    keys = sorted(nu.probs)
-    nu_vec = np.array([nu.probs[k] for k in keys])
-    c, z = np.array(keys).T
-    mu = np.array([nu.mu_z(zk) for _, zk in keys])
-    a_full = mu * tables[:, c, z] ** (1.0 + beta)
-    mask = nu_vec > 0.0
-    a_m = a_full[:, mask]
-    nu_m = nu_vec[mask]
+    mask = nu.joint > 0.0
+    a_m = (nu.mu * tables ** (1.0 + beta))[:, mask]
+    nu_m = nu.joint[mask]
     if np.any(a_m.max(axis=0) <= 0.0):
         raise ValueError("an observed outcome is outside the model polytope")
 
@@ -190,7 +182,7 @@ def optimize_pef_polytope(
     log_opt = float(nu_m @ np.log(f_opt))
     log_one = float(nu_m @ np.log(f_one))
     f_m, log_f = (f_opt, log_opt) if log_opt - log_one > gap else (f_one, log_one)
-    values = dict.fromkeys(keys, 0.0)
-    for key, val in zip(np.array(keys)[mask], f_m):
-        values[tuple(key)] = float(val)
+    f = np.zeros(nu.joint.shape)
+    f[mask] = f_m
+    values = {(c, z): float(f[c, z]) for c, z in np.ndindex(f.shape)}
     return TrialFunction(values, beta, role="pef"), log_f / beta

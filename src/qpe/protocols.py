@@ -327,11 +327,9 @@ def sample_records(
 
     Returns an ``(n, 2)`` int64 array of ``(c, z)`` rows.
     """
-    keys = sorted(nu.probs)
-    probs = np.array([nu.probs[k] for k in keys])
-    probs = probs / probs.sum()
-    idx = rng.choice(len(keys), size=n, p=probs)
-    return np.array(keys, dtype=np.int64).reshape(-1, 2)[idx]
+    probs = nu.joint.ravel()
+    idx = rng.choice(probs.size, size=n, p=probs / probs.sum())
+    return np.stack(np.divmod(idx, nu.joint.shape[1]), axis=1)
 
 
 def _parse_lines(lines: list[str]) -> np.ndarray:

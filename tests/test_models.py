@@ -219,16 +219,20 @@ class TestTrialDistribution:
         for key, p in nu_e.probs.items():
             assert abs(back.probs[key] - p) <= 1e-15
 
-    def test_signaling_rejected(self):
-        # Station 0 outputs its own setting ONLY when station 1's setting is 1.
+    @pytest.mark.parametrize("station", [0, 1])
+    def test_signaling_rejected(self, station):
+        # One station outputs its own setting ONLY when the other's setting
+        # is 1; the other station's outcome is uniform.
         probs = {}
         for x in (0, 1):
             for y in (0, 1):
                 for a in (0, 1):
                     for b in (0, 1):
-                        pa = (a == (x if y == 1 else 0))
-                        probs[(a + 2 * b, x + 2 * y)] = 0.25 * pa * 0.5
-        with pytest.raises(ValueError):
+                        own, other, out = (x, y, a) if station == 0 else (y, x, b)
+                        hit = out == (own if other == 1 else 0)
+                        probs[(a + 2 * b, x + 2 * y)] = 0.25 * hit * 0.5
+        match = f"station-{station} marginal signals station {1 - station}"
+        with pytest.raises(ValueError, match=match):
             TrialDistribution(2, 2, probs)
 
     def test_negative_probability_rejected(self):
@@ -244,10 +248,24 @@ class TestTrialDistribution:
             TrialDistribution(2, 2, probs)
 
     def test_input_marginal(self, nu_e):
-        marg = nu_e.input_marginal()
-        assert abs(sum(marg.values()) - 1.0) <= 1e-12
-        for z in range(4):
-            assert abs(marg[z] - 0.25) <= 1e-9
+        assert abs(nu_e.mu.sum() - 1.0) <= 1e-12
+        assert np.abs(nu_e.mu - 0.25).max() <= 1e-9
+
+    def test_arrays_agree_with_probs_and_are_read_only(self, nu_e):
+        """``joint``, ``mu`` and ``cond`` agree with ``probs`` and cannot be
+        written."""
+        for key, p in nu_e.probs.items():
+            assert nu_e.joint[key] == p
+            assert nu_e.cond[key] == p / sum(nu_e.probs[(c, key[1])] for c in range(4))
+        assert np.array_equal(nu_e.mu, nu_e.joint.sum(axis=0))
+        for arr in (nu_e.joint, nu_e.mu, nu_e.cond):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_cond_is_zero_on_an_unused_input(self):
+        nu = TrialDistribution(1, 1, {(0, 0): 0.25, (1, 0): 0.75, (0, 1): 0.0, (1, 1): 0.0})
+        assert np.array_equal(nu.mu, [1.0, 0.0])
+        assert np.array_equal(nu.cond, [[0.25, 0.0], [0.75, 0.0]])
 
 
 class TestDistributionFromQuantum:
@@ -263,7 +281,7 @@ class TestDistributionFromQuantum:
         rho = np.zeros((4, 4))
         rho[0, 0] = 1.0
         nu = distribution_from_quantum(rho, (0.0, 1.0), (0.0, 1.0), efficiency=0.5)
-        p0 = sum(nu.cond(0 + 2 * b, 0) for b in (0, 1))
+        p0 = nu.cond[[0, 2], 0].sum()
         assert abs(p0 - 0.5) <= 1e-12
 
     def test_born_rule_on_mixed_states(self):
@@ -350,7 +368,6 @@ class TestFamilies:
     def test_detection_family_is_nonlocal(self):
         nu = family_distribution("P", 0.98)
         assert chsh_value(nu) > 2.0
-        assert "eta" in nu.provenance
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -361,10 +378,6 @@ class TestFamilies:
             family_distribution("P", 0.5)
         with pytest.raises(ValueError):
             family_distribution("X", 0.5)
-
-
-def _cond_table(nu: TrialDistribution) -> np.ndarray:
-    return np.array([[nu.cond(c, z) for z in range(4)] for c in range(4)])
 
 
 def _plain_em_kl(cond: np.ndarray, gap: float) -> float:
@@ -388,7 +401,7 @@ MU = np.full(4, 0.25)
 class TestKlToLocal:
     def test_chsh_strength_of_maximal_violation(self, nu_e):
         """Van Dam, Gill and Gruenwald's strength of the Tsirelson table."""
-        bits = _kl_to_local(_cond_table(nu_e), MU) / math.log(2.0)
+        bits = _kl_to_local(nu_e.cond, MU) / math.log(2.0)
         assert abs(bits - 0.0462738469) <= 1e-10
 
     def test_local_mixture_has_zero_strength(self):
@@ -399,9 +412,9 @@ class TestKlToLocal:
 
     def test_within_certified_gap_of_plain_em(self):
         rng = np.random.default_rng(11)
-        tables = [_cond_table(family_distribution("W", float(p)))
+        tables = [family_distribution("W", float(p)).cond
                   for p in rng.uniform(0.5, 1.0, 3)]
-        tables += [_cond_table(family_distribution("E", float(t)))
+        tables += [family_distribution("E", float(t)).cond
                    for t in rng.uniform(0.05, math.pi / 4.0, 3)]
         for _ in range(6):
             t, ga, gb = rng.uniform(0.0, math.pi / 4.0), *rng.uniform(-0.8, 0.8, 2)
@@ -437,14 +450,14 @@ class TestDetectionFamily:
     def test_pinned_points(self, eta, chsh, strength):
         nu = family_distribution("P", eta)
         assert abs(chsh_value(nu) - chsh) <= 1e-6
-        assert _plain_em_kl(_cond_table(nu), 1e-15) >= strength - 1e-12
+        assert _plain_em_kl(nu.cond, 1e-15) >= strength - 1e-12
 
     @pytest.mark.parametrize("eta", [0.68, 0.7])
     def test_nonlocal_near_eberhard_bound(self, eta):
         """Eberhard's bound leaves nonlocal tables at every eta > 2/3."""
         nu = family_distribution("P", eta)
         assert chsh_value(nu) > 2.0
-        assert _plain_em_kl(_cond_table(nu), 1e-15) > 0.0
+        assert _plain_em_kl(nu.cond, 1e-15) > 0.0
 
     def test_strength_gradient_matches_central_differences(self):
         rng = np.random.default_rng(41)

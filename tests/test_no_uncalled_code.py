@@ -1,5 +1,6 @@
-"""Every public top-level function and class of ``qpe`` has a caller, and
-every optional parameter of a ``qpe`` function is set by one.
+"""Every public top-level function and class of ``qpe``, and every public
+method and property of its classes, has a caller, and every optional
+parameter of a ``qpe`` function is set by one.
 
 A name counts as called when it is loaded (as a name or an attribute)
 somewhere other than its own definition, and a parameter counts as set when
@@ -29,6 +30,9 @@ ALLOWED = {
     "conditional_entropy": "test reference: entropy estimates must lie below it",
     "pef_inequality_check": "test reference: polytope factors are checked against it",
 }
+
+# Methods and properties kept without a caller, each for its reason.
+METHODS_ALLOWED: dict[str, str] = {}
 
 # Optional parameters kept although no caller sets them, each for its reason.
 UNSET_ALLOWED = {
@@ -71,6 +75,29 @@ def test_every_public_name_is_loaded_outside_its_definition():
     assert {name: f for name, f in uncalled.items() if name not in ALLOWED} == {}
     # An allowlisted name that gained a caller leaves the list.
     assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def test_every_public_method_is_loaded_outside_its_definition():
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    outside = set().union(*(_loads(ast.parse(p.read_text())) for p in CALLERS))
+    # The names each top-level statement of src loads, with each class split
+    # into the statements of its body.
+    statements = [
+        (sub, _loads(sub))
+        for tree in trees for node in tree.body
+        for sub in (node.body if isinstance(node, ast.ClassDef) else [node])
+    ]
+    uncalled = sorted(
+        f"{cls.name}.{fn.name}"
+        for tree in trees for cls in _definitions(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and fn.name not in outside
+        and not any(fn.name in loads for other, loads in statements if other is not fn)
+    )
+    assert sorted(set(uncalled) - set(METHODS_ALLOWED)) == []
+    # An allowlisted method that gained a caller leaves the list.
+    assert uncalled == sorted(METHODS_ALLOWED)
 
 
 def _optional_parameters(tree: ast.Module):

@@ -37,18 +37,18 @@ def variant_values(tables):
 
 
 def strategy_loop_tables():
-    """Provenance and joint table of each local deterministic vertex, built
-    strategy by strategy: ``a = fa(x)``, ``b = fb(y)``, ``c = a + 2 b``."""
+    """Joint table of each local deterministic vertex, built strategy by
+    strategy: ``a = fa(x)``, ``b = fb(y)``, ``c = a + 2 b``."""
     strategies = (lambda x: 0, lambda x: 1, lambda x: x, lambda x: 1 - x)
     out = []
-    for ia, fa in enumerate(strategies):
-        for ib, fb in enumerate(strategies):
+    for fa in strategies:
+        for fb in strategies:
             probs = {}
             for z in range(4):
                 hit = fa(z & 1) + 2 * fb((z >> 1) & 1)
                 for c in range(4):
                     probs[(c, z)] = 0.25 if c == hit else 0.0
-            out.append((f"ld {ia}{ib}", probs))
+            out.append(probs)
     return out
 
 
@@ -79,8 +79,7 @@ def loop_correlators(t):
 def cond_array(probs):
     """``t[c, z]`` of a joint table, normalized over ``c`` by a validated
     :class:`TrialDistribution`."""
-    dist = TrialDistribution(2, 2, probs)
-    return np.array([[dist.cond(c, z) for z in range(4)] for c in range(4)])
+    return TrialDistribution(2, 2, probs).cond
 
 
 # The 8 PR boxes, the nonlocal vertices of the no-signaling polytope that
@@ -156,10 +155,7 @@ class TestVertices:
         ``sqrt(2) - 1`` between a box and a local table that reaches 2 on the
         box's pattern, taken box by box."""
         ref = strategy_loop_tables()
-        for t, v, (prov, probs) in zip(
-            LOCAL_TABLES, local_deterministic_vertices(), ref
-        ):
-            assert v.provenance == prov
+        for t, v, probs in zip(LOCAL_TABLES, local_deterministic_vertices(), ref):
             assert list(v.probs.items()) == list(probs.items())
             assert np.array_equal(t, cond_array(probs))
         boxes = box_loop_tables()
@@ -167,7 +163,7 @@ class TestVertices:
         want = []
         for box in boxes:
             signs = loop_correlators(cond_array(box))
-            for _, ld in ref:
+            for ld in ref:
                 if round(float(loop_correlators(cond_array(ld)) @ signs)) == 2:
                     want.append(
                         cond_array(
@@ -282,7 +278,7 @@ class TestOptimizePolytope:
         w = np.array([nu.probs[key] for key in keys])
         a = np.array(
             [
-                [nu.mu_z(z) * float(t[c, z]) ** (1.0 + beta) for c, z in keys]
+                [nu.mu[z] * float(t[c, z]) ** (1.0 + beta) for c, z in keys]
                 for t in MODEL_TABLES
             ]
         )
