@@ -12,6 +12,10 @@ a branch-and-bound over measurement angles to certify a global supremum.
 The branch-and-bound splits regions in sweeps and solves each sweep's new
 vertices together: one lockstep ascent advances every block problem of one
 dimension, and :func:`inner_max_tau` is the same solver on a batch of one.
+The ascent holds only its running problems, as one contiguous stack that is
+compacted on the steps where some problem stops, and it updates every
+inverse Hessian of the stack in place with the rank-two form of the BFGS
+update.
 A sweep's cells are arrays, bounded along each axis by one call of
 :func:`interval_bound`, whose interior maxima have a closed form.
 
@@ -327,19 +331,19 @@ def _divided_difference_matrix(lam: np.ndarray, alpha: float) -> np.ndarray:
     floor in the iteration).
     """
     p = 1.0 / alpha
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)
     f = lam**p
-    diff = lam[..., :, None] - lam[..., None, :]
+    li, lj = lam[..., :, None], lam[..., None, :]
+    diff = li - lj
     scale = np.maximum(lam.max(axis=-1, initial=0.0), 1e-300)
     close = np.abs(diff) <= 1e-9 * scale[..., None, None]
-    mid = np.clip((lam[..., :, None] + lam[..., None, :]) / 2.0, 1e-300, None)
-    deriv = p * mid ** (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (f[..., :, None] - f[..., None, :]) / diff
-    k = np.where(close, deriv, quot)
+    mid = np.maximum((li + lj) / 2.0, 1e-300)
+    # The derivative at the midpoint, overwritten by the quotient off ``close``.
+    k = p * mid ** (p - 1.0)
+    np.divide(f[..., :, None] - f[..., None, :], diff, out=k, where=~close)
     # A zero cluster has infinite derivative; those entries only multiply
     # kernel components, so cap them at a large finite value.
-    return np.minimum(k, 1e300)
+    return np.minimum(k, 1e300, out=k)
 
 
 class _BlockProblem:
@@ -361,7 +365,7 @@ class _BlockProblem:
         return _BlockProblem(self.V[idx], self.w[idx], self.alpha)
 
     def _decompose(self, tau: np.ndarray):
-        lam, U = np.linalg.eigh((tau + np.swapaxes(tau, -1, -2)) / 2.0)
+        lam, U = np.linalg.eigh((tau + tau.swapaxes(-1, -2)) / 2.0)
         return np.maximum(lam, 0.0), U
 
     def value(self, tau: np.ndarray):
@@ -369,14 +373,14 @@ class _BlockProblem:
         return self._value_from(lam, U)[0]
 
     def _value_from(self, lam, U):
-        root = (U * lam[..., None, :] ** (1.0 / self.alpha)) @ np.swapaxes(U, -1, -2)
+        root = (U * lam[..., None, :] ** (1.0 / self.alpha)) @ U.swapaxes(-1, -2)
         t = np.maximum(((self.V @ root) * self.V).sum(axis=-1), 0.0)
         return (self.w * t**self.alpha).sum(axis=-1), t
 
     def gradient(self, lam, U, t) -> np.ndarray:
         coeff = self.w * self.alpha * t ** (self.alpha - 1.0)
-        M = np.swapaxes(self.V * coeff[..., None], -1, -2) @ self.V
-        Ut = np.swapaxes(U, -1, -2)
+        M = (self.V * coeff[..., None]).swapaxes(-1, -2) @ self.V
+        Ut = U.swapaxes(-1, -2)
         K = _divided_difference_matrix(lam, self.alpha)
         return U @ (K * (Ut @ M @ U)) @ Ut
 
@@ -398,14 +402,19 @@ def _invariant_blocks(angles: np.ndarray) -> list[tuple[np.ndarray, list[np.ndar
     per station, station 0 leftmost.  Returns ``(rows, bases)`` for each
     group of configurations, rows of ``angles``, whose stations commute alike.
     """
-    split = np.abs(np.sin(angles)) <= _COMMUTING_SIN
-    eye, groups = np.eye(2), []
-    for mask in np.unique(split, axis=0):
-        bases = [np.ones((1, 1))]
-        for commuting in mask:
-            factors = (eye[:, :1], eye[:, 1:]) if commuting else (eye,)
-            bases = [np.kron(b, f) for b in bases for f in factors]
-        groups.append((np.flatnonzero((split == mask).all(axis=1)), bases))
+    k = angles.shape[-1]
+    # Row ``j`` holds the bits of basis index ``j``, station 0 leftmost; a
+    # Kronecker product of z-basis and identity factors keeps the indices
+    # whose commuting stations' bits are fixed, in increasing order.
+    bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    # Each configuration's commuting stations, as the bits of one code.
+    codes = (np.abs(np.sin(angles)) <= _COMMUTING_SIN) @ (1 << np.arange(k - 1, -1, -1))
+    eye, groups = np.eye(1 << k), []
+    for code in np.unique(codes):
+        commuting = bits[code] == 1
+        block = bits[:, commuting] @ (1 << np.arange(commuting.sum() - 1, -1, -1))
+        bases = [eye[:, block == i] for i in range(1 << commuting.sum())]
+        groups.append((np.flatnonzero(codes == code), bases))
     return groups
 
 
@@ -425,16 +434,22 @@ def _evaluate(prob: _BlockProblem, x: np.ndarray):
     """
     m = prob.m
     A = x.reshape(x.shape[:-1] + (m, m))
-    S = A @ np.swapaxes(A, -1, -2)
-    s = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
-    tau = (1.0 - _FLOOR) * (S / s) + _FLOOR * np.eye(m) / m
+    tau = A @ A.swapaxes(-1, -2)
+    # The diagonal of each flat ``m x m`` matrix, as a writable view.
+    diag = tau.reshape(x.shape)[..., :: m + 1]
+    s = diag.sum(axis=-1)[..., None, None]
+    tau /= s
+    tau *= 1.0 - _FLOOR
+    diag += _FLOOR / m
     lam, U = prob._decompose(tau)
     g, t = prob._value_from(lam, U)
     G = prob.gradient(lam, U, t)
     # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
     # identity <G, tau> = g gives <G, S / s> below.
-    c = (g - _FLOOR * np.trace(G, axis1=-2, axis2=-1) / m) / (1.0 - _FLOOR)
-    GA = (G @ A - c[..., None, None] * A) * (2.0 * (1.0 - _FLOOR) / s)
+    c = (g - _FLOOR * G.reshape(x.shape)[..., :: m + 1].sum(axis=-1) / m) / (1.0 - _FLOOR)
+    GA = G @ A
+    GA -= c[..., None, None] * A
+    GA *= 2.0 * (1.0 - _FLOOR) / s
     return g, np.linalg.eigvalsh(G)[..., -1], tau, GA.reshape(x.shape)
 
 
@@ -449,8 +464,12 @@ def _maximize_block(
 
     ``prob`` is a stack of problems of one shape, and each is solved as if
     alone: the ascents run in lockstep, each step evaluating one trial point
-    of every problem still running, and a problem leaves the stack once it
-    stops.  Every problem starts from the same seeded point.
+    of every problem still running.  Every problem starts from the same
+    seeded point.  The running problems are held as one contiguous stack
+    (iterates with their values, gaps and gradients, inverse Hessians, step
+    sizes, best pairs and the problems' own rows), and every step updates all
+    of it in place, masked row by row; the stack is compacted only on a step
+    where some problem stops, when its results are written out.
 
     The certificate rests on concavity and 1-homogeneity: for any density
     ``sigma``, ``g(sigma) <= <grad g(tau), sigma> <= lambda_max(grad g(tau))``,
@@ -463,15 +482,19 @@ def _maximize_block(
 
     The inverse Hessian starts at ``I / |grad|``, is rescaled to
     ``s^T y / y^T y`` at the first curvature pair, and is reset to steepest
-    ascent whenever its direction does not ascend.  Steps are halved from 1
-    until the value passes the Armijo test, or the trial point's own gap
-    ``lambda_max - g`` is below the current point's and its value is at
-    most ``tol`` below it.  Near the optimum the gap shrinks linearly in the
-    distance but the value only quadratically, so at tight tolerances values
-    differ by roundoff alone; the gap test keeps the ascent moving there.
-    Without its value floor, a point with a smaller gap but a far lower value
-    could be taken, and from such points the ascent can creep on for
-    thousands of steps.
+    ascent whenever its direction does not ascend.  Its BFGS update
+    ``(I - r s y^T) H (I - r y s^T) + r s s^T``, with ``r = 1 / s^T y``, is
+    applied in the equal rank-two form ``H + a s^T + s a^T``, where
+    ``a = (c / 2) s - r H y`` and ``c = r (1 + r y^T H y)`` (see
+    :func:`_bfgs_update`), on the rows that moved with ``s^T y > 0``.
+    Steps are halved from 1 until the value passes the Armijo test, or the
+    trial point's own gap ``lambda_max - g`` is below the current point's and
+    its value is at most ``tol`` below it.  Near the optimum the gap shrinks
+    linearly in the distance but the value only quadratically, so at tight
+    tolerances values differ by roundoff alone; the gap test keeps the ascent
+    moving there.  Without its value floor, a point with a smaller gap but a
+    far lower value could be taken, and from such points the ascent can creep
+    on for thousands of steps.
 
     Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
     problem; ``trace`` lists each problem's ``(value, bound)`` pairs, or is
@@ -487,66 +510,98 @@ def _maximize_block(
     eye = np.eye(m * m)
     rng = np.random.default_rng(seed)
     x = np.tile(np.eye(m) + 0.05 * rng.standard_normal((m, m)), (b, 1, 1)).reshape(b, -1)
-    g, ub, best_tau, grad = _evaluate(prob, x)
-    best_val, best_ub = g.copy(), ub.copy()
-    pairs = np.ones(b, dtype=int)
+    g, ub, tau, grad = _evaluate(prob, x)
     trace = [[pair] for pair in zip(g.tolist(), ub.tolist())] if keep_trace else None
+    # Each problem's results, written when it stops.
+    value, bound, best_tau = np.empty(b), np.empty(b), np.empty_like(tau)
+    pairs = np.empty(b, dtype=int)
+    # The running stack: row ``j`` is problem ``row[j]``, whose best value
+    # and bound are ``val[j]`` and ``bnd[j]``, at the iterate ``x[j]`` of
+    # value ``g[j]`` and gap ``gap[j]``.  Every running problem has ``n`` pairs.
+    row, n = np.arange(b), 1
+    val, bnd, gap = g.copy(), ub.copy(), ub - g
     H = eye / np.linalg.norm(grad, axis=-1)[:, None, None]
     rescale = np.ones(b, dtype=bool)
-    d, slope, step = np.empty_like(x), np.empty(b), np.ones(b)
-
-    def aim(i: np.ndarray) -> None:
-        """Start line searches of problems ``i``, resetting ``H`` where it does not ascend."""
-        bad = i[~((grad[i] * (H[i] @ grad[i][:, :, None])[:, :, 0]).sum(axis=-1) > 0.0)]
-        H[bad] = eye / np.linalg.norm(grad[bad], axis=-1)[:, None, None]
-        d[i] = (H[i] @ grad[i][:, :, None])[:, :, 0]
-        slope[i] = (grad[i] * d[i]).sum(axis=-1)
-        step[i] = 1.0
-
-    run = np.flatnonzero((best_ub - best_val > tol) & (pairs < max_iters))
-    aim(run)
-    while run.size:
-        x_new = x[run] + step[run, None] * d[run]
-        g_new, ub_new, tau_new, grad_new = _evaluate(prob[run], x_new)
-        up = g_new > best_val[run]
-        best_val[run[up]] = g_new[up]
-        best_tau[run[up]] = tau_new[up]
-        best_ub[run] = np.minimum(best_ub[run], ub_new)
-        pairs[run] += 1
-        if keep_trace:
-            for i, pair in zip(run.tolist(), zip(g_new.tolist(), ub_new.tolist())):
-                trace[i].append(pair)
-        stop = (best_ub[run] - best_val[run] <= tol) | (pairs[run] >= max_iters)
-        accept = ~stop & (
-            (g_new >= g[run] + 1e-4 * step[run] * slope[run])
-            | ((ub_new - g_new < ub[run] - g[run]) & (g_new >= g[run] - tol))
-        )
-        step[run[~stop & ~accept]] /= 2.0
-        moved = run[accept]
-        if moved.size:
-            s = x_new[accept] - x[moved]
-            y = grad[moved] - grad_new[accept]
-            sy = (s * y).sum(axis=-1)
-            curved = sy > 0.0
-            i, s, y, sy = moved[curved], s[curved], y[curved], sy[curved, None, None]
-            first = rescale[i]
-            H[i[first]] = eye * sy[first] / (y[first] * y[first]).sum(axis=-1)[:, None, None]
-            rescale[i] = False
-            J = eye - s[:, :, None] * y[:, None, :] / sy
-            H[i] = J @ H[i] @ np.swapaxes(J, -1, -2) + s[:, :, None] * s[:, None, :] / sy
-            x[moved], g[moved], ub[moved], grad[moved] = (
-                x_new[accept], g_new[accept], ub_new[accept], grad_new[accept]
+    step = np.ones(b)
+    while True:
+        stop = (bnd - val <= tol) | (n >= max_iters)
+        if stop.any():
+            done = row[stop]
+            value[done], bound[done], best_tau[done] = val[stop], bnd[stop], tau[stop]
+            pairs[done] = n
+            if stop.all():
+                break
+            keep = ~stop
+            prob = prob[keep]
+            row, x, g, gap, grad, H, val, bnd, tau, rescale, step = (
+                a[keep] for a in (row, x, g, gap, grad, H, val, bnd, tau, rescale, step)
             )
-            aim(moved)
-        run = run[~stop]
+        # Aim along ``H grad``, resetting ``H`` where that does not ascend.
+        d = (H @ grad[:, :, None])[:, :, 0]
+        slope = (grad * d).sum(axis=-1)
+        bad = ~(slope > 0.0)
+        if bad.any():
+            H[bad] = eye / np.linalg.norm(grad[bad], axis=-1)[:, None, None]
+            d[bad] = (H[bad] @ grad[bad][:, :, None])[:, :, 0]
+            slope[bad] = (grad[bad] * d[bad]).sum(axis=-1)
+
+        x_new = x + step[:, None] * d
+        g_new, ub_new, tau_new, grad_new = _evaluate(prob, x_new)
+        n += 1
+        up = g_new > val
+        np.copyto(val, g_new, where=up)
+        np.copyto(tau, tau_new, where=up[:, None, None])
+        np.minimum(bnd, ub_new, out=bnd)
+        if keep_trace:
+            for i, pair in zip(row.tolist(), zip(g_new.tolist(), ub_new.tolist())):
+                trace[i].append(pair)
+        gap_new = ub_new - g_new
+        moved = (g_new >= g + 1e-4 * step * slope) | ((gap_new < gap) & (g_new >= g - tol))
+        step = np.where(moved, 1.0, 0.5 * step)
+        s = x_new - x
+        y = grad - grad_new
+        sy = (s * y).sum(axis=-1)
+        curved = moved & (sy > 0.0)
+        first = curved & rescale
+        if first.any():
+            yy = (y[first] * y[first]).sum(axis=-1)
+            H[first] = eye * sy[first, None, None] / yy[:, None, None]
+            rescale &= ~first
+        _bfgs_update(H, s, y, sy, curved)
+        np.copyto(x, x_new, where=moved[:, None])
+        np.copyto(grad, grad_new, where=moved[:, None])
+        np.copyto(g, g_new, where=moved)
+        np.copyto(gap, gap_new, where=moved)
     return (
-        best_val,
+        value,
         best_tau,
-        best_ub,
-        best_ub - best_val <= tol,
+        bound,
+        bound - value <= tol,
         pairs,
         [tuple(t) for t in trace] if keep_trace else None,
     )
+
+
+def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, mask: np.ndarray):
+    """BFGS update, in place, of the inverse Hessians ``H[mask]``.
+
+    ``s`` holds the steps and ``y`` the gradient changes, row by row, and
+    ``sy`` holds ``s^T y``, positive on ``mask``.  The product form
+    ``(I - r s y^T) H (I - r y s^T) + r s s^T``, with ``r = 1 / s^T y``,
+    equals ``H + a s^T + s a^T`` for symmetric ``H``, where
+    ``a = (c / 2) s - r H y`` and ``c = r (1 + r y^T H y)``.  It is applied
+    as ``H + b u^T + u b^T``, with ``u = r s`` and
+    ``b = a / r = ((s^T y + y^T H y) / 2) u - H y``: the same rank-two term,
+    whose factors keep the scale of the update, where ``c`` alone overflows
+    for steps below about 1e-150.  Rows off ``mask`` are left bit for bit as
+    they are.
+    """
+    Hy = (H @ y[:, :, None])[:, :, 0]
+    r = np.divide(1.0, sy, out=np.zeros_like(sy), where=mask)
+    u = r[:, None] * s
+    b = (0.5 * (sy + (y * Hy).sum(axis=-1)))[:, None] * u - Hy
+    D = b[:, :, None] * u[:, None, :]
+    np.add(H, D + D.swapaxes(-1, -2), out=H, where=mask[:, None, None])
 
 
 def _solve_vertices(
@@ -601,12 +656,14 @@ def _solve_vertices(
         np.logical_and.at(converged, owner, conv)
         j = 0
         for rows, _, basis in parts:
-            for p in rows.tolist():
-                if val[j] > value[p]:
-                    value[p], tau[p] = val[j], basis @ tau_b[j] @ basis.T
-                if keep_trace:
-                    traces[p].extend(tr[j])
-                j += 1
+            part = slice(j, j + rows.size)
+            better = val[part] > value[rows]
+            value[rows[better]] = val[part][better]
+            tau[rows[better]] = basis @ tau_b[part][better] @ basis.T
+            if keep_trace:
+                for p, t in zip(rows.tolist(), tr[part]):
+                    traces[p].extend(t)
+            j += rows.size
     converged &= bound - value <= tol
     return value, tau, bound, converged, pairs, traces
 
@@ -661,7 +718,8 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
     ``u(x) = (sin(phi-x) + sin x)^beta (sin(phi-x) f + sin x f') / sin(phi)^alpha``
 
     whose log is concave on ``(0, phi)``, capped by
-    ``(phi / sin phi)^alpha max(f, f')``.  Requires ``phi in (0, pi/2]``.
+    ``(phi / sin phi)^alpha max(f, f')``.  Requires ``phi in (0, pi/2]`` and
+    finite ``f, f' >= 0``; anything else raises ValueError.
     With ``t = tan(x - phi/2)``, ``(log u)' = 0`` is the quadratic
     ``beta a t^2 + b t - a = 0``, where ``a = cos(phi/2) (f' - f)`` and
     ``b = (1 + beta) sin(phi/2) (f' + f)``, so the maximum has a closed form:
@@ -677,8 +735,10 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
     f, f_prime, phi = (np.broadcast_to(a, shape).ravel() for a in (f, f_prime, phi))
     if not np.all((0.0 < phi) & (phi <= math.pi / 2.0 + 1e-12)):
         raise ValueError("interval width must lie in (0, pi/2]")
-    if np.any((f < 0.0) | (f_prime < 0.0)):
-        raise ValueError("endpoint values must be nonnegative")
+    # A NaN endpoint fails every comparison, so it is rejected here; let
+    # through, it would drop out of ``certify_fmax``'s maximum of the bounds.
+    if not np.all((0.0 <= f) & (f < math.inf) & (0.0 <= f_prime) & (f_prime < math.inf)):
+        raise ValueError("endpoint values must be finite and nonnegative")
     alpha, beta = order.alpha, order.beta
     top = np.maximum(f, f_prime)
     cap = (phi / np.sin(phi)) ** alpha * top

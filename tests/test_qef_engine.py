@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qpe import qef_engine
-from qpe.models import BellConfig, CanonicalState, canonical_cq_state
+from qpe.models import BellConfig, CanonicalState, TrialDistribution, canonical_cq_state
 from qpe.pef_opt import optimize_pef_polytope
 from qpe.qef_engine import (
     CertificationResult,
@@ -717,6 +717,52 @@ class TestInnerSolver:
             assert abs(bound[p] - one[2][0]) <= 1e-12
 
 
+def product_form_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The BFGS inverse-Hessian update ``(I - r s y^T) H (I - r y s^T) + r s s^T``."""
+    r = 1.0 / (s @ y)
+    J = np.eye(len(s)) - r * np.outer(s, y)
+    return J @ H @ J.T + r * np.outer(s, s)
+
+
+@st.composite
+def bfgs_stacks(draw):
+    """A stack of SPD inverse Hessians of order 4 or 16, with steps, gradient
+    changes and a row mask.  The mask keeps only rows that curve clearly, and
+    the steps off the mask may be NaN."""
+    n = draw(st.sampled_from([4, 16]))
+    b = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    B = draw(arrays(np.float64, (b, n, n), elements=unit))
+    H = B @ B.swapaxes(-1, -2) + np.eye(n)
+    H = (H + H.swapaxes(-1, -2)) / 2.0
+    s = draw(arrays(np.float64, (b, n), elements=unit))
+    y = draw(arrays(np.float64, (b, n), elements=unit))
+    sy = (s * y).sum(axis=-1)
+    mask = draw(arrays(np.bool_, b)) & (
+        sy > 0.01 * np.linalg.norm(s, axis=-1) * np.linalg.norm(y, axis=-1)
+    )
+    if draw(st.booleans()):
+        s[~mask] = math.nan
+    return H, s, y, sy, mask
+
+
+class TestBfgsUpdate:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=bfgs_stacks())
+    def test_rank_two_form_equals_product_form(self, case):
+        """The in-place rank-two update matches the product form to 1e-12
+        relative on the masked rows and leaves every other row bit for bit."""
+        H, s, y, sy, mask = case
+        out = H.copy()
+        qef_engine._bfgs_update(out, s, y, sy, mask)
+        for i in range(len(H)):
+            if mask[i]:
+                ref = product_form_update(H[i], s[i], y[i])
+                assert np.abs(out[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+            else:
+                assert out[i].tobytes() == H[i].tobytes()
+
+
 def brentq_interval_bound(f: float, f_prime: float, phi: float, order: RenyiOrder) -> float:
     """The scalar ``brentq`` interval bound that the closed form replaced."""
     from scipy.optimize import brentq
@@ -828,6 +874,17 @@ class TestIntervalBound:
         with pytest.raises(ValueError):
             interval_bound(1.0, 1.0, 0.0, RenyiOrder(1.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoints_rejected(self, bad):
+        """A NaN or infinite endpoint raises, as a scalar and inside an array,
+        at either end; before, NaN gave NaN and ``(1, inf)`` gave 1."""
+        order = RenyiOrder(1.5)
+        arr = np.ones(3)
+        arr[1] = bad
+        for f, fp in ((bad, 1.0), (1.0, bad), (arr, np.ones(3)), (np.ones(3), arr)):
+            with pytest.raises(ValueError, match="finite"):
+                interval_bound(f, fp, 0.5, order)
+
 
 class TestCertifyFmax:
     def test_constant_function_single_station(self):
@@ -923,3 +980,58 @@ class TestCertifyFmax:
         F, _ = pef02
         with pytest.raises(ValueError):
             certify_fmax(F, config22, 0.0)
+
+    def test_nan_vertex_bound_raises(self, pef02, config22, monkeypatch):
+        """A NaN vertex bound stops the search; it used to drop out of the
+        maximum of cell bounds and leave ``f_upper = f_lower + slack``."""
+        solve = qef_engine._solve_vertices
+
+        def one_nan(*args):
+            value, tau, bound, converged, pairs, trace = solve(*args)
+            bound[0] = math.nan
+            return value, tau, bound, converged, pairs, trace
+
+        monkeypatch.setattr(qef_engine, "_solve_vertices", one_nan)
+        F, _ = pef02
+        with pytest.raises(ValueError, match="finite"):
+            certify_fmax(F, config22, 1e-3, seed=0)
+
+    @staticmethod
+    def _tsirelson_table() -> TrialDistribution:
+        """The E pi/4 table as explicit Born-rule sums: a maximally entangled
+        pair measured at (0, pi/2) and (pi/4, -pi/4), uniform inputs."""
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        phi = np.zeros(4)
+        phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
+        rho = np.outer(phi, phi)
+
+        def projector(outcome: int, angle: float) -> np.ndarray:
+            sign = 1.0 if outcome == 0 else -1.0
+            return (np.eye(2) + sign * (math.cos(angle) * z + math.sin(angle) * x)) / 2.0
+
+        probs = {}
+        for i, ta in enumerate((0.0, math.pi / 2.0)):
+            for j, tb in enumerate((math.pi / 4.0, -math.pi / 4.0)):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        op = np.kron(projector(a, ta), projector(b, tb))
+                        p = float(np.real(np.trace(rho @ op)))
+                        probs[(a + 2 * b, i + 2 * j)] = 0.25 * max(p, 0.0)
+        return TrialDistribution(2, 2, probs)
+
+    @pytest.mark.parametrize(
+        "beta, regions, f_lower, f_upper",
+        [
+            (0.05, 960, 0.9999999999954676, 1.0000915717379488),
+            (0.2, 400, 1.0000000000000004, 1.0000871561681683),
+        ],
+    )
+    def test_benchmark_certifications_pinned(self, beta, regions, f_lower, f_upper):
+        """The E pi/4 polytope factors at gap 1e-4, seed 1 and budget 200000
+        keep their region counts and brackets: a faster solver must cost less
+        per certified pair, not split fewer regions."""
+        F, _ = optimize_pef_polytope(self._tsirelson_table(), beta)
+        res = certify_fmax(F, BellConfig.uniform((0.0, 0.0)), 1e-4, budget=200000, seed=1)
+        assert res.regions_explored == regions and not res.gap_flag
+        assert abs(res.f_lower - f_lower) <= 1e-12
+        assert abs(res.f_upper - f_upper) <= 1e-12
