@@ -216,8 +216,10 @@ class TrialDistribution:
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 2x2 matrices, without its general-shape overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """``np.kron`` of 2x2 matrices over broadcast leading axes, without its
+    general-shape overhead."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (4, 4))
 
 
 def _quantum_cond_table(
@@ -319,10 +321,15 @@ def family_distribution(family: str, param: float, seed: int = 0) -> TrialDistri
         binned into outcome 1.  The seed is the Bell operator's optimum: with
         binned observables ``eta (cos(phi) Z + sin(phi) X) - (1 - eta) I``
         and setting 0 at ``phi = 0``, the top eigenvector of ``sum s_xy A_x
-        kron B_y`` over a 25 x 25 grid of setting-1 angles and the four CHSH
-        sign patterns; its Schmidt decomposition gives ``t`` and one
-        rotation ``Ry(g)`` per station, a shift of that station's angles by
-        ``-g``.  BFGS on the exact gradient of the strength refines all five.
+        kron B_y`` with the standard CHSH signs (minus on ``A_1 B_1``) over
+        the ``pa <= pb`` half of a 25 x 25 grid of setting-1 angles ``(pa,
+        pb)``.  The other sign patterns and the other half of the grid reach
+        the same maximum (a Z-reflection of one station, a swap of the
+        stations).  Its Schmidt decomposition gives ``t`` and one rotation
+        ``Ry(g)`` per station, a shift of that station's angles by ``-g``.
+        BFGS on the exact gradient of the strength refines all five; each
+        strength evaluation's local projection starts from the previous
+        one's mixture.
     seed : int
         Ignored; no family depends on it.
     """
@@ -365,7 +372,13 @@ _LD_STACK = _local_deterministic_tables()
 _LD_STACK.flags.writeable = False
 
 
-def _local_projection(cond: np.ndarray, mu: np.ndarray) -> np.ndarray:
+# Cycle cap of :func:`_local_projection`'s EM, which raises if it is reached.
+_EM_CYCLES = 100000
+
+
+def _local_projection(
+    cond: np.ndarray, mu: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
     """The local table ``lam*[c, z]`` closest to ``cond[c, z]`` in relative entropy.
 
     The minimization over mixtures ``w`` of deterministic tables uses
@@ -376,7 +389,13 @@ def _local_projection(cond: np.ndarray, mu: np.ndarray) -> np.ndarray:
     ``w - 2 a r + a**2 v`` with ``a = min(-|r|/|v|, -1)``, halving ``a``
     toward ``-1`` (which is ``w2``) while any weight would be nonpositive.
     ``log max_i g_i`` bounds the remaining gap of the iterate it is evaluated
-    at, and the loop returns only an iterate whose gap is below 1e-12.
+    at, and the loop returns only an iterate whose gap is below 1e-12; it
+    raises ``RuntimeError`` if none is reached in ``_EM_CYCLES`` cycles.
+
+    The EM starts from uniform weights, or from ``weights`` if given: a
+    mixture such as a nearby table's, floored at 1e-30 so that the
+    multiplicative updates can revive every strategy.  ``weights`` then
+    receives the final mixture, so that consecutive calls warm-start.
     """
     mask = cond > 0.0
     w_cz = (mu[None, :] * cond)[mask]
@@ -389,10 +408,12 @@ def _local_projection(cond: np.ndarray, mu: np.ndarray) -> np.ndarray:
     def gains(w: np.ndarray) -> np.ndarray:
         return vals @ (w_cz / np.maximum(w @ vals, 1e-300))
 
-    w = np.full(16, 1.0 / 16.0)
-    for _ in range(100000):
+    w = np.ones(16) if weights is None else np.maximum(weights, 1e-30)
+    w = w / w.sum()
+    for _ in range(_EM_CYCLES):
         g = gains(w)
-        if math.log(max(float(g.max()), 1e-300)) < 1e-12:
+        gap = math.log(max(float(g.max()), 1e-300))
+        if gap < 1e-12:
             break
         w1 = em(w, g)
         w2 = em(w1, gains(w1))
@@ -408,43 +429,45 @@ def _local_projection(cond: np.ndarray, mu: np.ndarray) -> np.ndarray:
         else:
             x = w2
         w = x / x.sum()
+    else:
+        raise RuntimeError(
+            f"local projection: EM gap {gap:.3g} after {_EM_CYCLES} cycles"
+        )
+    if weights is not None:
+        weights[:] = w
     return np.maximum(np.tensordot(w, _LD_STACK, axes=1), 1e-300)
 
 
-def _kl_to_local(cond: np.ndarray, mu: np.ndarray) -> float:
-    """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
-
-    This is the statistical strength of van Dam, Gill and Gruenwald (IEEE
-    Trans. Inf. Theory 51, 2812 (2005)), taken at :func:`_local_projection`'s
-    table, so it exceeds the minimum by less than 1e-12.  It is never negative.
-    """
-    mask = cond > 0.0
-    lam = _local_projection(cond, mu)[mask]
-    # Rounding can leave a local table a few 1e-17 below zero.
-    w_cz = (mu[None, :] * cond)[mask]
-    return max(0.0, float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam)))))
-
-
 def _p_seed(eta: float) -> np.ndarray:
-    """``(t, a0, a1, b0, b1)`` at the binned Bell operator's optimum on a grid."""
+    """``(t, a0, a1, b0, b1)`` at the binned Bell operator's optimum on a grid.
+
+    Only the standard CHSH pattern (minus on setting pair (1, 1)) is searched:
+    a Z-reflection of one station maps each single-minus pattern to another
+    at the same maximum.  Swapping the stations maps its setting-1 angles
+    ``(pa, pb)`` to ``(pb, pa)``, so the search covers the ``pa <= pb`` half
+    of the grid: one ``eigvalsh`` over 325 operators, one ``eigh`` at the best.
+    """
     grid = np.linspace(0.0, math.pi, 25)
     # Binned, eta (cos Z + sin X) - (1 - eta) I is 2 eta v0 v0^T - I.
     v0 = _station_table(grid)[:, 0]
     obs = 2.0 * eta * v0[:, :, None] * v0[:, None, :] - np.eye(2)
-    obs = np.stack([np.broadcast_to(obs[0], obs.shape), obs])  # [x, angle]
-    pairs = np.einsum("xiac,yjbd->xyijabcd", obs, obs).reshape(2, 2, 25, 25, 4, 4)
-    signs = 1.0 - 2.0 * np.eye(4).reshape(4, 2, 2)  # one minus sign per pattern
-    lam, vec = np.linalg.eigh(np.einsum("sxy,xyij...->sij...", signs, pairs))
-    s, i, j = np.unravel_index(np.argmax(lam[..., -1]), lam.shape[:-1])
-    u, schmidt, wt = np.linalg.svd(vec[s, i, j, :, -1].reshape(2, 2))
+    i, j = np.triu_indices(grid.size)
+    # Setting 0 is obs[0] at both stations: A0 (B0 + B1) + A1 (B0 - B1).
+    z, a1, b1 = obs[0], obs[i], obs[j]
+    ops = _kron2(z, z + b1) + _kron2(a1, z - b1)
+    k = int(np.argmax(np.linalg.eigvalsh(ops)[:, -1]))
+    vec = np.linalg.eigh(ops[k])[1][:, -1]
+    u, schmidt, wt = np.linalg.svd(vec.reshape(2, 2))
     # A reflection in u or w moves into the sign of the second Schmidt weight;
     # the first columns then give the stations' rotations Ry(ga), Ry(gb).
     t = math.atan2(np.linalg.det(u) * np.linalg.det(wt) * schmidt[1], schmidt[0])
     ga, gb = 2.0 * math.atan2(u[1, 0], u[0, 0]), 2.0 * math.atan2(wt[0, 1], wt[0, 0])
-    return np.array([t, -ga, grid[i] - ga, -gb, grid[j] - gb])
+    return np.array([t, -ga, grid[i[k]] - ga, -gb, grid[j[k]] - gb])
 
 
-def _p_strength(v: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
+def _p_strength(
+    v: np.ndarray, eta: float, weights: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Strength of the P table at ``v = (t, a0, a1, b0, b1)``, and its gradient.
 
     The table is :func:`_quantum_cond_table`'s for ``cos(t)|00> + sin(t)|11>``
@@ -453,6 +476,7 @@ def _p_strength(v: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
     closest local table ``lam*``.  A Born probability is an amplitude squared;
     the amplitude's derivative in ``t`` is the amplitude at ``t + pi/2``, and
     in a station angle half the amplitude at that angle ``+ pi``.
+    ``weights`` is passed on to :func:`_local_projection`.
     """
     # Rows: v, then t + pi/2, then station 0's angles + pi, then station 1's.
     pts = v + np.array([[0.0] * 5, [math.pi / 2.0, 0, 0, 0, 0],
@@ -465,7 +489,7 @@ def _p_strength(v: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
     # As in _quantum_cond_table: ideal[a + 2 b, x + 2 y] = amp[0, x, y, a, b]**2.
     cond = np.maximum(loss @ (amp[0] ** 2).transpose(3, 2, 1, 0).reshape(4, 4), 0.0)
     mask = cond > 0.0
-    lam = _local_projection(cond, np.full(4, 0.25))
+    lam = _local_projection(cond, np.full(4, 0.25), weights)
     log_ratio = np.log(np.where(mask, cond, 1.0) / lam)
     d_cond = np.where(mask, 0.25 * (log_ratio + 1.0), 0.0)
     d_amp = amp[0] * (loss.T @ d_cond).reshape(2, 2, 2, 2).transpose(3, 2, 1, 0)
@@ -476,14 +500,20 @@ def _p_strength(v: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
 
 def _bfgs_max(fun, x: np.ndarray) -> np.ndarray:
     """Maximize ``fun(x) -> (value, gradient)`` by BFGS with Armijo backtracking,
-    until an accepted step gains at most 1e-13 of the value or none is found."""
+    until the model's ascent ``g^T H g`` (twice the gain it predicts) or an
+    accepted step's gain is at most 1e-13 of the value, or no step is found.
+    The first test ends the search before steps whose gain is only the
+    noise of ``fun``."""
     f, g = fun(x)
     h = np.eye(x.size)
     for it in range(200):
         d = h @ g
+        slope = g @ d
+        if slope <= 1e-13 * abs(f):
+            return x
         for step in 0.5 ** np.arange(50):
             f1, g1 = fun(x + step * d)
-            if f1 >= f + 1e-4 * step * (g @ d):
+            if f1 >= f + 1e-4 * step * slope:
                 break
         else:
             return x
@@ -501,7 +531,9 @@ def _bfgs_max(fun, x: np.ndarray) -> np.ndarray:
 
 
 def _p_family(eta: float) -> TrialDistribution:
-    t, a0, a1, b0, b1 = _bfgs_max(lambda v: _p_strength(v, eta), _p_seed(eta))
+    # Each evaluation's local projection warm-starts from the previous one's.
+    weights = np.full(16, 1.0 / 16.0)
+    t, a0, a1, b0, b1 = _bfgs_max(lambda v: _p_strength(v, eta, weights), _p_seed(eta))
     rho = _partially_entangled(t)
     # The divergence is blind to which input is labeled 0, so the optimizer may
     # return any of four equally strong setting relabelings; keep the one that

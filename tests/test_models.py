@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qpe import models
 from qpe.models import (
     _LD_STACK,
     BellConfig,
@@ -18,7 +19,8 @@ from qpe.models import (
     distribution_from_quantum,
     family_distribution,
     povm_vectors,
-    _kl_to_local,
+    _bfgs_max,
+    _local_projection,
     _p_seed,
     _p_strength,
     _partially_entangled,
@@ -398,6 +400,37 @@ def _plain_em_kl(cond: np.ndarray, gap: float) -> float:
 MU = np.full(4, 0.25)
 
 
+def _kl_to_local(cond: np.ndarray, mu: np.ndarray, weights=None) -> float:
+    """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
+
+    This is the statistical strength of van Dam, Gill and Gruenwald (IEEE
+    Trans. Inf. Theory 51, 2812 (2005)), taken at ``_local_projection``'s
+    table, so it exceeds the minimum by less than 1e-12.  It is never negative.
+    """
+    mask = cond > 0.0
+    lam = _local_projection(cond, mu, weights)[mask]
+    # Rounding can leave a local table a few 1e-17 below zero.
+    w_cz = (mu[None, :] * cond)[mask]
+    return max(0.0, float(np.sum(w_cz * (np.log(cond[mask]) - np.log(lam)))))
+
+
+def _seeded_tables() -> list[np.ndarray]:
+    """Twelve seeded tables: three W, three E and six with detector loss."""
+    rng = np.random.default_rng(11)
+    tables = [family_distribution("W", float(p)).cond
+              for p in rng.uniform(0.5, 1.0, 3)]
+    tables += [family_distribution("E", float(t)).cond
+               for t in rng.uniform(0.05, math.pi / 4.0, 3)]
+    for _ in range(6):
+        t, ga, gb = rng.uniform(0.0, math.pi / 4.0), *rng.uniform(-0.8, 0.8, 2)
+        pa, pb = rng.uniform(-1.5, 1.5, 2)
+        # Ry(ga) kron Ry(gb) on the state, folded into the angles.
+        tables.append(_quantum_cond_table(
+            _partially_entangled(t), (-ga, pa - ga), (-gb, pb - gb),
+            rng.uniform(0.7, 1.0)))
+    return tables
+
+
 class TestKlToLocal:
     def test_chsh_strength_of_maximal_violation(self, nu_e):
         """Van Dam, Gill and Gruenwald's strength of the Tsirelson table."""
@@ -411,22 +444,49 @@ class TestKlToLocal:
             assert 0.0 <= _kl_to_local(cond, MU) <= 1e-12
 
     def test_within_certified_gap_of_plain_em(self):
-        rng = np.random.default_rng(11)
-        tables = [family_distribution("W", float(p)).cond
-                  for p in rng.uniform(0.5, 1.0, 3)]
-        tables += [family_distribution("E", float(t)).cond
-                   for t in rng.uniform(0.05, math.pi / 4.0, 3)]
-        for _ in range(6):
-            t, ga, gb = rng.uniform(0.0, math.pi / 4.0), *rng.uniform(-0.8, 0.8, 2)
-            pa, pb = rng.uniform(-1.5, 1.5, 2)
-            # Ry(ga) kron Ry(gb) on the state, folded into the angles.
-            tables.append(_quantum_cond_table(
-                _partially_entangled(t), (-ga, pa - ga), (-gb, pb - gb),
-                rng.uniform(0.7, 1.0)))
-        for cond in tables:
+        for cond in _seeded_tables():
             ref = _plain_em_kl(cond, 1e-14)
             # The reference itself lies up to its own gap above the minimum.
             assert -2e-14 <= _kl_to_local(cond, MU) - ref <= 1e-12
+
+    def test_warm_start_keeps_certified_gap(self):
+        tables = _seeded_tables()
+        for neighbour, cond in zip(tables[-1:] + tables[:-1], tables):
+            ref = _plain_em_kl(cond, 1e-14)
+            weights = np.full(16, 1.0 / 16.0)
+            _local_projection(neighbour, MU, weights)
+            assert -2e-14 <= _kl_to_local(cond, MU, weights) - ref <= 1e-12
+            # The start now holds this table's own mixture; starve its
+            # heaviest strategy, which the updates must revive.
+            heaviest = np.argmax(weights)
+            for starved in (1e-300, 0.0):
+                start = weights.copy()
+                start[heaviest] = starved
+                assert -2e-14 <= _kl_to_local(cond, MU, start) - ref <= 1e-12
+
+    def test_cycle_cap_raises(self, monkeypatch):
+        cond = family_distribution("P", 0.68).cond
+        monkeypatch.setattr(models, "_EM_CYCLES", 3)
+        with pytest.raises(RuntimeError, match="after 3 cycles"):
+            _local_projection(cond, MU)
+
+
+class TestBfgsMax:
+    def test_stops_at_the_noise_floor(self):
+        """A concave quadratic of value 1e-6 with 1e-16 noise: once the
+        predicted gain is below 1e-13 of the value, further steps would only
+        chase the noise."""
+        rng = np.random.default_rng(5)
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return (1e-6 * (1.0 - x @ x) + 1e-16 * rng.standard_normal(),
+                    -2e-6 * x + 1e-16 * rng.standard_normal(x.size))
+
+        x = _bfgs_max(fun, np.array([0.3, -0.2, 0.1]))
+        assert np.linalg.norm(x) <= 1e-6
+        assert len(calls) <= 10
 
 
 class TestDetectionFamily:
@@ -458,6 +518,25 @@ class TestDetectionFamily:
         nu = family_distribution("P", eta)
         assert chsh_value(nu) > 2.0
         assert _plain_em_kl(nu.cond, 1e-15) > 0.0
+
+    @pytest.mark.parametrize("eta", [0.68, 0.75, 0.9, 1.0])
+    def test_seed_on_standard_orientation_at_grid_maximum(self, eta):
+        """The seed's CHSH value is the Bell operator's top eigenvalue over
+        all four single-minus sign patterns and the full 25 x 25 grid."""
+        grid = np.linspace(0.0, math.pi, 25)
+        obs = [eta * (math.cos(p) * np.diag([1.0, -1.0]) + math.sin(p) * SIGMA_X)
+               - (1.0 - eta) * np.eye(2) for p in grid]
+        ops = [
+            sum((-1.0 if (x, y) == minus else 1.0)
+                * np.kron(obs[i if x else 0], obs[j if y else 0])
+                for x in (0, 1) for y in (0, 1))
+            for minus in ((0, 0), (0, 1), (1, 0), (1, 1))
+            for i in range(25) for j in range(25)
+        ]
+        ref = np.linalg.eigvalsh(np.array(ops))[:, -1].max()
+        t, a0, a1, b0, b1 = _p_seed(eta)
+        nu = distribution_from_quantum(_partially_entangled(t), (a0, a1), (b0, b1), eta)
+        assert abs(chsh_value(nu) - ref) <= 1e-12
 
     def test_strength_gradient_matches_central_differences(self):
         rng = np.random.default_rng(41)
