@@ -28,7 +28,6 @@ from .estimators import expansion_rate, spot_check_scheme
 from .models import BellConfig, TrialDistribution, family_distribution
 from .pef_opt import LOCAL_TABLES, optimize_pef_polytope
 from .protocols import (
-    ProtocolParams,
     ProtocolResult,
     design_params,
     read_records,
@@ -117,15 +116,6 @@ def _cmd_mintrials(args: argparse.Namespace) -> int:
     return 0
 
 
-def _protocol_params(args: argparse.Namespace, F: TrialFunction) -> ProtocolParams:
-    params = design_params(
-        F, args.n, args.k_o, args.epsilon, k_z=args.k_z
-    )
-    if params is None:
-        raise ValueError("no feasible error split for these parameters")
-    return params
-
-
 def _result_json(result) -> str:
     return json.dumps(
         {
@@ -177,7 +167,7 @@ def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     F = _load_function(args.function)
-    params = _protocol_params(args, F)
+    params = design_params(F, args.n, args.k_o, args.epsilon, k_z=args.k_z)
     rng = np.random.default_rng(args.seed)
     records = _records_for(args, rng)
     banked = args.protocol == 2

@@ -419,8 +419,8 @@ def _local_projection(
         w2 = em(w1, gains(w1))
         r = w1 - w
         v = w2 - w1 - r
-        nv = float(np.linalg.norm(v))
-        a = min(-float(np.linalg.norm(r)) / nv, -1.0) if nv > 0.0 else -1.0
+        nv = math.sqrt(v @ v)
+        a = min(-math.sqrt(r @ r) / nv, -1.0) if nv > 0.0 else -1.0
         for _ in range(30):
             x = w - 2.0 * a * r + a * a * v
             if (x > 0.0).all():
@@ -534,13 +534,4 @@ def _p_family(eta: float) -> TrialDistribution:
     # Each evaluation's local projection warm-starts from the previous one's.
     weights = np.full(16, 1.0 / 16.0)
     t, a0, a1, b0, b1 = _bfgs_max(lambda v: _p_strength(v, eta, weights), _p_seed(eta))
-    rho = _partially_entangled(t)
-    # The divergence is blind to which input is labeled 0, so the optimizer may
-    # return any of four equally strong setting relabelings; keep the one that
-    # puts the violation on the standard CHSH orientation.
-    candidates = [
-        distribution_from_quantum(rho, aa, bb, eta)
-        for aa in ((a0, a1), (a1, a0))
-        for bb in ((b0, b1), (b1, b0))
-    ]
-    return max(candidates, key=chsh_value)
+    return distribution_from_quantum(_partially_entangled(t), (a0, a1), (b0, b1), eta)

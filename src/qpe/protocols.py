@@ -118,8 +118,8 @@ class ProtocolParams:
 
     ``epsilon`` is the total soundness error, split into the extractor's
     share ``epsilon_x`` and the certification share ``epsilon - epsilon_x``.
-    ``k_i`` is the extractor's input min-entropy demand and ``k_z`` credits
-    input-side randomness already spent (zero for the plain protocol).
+    ``k_z`` credits input-side randomness already spent (zero for the plain
+    protocol).
     ``F`` must be a certified factor, of role ``qef`` or ``qefp``.
     """
 
@@ -128,7 +128,6 @@ class ProtocolParams:
     k_o: int
     epsilon: float
     epsilon_x: float
-    k_i: int
     k_z: int = 0
 
     def __post_init__(self) -> None:
@@ -141,8 +140,11 @@ class ProtocolParams:
             raise ValueError("extractor error must lie in (0, epsilon)")
         if self.k_z < 0:
             raise ValueError("input credit must be nonnegative")
-        if self.k_i < toeplitz_min_ki(self.k_o, self.epsilon_x):
-            raise ValueError("input entropy demand below the extractor's need")
+
+    @property
+    def k_i(self) -> int:
+        """The extractor's input min-entropy demand."""
+        return toeplitz_min_ki(self.k_o, self.epsilon_x)
 
     @property
     def beta(self) -> float:
@@ -184,31 +186,21 @@ def design_params(
     k_o: int,
     epsilon: float,
     k_z: int = 0,
-) -> ProtocolParams | None:
+) -> ProtocolParams:
     """Split the error budget to minimize the certification threshold.
 
     Scans extractor errors on a 256-point log grid over ``(0, epsilon)``;
     each choice fixes the input-entropy demand and hence the threshold.
-    Returns the cheapest feasible parameter set, or None when no split
-    works.
+    Returns the cheapest parameter set; invalid arguments raise ValueError.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("total error must lie in (0, 1)")
     _require_certified(F)
-    best: ProtocolParams | None = None
-    for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), 256):
-        eps_x = float(eps_x)
-        k_i = toeplitz_min_ki(k_o, eps_x)
-        try:
-            cand = ProtocolParams(
-                F=F, n=n, k_o=k_o, epsilon=epsilon, epsilon_x=eps_x,
-                k_i=k_i, k_z=k_z,
-            )
-        except ValueError:
-            continue
-        if best is None or cand.log2_f_min < best.log2_f_min:
-            best = cand
-    return best
+    cands = (
+        ProtocolParams(F=F, n=n, k_o=k_o, epsilon=epsilon, epsilon_x=float(eps_x), k_z=k_z)
+        for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), 256)
+    )
+    return min(cands, key=lambda cand: cand.log2_f_min)
 
 
 @dataclass(frozen=True, eq=False)

@@ -264,7 +264,10 @@ def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarra
     station angles, or a stack of them along leading axes (see
     :func:`povm_vectors`); the weights are shared by the whole stack.
     """
-    d = 1 << np.shape(angles)[-1]
+    k = np.shape(angles)[-1]
+    if k != F.stations:
+        raise ValueError(f"{k} station angles for a trial function of {F.stations} stations")
+    d = 1 << k
     w = np.array([F.value(c, z) / d for z in range(d) for c in range(d)])
     rows = np.flatnonzero(w > 0.0)
     if rows.size == 0:
@@ -717,9 +720,9 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
 
     ``u(x) = (sin(phi-x) + sin x)^beta (sin(phi-x) f + sin x f') / sin(phi)^alpha``
 
-    whose log is concave on ``(0, phi)``, capped by
-    ``(phi / sin phi)^alpha max(f, f')``.  Requires ``phi in (0, pi/2]`` and
-    finite ``f, f' >= 0``; anything else raises ValueError.
+    whose log is concave on ``(0, phi)``.  As ``sin(phi-x) + sin x <= 2 sin(phi/2) <= phi``,
+    ``u <= sec(phi/2)^alpha max(f, f') <= (phi / sin phi)^alpha max(f, f')``, so no cap binds.
+    Requires ``phi in (0, pi/2]`` and finite ``f, f' >= 0``; anything else raises ValueError.
     With ``t = tan(x - phi/2)``, ``(log u)' = 0`` is the quadratic
     ``beta a t^2 + b t - a = 0``, where ``a = cos(phi/2) (f' - f)`` and
     ``b = (1 + beta) sin(phi/2) (f' + f)``, so the maximum has a closed form:
@@ -741,7 +744,6 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
         raise ValueError("endpoint values must be finite and nonnegative")
     alpha, beta = order.alpha, order.beta
     top = np.maximum(f, f_prime)
-    cap = (phi / np.sin(phi)) ** alpha * top
     a = np.cos(phi / 2.0) * (f_prime - f)
     b = (1.0 + beta) * np.sin(phi / 2.0) * (f_prime + f)
     # Both values 0 make t = 0/0, and then the bound is f = 0.
@@ -750,23 +752,14 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
     x = phi / 2.0 + np.arctan(t)
     s0, s1 = np.sin(phi - x), np.sin(x)
     peak = (s0 + s1) ** beta * (s0 * f + s1 * f_prime) / np.sin(phi) ** alpha
+    # ``top`` guards the interior peak against rounding below an endpoint.
     bound = np.where(
         np.abs(t) < np.tan(phi / 2.0), np.maximum(peak, top), np.where(t > 0.0, f_prime, f)
-    )
-    bound = np.minimum(bound, cap).reshape(shape)
+    ).reshape(shape)
     return float(bound) if bound.ndim == 0 else bound
 
 
 # -- certified supremum over configurations ----------------------------------
-
-
-@dataclass(frozen=True)
-class Region:
-    """One branch-and-bound cell: per-axis angle intervals and its bound."""
-
-    cuboid: tuple[tuple[float, float], ...]
-    vertex_values: tuple[float, ...]
-    upper_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -777,6 +770,13 @@ class CertificationResult:
     supremum from above (with a small additive roundoff allowance) and
     ``gap_flag`` marks budget exhaustion before the target gap
     ``gap_target`` was met.
+
+    ``cells`` holds every bounded cell, in sweep order, as the arrays of its
+    angle intervals ``(n, k, 2)`` in radians, its corner bounds ``(n, 2**k)``
+    (corner ``j`` is high on axis ``a`` when bit ``a`` of ``j`` is set) and
+    its bounds ``(n,)``.  The unsplit cells tile ``[0, pi]^k``, and their
+    largest bound gives ``f_upper``.  JSON does not store it, so it is None
+    for a certificate read from JSON.
     """
 
     beta: float
@@ -786,7 +786,7 @@ class CertificationResult:
     witness_tau: HermitianOperator
     regions_explored: int
     gap_flag: bool = False
-    regions: tuple[Region, ...] | None = None
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     gap_target: float | None = None
 
     @property
@@ -836,7 +836,6 @@ def certify_fmax(
     budget: int = 20000,
     workers: int = 1,
     seed: int = 0,
-    keep_regions: bool = False,
 ) -> CertificationResult:
     """Certify the supremum of the inner maximum over all station angles.
 
@@ -852,7 +851,8 @@ def certify_fmax(
     all of them, advances in one lockstep ascent (:func:`_maximize_block`),
     whose BFGS start ``seed`` seeds.  A sweep's cells are held as arrays,
     and each axis of all of them is cut by one :func:`interval_bound` call.
-    The search ends when no cell is left to split.
+    The search ends when no cell is left to split.  Every bounded cell is
+    kept in ``cells``, about 72 bytes a cell at ``k = 2``.
 
     The supremum runs over all densities, so the bracket also covers
     probability estimation factors: for a pure ``tau``,
@@ -882,7 +882,7 @@ def certify_fmax(
     created = len(lows)
     unsplit_ub = -math.inf
     gap_flag = False
-    kept: list[Region] = []
+    cells = []
     while len(lows):
         corners = (lows[:, None, :] + side[:, None, None] * bits).reshape(-1, k)
         points, index = np.unique(
@@ -907,12 +907,7 @@ def certify_fmax(
         for _ in range(k):
             box = interval_bound(box[..., 0, :], box[..., 1, :], side * math.pi, order)
         ub = np.minimum(box, cap)
-        if keep_regions:
-            cuboids = np.stack([lows, lows + side[:, None]], axis=-1) * math.pi
-            kept += [
-                Region(tuple(map(tuple, c)), tuple(u), b)
-                for c, u, b in zip(cuboids.tolist(), ubs.tolist(), ub.tolist())
-            ]
+        cells.append((np.stack([lows, lows + side[:, None]], axis=-1) * math.pi, ubs, ub))
         # Split the cells above the witness by more than the gap, highest
         # bound first, while the budget lasts.
         rank = np.argsort(-ub, kind="stable")
@@ -936,6 +931,6 @@ def certify_fmax(
         witness_tau=HermitianOperator(tau_star),
         regions_explored=created,
         gap_flag=gap_flag,
-        regions=tuple(kept) if keep_regions else None,
+        cells=tuple(np.concatenate(arrays) for arrays in zip(*cells)),
         gap_target=gap_target,
     )

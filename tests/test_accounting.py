@@ -28,7 +28,7 @@ from qpe.accounting import (
     write_rmax_csv,
 )
 from qpe.estimators import _A, iota0
-from qpe.protocols import ProtocolParams, toeplitz_min_ki
+from qpe.protocols import ProtocolParams
 from qpe.qef_engine import TrialFunction
 
 LOG2 = math.log(2.0)
@@ -113,8 +113,7 @@ class TestSingleThresholdFormula:
             k_o = int(rng.integers(1, 2000))
             params = ProtocolParams(
                 F=dataclasses.replace(F, beta=beta), n=100, k_o=k_o, epsilon=eps,
-                epsilon_x=eps / 2.0, k_i=toeplitz_min_ki(k_o, eps / 2.0),
-                k_z=int(rng.choice([0, 7])),
+                epsilon_x=eps / 2.0, k_z=int(rng.choice([0, 7])),
             )
             cert = minentropy_bound(
                 params.log2_f_min * LOG2, beta, ErrorBudget(params.epsilon_h)

@@ -241,6 +241,12 @@ class TestRun:
         assert got["log2_f"] >= got["log2_f_min"]
         assert got["trials_used"] <= 4000
 
+    def test_zero_trials_name_the_trial_count(self, tmp_path, qef_file, records_file, capsys):
+        argv = self.run_argv(qef_file, records_file, str(tmp_path / "out.json"))
+        argv[argv.index("--n") + 1] = "0"
+        assert main(argv) == 1
+        assert "trial count" in capsys.readouterr().err
+
     def test_seed_bits_are_one_int64_draw_in_uint8(self):
         """Chunked draws give one draw's values and leave later draws as they were."""
         chunk = cli._BITS_CHUNK

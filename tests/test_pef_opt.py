@@ -95,9 +95,9 @@ def pef45(nu_e):
 @pytest.fixture(scope="module")
 def cert45(pef45, config22):
     """The power-0.45 factor's bracket over quantum models at gap 1e-3,
-    with its kept regions."""
+    with its cells."""
     F, _ = pef45
-    return certify_fmax(F, config22, 1e-3, seed=0, keep_regions=True)
+    return certify_fmax(F, config22, 1e-3, seed=0)
 
 
 class TestVertices:
@@ -377,17 +377,16 @@ class TestCertifyPefFmax:
         maximum respect the cell bounds."""
         F, _ = pef45
         rng = np.random.default_rng(23)
-        regions = cert45.regions
-        assert regions
-        idx = rng.choice(len(regions), size=min(60, len(regions)), replace=False)
+        boxes, _, bounds = cert45.cells
+        assert len(bounds)
+        idx = rng.choice(len(bounds), size=min(60, len(bounds)), replace=False)
         for i in idx:
-            region = regions[i]
-            theta = [rng.uniform(lo, hi) for lo, hi in region.cuboid]
-            assert inner_max_tau(F, theta, tol=1e-6).value <= region.upper_bound + 1e-9
+            theta = [rng.uniform(lo, hi) for lo, hi in boxes[i]]
+            assert inner_max_tau(F, theta, tol=1e-6).value <= bounds[i] + 1e-9
             for _ in range(4):
                 x = rng.standard_normal(4)
                 val = q_alpha(F, theta, np.outer(x, x) / (x @ x))
-                assert val <= region.upper_bound + 1e-9
+                assert val <= bounds[i] + 1e-9
 
     def test_agrees_with_mixed_state_certifier(self, pef45, cert45):
         """The supremum over densities is attained by a pure state, so the

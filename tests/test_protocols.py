@@ -51,7 +51,6 @@ def make_params(n=50, k_o=8, epsilon=1e-3, k_z=0, beta=0.5, poison=None):
         k_o=k_o,
         epsilon=epsilon,
         epsilon_x=eps_x,
-        k_i=toeplitz_min_ki(k_o, eps_x),
         k_z=k_z,
     )
 
@@ -255,8 +254,6 @@ class TestProtocolParams:
             dataclasses.replace(good, epsilon_x=2e-3)
         with pytest.raises(ValueError):
             dataclasses.replace(good, k_z=-1)
-        with pytest.raises(ValueError):
-            dataclasses.replace(good, k_i=toeplitz_min_ki(good.k_o, good.epsilon_x) - 1)
 
     def test_uncertified_roles_rejected(self):
         good = make_params()
@@ -321,6 +318,12 @@ class TestDesignParams:
     def test_domain(self):
         with pytest.raises(ValueError):
             design_params(flat_factor(2.0), 100, 8, 1.5)
+
+    def test_invalid_arguments_raise(self):
+        """Every split is valid on valid input, so bad arguments raise."""
+        for n, k_o, k_z in ((0, 8, 0), (100, 0, 0), (100, 8, -1)):
+            with pytest.raises(ValueError):
+                design_params(flat_factor(2.0), n, k_o, 1e-3, k_z=k_z)
 
 
 class TestProtocol1:

@@ -909,36 +909,88 @@ class TestCertifyFmax:
             role="candidate",
         )
         config = BellConfig.uniform((0.0,))
-        res = certify_fmax(F, config, 1e-3, seed=0, keep_regions=True)
-        assert res.regions
+        res = certify_fmax(F, config, 1e-3, seed=0)
+        boxes, _, bounds = res.cells
+        assert len(bounds)
         rng = np.random.default_rng(42)
-        picks = rng.choice(len(res.regions), size=min(10, len(res.regions)), replace=False)
+        picks = rng.choice(len(bounds), size=min(10, len(bounds)), replace=False)
         for i in picks:
-            region = res.regions[i]
             theta = tuple(
-                float(rng.uniform(lo, hi)) for lo, hi in region.cuboid
+                float(rng.uniform(lo, hi)) for lo, hi in boxes[i]
             )
             inner = inner_max_tau(F, theta, tol=1e-6)
-            assert region.upper_bound >= inner.value - 1e-9
+            assert bounds[i] >= inner.value - 1e-9
 
     def test_cells_match_the_per_cell_reduction(self, nu_e, config22):
         """A cell's bound is at most the scalar axis-by-axis reduction of its
         corner bounds, axis 0 first, and equals it in the first sweep, whose
         cells have no parent's cap."""
         F, _ = optimize_pef_polytope(nu_e, 0.2)
-        res = certify_fmax(F, config22, 1e-3, seed=0, keep_regions=True)
+        res = certify_fmax(F, config22, 1e-3, seed=0)
         order = RenyiOrder.from_beta(F.beta)
-        for i, region in enumerate(res.regions):
+        for i, (box, corners, bound) in enumerate(zip(*res.cells)):
             # Corner j is high on axis a when bit a of j is set.
-            vals = list(region.vertex_values)
-            for lo, hi in region.cuboid:
+            vals = corners.tolist()
+            for lo, hi in box.tolist():
                 vals = [
                     interval_bound(v0, v1, hi - lo, order)
                     for v0, v1 in zip(vals[0::2], vals[1::2])
                 ]
-            assert region.upper_bound <= vals[0] * (1.0 + 1e-12)
+            assert bound <= vals[0] * (1.0 + 1e-12)
             if i < 16:
-                assert abs(region.upper_bound - vals[0]) <= 1e-12 * vals[0]
+                assert abs(bound - vals[0]) <= 1e-12 * vals[0]
+
+    @staticmethod
+    def _leaves(boxes: np.ndarray) -> np.ndarray:
+        """Cells whose half-side child at the same low corner is absent."""
+        lows = [tuple(low) for low in boxes[:, :, 0].tolist()]
+        width = (boxes[:, 0, 1] - boxes[:, 0, 0]).tolist()
+        at: dict[tuple, list[float]] = {}
+        for low, w in zip(lows, width):
+            at.setdefault(low, []).append(w)
+        return np.array([
+            not any(abs(2.0 * c - w) <= 1e-9 * w for c in at[low])
+            for low, w in zip(lows, width)
+        ])
+
+    def test_cells_tile_the_cube_and_give_f_upper(self, nu_e, cert02, config22):
+        """At k = 1, k = 2 and a budget-stopped k = 2 run, every bounded cell
+        is kept, the leaves tile ``[0, pi]^k``, and ``f_upper`` is the larger
+        of ``f_lower`` and their largest bound, plus the slack, exactly."""
+        one = TrialFunction(
+            {(c, z): 1.0 + 0.1 * c - 0.05 * z for c in (0, 1) for z in (0, 1)},
+            0.2,
+            role="candidate",
+        )
+        F05, _ = optimize_pef_polytope(nu_e, 0.05)
+        stopped = certify_fmax(F05, config22, 1e-5, budget=40, seed=0)
+        assert stopped.gap_flag
+        for k, res in (
+            (1, certify_fmax(one, BellConfig.uniform((0.0,)), 1e-3, seed=0)),
+            (2, cert02),
+            (2, stopped),
+        ):
+            boxes, corners, bounds = res.cells
+            n = res.regions_explored
+            assert len(bounds) == n
+            assert boxes.shape == (n, k, 2) and corners.shape == (n, 1 << k)
+            leaf = self._leaves(boxes)
+            volume = np.prod(boxes[leaf, :, 1] - boxes[leaf, :, 0], axis=1).sum()
+            assert abs(volume - math.pi**k) <= 1e-12 * math.pi**k
+            assert res.f_upper == max(res.f_lower, bounds[leaf].max()) + qef_engine.NUMERIC_SLACK
+        assert CertificationResult.from_json(cert02.to_json()).cells is None
+
+    def test_station_count_must_match_the_factor(self, nu_e):
+        """Angles for another station count raise instead of certifying a
+        different functional (k = 1) or failing on a missing key (k = 3)."""
+        F, _ = optimize_pef_polytope(nu_e, 0.05)
+        for angles in ((0.0,), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="station"):
+                certify_fmax(F, BellConfig.uniform(angles), 1e-3, seed=0)
+        with pytest.raises(ValueError, match="station"):
+            inner_max_tau(F, (0.3,))
+        with pytest.raises(ValueError, match="station"):
+            q_alpha(F, (0.3,), np.eye(2) / 2.0)
 
     def test_witness_attains_f_lower(self, pef02, cert02):
         F, _ = pef02
