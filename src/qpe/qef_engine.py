@@ -18,12 +18,21 @@ inverse Hessian of the stack in place with the rank-two form of the BFGS
 update.
 A sweep's cells are arrays, bounded along each axis by one call of
 :func:`interval_bound`, whose interior maxima have a closed form.
+The search runs over a fundamental domain of the factor's symmetries: the
+station permutations and reflections ``theta_i -> pi - theta_i`` that a
+relabeling of cells turns into a symmetry of the factor (:func:`_fold`).
+It bounds the factor's largest value over each cell's orbit, which is
+exactly symmetric and no smaller, and keeps only the cells that no map
+fixing their parent sends to a lexicographically smaller sibling
+(:func:`_kept`); the kept cells' images under the maps tile the cube.
 
 All logs are natural except the record sums of :func:`chain`, in bits.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -759,6 +768,134 @@ def interval_bound(f: ArrayLike, f_prime: ArrayLike, phi: ArrayLike, order: Reny
     return float(bound) if bound.ndim == 0 else bound
 
 
+# -- symmetries of the angle cube --------------------------------------------
+
+# An angle map ``(perm, reflect)`` sends ``theta`` to the angles whose
+# station ``j`` is ``theta[perm[j]]``, reflected to ``pi - theta[perm[j]]``
+# where ``reflect[j]``.
+AngleMap = tuple[tuple[int, ...], tuple[bool, ...]]
+# Station counts whose candidate tables are built: at ``k = 3`` a table has
+# 48 * 64 * 64 entries, and at ``k = 4`` it would have 25 million.
+_FOLD_MAX_K = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _angle_maps(k: int):
+    """The cube's ``k! 2**k`` angle maps, their cell relabelings and their products.
+
+    Returns ``(maps, table, compose)``, read-only.  ``maps`` lists the angle
+    maps, the identity first.  A cell ``(c, z)`` has the flat index
+    ``z 2**k + c``, and
+    ``F[table[g, t]]`` is the factor whose inner maximum at ``theta`` equals
+    that of ``F`` at ``maps[g]`` applied to ``theta``, for each of the
+    ``4**k`` relabelings ``t`` that fix every angle (``t`` packs ``t_z``
+    above ``t_c``).  The relabeling first maps ``(c, z)`` to
+    ``(c ^ t_c, z ^ t_z)``: flipping all of a station's outcomes, or
+    swapping its settings, leaves the inner maximum as it is.  It then moves
+    station ``perm[j]``'s bits of ``c`` and ``z`` to bit ``j``, and flips
+    ``c_j`` where ``z_j = 1`` for each reflected station ``j``: setting 1 at
+    ``pi - theta_j`` is setting 1 at ``theta_j`` with its outcomes swapped.
+    ``compose[g, h]`` is the map that applies ``maps[h]``, then ``maps[g]``.
+    """
+    d = 1 << k
+    z, c = np.divmod(np.arange(d * d), d)
+    t_z, t_c = np.divmod(np.arange(d * d), d)
+    z, c = z ^ t_z[:, None], c ^ t_c[:, None]
+    weights = 1 << np.arange(k)
+    maps, table = [], []
+    for perm in itertools.permutations(range(k)):
+        moved_z, moved_c = ((x[..., None] >> np.array(perm) & 1) @ weights for x in (z, c))
+        for mask in range(d):
+            maps.append((perm, tuple(bool(mask >> j & 1) for j in range(k))))
+            table.append(moved_z * d + (moved_c ^ (moved_z & mask)))
+    index = {g: i for i, g in enumerate(maps)}
+    compose = np.array([
+        [
+            index[(
+                tuple(h_perm[p] for p in g_perm),
+                tuple(r != h_reflect[p] for r, p in zip(g_reflect, g_perm)),
+            )]
+            for h_perm, h_reflect in maps
+        ]
+        for g_perm, g_reflect in maps
+    ])
+    table = np.array(table)
+    # Every caller shares the cached arrays.
+    table.setflags(write=False)
+    compose.setflags(write=False)
+    return tuple(maps), table, compose
+
+
+def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
+    """``(F~, maps)``: a factor at least ``F`` whose inner maximum the angle maps leave as is.
+
+    An angle map is a symmetry when one of its relabelings moves no value of
+    ``F`` by more than ``NUMERIC_SLACK``.  ``maps`` is the group those
+    symmetries generate, the identity first.  ``F~`` is the largest value of
+    ``F`` over each cell's orbit under the chosen relabelings, so it is
+    exactly invariant under them and ``F <= F~`` on every cell; it is ``F``
+    itself when ``F`` is exactly invariant.
+    """
+    if k > _FOLD_MAX_K:
+        return F, [(tuple(range(k)), (False,) * k)]
+    maps, table, compose = _angle_maps(k)
+    d = 1 << k
+    values = np.array([F.value(c, z) for z in range(d) for c in range(d)])
+    moved = np.abs(values[table] - values).max(axis=-1)
+    pick = moved.argmin(axis=1)
+    found = np.flatnonzero(moved[np.arange(len(maps)), pick] <= NUMERIC_SLACK)
+    group = found
+    while True:
+        grown = np.unique(compose[np.ix_(group, group)])
+        if len(grown) == len(group):
+            break
+        group = grown
+    folded, relabel = values, table[found, pick[found]]
+    while True:
+        grown = np.maximum(folded, folded[relabel].max(axis=0))
+        if np.array_equal(grown, folded):
+            break
+        folded = grown
+    if folded is not values:
+        F = TrialFunction(
+            {(c, z): float(folded[z * d + c]) for z in range(d) for c in range(d)},
+            F.beta,
+            F.role,
+        )
+    return F, [maps[g] for g in group]
+
+
+def _map_lows(lows: np.ndarray, side: np.ndarray, perm: np.ndarray, reflect: np.ndarray):
+    """Low corners ``(m, n, k)`` of the boxes ``lows + [0, side]^k`` under ``m`` angle maps.
+
+    The boxes lie in ``[0, 1]^k``, the angle cube in units of ``pi``.
+    """
+    moved = lows[:, perm].swapaxes(0, 1)
+    return np.where(reflect[:, None, :], 1.0 - moved - side[None, :, None], moved)
+
+
+def _kept(lows, side, parent_lows, parent_side, perm, reflect) -> np.ndarray:
+    """Which cells of ``[0, 1]^k`` the folded search keeps.
+
+    A cell is dropped exactly when a map (a row of ``perm`` and ``reflect``)
+    that sends its parent onto itself sends the cell to one whose low corner
+    is lexicographically smaller.  Then every dropped cell is the image of a
+    kept sibling under a map of the group, and the kept cells' images tile
+    the parent's.  Corners and sides are dyadic, so the comparisons are
+    exact.
+    """
+    fixed = (_map_lows(parent_lows, parent_side, perm, reflect) == parent_lows).all(axis=-1)
+    image = _map_lows(lows, side, perm, reflect)
+    differs = image != lows
+    # The first axis on which the image differs decides the order.
+    first = differs.argmax(axis=-1)
+    cell = np.arange(len(lows))
+    smaller = differs.any(axis=-1) & (
+        image[np.arange(len(perm))[:, None], cell, first] < lows[cell, first]
+    )
+    return ~(fixed & smaller).any(axis=0)
+
+
 # -- certified supremum over configurations ----------------------------------
 
 
@@ -771,12 +908,16 @@ class CertificationResult:
     ``gap_flag`` marks budget exhaustion before the target gap
     ``gap_target`` was met.
 
-    ``cells`` holds every bounded cell, in sweep order, as the arrays of its
-    angle intervals ``(n, k, 2)`` in radians, its corner bounds ``(n, 2**k)``
-    (corner ``j`` is high on axis ``a`` when bit ``a`` of ``j`` is set) and
-    its bounds ``(n,)``.  The unsplit cells tile ``[0, pi]^k``, and their
-    largest bound gives ``f_upper``.  JSON does not store it, so it is None
-    for a certificate read from JSON.
+    ``symmetries`` lists the angle maps (see ``AngleMap``) under which the
+    search folded the cube, the identity first; it is the identity alone
+    for a factor with no symmetry.  ``cells`` holds every bounded cell, in
+    sweep order, as the arrays of its angle intervals ``(n, k, 2)`` in
+    radians, its corner bounds ``(n, 2**k)`` (corner ``j`` is high on axis
+    ``a`` when bit ``a`` of ``j`` is set) and its bounds ``(n,)``.  The
+    images of the unsplit cells under the maps of ``symmetries`` tile
+    ``[0, pi]^k``, and the cells' largest bound gives ``f_upper``.  JSON
+    does not store the cells, so they are None for a certificate read from
+    JSON.
     """
 
     beta: float
@@ -785,6 +926,7 @@ class CertificationResult:
     witness_theta: tuple[float, ...]
     witness_tau: HermitianOperator
     regions_explored: int
+    symmetries: tuple[AngleMap, ...]
     gap_flag: bool = False
     cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     gap_target: float | None = None
@@ -805,6 +947,7 @@ class CertificationResult:
                     [float(x.real), float(x.imag)] for x in m.ravel()
                 ],
                 "regions": self.regions_explored,
+                "symmetries": [[list(perm), list(reflect)] for perm, reflect in self.symmetries],
                 "gap_flag": self.gap_flag,
                 "gap_target": self.gap_target,
             }
@@ -816,6 +959,10 @@ class CertificationResult:
         flat = np.array([complex(re, im) for re, im in data["witness_tau"]])
         dim = round(math.isqrt(flat.size))
         target = data.get("gap_target")
+        k = len(data["witness_theta"])
+        # Certificates written before these fields read as unfolded, met and
+        # untargeted.
+        maps = data.get("symmetries", [[list(range(k)), [False] * k]])
         return cls(
             beta=float(data["beta"]),
             f_lower=float(data["f_lower"]),
@@ -823,7 +970,10 @@ class CertificationResult:
             witness_theta=tuple(float(t) for t in data["witness_theta"]),
             witness_tau=HermitianOperator(flat.reshape(dim, dim)),
             regions_explored=int(data["regions"]),
-            # Certificates written before these fields read as met, untargeted.
+            symmetries=tuple(
+                (tuple(int(p) for p in perm), tuple(bool(r) for r in reflect))
+                for perm, reflect in maps
+            ),
             gap_flag=bool(data.get("gap_flag", False)),
             gap_target=None if target is None else float(target),
         )
@@ -854,6 +1004,21 @@ def certify_fmax(
     The search ends when no cell is left to split.  Every bounded cell is
     kept in ``cells``, about 72 bytes a cell at ``k = 2``.
 
+    The search runs over a fundamental domain of the factor's symmetries
+    (:func:`_fold`): the angle maps, station permutations times reflections
+    ``theta_i -> pi - theta_i``, that some relabeling of cells turns into a
+    symmetry of ``F`` to within ``NUMERIC_SLACK``.  It bounds ``F~``, the
+    largest value of ``F`` over each cell's orbit under those relabelings,
+    which is exactly symmetric; the functional is monotone in the factor,
+    so ``F~``'s supremum bounds ``F``'s.  ``f_lower`` is ``F``'s own value
+    at the witness.  The initial grid counts as the children of the whole
+    cube, and a new cell is dropped exactly when a map that sends its
+    parent onto itself sends it to a sibling with a lexicographically
+    smaller low corner (:func:`_kept`).  The images of the unsplit kept
+    cells under the maps then tile the cube, so their largest bound is
+    sound.  The budget counts kept cells.  A factor with no symmetry keeps
+    every cell and is certified as it would be without the fold.
+
     The supremum runs over all densities, so the bracket also covers
     probability estimation factors: for a pure ``tau``,
     ``tau**(1/alpha) = tau`` and the factor's functional equals
@@ -866,7 +1031,12 @@ def certify_fmax(
     if gap_target <= 0.0:
         raise ValueError("gap target must be positive")
     k = config.k
+    if k != F.stations:
+        raise ValueError(f"{k} station angles for a trial function of {F.stations} stations")
     order = RenyiOrder.from_beta(F.beta)
+    folded, symmetries = _fold(F, k)
+    perm = np.array([p for p, _ in symmetries[1:]], dtype=int).reshape(-1, k)
+    reflect = np.array([r for _, r in symmetries[1:]], dtype=bool).reshape(-1, k)
     # Row ``i`` holds the bits of ``i``, axis 0 lowest: a unit cube's corners.
     bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
     # The cells to bound: lower corners, sides and their parents' bounds.
@@ -874,6 +1044,9 @@ def certify_fmax(
     # halving and adding them is exact.
     lows = np.array(list(np.ndindex(*([4] * k)))) / 4.0
     side = np.full(len(lows), 0.25)
+    # The initial grid's parent is the whole cube.
+    kept = _kept(lows, side, np.zeros_like(lows), np.ones(len(lows)), perm, reflect)
+    lows, side = lows[kept], side[kept]
     cap = np.full(len(lows), math.inf)
     # The solved vertices, sorted, and their certified bounds.
     vertices, vertex_ub = np.empty((0, k)), np.empty(0)
@@ -893,7 +1066,7 @@ def certify_fmax(
         new[index[: len(vertices)]] = False
         thetas = points[new] * math.pi
         value, tau, bound, _, _, _ = _solve_vertices(
-            F, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
+            folded, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
         )
         best = int(np.argmax(value))
         if value[best] > f_lower:
@@ -912,17 +1085,23 @@ def certify_fmax(
         # bound first, while the budget lasts.
         rank = np.argsort(-ub, kind="stable")
         rank = rank[ub[rank] > f_lower + gap_target]
-        room = max(0, (budget - created) // (1 << k))
-        gap_flag = gap_flag or len(rank) > room
-        rank = rank[:room]
-        unsplit_ub = max(unsplit_ub, float(np.delete(ub, rank).max(initial=-math.inf)))
         half = side[rank] / 2.0
-        lows = (lows[rank][:, None, :] + half[:, None, None] * bits).reshape(-1, k)
-        side, cap = np.repeat(half, 1 << k), np.repeat(ub[rank], 1 << k)
+        children = (lows[rank][:, None, :] + half[:, None, None] * bits).reshape(-1, k)
+        parents = np.repeat(rank, 1 << k)
+        kept = _kept(children, side[parents] / 2.0, lows[parents], side[parents], perm, reflect)
+        # Split a prefix of the rank: the parents whose kept children fit.
+        room = np.cumsum(kept.reshape(-1, 1 << k).sum(axis=1)) <= budget - created
+        split = int(room.sum())
+        gap_flag = gap_flag or split < len(rank)
+        kept &= np.repeat(room, 1 << k)
+        unsplit_ub = max(unsplit_ub, float(np.delete(ub, rank[:split]).max(initial=-math.inf)))
+        lows, side, cap = children[kept], side[parents[kept]] / 2.0, ub[parents[kept]]
         created += len(lows)
 
     f_upper = max(f_lower, unsplit_ub) + NUMERIC_SLACK
     theta_star, tau_star = witness
+    if folded is not F:
+        f_lower = q_alpha(F, theta_star, tau_star)
     return CertificationResult(
         beta=F.beta,
         f_lower=f_lower,
@@ -930,6 +1109,7 @@ def certify_fmax(
         witness_theta=theta_star,
         witness_tau=HermitianOperator(tau_star),
         regions_explored=created,
+        symmetries=tuple(symmetries),
         gap_flag=gap_flag,
         cells=tuple(np.concatenate(arrays) for arrays in zip(*cells)),
         gap_target=gap_target,

@@ -361,17 +361,24 @@ class CqDistribution:
 
 
 def _support_leak(rho: HermitianOperator, sigma: HermitianOperator):
-    """Relative mass of each ``rho`` outside the support of its ``sigma``.
+    """Mass of each ``rho`` outside the support of its ``sigma``, relative to the pair.
 
-    The kernel of ``sigma`` spans its eigenvalues at most ``KERNEL_CUT`` times
-    the largest; when no ``sigma`` has one, nothing can leak.
+    The mass is ``tr(P_ker rho)``, over the larger of ``tr rho`` and
+    ``tr sigma``.  The kernel of ``sigma`` spans its eigenvalues at most
+    ``KERNEL_CUT`` times the largest, so a block far smaller than its
+    marginal may lie in it whole; over ``tr sigma``, its mass is below the
+    cut.  When no ``sigma`` has a kernel, nothing can leak.
     """
     w, v = sigma._eig()
     kernel = np.abs(w) <= KERNEL_CUT * np.abs(w[..., :1])
     if not _any(kernel):
         return 0.0
-    leak = _fro(_from_spectrum(kernel.astype(float), v) @ rho.matrix)
-    return leak / np.maximum(1.0, _fro(rho.matrix))
+    # Not ``||P_ker rho||_F``: that norm scales as the square root of the
+    # mass, so roundoff mass of 1e-16 reads as 1e-8.
+    kernel_part = _from_spectrum(kernel.astype(float), v) @ rho.matrix
+    leak = np.real(np.trace(kernel_part, axis1=-2, axis2=-1))
+    scale = np.maximum(rho.trace(), sigma.trace())
+    return np.divide(leak, scale, out=np.zeros_like(leak), where=scale > 0.0)
 
 
 def renyi_power(
@@ -438,7 +445,10 @@ def renyi_power(
 
     if kind == "sandwiched":
         s = sigma._power(-beta / (2.0 * alpha))
-        w = HermitianOperator(s @ rho.matrix @ s).psd_eigenvalues()
+        # The product is Hermitian up to roundoff relative to ``s``, not to
+        # itself, so it is symmetrized rather than checked.
+        m = s @ rho.matrix @ s
+        w = HermitianOperator((m + _dagger(m)) / 2.0).psd_eigenvalues()
         value = (w**alpha).sum(axis=-1)
     else:
         ra = rho._power(alpha)

@@ -64,6 +64,14 @@ def chained_case(f: np.ndarray, beta: float, entries: np.ndarray):
     return TrialFunction(values, beta, role="qef"), CqDistribution(blocks)
 
 
+def _leak_entries(imag: float) -> np.ndarray:
+    """Entries for :func:`chained_case` with one nearly rank-one trial-1 block."""
+    entries = np.full((2, 20, 2, 2), 0.25)
+    entries[0, 0] = [[1e-6, 0.25], [0.0, 0.25]]
+    entries[1] = imag
+    return entries
+
+
 def per_block_slack(F: TrialFunction, rho: CqDistribution, kind: str) -> float:
     """The defining inequality's slack as a loop of single-pair Renyi powers."""
     order = RenyiOrder.from_beta(F.beta)
@@ -314,6 +322,22 @@ class TestChain:
         beta=0.5,
         kind="sandwiched",
         entries=np.where(np.arange(160).reshape(2, 20, 2, 2) == 0, 1.0, 6.52451814e-156),
+    )
+    # Roundoff mass of about 4e-16 in a marginal's kernel, whose norm
+    # (about 1.9e-8) was once read as the leak.
+    @example(
+        f=np.zeros((2, 2, 2)),
+        beta=1.0,
+        kind="sandwiched",
+        entries=_leak_entries(0.25),
+    )
+    # A sandwiched product whose skew (about 3e-13) was once checked against
+    # the input tolerance relative to its own entries.
+    @example(
+        f=np.zeros((2, 2, 2)),
+        beta=1.0,
+        kind="sandwiched",
+        entries=_leak_entries(0.0),
     )
     def test_two_trial_chained_inequality(self, f, beta, kind, entries):
         """Products of per-trial factors stay factors on composed states.
@@ -953,10 +977,25 @@ class TestCertifyFmax:
             for low, w in zip(lows, width)
         ])
 
+    @staticmethod
+    def _images(boxes: np.ndarray, maps) -> np.ndarray:
+        """The distinct images ``(m, k, 2)`` of the boxes under the angle maps:
+        station ``j`` of an image takes axis ``perm[j]``, mirrored to
+        ``[pi - hi, pi - lo]`` where ``reflect[j]``."""
+        out = []
+        for perm, reflect in maps:
+            moved = boxes[:, list(perm), :]
+            mirrored = math.pi - moved[:, :, ::-1]
+            out.append(np.where(np.array(reflect)[None, :, None], mirrored, moved))
+        images = np.concatenate(out)
+        return images[np.unique(np.round(images * 1e9), axis=0, return_index=True)[1]]
+
     def test_cells_tile_the_cube_and_give_f_upper(self, nu_e, cert02, config22):
         """At k = 1, k = 2 and a budget-stopped k = 2 run, every bounded cell
-        is kept, the leaves tile ``[0, pi]^k``, and ``f_upper`` is the larger
-        of ``f_lower`` and their largest bound, plus the slack, exactly."""
+        is kept, the leaves' images under the recorded angle maps tile
+        ``[0, pi]^k`` (volumes sum to ``pi^k`` and no two overlap), and
+        ``f_upper`` is the larger of ``f_lower`` and the leaves' largest
+        bound, plus the slack, exactly."""
         one = TrialFunction(
             {(c, z): 1.0 + 0.1 * c - 0.05 * z for c in (0, 1) for z in (0, 1)},
             0.2,
@@ -975,8 +1014,13 @@ class TestCertifyFmax:
             assert len(bounds) == n
             assert boxes.shape == (n, k, 2) and corners.shape == (n, 1 << k)
             leaf = self._leaves(boxes)
-            volume = np.prod(boxes[leaf, :, 1] - boxes[leaf, :, 0], axis=1).sum()
+            tiles = self._images(boxes[leaf], res.symmetries)
+            volume = np.prod(tiles[:, :, 1] - tiles[:, :, 0], axis=1).sum()
             assert abs(volume - math.pi**k) <= 1e-12 * math.pi**k
+            lo, hi = tiles[:, None, :, 0], tiles[None, :, :, 1]
+            top, bottom = np.maximum(lo, lo.swapaxes(0, 1)), np.minimum(hi, hi.swapaxes(0, 1))
+            overlap = (top < bottom - 1e-9).all(-1)
+            assert overlap.sum() == len(tiles)  # each tile overlaps itself only
             assert res.f_upper == max(res.f_lower, bounds[leaf].max()) + qef_engine.NUMERIC_SLACK
         assert CertificationResult.from_json(cert02.to_json()).cells is None
 
@@ -1020,12 +1064,12 @@ class TestCertifyFmax:
         count and a bracket within the gap of its ``(f_lower, f_upper)``."""
         F, _ = optimize_pef_polytope(nu_e, 0.2)
         res = certify_fmax(F, config22, 1e-3, seed=0)
-        assert res.regions_explored == 320 and not res.gap_flag
+        assert res.regions_explored == 48 and not res.gap_flag
         assert abs(res.f_lower - 1.0) <= 1e-3
         assert abs(res.f_upper - 1.0006632130135131) <= 1e-3
         F, _ = optimize_pef_polytope(nu_e, 0.05)
         res = certify_fmax(F, config22, 1e-5, budget=40, seed=0)
-        assert res.regions_explored == 40 and res.gap_flag
+        assert res.regions_explored == 38 and res.gap_flag
         assert res.f_upper >= res.f_lower
 
     def test_gap_target_domain(self, pef02, config22):
@@ -1074,16 +1118,168 @@ class TestCertifyFmax:
     @pytest.mark.parametrize(
         "beta, regions, f_lower, f_upper",
         [
-            (0.05, 960, 0.9999999999954676, 1.0000915717379488),
-            (0.2, 400, 1.0000000000000004, 1.0000871561681683),
+            (0.05, 136, 0.9999999999954675, 1.000091571736561),
+            (0.2, 61, 1.0000000000000004, 1.0000791280520844),
         ],
     )
     def test_benchmark_certifications_pinned(self, beta, regions, f_lower, f_upper):
         """The E pi/4 polytope factors at gap 1e-4, seed 1 and budget 200000
-        keep their region counts and brackets: a faster solver must cost less
-        per certified pair, not split fewer regions."""
+        keep their region counts and brackets over the fundamental domain of
+        their 8 angle maps: a faster solver must cost less per certified
+        pair, not split fewer regions."""
         F, _ = optimize_pef_polytope(self._tsirelson_table(), beta)
         res = certify_fmax(F, BellConfig.uniform((0.0, 0.0)), 1e-4, budget=200000, seed=1)
         assert res.regions_explored == regions and not res.gap_flag
+        assert len(res.symmetries) == 8
         assert abs(res.f_lower - f_lower) <= 1e-12
         assert abs(res.f_upper - f_upper) <= 1e-12
+
+    def test_factor_without_symmetry_pinned(self, config22):
+        """A random-weight candidate has no symmetry, so the search bounds
+        the whole cube: its region count and bracket are those of the search
+        before the fold existed.  A faster solver must not split fewer
+        regions."""
+        rng = np.random.default_rng(2206)
+        F = TrialFunction(
+            {(c, z): float(rng.uniform(0.1, 2.0)) for c in range(4) for z in range(4)},
+            0.3,
+            role="candidate",
+        )
+        res = certify_fmax(F, config22, 1e-3, seed=0)
+        assert res.symmetries == (((0, 1), (False, False)),)
+        assert res.regions_explored == 144 and not res.gap_flag
+        assert abs(res.f_lower - 1.6342568918015004) <= 1e-12
+        assert abs(res.f_upper - 1.6348001827395646) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bends, maps, regions",
+        [({(0, 0): 1e-6}, 2, 176), ({(0, 0): 1e-6, (1, 0): 2e-6}, 1, 320)],
+        ids=["one-value", "two-values"],
+    )
+    def test_broken_symmetry_folds_less(self, nu_e, config22, bends, maps, regions):
+        """Relative changes of 1e-6 to values of the E pi/4 factor break its
+        symmetry.  Changing one value keeps the station swap, whose
+        relabeling fixes that cell, so 2 of the 8 maps survive; a second
+        change leaves the identity alone, and the search bounds the whole
+        cube in as many regions as the unfolded search of ``F`` took.
+        Either bracket agrees with the folded one within the gap plus the
+        change."""
+        F, _ = optimize_pef_polytope(nu_e, 0.2)
+        values = dict(F.values)
+        for key, rel in bends.items():
+            values[key] *= 1.0 + rel
+        bent = TrialFunction(values, F.beta, F.role)
+        gap = 1e-3
+        folded = certify_fmax(F, config22, gap, seed=0)
+        unfolded = certify_fmax(bent, config22, gap, seed=0)
+        assert len(folded.symmetries) == 8 and len(unfolded.symmetries) == maps
+        assert folded.regions_explored == 48 and unfolded.regions_explored == regions
+        assert max(folded.f_lower, unfolded.f_lower) <= min(folded.f_upper, unfolded.f_upper) + 1e-6
+        assert abs(folded.f_upper - unfolded.f_upper) <= gap + 1e-6
+        assert abs(folded.f_lower - unfolded.f_lower) <= gap + 1e-6
+
+    def test_json_keeps_symmetries(self, cert02):
+        """The angle maps survive JSON; a certificate written before they
+        were recorded reads as the identity alone."""
+        assert len(cert02.symmetries) == 8
+        assert CertificationResult.from_json(cert02.to_json()).symmetries == cert02.symmetries
+        data = json.loads(cert02.to_json())
+        del data["symmetries"]
+        old = CertificationResult.from_json(json.dumps(data))
+        assert old.symmetries == (((0, 1), (False, False)),)
+
+
+def _apply_map(g, theta) -> tuple[float, ...]:
+    """The image of ``theta`` under ``g = (perm, reflect)``: station ``j``
+    is ``theta[perm[j]]``, mirrored to ``pi - theta[perm[j]]`` where
+    ``reflect[j]``."""
+    perm, reflect = g
+    return tuple(math.pi - theta[p] if r else theta[p] for p, r in zip(perm, reflect))
+
+
+class TestSymmetries:
+    """The angle maps of the cube, their cell relabelings, and the keep rule."""
+
+    def test_relabeling_moves_the_angles(self):
+        """For every candidate angle map ``g`` and every relabeling ``t`` that
+        fixes the angles, the inner maximum at ``g theta`` equals that of the
+        relabeled factor at ``theta``."""
+        rng = np.random.default_rng(2207)
+        values = rng.uniform(0.1, 2.0, 16)
+        F = TrialFunction({(c, z): values[4 * z + c] for c in range(4) for z in range(4)}, 0.3)
+        maps, table, _ = qef_engine._angle_maps(2)
+        assert len(maps) == 8 and table.shape == (8, 16, 16)
+        theta = tuple(rng.uniform(0.0, math.pi, 2))
+        for g, rows in zip(maps, table):
+            want = inner_max_tau(F, _apply_map(g, theta), tol=1e-11).value
+            for t in rows:
+                G = TrialFunction(
+                    {(c, z): values[t[4 * z + c]] for c in range(4) for z in range(4)}, 0.3
+                )
+                assert abs(inner_max_tau(G, theta, tol=1e-11).value - want) <= 1e-9
+
+    def test_products_compose_the_maps(self):
+        """``compose[g, h]`` is the map that applies ``h``, then ``g``."""
+        maps, _, compose = qef_engine._angle_maps(3)
+        theta = (0.3, 1.1, 2.0)
+        for g, row in zip(maps, compose):
+            for h, gh in zip(maps, row):
+                got = _apply_map(maps[gh], theta)
+                assert np.allclose(got, _apply_map(g, _apply_map(h, theta)), atol=1e-15)
+
+    def test_polytope_factors_find_all_eight_maps(self, nu_e, pef02):
+        for F in (pef02[0], optimize_pef_polytope(nu_e, 0.2)[0]):
+            folded, maps = qef_engine._fold(F, 2)
+            assert len(maps) == 8 and maps[0] == ((0, 1), (False, False))
+            # The fold only rounds values up, by no more than the slack.
+            for key, value in F.values.items():
+                assert value <= folded.value(*key) <= value + qef_engine.NUMERIC_SLACK
+
+    def test_random_candidates_find_only_the_identity(self):
+        rng = np.random.default_rng(2208)
+        for _ in range(20):
+            F = TrialFunction(
+                {(c, z): float(rng.uniform(0.1, 2.0)) for c in range(4) for z in range(4)}, 0.3
+            )
+            folded, maps = qef_engine._fold(F, 2)
+            assert folded is F and maps == [((0, 1), (False, False))]
+
+    @pytest.mark.parametrize(
+        "k, maps",
+        [
+            (3, [((0, 1, 2), (False,) * 3), ((1, 2, 0), (False,) * 3), ((2, 0, 1), (False,) * 3)]),
+            (2, [(p, (a, b)) for p in ((0, 1), (1, 0)) for a in (0, 1) for b in (0, 1)]),
+        ],
+        ids=["k3-cyclic", "k2-all"],
+    )
+    def test_kept_leaves_tile_the_cube(self, k, maps):
+        """Uniform refinement, three levels below the ``4**k`` grid: the kept
+        leaves' images under the group cover every cell of the finest grid
+        exactly once.  The rule that keeps each cell least in its whole orbit
+        covers only 86.7 % of the cube here at ``k = 3`` under the cyclic
+        group."""
+        perm = np.array([p for p, _ in maps[1:]])
+        reflect = np.array([r for _, r in maps[1:]], dtype=bool)
+        lows = np.array(list(np.ndindex(*([4] * k)))) / 4.0
+        side = np.full(len(lows), 0.25)
+        kept = qef_engine._kept(lows, side, np.zeros_like(lows), np.ones(len(lows)), perm, reflect)
+        lows = lows[kept]
+        bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+        for depth in range(3):
+            s = 0.125 / 2**depth
+            children = (lows[:, None, :] + s * bits).reshape(-1, k)
+            parents = np.repeat(lows, 1 << k, axis=0)
+            n = len(children)
+            kept = qef_engine._kept(
+                children, np.full(n, s), parents, np.full(n, 2 * s), perm, reflect
+            )
+            lows = children[kept]
+        n = 32
+        covered = np.zeros((n,) * k, dtype=int)
+        for low in (lows * n).round().astype(int):
+            images = {
+                tuple(n - 1 - low[p] if r else low[p] for p, r in zip(pm, rf)) for pm, rf in maps
+            }
+            for cell in images:
+                covered[cell] += 1
+        assert (covered == 1).all()

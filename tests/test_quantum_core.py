@@ -137,6 +137,19 @@ class TestRenyiPower:
         with pytest.raises(ValueError):
             renyi_power(rho, sigma, RenyiOrder(1.5))
 
+    def test_support_leak_is_a_mass(self):
+        """A leak of mass 1e-7 is rejected, and one of 1e-9 is not: the mass,
+        not its square root, is held against ``SUPPORT_TOL``."""
+        sigma = np.diag([1.0, 0.0])
+        for mass, leaks in ((1e-7, True), (1e-9, False)):
+            rho = np.array([[1.0 - mass, math.sqrt(mass * (1.0 - mass))],
+                            [math.sqrt(mass * (1.0 - mass)), mass]])
+            if leaks:
+                with pytest.raises(ValueError, match="relative mass 1.000e-07"):
+                    renyi_power(rho, sigma, RenyiOrder(1.5))
+            else:
+                assert renyi_power(rho, sigma, RenyiOrder(1.5)) > 0.0
+
 
 class TestConditionalEntropy:
     def test_uniform_classical(self):
