@@ -75,8 +75,6 @@ class QefpConstant:
 
     beta: float
     c_value: float
-    mode: str
-    n_outcomes: int
 
 
 def _second_order_sum(spread: float, k_max: float, beta: float) -> float:
@@ -188,7 +186,7 @@ def qefp_constant(
         c = _tight_c(K, nu_z, beta, n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return QefpConstant(beta=beta, c_value=c, mode=mode, n_outcomes=n)
+    return QefpConstant(beta=beta, c_value=c)
 
 
 def qefp_from_constant(K: TrialFunction, const: QefpConstant) -> TrialFunction:

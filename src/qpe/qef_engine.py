@@ -432,7 +432,7 @@ def _invariant_blocks(angles: np.ndarray) -> list[tuple[np.ndarray, list[np.ndar
 
 # Weight of the maximally mixed state mixed into every solver iterate.
 _FLOOR = 1e-13
-# Default cap on the certified pairs of one block solve.
+# Cap on the certified pairs of one block solve.
 _MAX_PAIRS = 10000
 
 
@@ -620,7 +620,6 @@ def _solve_vertices(
     F: TrialFunction,
     angles: np.ndarray,
     tol: float,
-    max_iters: int,
     seed: int,
     keep_trace: bool,
 ):
@@ -631,8 +630,9 @@ def _solve_vertices(
     equals the best single block by homogeneity, so each block is solved
     separately and the largest certified bound over blocks bounds the
     supremum.  All blocks of one dimension, over the whole stack, are solved
-    by one call of :func:`_maximize_block`; a block that no projector reaches
-    is skipped (its functional is zero).
+    by one call of :func:`_maximize_block`, at most ``_MAX_PAIRS`` pairs a
+    block; a block that no projector reaches is skipped (its functional is
+    zero).
 
     Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
     configuration; ``pairs`` sums the certified pairs over blocks, and
@@ -662,7 +662,7 @@ def _solve_vertices(
             np.broadcast_to(w, (owner.size, w.size)),
             F.alpha,
         )
-        val, tau_b, ub, conv, n, tr = _maximize_block(prob, tol, max_iters, seed, keep_trace)
+        val, tau_b, ub, conv, n, tr = _maximize_block(prob, tol, _MAX_PAIRS, seed, keep_trace)
         np.maximum.at(bound, owner, ub)
         np.add.at(pairs, owner, n)
         np.logical_and.at(converged, owner, conv)
@@ -684,7 +684,6 @@ def inner_max_tau(
     F: TrialFunction,
     theta: Sequence[float],
     tol: float = 1e-9,
-    max_iters: int = _MAX_PAIRS,
     keep_trace: bool = False,
 ) -> InnerMaxResult:
     """Certified maximum of the canonical-state functional over densities.
@@ -701,12 +700,12 @@ def inner_max_tau(
         ``value <= sup <= upper_bound``; ``converged`` reports whether the
         requested gap was met within the iteration budget.  ``iterations``
         counts the certified ``(value, bound)`` pairs computed over all
-        blocks, one per point the ascent evaluates; ``max_iters`` caps that
-        count per block.
+        blocks, one per point the ascent evaluates; ``_MAX_PAIRS`` (10000)
+        caps that count per block.
     """
     config = _config_for(theta)
     value, tau, bound, converged, pairs, traces = _solve_vertices(
-        F, np.array([config.angles]), tol, max_iters, 0, keep_trace
+        F, np.array([config.angles]), tol, 0, keep_trace
     )
     return InnerMaxResult(
         value=float(value[0]),
@@ -781,11 +780,10 @@ _FOLD_MAX_K = 3
 
 @functools.lru_cache(maxsize=None)
 def _angle_maps(k: int):
-    """The cube's ``k! 2**k`` angle maps, their cell relabelings and their products.
+    """The cube's ``k! 2**k`` angle maps and their cell relabelings.
 
-    Returns ``(maps, table, compose)``, read-only.  ``maps`` lists the angle
-    maps, the identity first.  A cell ``(c, z)`` has the flat index
-    ``z 2**k + c``, and
+    Returns ``(maps, table)``, read-only.  ``maps`` lists the angle maps, the
+    identity first.  A cell ``(c, z)`` has the flat index ``z 2**k + c``, and
     ``F[table[g, t]]`` is the factor whose inner maximum at ``theta`` equals
     that of ``F`` at ``maps[g]`` applied to ``theta``, for each of the
     ``4**k`` relabelings ``t`` that fix every angle (``t`` packs ``t_z``
@@ -795,7 +793,6 @@ def _angle_maps(k: int):
     station ``perm[j]``'s bits of ``c`` and ``z`` to bit ``j``, and flips
     ``c_j`` where ``z_j = 1`` for each reflected station ``j``: setting 1 at
     ``pi - theta_j`` is setting 1 at ``theta_j`` with its outcomes swapped.
-    ``compose[g, h]`` is the map that applies ``maps[h]``, then ``maps[g]``.
     """
     d = 1 << k
     z, c = np.divmod(np.arange(d * d), d)
@@ -808,48 +805,32 @@ def _angle_maps(k: int):
         for mask in range(d):
             maps.append((perm, tuple(bool(mask >> j & 1) for j in range(k))))
             table.append(moved_z * d + (moved_c ^ (moved_z & mask)))
-    index = {g: i for i, g in enumerate(maps)}
-    compose = np.array([
-        [
-            index[(
-                tuple(h_perm[p] for p in g_perm),
-                tuple(r != h_reflect[p] for r, p in zip(g_reflect, g_perm)),
-            )]
-            for h_perm, h_reflect in maps
-        ]
-        for g_perm, g_reflect in maps
-    ])
     table = np.array(table)
-    # Every caller shares the cached arrays.
+    # Every caller shares the cached array.
     table.setflags(write=False)
-    compose.setflags(write=False)
-    return tuple(maps), table, compose
+    return tuple(maps), table
 
 
 def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
     """``(F~, maps)``: a factor at least ``F`` whose inner maximum the angle maps leave as is.
 
     An angle map is a symmetry when one of its relabelings moves no value of
-    ``F`` by more than ``NUMERIC_SLACK``.  ``maps`` is the group those
-    symmetries generate, the identity first.  ``F~`` is the largest value of
+    ``F`` by more than ``NUMERIC_SLACK``.  ``F~`` is the largest value of
     ``F`` over each cell's orbit under the chosen relabelings, so it is
     exactly invariant under them and ``F <= F~`` on every cell; it is ``F``
-    itself when ``F`` is exactly invariant.
+    itself when ``F`` is exactly invariant.  ``maps`` is ``F~``'s
+    stabilizer, the identity first: every map with a relabeling that leaves
+    ``F~`` exactly as it is.  That is a group, and it holds every map the
+    found symmetries generate.
     """
     if k > _FOLD_MAX_K:
         return F, [(tuple(range(k)), (False,) * k)]
-    maps, table, compose = _angle_maps(k)
+    maps, table = _angle_maps(k)
     d = 1 << k
     values = np.array([F.value(c, z) for z in range(d) for c in range(d)])
     moved = np.abs(values[table] - values).max(axis=-1)
     pick = moved.argmin(axis=1)
     found = np.flatnonzero(moved[np.arange(len(maps)), pick] <= NUMERIC_SLACK)
-    group = found
-    while True:
-        grown = np.unique(compose[np.ix_(group, group)])
-        if len(grown) == len(group):
-            break
-        group = grown
     folded, relabel = values, table[found, pick[found]]
     while True:
         grown = np.maximum(folded, folded[relabel].max(axis=0))
@@ -862,6 +843,7 @@ def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
             F.beta,
             F.role,
         )
+    group = np.flatnonzero((folded[table] == folded).all(axis=-1).any(axis=1))
     return F, [maps[g] for g in group]
 
 
@@ -909,15 +891,16 @@ class CertificationResult:
     ``gap_target`` was met.
 
     ``symmetries`` lists the angle maps (see ``AngleMap``) under which the
-    search folded the cube, the identity first; it is the identity alone
-    for a factor with no symmetry.  ``cells`` holds every bounded cell, in
-    sweep order, as the arrays of its angle intervals ``(n, k, 2)`` in
-    radians, its corner bounds ``(n, 2**k)`` (corner ``j`` is high on axis
-    ``a`` when bit ``a`` of ``j`` is set) and its bounds ``(n,)``.  The
-    images of the unsplit cells under the maps of ``symmetries`` tile
-    ``[0, pi]^k``, and the cells' largest bound gives ``f_upper``.  JSON
-    does not store the cells, so they are None for a certificate read from
-    JSON.
+    search folded the cube, the identity first: the group of maps that leave
+    the folded factor exactly as it is (see :func:`_fold`).  It is the
+    identity alone for a factor with no symmetry.  ``cells`` holds every
+    bounded cell, in sweep order, as the arrays of its angle intervals
+    ``(n, k, 2)`` in radians, its corner bounds ``(n, 2**k)`` (corner ``j``
+    is high on axis ``a`` when bit ``a`` of ``j`` is set) and its bounds
+    ``(n,)``.  The images of the unsplit cells under the maps of
+    ``symmetries`` tile ``[0, pi]^k``, and the cells' largest bound gives
+    ``f_upper``.  JSON does not store the cells, so they are None for a
+    certificate read from JSON; every other field must be in the JSON.
     """
 
     beta: float
@@ -958,11 +941,10 @@ class CertificationResult:
         data = json.loads(text)
         flat = np.array([complex(re, im) for re, im in data["witness_tau"]])
         dim = round(math.isqrt(flat.size))
-        target = data.get("gap_target")
-        k = len(data["witness_theta"])
-        # Certificates written before these fields read as unfolded, met and
-        # untargeted.
-        maps = data.get("symmetries", [[list(range(k)), [False] * k]])
+        missing = [key for key in ("symmetries", "gap_flag", "gap_target") if key not in data]
+        if missing:
+            raise ValueError(f"certificate JSON lacks {', '.join(missing)}")
+        target = data["gap_target"]
         return cls(
             beta=float(data["beta"]),
             f_lower=float(data["f_lower"]),
@@ -972,9 +954,9 @@ class CertificationResult:
             regions_explored=int(data["regions"]),
             symmetries=tuple(
                 (tuple(int(p) for p in perm), tuple(bool(r) for r in reflect))
-                for perm, reflect in maps
+                for perm, reflect in data["symmetries"]
             ),
-            gap_flag=bool(data.get("gap_flag", False)),
+            gap_flag=bool(data["gap_flag"]),
             gap_target=None if target is None else float(target),
         )
 
@@ -1011,7 +993,9 @@ def certify_fmax(
     largest value of ``F`` over each cell's orbit under those relabelings,
     which is exactly symmetric; the functional is monotone in the factor,
     so ``F~``'s supremum bounds ``F``'s.  ``f_lower`` is ``F``'s own value
-    at the witness.  The initial grid counts as the children of the whole
+    at the witness.  The maps folded over are ``F~``'s stabilizer, every
+    map that some relabeling turns into an exact symmetry of ``F~``, which
+    is a group.  The initial grid counts as the children of the whole
     cube, and a new cell is dropped exactly when a map that sends its
     parent onto itself sends it to a sibling with a lexicographically
     smaller low corner (:func:`_kept`).  The images of the unsplit kept
@@ -1066,7 +1050,7 @@ def certify_fmax(
         new[index[: len(vertices)]] = False
         thetas = points[new] * math.pi
         value, tau, bound, _, _, _ = _solve_vertices(
-            folded, thetas, gap_target / 4.0, _MAX_PAIRS, seed, False
+            folded, thetas, gap_target / 4.0, seed, False
         )
         best = int(np.argmax(value))
         if value[best] > f_lower:

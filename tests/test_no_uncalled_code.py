@@ -37,7 +37,6 @@ METHODS_ALLOWED: dict[str, str] = {}
 # Optional parameters kept although no caller sets them, each for its reason.
 UNSET_ALLOWED = {
     "qefp_constant(mode=)": "paper fact: the tight constant, against the headline one",
-    "inner_max_tau(max_iters=)": "pair cap: a unit test requires tight gaps within 3000 pairs",
 }
 
 

@@ -629,8 +629,9 @@ class TestInnerSolver:
         for _ in range(40):
             F = self._random_candidate(rng)
             theta = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
-            out = inner_max_tau(F, theta, tol=1e-9, max_iters=3000)
+            out = inner_max_tau(F, theta, tol=1e-9)
             assert out.converged, (F.values, F.beta, theta, out.iterations)
+            assert out.iterations <= 3000
             assert out.upper_bound - out.value <= 1e-9
 
     def test_certifies_tight_gap_in_few_pairs(self, pef02):
@@ -731,11 +732,11 @@ class TestInnerSolver:
         F = self._random_candidate(rng)
         angles = np.array([(0.0, 0.0), (0.0, 1.3), (0.7, 1.9), (math.pi, math.pi)])
         value, tau, bound, conv, pairs, _ = qef_engine._solve_vertices(
-            F, angles, 1e-9, 10000, 0, False
+            F, angles, 1e-9, 0, False
         )
         assert pairs[0] == pairs[3] == 4
         for p in range(4):
-            one = qef_engine._solve_vertices(F, angles[p:p + 1], 1e-9, 10000, 0, False)
+            one = qef_engine._solve_vertices(F, angles[p:p + 1], 1e-9, 0, False)
             assert pairs[p] == one[4][0] and conv[p] == one[3][0]
             assert abs(value[p] - one[0][0]) <= 1e-12
             assert abs(bound[p] - one[2][0]) <= 1e-12
@@ -948,11 +949,12 @@ class TestCertifyFmax:
     def test_cells_match_the_per_cell_reduction(self, nu_e, config22):
         """A cell's bound is at most the scalar axis-by-axis reduction of its
         corner bounds, axis 0 first, and equals it in the first sweep, whose
-        cells have no parent's cap."""
+        cells (those of side pi/4) have no parent's cap."""
         F, _ = optimize_pef_polytope(nu_e, 0.2)
         res = certify_fmax(F, config22, 1e-3, seed=0)
         order = RenyiOrder.from_beta(F.beta)
-        for i, (box, corners, bound) in enumerate(zip(*res.cells)):
+        first = 0
+        for box, corners, bound in zip(*res.cells):
             # Corner j is high on axis a when bit a of j is set.
             vals = corners.tolist()
             for lo, hi in box.tolist():
@@ -961,8 +963,10 @@ class TestCertifyFmax:
                     for v0, v1 in zip(vals[0::2], vals[1::2])
                 ]
             assert bound <= vals[0] * (1.0 + 1e-12)
-            if i < 16:
+            if abs(box[0, 1] - box[0, 0] - math.pi / 4.0) <= 1e-12:
+                first += 1
                 assert abs(bound - vals[0]) <= 1e-12 * vals[0]
+        assert first == 3
 
     @staticmethod
     def _leaves(boxes: np.ndarray) -> np.ndarray:
@@ -990,6 +994,22 @@ class TestCertifyFmax:
         images = np.concatenate(out)
         return images[np.unique(np.round(images * 1e9), axis=0, return_index=True)[1]]
 
+    @classmethod
+    def _assert_leaves_tile_the_cube(cls, res, k: int) -> np.ndarray:
+        """The leaves' images under ``res.symmetries`` tile ``[0, pi]^k``:
+        their volumes sum to ``pi^k`` and no two overlap.  Returns the leaf
+        mask."""
+        boxes = res.cells[0]
+        leaf = cls._leaves(boxes)
+        tiles = cls._images(boxes[leaf], res.symmetries)
+        volume = np.prod(tiles[:, :, 1] - tiles[:, :, 0], axis=1).sum()
+        assert abs(volume - math.pi**k) <= 1e-12 * math.pi**k
+        lo, hi = tiles[:, None, :, 0], tiles[None, :, :, 1]
+        top, bottom = np.maximum(lo, lo.swapaxes(0, 1)), np.minimum(hi, hi.swapaxes(0, 1))
+        overlap = (top < bottom - 1e-9).all(-1)
+        assert overlap.sum() == len(tiles)  # each tile overlaps itself only
+        return leaf
+
     def test_cells_tile_the_cube_and_give_f_upper(self, nu_e, cert02, config22):
         """At k = 1, k = 2 and a budget-stopped k = 2 run, every bounded cell
         is kept, the leaves' images under the recorded angle maps tile
@@ -1013,16 +1033,38 @@ class TestCertifyFmax:
             n = res.regions_explored
             assert len(bounds) == n
             assert boxes.shape == (n, k, 2) and corners.shape == (n, 1 << k)
-            leaf = self._leaves(boxes)
-            tiles = self._images(boxes[leaf], res.symmetries)
-            volume = np.prod(tiles[:, :, 1] - tiles[:, :, 0], axis=1).sum()
-            assert abs(volume - math.pi**k) <= 1e-12 * math.pi**k
-            lo, hi = tiles[:, None, :, 0], tiles[None, :, :, 1]
-            top, bottom = np.maximum(lo, lo.swapaxes(0, 1)), np.minimum(hi, hi.swapaxes(0, 1))
-            overlap = (top < bottom - 1e-9).all(-1)
-            assert overlap.sum() == len(tiles)  # each tile overlaps itself only
+            leaf = self._assert_leaves_tile_the_cube(res, k)
             assert res.f_upper == max(res.f_lower, bounds[leaf].max()) + qef_engine.NUMERIC_SLACK
         assert CertificationResult.from_json(cert02.to_json()).cells is None
+
+    def test_three_station_fold_certifies(self):
+        """A factor whose values are each the largest over its orbit under the
+        cyclic station permutation folds over the three cyclic maps at
+        k = 3: the leaves' images under them tile ``[0, pi]^3``, and
+        ``f_upper`` bounds the inner maximum at random angles."""
+
+        def rotate(x: int) -> int:
+            return (x << 1 | x >> 2) & 7
+
+        rng = np.random.default_rng(5)
+        base = rng.uniform(0.5, 1.5, (8, 8))
+        values = {}
+        for c in range(8):
+            for z in range(8):
+                orbit = [(c, z), (rotate(c), rotate(z)), (rotate(rotate(c)), rotate(rotate(z)))]
+                values[(c, z)] = float(max(base[key] for key in orbit))
+        F = TrialFunction(values, 0.3)
+        res = certify_fmax(F, BellConfig.uniform((0.0, 0.0, 0.0)), 5e-2, seed=0)
+        assert res.symmetries == (
+            ((0, 1, 2), (False,) * 3),
+            ((1, 2, 0), (False,) * 3),
+            ((2, 0, 1), (False,) * 3),
+        )
+        assert not res.gap_flag
+        self._assert_leaves_tile_the_cube(res, 3)
+        for _ in range(20):
+            theta = tuple(rng.uniform(0.0, math.pi, 3))
+            assert inner_max_tau(F, theta, tol=1e-6).upper_bound <= res.f_upper
 
     def test_station_count_must_match_the_factor(self, nu_e):
         """Angles for another station count raise instead of certifying a
@@ -1054,10 +1096,11 @@ class TestCertifyFmax:
         unmet = dataclasses.replace(cert02, gap_flag=True, gap_target=1e-5)
         back = CertificationResult.from_json(unmet.to_json())
         assert back.gap_flag is True and back.gap_target == 1e-5
-        data = json.loads(unmet.to_json())
-        del data["gap_flag"], data["gap_target"]
-        old = CertificationResult.from_json(json.dumps(data))
-        assert old.gap_flag is False and old.gap_target is None
+        for key in ("gap_flag", "gap_target"):
+            data = json.loads(unmet.to_json())
+            del data[key]
+            with pytest.raises(ValueError, match=key):
+                CertificationResult.from_json(json.dumps(data))
 
     def test_sweeps_pin_the_search(self, nu_e, config22):
         """Sweeps split the regions the one-at-a-time search split: the same
@@ -1179,14 +1222,14 @@ class TestCertifyFmax:
         assert abs(folded.f_lower - unfolded.f_lower) <= gap + 1e-6
 
     def test_json_keeps_symmetries(self, cert02):
-        """The angle maps survive JSON; a certificate written before they
-        were recorded reads as the identity alone."""
+        """The angle maps survive JSON; a certificate without them is
+        refused, not read as unfolded."""
         assert len(cert02.symmetries) == 8
         assert CertificationResult.from_json(cert02.to_json()).symmetries == cert02.symmetries
         data = json.loads(cert02.to_json())
         del data["symmetries"]
-        old = CertificationResult.from_json(json.dumps(data))
-        assert old.symmetries == (((0, 1), (False, False)),)
+        with pytest.raises(ValueError, match="symmetries"):
+            CertificationResult.from_json(json.dumps(data))
 
 
 def _apply_map(g, theta) -> tuple[float, ...]:
@@ -1207,7 +1250,7 @@ class TestSymmetries:
         rng = np.random.default_rng(2207)
         values = rng.uniform(0.1, 2.0, 16)
         F = TrialFunction({(c, z): values[4 * z + c] for c in range(4) for z in range(4)}, 0.3)
-        maps, table, _ = qef_engine._angle_maps(2)
+        maps, table = qef_engine._angle_maps(2)
         assert len(maps) == 8 and table.shape == (8, 16, 16)
         theta = tuple(rng.uniform(0.0, math.pi, 2))
         for g, rows in zip(maps, table):
@@ -1217,15 +1260,6 @@ class TestSymmetries:
                     {(c, z): values[t[4 * z + c]] for c in range(4) for z in range(4)}, 0.3
                 )
                 assert abs(inner_max_tau(G, theta, tol=1e-11).value - want) <= 1e-9
-
-    def test_products_compose_the_maps(self):
-        """``compose[g, h]`` is the map that applies ``h``, then ``g``."""
-        maps, _, compose = qef_engine._angle_maps(3)
-        theta = (0.3, 1.1, 2.0)
-        for g, row in zip(maps, compose):
-            for h, gh in zip(maps, row):
-                got = _apply_map(maps[gh], theta)
-                assert np.allclose(got, _apply_map(g, _apply_map(h, theta)), atol=1e-15)
 
     def test_polytope_factors_find_all_eight_maps(self, nu_e, pef02):
         for F in (pef02[0], optimize_pef_polytope(nu_e, 0.2)[0]):
