@@ -5,6 +5,11 @@ min-entropy certificate, provides the closed-form minimum trial counts for
 factor-based and reference entropy-accumulation analyses, and generates the
 rate-versus-log-error curves used to compare the two.
 
+The paper's certificates may also assume a lower bound kappa on the
+probability that the run is accepted, at a cost of ``log(kappa)`` terms.
+Here every certificate, trial count and protocol threshold is at
+``kappa = 1``, where those terms vanish, so no kappa is carried.
+
 Rates and penalties are in nats unless a name says bits.
 """
 
@@ -27,20 +32,13 @@ _LOG2_E = 1.0 / _LOG2
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Target error ``epsilon`` and completeness deficit ``kappa`` of the run.
-
-    ``kappa`` is the probability that the accepted event has been truncated
-    away; it only weakens the certificate through ``log(kappa)`` terms.
-    """
+    """Target error ``epsilon`` of the run, at acceptance bound ``kappa = 1``."""
 
     epsilon: float
-    kappa: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not (0.0 < self.kappa <= 1.0):
-            raise ValueError("kappa must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,14 @@ class EntropyCertificate:
     """Smooth min-entropy statement extracted from an accumulated factor."""
 
     bits: float
-    minus_log2_prob: float
     smoothness: float
     delta: float
     beta: float
 
 
-def _log2_offset(epsilon: float, kappa: float = 1.0, alpha: float = 1.0) -> float:
-    """The threshold offset ``-log2(epsilon**2 * kappa**alpha / 2)`` in bits."""
-    return -math.log2(epsilon**2 * kappa**alpha / 2.0)
+def _log2_offset(epsilon: float) -> float:
+    """The threshold offset ``-log2(epsilon**2 / 2)`` in bits."""
+    return -math.log2(epsilon**2 / 2.0)
 
 
 def minentropy_bound(
@@ -64,21 +61,18 @@ def minentropy_bound(
 ) -> EntropyCertificate:
     """Certificate from an accumulated log factor (nats).
 
-    The conditional probability of the outcome sequence, on the accepted
-    event, exceeds ``p`` with probability at most ``delta = epsilon**2 / 2``
-    where ``-log2(p) = (log2_qef - offset) / beta`` with ``offset =
-    -log2(delta)``.  Smoothing at ``sqrt(2 delta) = epsilon`` turns this
-    into min-entropy bits, whose offset ``-log2(delta kappa**alpha)`` pays
-    for conditioning on acceptance.
+    The conditional probability of the outcome sequence exceeds ``p`` with
+    probability at most ``delta = epsilon**2 / 2``, where ``-log2(p) =
+    (log2_qef - offset) / beta`` with ``offset = -log2(delta)``.  Smoothing
+    at ``sqrt(2 delta) = epsilon`` turns this into that many min-entropy
+    bits.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    alpha = 1.0 + beta
     log2_qef = log_qef * _LOG2_E
     delta = budget.epsilon**2 / 2.0
     return EntropyCertificate(
-        bits=(log2_qef - _log2_offset(budget.epsilon, budget.kappa, alpha)) / beta,
-        minus_log2_prob=(log2_qef - _log2_offset(budget.epsilon)) / beta,
+        bits=(log2_qef - _log2_offset(budget.epsilon)) / beta,
         smoothness=math.sqrt(2.0 * delta),
         delta=delta,
         beta=beta,
@@ -89,8 +83,7 @@ def n_min_qef(g_bits: float, beta: float, budget: ErrorBudget) -> float:
     """Trials needed before the factor-based certificate goes positive."""
     if g_bits <= 0.0 or beta <= 0.0:
         raise ValueError("rate and power must be positive")
-    off = _log2_offset(budget.epsilon, budget.kappa, 1.0 + beta)
-    return off / (g_bits * beta)
+    return _log2_offset(budget.epsilon) / (g_bits * beta)
 
 
 def n_min_eat_from_ee(
@@ -104,7 +97,7 @@ def n_min_eat_from_ee(
     if g_bits <= 0.0:
         raise ValueError("rate must be positive")
     width = math.log2(1.0 + 2.0 * n_outcomes) + math.ceil(k_inf_bits)
-    off = 1.0 - 2.0 * math.log2(budget.epsilon * budget.kappa)
+    off = 1.0 - 2.0 * math.log2(budget.epsilon)
     return 4.0 / g_bits**2 * width**2 * off
 
 
@@ -116,7 +109,7 @@ def eat_reference_bound(
     budget: ErrorBudget,
 ) -> float:
     """Reference accumulation bound (nats) after ``n`` trials at rate ``h_nats``."""
-    big_l = _log2_offset(budget.epsilon, budget.kappa, 2.0) * _LOG2
+    big_l = _log2_offset(budget.epsilon) * _LOG2
     width = math.log(1.0 + 2.0 * n_outcomes) + math.ceil(k_inf_bits)
     return h_nats * n - 2.0 * math.sqrt(_LOG2_E) * width * math.sqrt(big_l) * math.sqrt(n)
 
@@ -143,7 +136,7 @@ def eat_from_qef_bound(
     Optimizes the power at ``beta = sqrt(2 L / (n c(0)))`` and evaluates the
     second-order constant there; the choice must stay below ``_BETA_MAX``.
     """
-    big_l = _log2_offset(budget.epsilon, budget.kappa, 2.0) * _LOG2
+    big_l = _log2_offset(budget.epsilon) * _LOG2
     beta_bar = math.sqrt(2.0 * big_l / (n * tilde_c(0.0)))
     if beta_bar > _BETA_MAX:
         raise ValueError(
@@ -234,7 +227,6 @@ class MinTrialsRow:
     i_hat: float
     beta: float
     g_bits: float
-    k_inf_bits: float
     n_qef: float
     n_eat: float
 
@@ -278,7 +270,6 @@ def min_trials_row(
                 i_hat=i_hat,
                 beta=beta,
                 g_bits=g_bits,
-                k_inf_bits=k_inf_bits,
                 n_qef=n_min_qef(g_bits, beta, budget),
                 n_eat=n_min_eat_from_ee(g_bits, k_inf_bits, n_outcomes, budget),
             )

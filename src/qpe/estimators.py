@@ -238,9 +238,7 @@ class SpotCheckScheme:
     """
 
     r: float
-    z0: int
     b_bar: float
-    q: float
     mu: Mapping[tuple[int, int], float]
     B_r: TrialFunction
     K_r: TrialFunction
@@ -271,9 +269,7 @@ def spot_check_scheme(
         values_b[(c, z, 0)] = 1.0
     b_r = TrialFunction(values_b, None, role="maxprob")
     k_r = ee_from_maxprob(b_r, b_bar, conditional=False)
-    return SpotCheckScheme(
-        r=r, z0=z0, b_bar=b_bar, q=q, mu=mu, B_r=b_r, K_r=k_r
-    )
+    return SpotCheckScheme(r=r, b_bar=b_bar, mu=mu, B_r=b_r, K_r=k_r)
 
 
 @dataclass(frozen=True)
@@ -318,11 +314,8 @@ def expansion_rate(scheme: SpotCheckScheme, beta: float) -> ExpansionRate:
 
 @dataclass(frozen=True)
 class BinaryModel:
-    """Optimal estimation factor for the model ``{nu : nu(1) <= p}``."""
+    """Optimal estimation factor for the model ``{nu : nu(1) <= p}``, and its rate."""
 
-    p: float
-    q: float
-    beta: float
     F: TrialFunction
     rate: float
 
@@ -347,4 +340,4 @@ def binary_model(p: float, q: float, beta: float) -> BinaryModel:
     f1 = (1.0 - (1.0 - p) ** alpha) / p**alpha
     F = TrialFunction({(0, 0): 1.0, (1, 0): f1}, beta, role="pef")
     rate = q * math.log(f1) / beta
-    return BinaryModel(p=p, q=q, beta=beta, F=F, rate=rate)
+    return BinaryModel(F=F, rate=rate)

@@ -376,9 +376,7 @@ _LD_STACK.flags.writeable = False
 _EM_CYCLES = 100000
 
 
-def _local_projection(
-    cond: np.ndarray, mu: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
+def _local_projection(cond: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The local table ``lam*[c, z]`` closest to ``cond[c, z]`` in relative entropy.
 
     The minimization over mixtures ``w`` of deterministic tables uses
@@ -392,8 +390,8 @@ def _local_projection(
     at, and the loop returns only an iterate whose gap is below 1e-12; it
     raises ``RuntimeError`` if none is reached in ``_EM_CYCLES`` cycles.
 
-    The EM starts from uniform weights, or from ``weights`` if given: a
-    mixture such as a nearby table's, floored at 1e-30 so that the
+    The EM starts from the mixture ``weights``, such as a nearby table's or
+    the uniform ``np.full(16, 1 / 16)``, floored at 1e-30 so that the
     multiplicative updates can revive every strategy.  ``weights`` then
     receives the final mixture, so that consecutive calls warm-start.
     """
@@ -408,7 +406,7 @@ def _local_projection(
     def gains(w: np.ndarray) -> np.ndarray:
         return vals @ (w_cz / np.maximum(w @ vals, 1e-300))
 
-    w = np.ones(16) if weights is None else np.maximum(weights, 1e-30)
+    w = np.maximum(weights, 1e-30)
     w = w / w.sum()
     for _ in range(_EM_CYCLES):
         g = gains(w)
@@ -433,8 +431,7 @@ def _local_projection(
         raise RuntimeError(
             f"local projection: EM gap {gap:.3g} after {_EM_CYCLES} cycles"
         )
-    if weights is not None:
-        weights[:] = w
+    weights[:] = w
     return np.maximum(np.tensordot(w, _LD_STACK, axes=1), 1e-300)
 
 
@@ -465,9 +462,7 @@ def _p_seed(eta: float) -> np.ndarray:
     return np.array([t, -ga, grid[i[k]] - ga, -gb, grid[j[k]] - gb])
 
 
-def _p_strength(
-    v: np.ndarray, eta: float, weights: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def _p_strength(v: np.ndarray, eta: float, weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Strength of the P table at ``v = (t, a0, a1, b0, b1)``, and its gradient.
 
     The table is :func:`_quantum_cond_table`'s for ``cos(t)|00> + sin(t)|11>``

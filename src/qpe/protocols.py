@@ -227,7 +227,7 @@ def _accumulate(params: ProtocolParams, records: ArrayLike):
     n, k = params.n, params.F.stations
     if len(records) < n:
         raise ValueError(f"need {n} records, got {len(records)}")
-    running = chain(params.F, records[:n], k)
+    running = chain(params.F, records[:n])
     threshold = params.log2_f_min
     first = int(np.argmax(running >= threshold))
     crossed = bool(running[first] >= threshold)

@@ -222,17 +222,18 @@ def _log2_table(F: TrialFunction, k: int) -> np.ndarray:
     return table
 
 
-def chain(F: TrialFunction, records: ArrayLike, k: int = 2) -> np.ndarray:
+def chain(F: TrialFunction, records: ArrayLike) -> np.ndarray:
     """Running sums ``sum_{j <= i} log2 F(c_j, z_j)`` over a record stream.
 
-    ``records`` holds ``(c, z)`` rows.  Every outcome must fit in ``k``
-    bits and every cell must lie in the factor's domain; otherwise a
-    ValueError names the first bad record (1-based).  The sums are one
-    ``cumsum`` over a table of ``log2 F``, which adds in record order
-    exactly as a sequential loop does.  A zero value makes the sums
+    ``records`` holds ``(c, z)`` rows.  Every outcome must fit in the
+    factor's ``F.stations`` bits and every cell must lie in its domain;
+    otherwise a ValueError names the first bad record (1-based).  The sums
+    are one ``cumsum`` over a table of ``log2 F``, which adds in record
+    order exactly as a sequential loop does.  A zero value makes the sums
     ``-inf`` from its record on, with a warning.
     """
     records = _as_records(records)
+    k = F.stations
     c, z = records[:, 0], records[:, 1]
     bad = np.flatnonzero((c < 0) | (c >= 1 << k))
     if bad.size:
@@ -266,6 +267,17 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
 # -- canonical-state functional ---------------------------------------------
 
 
+def _cell_values(F: TrialFunction, d: int) -> np.ndarray:
+    """``F(c, z)`` over the full ``d x d`` grid, flat at ``z d + c``.
+
+    A missing cell raises ValueError naming the first one, in that order.
+    """
+    try:
+        return np.array([F.values[(c, z)] for z in range(d) for c in range(d)])
+    except KeyError as exc:
+        raise ValueError(f"trial function has no value at cell {exc.args[0]}") from None
+
+
 def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero weights ``F(cz) / 2**k`` (uniform inputs) and matching projector vectors.
 
@@ -277,7 +289,7 @@ def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarra
     if k != F.stations:
         raise ValueError(f"{k} station angles for a trial function of {F.stations} stations")
     d = 1 << k
-    w = np.array([F.value(c, z) / d for z in range(d) for c in range(d)])
+    w = _cell_values(F, d) / d
     rows = np.flatnonzero(w > 0.0)
     if rows.size == 0:
         raise ValueError("trial function vanishes everywhere")
@@ -676,7 +688,6 @@ def _solve_vertices(
                 for p, t in zip(rows.tolist(), tr[part]):
                     traces[p].extend(t)
             j += rows.size
-    converged &= bound - value <= tol
     return value, tau, bound, converged, pairs, traces
 
 
@@ -827,7 +838,7 @@ def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
         return F, [(tuple(range(k)), (False,) * k)]
     maps, table = _angle_maps(k)
     d = 1 << k
-    values = np.array([F.value(c, z) for z in range(d) for c in range(d)])
+    values = _cell_values(F, d)
     moved = np.abs(values[table] - values).max(axis=-1)
     pick = moved.argmin(axis=1)
     found = np.flatnonzero(moved[np.arange(len(maps)), pick] <= NUMERIC_SLACK)
@@ -913,10 +924,6 @@ class CertificationResult:
     gap_flag: bool = False
     cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     gap_target: float | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.f_upper - self.f_lower
 
     def to_json(self) -> str:
         m = self.witness_tau.matrix

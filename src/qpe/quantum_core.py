@@ -258,79 +258,61 @@ class CqDistribution:
 
     Parameters
     ----------
-    blocks : mapping or array_like
-        Either ``(c, z) -> HermitianOperator`` (or array_like), whose key set
-        must be the full product of the ``c`` and ``z`` values that appear,
-        or an ``(n_z, n_c, d, d)`` array whose ``[z, c]`` matrix is the block
-        ``(c, z)`` for ``c`` in ``range(n_c)`` and ``z`` in ``range(n_z)``.
-        All blocks share one dimension and must be positive semidefinite to
-        tolerance ``TOL_PSD`` relative to each block's own norm.
+    blocks : array_like
+        An ``(n_z, n_c, d, d)`` array whose ``[z, c]`` matrix is the block
+        ``(c, z)``, for ``c`` in ``range(n_c)`` and ``z`` in ``range(n_z)``.
+        Every block must be positive semidefinite to tolerance ``TOL_PSD``
+        relative to its own norm.
 
     Notes
     -----
-    The blocks are stored as one stacked operator, :attr:`blocks`, of shape
-    ``(n_z, n_c, d, d)``: its ``[iz, ic]`` matrix is the block at the
-    ``ic``-th value of :attr:`c_range` and the ``iz``-th of :attr:`z_range`.
-    Their spectra come from one broadcast eigendecomposition when the blocks
-    are checked.  :attr:`marginals` stacks the ``n_z`` block sums over
-    outcomes as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks;
-    it and its spectra are computed on first use.  The object is a value
-    type: blocks are not mutated after construction.
+    The blocks are stored as one stacked operator, :attr:`blocks`, whose
+    spectra come from one broadcast eigendecomposition when the blocks are
+    checked.  :attr:`marginals` stacks the ``n_z`` block sums over outcomes
+    as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; it and
+    its spectra are computed on first use.  The object is a value type:
+    blocks are not mutated after construction.
     """
 
-    __slots__ = ("blocks", "dim", "c_range", "z_range", "_index", "_marginals")
+    __slots__ = ("blocks", "dim", "c_range", "z_range", "_marginals")
 
     def __init__(self, blocks) -> None:
-        if isinstance(blocks, Mapping):
-            if not blocks:
-                raise ValueError("at least one block is required")
-            cs = sorted({k[0] for k in blocks})
-            zs = sorted({k[1] for k in blocks})
-            if set(blocks) != {(c, z) for c in cs for z in zs}:
-                raise ValueError("block keys must form a full (c, z) product")
-            mats = {
-                k: np.asarray(v.matrix if isinstance(v, HermitianOperator) else v, dtype=complex)
-                for k, v in blocks.items()
-            }
-            shapes = {m.shape for m in mats.values()}
-            if len(shapes) != 1:
-                raise ValueError(f"blocks must share one dimension, got {sorted(shapes)}")
-            stack = np.array([[mats[(c, z)] for c in cs] for z in zs])
-            keys = list(blocks)
-        else:
-            stack = np.asarray(blocks, dtype=complex)
-            if stack.ndim != 4 or 0 in stack.shape[:2]:
-                raise ValueError(f"a block array must be (n_z, n_c, d, d), got shape {stack.shape}")
-            cs, zs = range(stack.shape[1]), range(stack.shape[0])
-            keys = [(c, z) for z in zs for c in cs]
-        if stack.ndim != 4:
-            raise ValueError(f"expected square matrix blocks, got shape {stack.shape[2:]}")
+        stack = np.asarray(blocks, dtype=complex)
+        if stack.ndim != 4 or 0 in stack.shape[:2]:
+            raise ValueError(f"a block array must be (n_z, n_c, d, d), got shape {stack.shape}")
         ops = HermitianOperator(stack)
         bad = ~ops.is_psd()
         if _any(bad):
             iz, ic = _first(bad)
-            raise ValueError(f"block {(cs[ic], zs[iz])} is not positive semidefinite")
-        zpos = {z: i for i, z in enumerate(zs)}
-        cpos = {c: i for i, c in enumerate(cs)}
+            raise ValueError(f"block {(ic, iz)} is not positive semidefinite")
         self.blocks = ops
         self.dim = ops.dim
-        self.c_range = tuple(cs)
-        self.z_range = tuple(zs)
-        self._index = {k: (zpos[k[1]], cpos[k[0]]) for k in keys}
+        self.c_range = tuple(range(stack.shape[1]))
+        self.z_range = tuple(range(stack.shape[0]))
         self._marginals = None
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
-        """Embed a joint probability table as 1x1 blocks."""
-        return cls({k: np.array([[float(p)]]) for k, p in probs.items()})
+        """Embed a joint probability table ``(c, z) -> p`` as 1x1 blocks.
+
+        The keys must be exactly ``range(n_c) x range(n_z)``.
+        """
+        n_c = 1 + max((k[0] for k in probs), default=-1)
+        n_z = 1 + max((k[1] for k in probs), default=-1)
+        if set(probs) != {(c, z) for c in range(n_c) for z in range(n_z)}:
+            raise ValueError("probability keys must fill range(n_c) x range(n_z)")
+        return cls([[[[float(probs[(c, z)])]] for c in range(n_c)] for z in range(n_z)])
 
     # -- access ---------------------------------------------------------
 
     def block(self, c, z) -> HermitianOperator:
-        return self.blocks._at(self._index[(c, z)])
+        if c not in self.c_range or z not in self.z_range:
+            raise KeyError((c, z))
+        return self.blocks._at((z, c))
 
     def keys(self):
-        return self._index.keys()
+        """The ``(c, z)`` keys of the blocks, ``z`` major."""
+        return [(c, z) for z in self.z_range for c in self.c_range]
 
     @property
     def marginals(self) -> HermitianOperator:
@@ -346,11 +328,8 @@ class CqDistribution:
     def trace_total(self) -> float:
         return float(self.blocks.trace().sum())
 
-    def is_normalized(self) -> bool:
-        return abs(self.trace_total() - 1.0) <= TOL_NORM
-
     def require_normalized(self, what: str) -> None:
-        if not self.is_normalized():
+        if not abs(self.trace_total() - 1.0) <= TOL_NORM:
             raise ValueError(
                 f"{what} requires a normalized distribution, "
                 f"total trace {self.trace_total():.12g}"

@@ -41,13 +41,6 @@ class TestErrorBudget:
             with pytest.raises(ValueError):
                 ErrorBudget(bad)
 
-    def test_kappa_domain(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                ErrorBudget(1e-6, kappa=bad)
-        assert ErrorBudget(1e-6).kappa == 1.0
-        assert ErrorBudget(1e-6, kappa=1.0).kappa == 1.0
-
 
 class TestMinentropyBound:
     def test_zero_factor_gives_negative_bits(self):
@@ -60,7 +53,7 @@ class TestMinentropyBound:
             assert cert.bits < 0.0
 
     def test_bits_identity(self):
-        """bits = log2(F_total)/beta - 2 log2(sqrt(2)/eps)/beta at kappa=1."""
+        """bits = log2(F_total)/beta - 2 log2(sqrt(2)/eps)/beta."""
         rng = np.random.default_rng(7)
         for _ in range(200):
             log_qef = rng.uniform(0.0, 500.0)
@@ -71,16 +64,6 @@ class TestMinentropyBound:
                 log_qef * LOG2_E - 2.0 * math.log2(math.sqrt(2.0) / eps)
             ) / beta
             assert abs(cert.bits - expected) <= 1e-9 * max(1.0, abs(expected))
-
-    def test_kappa_penalty(self):
-        """kappa = 2**-64 costs exactly (alpha/beta) * 64 bits."""
-        budget1 = ErrorBudget(1e-3)
-        budget2 = ErrorBudget(1e-3, kappa=2.0**-64)
-        for beta in (0.05, 0.5, 2.0):
-            b1 = minentropy_bound(100.0, beta, budget1).bits
-            b2 = minentropy_bound(100.0, beta, budget2).bits
-            drop = (1.0 + beta) / beta * 64.0
-            assert abs((b1 - b2) - drop) <= 1e-9 * drop
 
     def test_smoothness_equals_epsilon(self):
         cert = minentropy_bound(10.0, 0.1, ErrorBudget(1e-4))
@@ -125,9 +108,7 @@ class TestSingleThresholdFormula:
         for _ in range(60):
             beta = float(rng.uniform(0.01, 2.5))
             g = float(rng.uniform(0.01, 1.0))
-            budget = ErrorBudget(
-                float(10.0 ** rng.uniform(-9, -3)), kappa=float(rng.choice([1.0, 0.5]))
-            )
+            budget = ErrorBudget(float(10.0 ** rng.uniform(-9, -3)))
             n = n_min_qef(g, beta, budget)
             bits = minentropy_bound(n * g * beta * LOG2, beta, budget).bits
             assert abs(bits) <= 1e-9 * n * g
@@ -145,18 +126,10 @@ class TestNMinQef:
         assert abs(n_min_qef(0.05, 0.01, budget) - 2.0 * n_min_qef(0.1, 0.01, budget)) <= 1e-8
 
     def test_inverse_in_power_at_full_acceptance(self):
-        """With kappa = 1 the offset is power-free, so n scales as 1/beta."""
+        """The offset is power-free, so n scales as 1/beta."""
         budget = ErrorBudget(1e-6)
         prods = [beta * n_min_qef(0.1, beta, budget) for beta in (0.01, 0.1, 0.45)]
         assert max(prods) - min(prods) <= 1e-9 * prods[0]
-
-    def test_kappa_enters_with_power_exponent(self):
-        eps = 1e-6
-        beta = 0.2
-        budget = ErrorBudget(eps, kappa=eps)
-        got = n_min_qef(0.1, beta, budget)
-        off = abs(math.log2(eps**2 * eps ** (1.0 + beta) / 2.0))
-        assert abs(got - off / (0.1 * beta)) <= 1e-9 * got
 
     def test_domain(self):
         budget = ErrorBudget(1e-6)
@@ -173,12 +146,12 @@ class TestNMinQef:
 
 class TestNMinEat:
     def test_closed_form(self):
-        """Reference count is 4/g^2 * width^2 * (1 - 2 log2(eps kappa))."""
-        budget = ErrorBudget(1e-6, kappa=0.5)
+        """Reference count is 4/g^2 * width^2 * (1 - 2 log2(eps))."""
+        budget = ErrorBudget(1e-6)
         g, k_bits, n_out = 0.07, 3.0, 4
         got = n_min_eat_from_ee(g, k_bits, n_out, budget)
         width = math.log2(9.0) + 3.0
-        off = 1.0 - 2.0 * math.log2(1e-6 * 0.5)
+        off = 1.0 - 2.0 * math.log2(1e-6)
         assert abs(got - 4.0 / g**2 * width**2 * off) <= 1e-9 * got
 
     def test_ratio_to_qef_grows_as_rate_shrinks(self):
@@ -364,7 +337,6 @@ class TestMinTrials:
         assert abs(row.g_bits - g_bits) <= 1e-9 * g_bits
         assert abs(row.n_qef - n_min_qef(g_bits, 0.2, budget)) <= 1e-6 * row.n_qef
         k_bits = F.max_abs_log() * LOG2_E / 0.2
-        assert abs(row.k_inf_bits - k_bits) <= 1e-9 * k_bits
         n_eat = n_min_eat_from_ee(g_bits, k_bits, 4, budget)
         assert abs(row.n_eat - n_eat) <= 1e-6 * n_eat
         assert abs(row.ratio - row.n_eat / row.n_qef) <= 1e-12
@@ -407,7 +379,6 @@ class TestMinTrials:
             i_hat=2.5,
             beta=0.2,
             g_bits=0.1,
-            k_inf_bits=3.0,
             n_qef=1000.0,
             n_eat=30000.0,
         )

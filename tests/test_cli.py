@@ -18,6 +18,7 @@ import pytest
 from qpe import cli
 from qpe.cli import main
 from qpe.models import TrialDistribution, chsh_value
+from qpe.pef_opt import LOCAL_TABLES, optimize_pef_polytope
 from qpe.protocols import (
     design_params,
     read_records,
@@ -42,6 +43,17 @@ def qef_file(tmp_path, qef02):
     path = tmp_path / "qef.json"
     path.write_text(qef02.to_json())
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def ci_pipeline(tmp_path_factory):
+    """The CI pipeline's table and factor: E pi/4, certified at power 0.05 to gap 1e-3."""
+    tmp = tmp_path_factory.mktemp("ci")
+    dist, qef = str(tmp / "nu.json"), str(tmp / "qef.json")
+    assert main(["family", "--family", "E", "--param", repr(math.pi / 4.0), "-o", dist]) == 0
+    argv = ["optimize", "--dist", dist, "--beta", "0.05", "--certify", "1e-3", "-o", qef]
+    assert main(argv) == 0
+    return dist, qef
 
 
 @pytest.fixture()
@@ -129,6 +141,27 @@ class TestOptimizeCertify:
         assert main(argv) == 1
         assert "misses the target" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_local_only_optimizes_over_the_local_tables(self, tmp_path, ci_pipeline, capsys):
+        """Without the Tsirelson cuts the E pi/4 factor's uncertified rate is higher."""
+        dist, _ = ci_pipeline
+        capsys.readouterr()
+        out = tmp_path / "pef.json"
+        rates = {}
+        for flags in ((), ("--local-only",)):
+            assert main(["optimize", "--dist", dist, "--beta", "0.05", *flags, "-o", str(out)]) == 0
+            rates[flags] = float(capsys.readouterr().err.split()[-1])
+        nu = TrialDistribution.from_json(Path(dist).read_text())
+        F, _ = optimize_pef_polytope(nu, 0.05, tables=LOCAL_TABLES)
+        assert out.read_text() == F.to_json() + "\n"
+        assert rates[("--local-only",)] >= rates[()] + 0.1
+
+    def test_certify_names_a_missing_cell(self, tmp_path, capsys):
+        values = {(c, z): 1.0 for c in range(4) for z in range(4) if (c, z) != (3, 3)}
+        path = tmp_path / "f.json"
+        path.write_text(TrialFunction(values, 0.05, role="qef").to_json())
+        assert main(["certify", "--function", str(path), "--gap", "1e-3"]) == 1
+        assert "error: trial function has no value at cell (3, 3)" in capsys.readouterr().err
 
     def test_certify_qef_bracket(self, tmp_path, dist_file):
         pef = tmp_path / "pef.json"
@@ -331,6 +364,29 @@ class TestRun:
         assert main(self.run_argv(qef_file, records_file, str(out1))) == 0
         assert main(self.run_argv(qef_file, records_file, str(out3), protocol=3)) == 0
         assert out1.read_text() == out3.read_text()
+
+    def test_input_credit_raises_the_threshold(self, tmp_path, ci_pipeline, capsys):
+        """``--k-z 5`` demands 5 more bits, so the threshold rises by exactly beta 5."""
+        dist, qef = ci_pipeline
+
+        def run(protocol, k_z):
+            out = tmp_path / f"p{protocol}-{k_z}.json"
+            argv = [
+                "--seed", "1", "run", "--function", qef, "--dist", dist,
+                "--n", "20000", "--k-o", "256", "--epsilon", "1e-6",
+                "--protocol", str(protocol), "--k-z", str(k_z), "-o", str(out),
+            ]
+            return main(argv), out
+
+        (code0, out0), (code5, out5) = run(3, 0), run(3, 5)
+        assert code0 == code5 == 0
+        base, credited = (json.loads(out.read_text())["log2_f_min"] for out in (out0, out5))
+        assert abs(credited - base - 0.05 * 5) <= 1e-9
+        capsys.readouterr()
+        code, out = run(1, 5)
+        assert code == 1
+        assert not out.exists()
+        assert "takes no input credit" in capsys.readouterr().err
 
     def test_sampled_runs_are_deterministic(self, tmp_path, qef_file, dist_file):
         outs = []

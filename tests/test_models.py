@@ -400,6 +400,11 @@ def _plain_em_kl(cond: np.ndarray, gap: float) -> float:
 MU = np.full(4, 0.25)
 
 
+def _uniform() -> np.ndarray:
+    """A fresh uniform mixture of the 16 deterministic tables, an EM start."""
+    return np.full(16, 1.0 / 16.0)
+
+
 def _kl_to_local(cond: np.ndarray, mu: np.ndarray, weights=None) -> float:
     """Relative entropy (nats) from ``cond[c, z]`` to the local polytope.
 
@@ -408,6 +413,8 @@ def _kl_to_local(cond: np.ndarray, mu: np.ndarray, weights=None) -> float:
     table, so it exceeds the minimum by less than 1e-12.  It is never negative.
     """
     mask = cond > 0.0
+    if weights is None:
+        weights = _uniform()
     lam = _local_projection(cond, mu, weights)[mask]
     # Rounding can leave a local table a few 1e-17 below zero.
     w_cz = (mu[None, :] * cond)[mask]
@@ -453,7 +460,7 @@ class TestKlToLocal:
         tables = _seeded_tables()
         for neighbour, cond in zip(tables[-1:] + tables[:-1], tables):
             ref = _plain_em_kl(cond, 1e-14)
-            weights = np.full(16, 1.0 / 16.0)
+            weights = _uniform()
             _local_projection(neighbour, MU, weights)
             assert -2e-14 <= _kl_to_local(cond, MU, weights) - ref <= 1e-12
             # The start now holds this table's own mixture; starve its
@@ -468,7 +475,7 @@ class TestKlToLocal:
         cond = family_distribution("P", 0.68).cond
         monkeypatch.setattr(models, "_EM_CYCLES", 3)
         with pytest.raises(RuntimeError, match="after 3 cycles"):
-            _local_projection(cond, MU)
+            _local_projection(cond, MU, _uniform())
 
 
 class TestBfgsMax:
@@ -544,10 +551,11 @@ class TestDetectionFamily:
         for eta in (0.95, 1.0):
             for _ in range(3):
                 v = _p_seed(eta) + rng.normal(0.0, 0.2, 5)
-                value, grad = _p_strength(v, eta)
+                value, grad = _p_strength(v, eta, _uniform())
                 assert value > 1e-3
                 fd = np.array([
-                    _p_strength(v + h * e, eta)[0] - _p_strength(v - h * e, eta)[0]
+                    _p_strength(v + h * e, eta, _uniform())[0]
+                    - _p_strength(v - h * e, eta, _uniform())[0]
                     for e in np.eye(5)
                 ]) / (2.0 * h)
                 assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)

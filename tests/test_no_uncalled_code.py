@@ -7,6 +7,11 @@ somewhere other than its own definition, and a parameter counts as set when
 a call of its function passes it by keyword or by position: in
 ``src/qpe``, in ``perfbench/*.py`` or in ``tests/test_acceptance.py``.
 Unit tests alone do not keep a name or a parameter alive.
+
+Names are matched by spelling alone, not by the object they are loaded
+from: a method or property survives when any attribute of the same name is
+loaded anywhere.  A ``CertificationResult.gap`` property with no reader once
+survived this way, on the loads of ``args.gap`` in the CLI.
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ def chained_case(f: np.ndarray, beta: float, entries: np.ndarray):
     if total > 0.0:
         # Complex division by a subnormal total overflows; the parts do not.
         blocks = {k: b.real / total + 1j * (b.imag / total) for k, b in blocks.items()}
-    return TrialFunction(values, beta, role="qef"), CqDistribution(blocks)
+    stack = [[blocks[(c, z)] for c in range(4)] for z in range(4)]
+    return TrialFunction(values, beta, role="qef"), CqDistribution(stack)
 
 
 def _leak_entries(imag: float) -> np.ndarray:
@@ -120,6 +121,25 @@ class TestTrialFunction:
         F = TrialFunction({(0, 0, 0): 1.0, (0, 0, 1): 2.0}, 0.3)
         back = TrialFunction.from_json(F.to_json())
         assert back.values == F.values
+
+
+class TestMissingCell:
+    """A factor with no value at some cell of its ``(c, z)`` grid is rejected by name."""
+
+    def test_certifier_paths_name_the_first_missing_cell(self, config22):
+        gone = {(3, 3), (1, 2)}
+        values = {(c, z): 1.0 for c in range(4) for z in range(4) if (c, z) not in gone}
+        F = TrialFunction(values, 0.05, role="qef")
+        theta = (0.3, 1.2)
+        calls = (
+            lambda: certify_fmax(F, config22, 1e-3),
+            lambda: inner_max_tau(F, theta),
+            lambda: q_alpha(F, theta, np.eye(4) / 4.0),
+        )
+        for call in calls:
+            # Cells run z major, so (1, 2) comes before (3, 3).
+            with pytest.raises(ValueError, match=r"no value at cell \(1, 2\)"):
+                call()
 
 
 class TestQAlpha:
@@ -274,15 +294,16 @@ class TestChain:
         n = 100000
         draws = rng.choice(len(keys), size=n, p=p)
         records = [keys[i] for i in draws]
-        total = chain(F, records, k=1)[-1] * math.log(2.0)
+        total = chain(F, records)[-1] * math.log(2.0)
         expect = float(p @ logs)
         se = float(np.sqrt(p @ (logs - expect) ** 2 / n))
         assert abs(total / n - expect) <= 3.0 * se
 
     def test_zero_value_flags_minus_infinity(self):
-        F = TrialFunction({(0, 0): 0.0, (1, 0): 2.0}, 0.1, role="qef")
+        values = {(0, 0): 0.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0}
+        F = TrialFunction(values, 0.1, role="qef")
         with pytest.warns(RuntimeWarning, match="record 2"):
-            out = chain(F, [(1, 0), (0, 0), (1, 0)], k=1)
+            out = chain(F, [(1, 0), (0, 0), (1, 0)])
         assert out.tolist() == [1.0, -math.inf, -math.inf]
 
     def test_matches_sequential_loop(self):
@@ -308,6 +329,11 @@ class TestChain:
             chain(F, [(0, -1)])
         with pytest.raises(ValueError, match="pairs"):
             chain(F, [(0, 0, 0)])
+        # The outcome width is the factor's station count, read from its inputs.
+        with pytest.raises(ValueError, match="record 1: outcome 2 does not fit in 1 bits"):
+            chain(constant_one(1, 1, 0.1), [(2, 0)])
+        with pytest.raises(ValueError, match="power of two"):
+            chain(TrialFunction({(0, 0): 1.0, (1, 0): 1.0}, 0.1, role="qef"), [(0, 0)])
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(

@@ -168,11 +168,7 @@ class TestConditionalEntropy:
             # Diagonal blocks: the quantum register is a classical label E.
             p = rng.dirichlet(np.ones(n_c * n_z * dim)).reshape(n_c, n_z, dim)
             rho = CqDistribution(
-                {
-                    (c, z): HermitianOperator(np.diag(p[c, z]))
-                    for c in range(n_c)
-                    for z in range(n_z)
-                }
+                [[np.diag(p[c, z]) for c in range(n_c)] for z in range(n_z)]
             )
             joint = p.sum()  # == 1
             h = 0.0
@@ -241,15 +237,26 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"at stack index \(1,\) is not positive semidefinite"):
             ops.psd_eigenvalues()
         with pytest.raises(ValueError, match=r"block \(1, 0\) is not positive semidefinite"):
-            CqDistribution({(0, 0): np.diag([1.0, 0.0]), (1, 0): small})
+            CqDistribution([[np.diag([1.0, 0.0]), small]])
         # Roundoff below the block's own floor is clipped, not rejected.
-        rho = CqDistribution({(0, 0): np.diag([1.0, 0.0]), (1, 0): np.diag([1e-6, -1e-17])})
+        rho = CqDistribution([[np.diag([1.0, 0.0]), np.diag([1e-6, -1e-17])]])
         assert rho.block(1, 0).psd_eigenvalues().tolist() == [1e-6, 0.0]
+
+    def test_classical_keys_fill_the_grid(self):
+        rho = CqDistribution.classical({(c, z): 0.25 for z in range(2) for c in range(2)})
+        assert rho.keys() == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert rho.blocks.matrix.shape == (2, 2, 1, 1)
+        for c, z in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+            with pytest.raises(KeyError):
+                rho.block(c, z)
+        for probs in ({(0, 0): 0.5, (1, 1): 0.5}, {(1, 0): 1.0}, {}):
+            with pytest.raises(ValueError):
+                CqDistribution.classical(probs)
 
     def test_blocks_share_the_stacked_spectrum(self):
         rng = np.random.default_rng(17)
-        blocks = {(c, z): random_density(rng, 3) / 4.0 for c in range(2) for z in range(2)}
-        rho = CqDistribution(blocks)
+        blocks = {(c, z): random_density(rng, 3) / 4.0 for z in range(2) for c in range(2)}
+        rho = CqDistribution([[blocks[(c, z)] for c in range(2)] for z in range(2)])
         assert rho.blocks.matrix.shape == (2, 2, 3, 3)
         assert rho.marginals.matrix.shape == (2, 1, 3, 3)
         assert list(rho.keys()) == list(blocks)
