@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 # Called as module attributes, so that wrappers installed on those modules
-# (perfbench's spans) see the family and optimizer calls made here.
+# (perfbench's spans) see the family calls made here.
 from . import models, pef_opt
 from .estimators import _second_order_sum
 
@@ -253,12 +253,18 @@ def min_trials_row(
     The tie goes to the smallest reference count, so the comparison is made
     against the stronger reference.  The reference count reuses each
     power's optimal factor's estimator, whose range ceiling is
-    ``max |log2 F| / beta``.
+    ``max |log2 F| / beta``.  The powers' programs are solved in one
+    :func:`pef_opt.optimize_pef_grid` call, as in :func:`min_trials_table`.
     """
+    factors = pef_opt.optimize_pef_grid([nu], beta_grid)[0]
+    return _best_row(nu, param, beta_grid, factors, budget)
+
+
+def _best_row(nu, param, beta_grid, factors, budget) -> MinTrialsRow:
+    """:func:`min_trials_row` from each power's ``(F, rate)``."""
     i_hat = models.chsh_value(nu)
     rows = []
-    for beta in beta_grid:
-        F, rate = pef_opt.optimize_pef_polytope(nu, beta)
+    for beta, (F, rate) in zip(beta_grid, factors):
         if rate <= 0.0:
             continue
         g_bits = rate * _LOG2_E
@@ -290,15 +296,24 @@ def min_trials_table(
     beta_grid: Sequence[float],
     budget: ErrorBudget,
 ) -> list[MinTrialsRow]:
-    rows = []
+    """:func:`min_trials_row` at each family point, with all their programs
+    solved in one :func:`pef_opt.optimize_pef_grid` call.  A point the model
+    cannot reach, or with no positive rate, is skipped with a warning."""
+    points, rows = [], []
     for param in params:
         nu = models.family_distribution(family, param)
-        try:
-            rows.append(min_trials_row(nu, param, beta_grid, budget))
+        try:  # A grid of no powers checks the table against the model.
+            pef_opt.optimize_pef_grid([nu], [])
         except ValueError as exc:
-            warnings.warn(
-                f"{family} param {param:g} skipped: {exc}", RuntimeWarning
-            )
+            warnings.warn(f"{family} param {param:g} skipped: {exc}", RuntimeWarning)
+        else:
+            points.append((param, nu))
+    grid = pef_opt.optimize_pef_grid([nu for _, nu in points], beta_grid)
+    for (param, nu), factors in zip(points, grid):
+        try:
+            rows.append(_best_row(nu, param, beta_grid, factors, budget))
+        except ValueError as exc:
+            warnings.warn(f"{family} param {param:g} skipped: {exc}", RuntimeWarning)
     return rows
 
 

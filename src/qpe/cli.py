@@ -109,7 +109,7 @@ def _cmd_mintrials(args: argparse.Namespace) -> int:
         return 0
     budget = ErrorBudget(epsilon=args.epsilon)
     lo, hi, num = args.params
-    params = np.linspace(lo, hi, int(num))
+    params = np.linspace(lo, hi, num)
     beta_grid = [float(b) for b in args.beta_grid.split(",")]
     rows = min_trials_table(args.family, params, beta_grid, budget)
     write_mintrials_csv(args.output, rows)
@@ -222,7 +222,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             ["r", "beta", "d", "d_prime", "g_lower_nats",
              "input_entropy_nats", "rate_ratio"]
         )
-        for r in np.geomspace(lo, hi, int(num)):
+        for r in np.geomspace(lo, hi, num):
             scheme = spot_check_scheme(B, float(r), args.z0, args.b_bar)
             # The power cap d depends on the scheme, so probe it first.
             d = expansion_rate(scheme, 1e-300).d
@@ -236,11 +236,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected lo:hi:count")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    if len(parts) != 3 or not (parts[2].isdigit() and int(parts[2]) > 0):
+        raise argparse.ArgumentTypeError("expected lo:hi:count, count a positive integer")
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,14 +8,18 @@ deterministic tables and the 64 points where the quantum correlation bounds
 cut the no-signaling polytope.  Each table is one linear constraint row, so
 optimizing the log-factor rate is a finite convex program, solved by
 primal-dual interior-point Newton steps that stop on a closed-form duality
-gap.  The factor's supremum over quantum models is bracketed by
+gap.  :func:`optimize_pef_grid` solves the programs of many tables and
+powers in lockstep, and :func:`optimize_pef_polytope` is its batch of one.
+The factor's supremum over quantum models is bracketed by
 :func:`qpe.qef_engine.certify_fmax`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -89,8 +93,13 @@ _SIGMA = 0.1
 _TO_BOUNDARY = 0.99
 
 
-def _max_log_factor(a: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]:
+def _max_log_factor(a: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize ``sum nu log x`` subject to ``a x <= 1`` by primal-dual Newton steps.
+
+    ``a`` is a ``(B, m, n)`` stack of programs and ``nu`` their ``(B, n)``
+    weights.  The running programs are one stack, compacted when some stop,
+    and stacked ``matmul``, ``solve`` and reductions act slice by slice, so
+    each program's iterates are those of a solve of it alone.
 
     The iterates are the primal ``x``, the slacks ``r = 1 - a x`` and the
     multipliers ``y >= 0`` of the rows.  Each step linearizes
@@ -103,41 +112,107 @@ def _max_log_factor(a: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]:
 
     Every ``y`` gives the dual point ``x = nu / (a^T y)``, feasible once
     rescaled by ``max(a x)``, with the closed-form duality gap
-    ``sum y - 1 + log max(a x)``.  Stops once that gap is at most ``_TOL``,
-    or when roundoff leaves no step, and returns the unscaled dual point
-    with the smallest gap, and that gap.
+    ``sum y - 1 + log max(a x)``.  A program stops once that gap is at most
+    ``_TOL``, or when roundoff leaves its Newton system singular, and returns
+    the unscaled dual point with the smallest gap, and that gap.
     """
-    m, n = a.shape
-    x = np.full(n, 0.5 / float(a.sum(axis=1).max()))
-    r = 1.0 - a @ x
-    y = np.full(m, 1.0 / m)
-    best, best_gap = x, math.inf
-    for _ in range(_MAX_ITERS):
-        s = a.T @ y
-        gap = float(y.sum()) - 1.0 + math.log(float((a @ (nu / s)).max()))
-        if gap < best_gap:
-            best, best_gap = nu / s, gap
-        if gap <= _TOL:
-            break
-        target = _SIGMA * float(y @ r) / m
-        w = y / r
+    b, m, n = a.shape
+    a_t, nu = a.transpose(0, 2, 1), nu[:, :, None]
+    # Program ``row[j]`` is held as the column ``z[j] = (x, r, y)``, and its
+    # smallest gap so far is ``low[j]``, at the dual point ``top[j]``.
+    x = np.repeat(0.5 / a.sum(axis=2).max(axis=1), n).reshape(b, n, 1)
+    z = np.concatenate([x, 1.0 - a @ x, np.full((b, m, 1), 1.0 / m)], axis=1)
+    row, low, top = np.arange(b), [math.inf] * b, x
+    best, best_gap = np.empty((b, n)), np.empty(b)
+    for it in range(_MAX_ITERS):
+        x, r, y = z[:, :n], z[:, n : n + m], z[:, n + m :]
+        s = a_t @ y
+        dual = nu / s
+        peak = (a @ dual).max(axis=1).ravel().tolist()
+        gap = [t - 1.0 + math.log(p) for t, p in zip(y.sum(axis=1).ravel().tolist(), peak)]
+        better = [g < g_low for g, g_low in zip(gap, low)]
+        if all(better):
+            low, top = gap, dual
+        else:
+            low = [g if up else g_low for g, g_low, up in zip(gap, low, better)]
+            top = np.where(np.array(better)[:, None, None], dual, top)
+        # A NaN gap marks a program whose Newton system was singular.
+        if it == _MAX_ITERS - 1 or not all(g > _TOL for g in gap):
+            stop = ~(np.array(gap) > _TOL) | (it == _MAX_ITERS - 1)
+            best[row[stop]], best_gap[row[stop]] = top[stop, :, 0], np.array(low)[stop]
+            if stop.all():
+                break
+            row, a, nu, z, s, top = (v[~stop] for v in (row, a, nu, z, s, top))
+            low, a_t = np.array(low)[~stop].tolist(), a.transpose(0, 2, 1)
+            x, r, y = z[:, :n], z[:, n : n + m], z[:, n + m :]
+        target = _SIGMA * (y.transpose(0, 2, 1) @ r) / m
+        w, t_r = y / r, target / r
+        k = (a_t * w.transpose(0, 2, 1)) @ a
+        k.reshape(-1, n * n, 1)[:, :: n + 1] += s / x
+        rhs = nu / x - a_t @ t_r
         try:
-            dx = np.linalg.solve(
-                np.diag(s / x) + (a.T * w) @ a, nu / x - a.T @ (target / r)
-            )
+            dx = np.linalg.solve(k, rhs)
         except np.linalg.LinAlgError:
-            break
+            # Solve the slices one at a time, and step the singular ones to NaN.
+            dx = np.full_like(x, math.nan)
+            for j in range(row.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    dx[j] = np.linalg.solve(k[j], rhs[j])
         dr = -(a @ dx)
-        dy = target / r - y - w * dr
-        step = 1.0
-        for v, dv in ((x, dx), (r, dr), (y, dy)):
-            down = dv < 0.0
-            if down.any():
-                step = min(step, _TO_BOUNDARY * float((-v[down] / dv[down]).min()))
-        x = x + step * dx
-        r = r + step * dr
-        y = y + step * dy
+        dz = np.concatenate([dx, dr, t_r - y - w * dr], axis=1)
+        ratio = np.divide(-z, dz, out=np.full_like(z, math.inf), where=dz < 0.0)
+        step = [min(1.0, _TO_BOUNDARY * v) for v in ratio.min(axis=1).ravel().tolist()]
+        z = z + np.array(step)[:, None, None] * dz
     return best, best_gap
+
+
+def optimize_pef_grid(
+    nus: Sequence[TrialDistribution],
+    betas: Sequence[float],
+    tables: np.ndarray | None = None,
+) -> list[list[tuple[TrialFunction, float]]]:
+    """:func:`optimize_pef_polytope` for every table and power, as
+    ``[[(F, rate) for beta in betas] for nu in nus]``.  Every power and table
+    is checked before any solve, and the programs of tables that observe the
+    same cells are solved in one lockstep run."""
+    for beta in betas:
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"the power must be finite and positive, not {beta!r}")
+    tables = MODEL_TABLES if tables is None else tables
+    powered = [tables ** (1.0 + beta) for beta in betas]
+    groups: dict[bytes, list] = {}
+    for i, nu in enumerate(nus):
+        if tables.shape[1:] != nu.joint.shape:
+            raise ValueError(f"model tables of shape {tables.shape} do not fit the table")
+        mask = nu.joint > 0.0
+        if not (tables.max(axis=0)[mask] > 0.0).all():
+            raise ValueError("an observed outcome is outside the model polytope")
+        for j, t in enumerate(powered):
+            groups.setdefault(mask.tobytes(), []).append(
+                (i, j, mask, (nu.mu * t)[:, mask], nu.joint[mask])
+            )
+    out: list[list] = [[None] * len(betas) for _ in nus]
+    for progs in groups.values():
+        # Masking leaves each ``a_m`` column-major, and ``np.stack`` keeps
+        # that layout, so BLAS is called as for a program alone.
+        duals, gaps = _max_log_factor(
+            np.stack([p[3] for p in progs]), np.array([p[4] for p in progs])
+        )
+        for (i, j, mask, a_m, nu_m), f_raw, gap in zip(progs, duals, gaps.tolist()):
+            if gap > _TOL:
+                warnings.warn(
+                    f"polytope optimizer stopped at duality gap {gap:.3g}", RuntimeWarning
+                )
+            f_opt = f_raw / float((a_m @ f_raw).max())
+            f_one = np.full(nu_m.size, 1.0 / max(1.0, float(a_m.sum(axis=1).max())))
+            log_opt = float(nu_m @ np.log(f_opt))
+            log_one = float(nu_m @ np.log(f_one))
+            f_m, log_f = (f_opt, log_opt) if log_opt - log_one > gap else (f_one, log_one)
+            f = np.zeros(mask.shape)
+            f[mask] = f_m
+            values = dict(zip(np.ndindex(f.shape), f.ravel().tolist()))
+            out[i][j] = (TrialFunction(values, betas[j], role="pef"), log_f / betas[j])
+    return out
 
 
 def optimize_pef_polytope(
@@ -157,32 +232,6 @@ def optimize_pef_polytope(
     all-ones factor (scaled down if a row exceeds one on it) is returned
     instead unless the optimum beats it by more than the gap, so a table
     inside the polytope gets a rate of at most zero, not roundoff.  Returns
-    the factor and its rate in nats per trial.
+    the factor and its rate in nats per trial: :func:`optimize_pef_grid`'s.
     """
-    if beta <= 0.0:
-        raise ValueError("the power must be positive")
-    if tables is None:
-        tables = MODEL_TABLES
-    if tables.shape[1:] != nu.joint.shape:
-        raise ValueError(f"model tables of shape {tables.shape} do not fit the table")
-    mask = nu.joint > 0.0
-    a_m = (nu.mu * tables ** (1.0 + beta))[:, mask]
-    nu_m = nu.joint[mask]
-    if np.any(a_m.max(axis=0) <= 0.0):
-        raise ValueError("an observed outcome is outside the model polytope")
-
-    f_raw, gap = _max_log_factor(a_m, nu_m)
-    if gap > _TOL:
-        warnings.warn(
-            f"polytope optimizer stopped at duality gap {gap:.3g}",
-            RuntimeWarning,
-        )
-    f_opt = f_raw / float((a_m @ f_raw).max())
-    f_one = np.full(nu_m.size, 1.0 / max(1.0, float(a_m.sum(axis=1).max())))
-    log_opt = float(nu_m @ np.log(f_opt))
-    log_one = float(nu_m @ np.log(f_one))
-    f_m, log_f = (f_opt, log_opt) if log_opt - log_one > gap else (f_one, log_one)
-    f = np.zeros(nu.joint.shape)
-    f[mask] = f_m
-    values = {(c, z): float(f[c, z]) for c, z in np.ndindex(f.shape)}
-    return TrialFunction(values, beta, role="pef"), log_f / beta
+    return optimize_pef_grid([nu], [beta], tables)[0][0]

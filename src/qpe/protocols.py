@@ -151,20 +151,13 @@ class ProtocolParams:
         return float(self.F.beta)
 
     @property
-    def alpha(self) -> float:
-        return 1.0 + self.beta
-
-    @property
     def epsilon_h(self) -> float:
         return self.epsilon - self.epsilon_x
 
     @property
     def log2_p(self) -> float:
         """Log target probability; powers above 2 pay an error surcharge."""
-        base = -float(self.k_i + self.k_z)
-        if self.alpha > 2.0:
-            base += (self.alpha - 2.0) / self.beta * math.log2(self.epsilon)
-        return base
+        return _log2_p(self.beta, self.k_i + self.k_z, self.epsilon)
 
     @property
     def log2_f_min(self) -> float:
@@ -180,6 +173,14 @@ class ProtocolParams:
         return n_in + self.k_o - 1
 
 
+def _log2_p(beta: float, k: int, epsilon: float) -> float:
+    """:attr:`ProtocolParams.log2_p` at an entropy demand of ``k`` bits."""
+    base, alpha = -float(k), 1.0 + beta
+    if alpha > 2.0:
+        base += (alpha - 2.0) / beta * math.log2(epsilon)
+    return base
+
+
 def design_params(
     F: TrialFunction,
     n: int,
@@ -191,16 +192,19 @@ def design_params(
 
     Scans extractor errors on a 256-point log grid over ``(0, epsilon)``;
     each choice fixes the input-entropy demand and hence the threshold.
-    Returns the cheapest parameter set; invalid arguments raise ValueError.
+    Builds only the first cheapest parameter set; invalid arguments raise
+    ValueError.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("total error must lie in (0, 1)")
     _require_certified(F)
-    cands = (
-        ProtocolParams(F=F, n=n, k_o=k_o, epsilon=epsilon, epsilon_x=float(eps_x), k_z=k_z)
-        for eps_x in np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), 256)
+    beta = float(F.beta)
+    eps_x = min(
+        np.geomspace(epsilon * 1e-9, epsilon * (1.0 - 1e-6), 256).tolist(),
+        key=lambda e: beta * -_log2_p(beta, toeplitz_min_ki(k_o, e) + k_z, epsilon)
+        + _log2_offset(epsilon - e),
     )
-    return min(cands, key=lambda cand: cand.log2_f_min)
+    return ProtocolParams(F=F, n=n, k_o=k_o, epsilon=epsilon, epsilon_x=eps_x, k_z=k_z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +238,10 @@ def _accumulate(params: ProtocolParams, records: ArrayLike):
     last = first if crossed else n - 1
     # c fits in k bits, so the smallest unsigned type holds it and its bits.
     small = records[:n, 0].astype(np.min_scalar_type((1 << k) - 1))
-    cbits = ((small[:, None] >> np.arange(k, dtype=small.dtype)) & 1).ravel()
-    return crossed, float(running[last]), last + 1, cbits
+    cbits = np.empty((n, k), dtype=small.dtype)
+    for i in range(k):
+        np.bitwise_and(small >> i, 1, out=cbits[:, i])
+    return crossed, float(running[last]), last + 1, cbits.ravel()
 
 
 def run_protocol1(

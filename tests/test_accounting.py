@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,57 @@ class TestMinTrials:
             rows = min_trials_table("E", [0.0, math.pi / 4.0], [0.2], budget)
         assert len(rows) == 1
         assert abs(rows[0].param - math.pi / 4.0) <= 1e-12
+
+    def test_table_matches_its_rows(self):
+        """The table's one grid call gives each point the row of a lone
+        ``min_trials_row``, field for field."""
+        from qpe.models import family_distribution
+
+        budget, grid = ErrorBudget(1e-6), [0.05, 0.2]
+        params = [0.75, 0.9, 1.0]
+        rows = min_trials_table("W", params, grid, budget)
+        assert rows == [
+            min_trials_row(family_distribution("W", p), p, grid, budget) for p in params
+        ]
+
+    def test_table_skips_points_outside_the_model(self, nu_e, monkeypatch):
+        """A point whose table the model cannot reach is skipped with a
+        warning before the grid solve, and the other points are solved in it."""
+        from qpe import models, pef_opt
+
+        local = models.family_distribution("E", 0.0)
+        assert local.joint[1, 0] == 0.0 < nu_e.joint[1, 0]
+        tables = pef_opt.MODEL_TABLES.copy()
+        tables[:, 1, 0] = 0.0
+        monkeypatch.setattr(pef_opt, "MODEL_TABLES", tables)
+        monkeypatch.setattr(
+            models, "family_distribution", lambda fam, p: nu_e if p == 0.0 else local
+        )
+        solved = []
+        grid = pef_opt.optimize_pef_grid
+
+        def spy(nus, betas):
+            if betas:  # A grid of no powers only checks the tables.
+                solved.extend(nus)
+            return grid(nus, betas)
+
+        monkeypatch.setattr(pef_opt, "optimize_pef_grid", spy)
+        with pytest.warns(RuntimeWarning) as caught:
+            rows = min_trials_table("E", [0.0, 1.0], [0.05, 0.2], ErrorBudget(1e-6))
+        assert rows == [] and solved == [local]
+        assert [str(w.message) for w in caught] == [
+            "E param 0 skipped: an observed outcome is outside the model polytope",
+            "E param 1 skipped: no positive rate on the power grid",
+        ]
+
+    @pytest.mark.parametrize("grid", [[0.05, -0.2], [math.nan], [0.05, math.inf]])
+    def test_bad_power_fails_the_table(self, grid):
+        """A bad power raises, naming it, instead of skipping every point."""
+        budget = ErrorBudget(1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"not {grid[-1]!r}"):
+                min_trials_table("W", [0.75, 1.0], grid, budget)
 
     def test_csv_format(self, tmp_path):
         row = MinTrialsRow(

@@ -252,6 +252,26 @@ class TestMintrials:
         for row in rows[1:]:
             assert float(row[2]) > float(row[1])
 
+    @pytest.mark.parametrize("grid", ["0.05,-0.2", "nan", "0.05,inf"])
+    def test_bad_power_is_internal_error(self, tmp_path, capsys, grid):
+        """A bad power exits 1 naming it, and writes no table."""
+        out = tmp_path / "table.csv"
+        argv = ["mintrials", "--family", "W", "--params", "0.75:1.0:2",
+                "--beta-grid", grid, "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the power must be finite and positive")
+        assert repr(float(grid.split(",")[-1])) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "2.7", "-1", "two"])
+    def test_point_count_must_be_a_positive_integer(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as err:
+            main(["mintrials", "--family", "W", "--params", f"0.75:1.0:{count}",
+                  "-o", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert "count a positive integer" in capsys.readouterr().err
+
     def test_table_needs_family_and_params(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["mintrials", "-o", str(tmp_path / "x.csv")])
@@ -512,6 +532,15 @@ class TestExpand:
         ]
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "2.5"])
+    def test_rate_count_must_be_a_positive_integer(self, tmp_path, capsys, count):
+        table = self.write_table(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["expand", "--function", table, "--b-bar", "0.57",
+                  "--r-grid", f"0.01:0.1:{count}", "-o", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert "count a positive integer" in capsys.readouterr().err
 
     def test_malformed_grid_is_usage_error(self, tmp_path):
         table = self.write_table(tmp_path)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from qpe import pef_opt
 from qpe.estimators import binary_model
 from qpe.models import TrialDistribution, chsh_value, correlators
 from qpe.pef_opt import (
@@ -16,6 +18,7 @@ from qpe.pef_opt import (
     LOCAL_TABLES,
     MODEL_TABLES,
     local_deterministic_vertices,
+    optimize_pef_grid,
     optimize_pef_polytope,
     pef_inequality_check,
 )
@@ -334,6 +337,77 @@ class TestOptimizePolytope:
             optimize_pef_polytope(one_bit, 0.1)
         with pytest.raises(ValueError):
             optimize_pef_polytope(nu_e, 0.1, tables=MODEL_TABLES[:, :2, :2])
+
+
+class TestGrid:
+    """A grid's programs, solved in lockstep, against each solved alone."""
+
+    POINTS = (("E", 0.0), ("E", math.pi / 4.0), ("W", 0.8), ("P", 0.9))
+    POWERS = (0.005, 0.05, 0.45)
+
+    def test_grid_matches_single_programs(self):
+        """Every factor value and rate bit for bit.  E 0 has zero cells, so
+        its programs are a second group of the grid."""
+        from qpe.models import family_distribution
+
+        nus = [family_distribution(fam, p) for fam, p in self.POINTS]
+        assert len({(nu.joint > 0.0).tobytes() for nu in nus}) == 2
+        grid = optimize_pef_grid(nus, self.POWERS, tables=LOCAL_TABLES)
+        assert [len(row) for row in grid] == [3] * 4
+        for nu, row in zip(nus, grid):
+            for beta, (F, rate) in zip(self.POWERS, row):
+                alone, alone_rate = optimize_pef_polytope(nu, beta, tables=LOCAL_TABLES)
+                assert F.beta == beta
+                assert F.values == alone.values
+                assert rate.hex() == alone_rate.hex()
+
+    @staticmethod
+    def singular_at_third_step(monkeypatch):
+        """Make the first program's Newton system zero, so singular, at the
+        third lockstep solve."""
+        solve, calls = np.linalg.solve, []
+
+        def fake(k, rhs):
+            if k.ndim == 3:
+                calls.append(k.shape[0])
+                if len(calls) == 3:
+                    k[0] = 0.0
+            return solve(k, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", fake)
+        return calls
+
+    def test_singular_system_stops_only_its_program(self, nu_e, monkeypatch):
+        """A singular Newton system in one program of a lockstep run."""
+        clean = optimize_pef_grid([nu_e], self.POWERS)[0]
+        calls = self.singular_at_third_step(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="duality gap") as caught:
+            hit = optimize_pef_grid([nu_e], self.POWERS)[0]
+        assert calls[:3] == [3, 3, 3]
+        assert len(caught) == 1
+        # The other programs keep their results.
+        for (F, rate), (F1, rate1) in zip(hit[1:], clean[1:]):
+            assert F.values == F1.values
+            assert rate.hex() == rate1.hex()
+        # The hit program stopped where a lone solve with the same fault stops.
+        assert hit[0][1] < clean[0][1]
+        self.singular_at_third_step(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="duality gap"):
+            F, rate = optimize_pef_polytope(nu_e, self.POWERS[0])
+        assert F.values == hit[0][0].values
+        assert rate.hex() == hit[0][1].hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.2, 0.0])
+    def test_bad_power_raises_before_any_solve(self, nu_e, bad, monkeypatch):
+        def no_solve(a, nu):
+            raise AssertionError("a program was solved")
+
+        monkeypatch.setattr(pef_opt, "_max_log_factor", no_solve)
+        message = re.escape(f"not {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            optimize_pef_grid([nu_e], [0.05, bad])
+        with pytest.raises(ValueError, match=message):
+            optimize_pef_polytope(nu_e, bad)
 
 
 class TestCertifyPefFmax:

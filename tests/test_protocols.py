@@ -315,6 +315,27 @@ class TestDesignParams:
         assert got.k_i == toeplitz_min_ki(k_o, got.epsilon_x)
         assert got.n == 1000 and got.k_z == 0
 
+    @pytest.mark.parametrize(
+        "n, k_o, eps, k_z, beta",
+        [(1000, 16, 1e-3, 0, 0.1), (50, 8, 1e-6, 3, 0.5), (20000, 256, 1e-6, 0, 0.05),
+         (100, 64, 0.3, 7, 1.5), (10, 1, 0.9, 0, 2.5)],
+    )
+    def test_pick_matches_built_candidates(self, n, k_o, eps, k_z, beta):
+        """The first cheapest of the 256 parameter sets, each built and
+        validated; powers above 1 pay the surcharge."""
+        F = flat_factor(2.0, beta=beta)
+        want = min(
+            (
+                ProtocolParams(F=F, n=n, k_o=k_o, epsilon=eps, epsilon_x=float(e), k_z=k_z)
+                for e in np.geomspace(eps * 1e-9, eps * (1.0 - 1e-6), 256)
+            ),
+            key=lambda cand: cand.log2_f_min,
+        )
+        got = design_params(F, n, k_o, eps, k_z=k_z)
+        assert got.epsilon_x == want.epsilon_x
+        assert got.log2_f_min == want.log2_f_min
+        assert (got.n, got.k_o, got.epsilon, got.k_z) == (n, k_o, eps, k_z)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             design_params(flat_factor(2.0), 100, 8, 1.5)
@@ -447,6 +468,21 @@ class TestAccumulate:
         assert np.array_equal(got[3], want[3])
         if poison_at == 3:
             assert got[1] == -math.inf
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_outcome_bits_match_the_broadcast_shift(self, k):
+        """Each record's ``k`` outcome bits, low bit first, in the smallest
+        unsigned type that holds ``c``."""
+        rng = np.random.default_rng(k)
+        n = 1000
+        F = TrialFunction({(c, z): 1.5 for c in range(2**k) for z in range(2**k)}, 0.2,
+                          role="qef")
+        records = np.stack([rng.integers(0, 2**k, n), rng.integers(0, 2**k, n)], axis=1)
+        got = _accumulate(design_params(F, n, 8, 1e-3), records)[3]
+        small = records[:, 0].astype(np.min_scalar_type((1 << k) - 1))
+        want = ((small[:, None] >> np.arange(k, dtype=small.dtype)) & 1).ravel()
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
 
     def test_domain_checked_after_the_crossing(self):
         params = make_params(poison=(3, 3))
