@@ -267,6 +267,12 @@ def _best_row(nu, param, beta_grid, factors, budget) -> MinTrialsRow:
     for beta, (F, rate) in zip(beta_grid, factors):
         if rate <= 0.0:
             continue
+        zero = next((key for key, v in F.values.items() if v == 0.0), None)
+        if zero is not None:
+            raise ValueError(
+                f"the power {beta:g} factor is 0 at cell {zero}, so the reference "
+                "count has no finite range ceiling"
+            )
         g_bits = rate * _LOG2_E
         k_inf_bits = F.max_abs_log() * _LOG2_E / beta
         n_outcomes = len({k[0] for k in F.keys()})
@@ -298,7 +304,9 @@ def min_trials_table(
 ) -> list[MinTrialsRow]:
     """:func:`min_trials_row` at each family point, with all their programs
     solved in one :func:`pef_opt.optimize_pef_grid` call.  A point the model
-    cannot reach, or with no positive rate, is skipped with a warning."""
+    cannot reach, with no positive rate, or with a factor of positive rate
+    that is 0 on some cell (its reference count is unbounded), is skipped
+    with a warning."""
     points, rows = [], []
     for param in params:
         nu = models.family_distribution(family, param)

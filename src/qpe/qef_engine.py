@@ -10,8 +10,10 @@ operators by a BFGS ascent that stops on its concavity certificate, and runs
 a branch-and-bound over measurement angles to certify a global supremum.
 
 The branch-and-bound splits regions in sweeps and solves each sweep's new
-vertices together: one lockstep ascent advances every block problem of one
-dimension, and :func:`inner_max_tau` is the same solver on a batch of one.
+vertices together: one lockstep ascent advances every block problem of 2 to
+4 dimensions, the 2-dim ones padded to 4, and the 8-dim blocks of three
+stations get one of their own; :func:`inner_max_tau` is the same solver on a
+batch of one.
 The ascent holds only its running problems, as one contiguous stack that is
 compacted on the steps where some problem stops, and it updates every
 inverse Hessian of the stack in place with the rank-two form of the BFGS
@@ -375,7 +377,12 @@ class _BlockProblem:
 
     ``V`` is ``(..., n, m)`` and ``w`` is ``(..., n)``: leading axes stack
     problems of one shape, and every method broadcasts over them, taking
-    ``tau`` as ``(..., m, m)`` and giving one value per problem.
+    ``tau`` as ``(..., m, m)`` and giving one value per problem.  ``dim``
+    holds each problem's own dimension, ``m`` unless :meth:`_pad` sets it.
+    A problem of dimension ``d < m`` is padded: its ``V`` is zero past column
+    ``d``, and :func:`_evaluate` keeps its iterate, floor and gradient on the
+    top-left ``d x d`` corner, so it is solved as its ``d``-dimensional self
+    up to roundoff.
     """
 
     def __init__(self, V: np.ndarray, w: np.ndarray, alpha: float):
@@ -383,10 +390,18 @@ class _BlockProblem:
         self.w = w
         self.alpha = alpha
         self.m = V.shape[-1]
+        self._pad(np.full(V.shape[:-2], self.m))
+
+    def _pad(self, dim: np.ndarray) -> "_BlockProblem":
+        """The stack, with each problem's own dimension set to ``dim``."""
+        self.dim = dim
+        # 1.0 on each problem's own coordinates and 0.0 on its padding.
+        self.on = (np.arange(self.m) < dim[..., None]).astype(float)
+        return self
 
     def __getitem__(self, idx) -> "_BlockProblem":
         """The problems ``idx`` of a stack."""
-        return _BlockProblem(self.V[idx], self.w[idx], self.alpha)
+        return _BlockProblem(self.V[idx], self.w[idx], self.alpha)._pad(self.dim[idx])
 
     def _decompose(self, tau: np.ndarray):
         lam, U = np.linalg.eigh((tau + tau.swapaxes(-1, -2)) / 2.0)
@@ -446,15 +461,29 @@ def _invariant_blocks(angles: np.ndarray) -> list[tuple[np.ndarray, list[np.ndar
 _FLOOR = 1e-13
 # Cap on the certified pairs of one block solve.
 _MAX_PAIRS = 10000
+# The blocks of 2 to this many dimensions share one lockstep ascent, the
+# smaller ones padded to the largest: a step's fixed cost outweighs its
+# per-problem cost at these sizes.  Larger blocks, the k = 3 interiors, keep
+# a stack per dimension.  Padded to 8 dimensions, with 64 x 64 inverse
+# Hessians, a k = 3 certification took 60-66 % longer than unpadded; capped
+# at 4, it takes as long as unpadded.
+_PAD_DIM = 4
 
 
 def _evaluate(prob: _BlockProblem, x: np.ndarray):
     """``(g, lambda_max(grad g(tau)), tau, d g / d A)`` at the flat iterate ``A``.
 
-    ``tau = (1 - floor) A A^T / tr(A A^T) + floor I / m``: the identity floor
+    ``tau = (1 - floor) A A^T / tr(A A^T) + floor I / d``: the identity floor
     keeps every ``t_i`` positive, so no projector drops out of the gradient
     and its top eigenvalue stays a sound bound.  ``x`` is ``(..., m * m)``,
-    one iterate per problem of a stack.
+    one iterate per problem of a stack.  A padded problem of dimension ``d``
+    (see :class:`_BlockProblem`) has ``A`` zero off its top-left ``d x d``
+    corner; its floor is that corner's ``I / d``, and ``grad g(tau)`` is
+    masked to the corner, so ``d g / d A`` keeps ``A`` there.  The padding
+    adds exact zero eigenvalues to ``tau``; as ``tau`` is exactly block
+    diagonal, ``eigh`` gives them eigenvectors off the corner, and every
+    product they enter is an exact zero.  On a full-size problem the masks
+    multiply by 1.0 and the floor is ``I / m``, bit for bit as unmasked.
     """
     m = prob.m
     A = x.reshape(x.shape[:-1] + (m, m))
@@ -464,13 +493,14 @@ def _evaluate(prob: _BlockProblem, x: np.ndarray):
     s = diag.sum(axis=-1)[..., None, None]
     tau /= s
     tau *= 1.0 - _FLOOR
-    diag += _FLOOR / m
+    diag += (_FLOOR / prob.dim)[..., None] * prob.on
     lam, U = prob._decompose(tau)
     g, t = prob._value_from(lam, U)
     G = prob.gradient(lam, U, t)
+    G *= prob.on[..., :, None] * prob.on[..., None, :]
     # d g / d A = (2 (1 - floor) / s) (G A - <G, S / s> A), and by Euler's
     # identity <G, tau> = g gives <G, S / s> below.
-    c = (g - _FLOOR * G.reshape(x.shape)[..., :: m + 1].sum(axis=-1) / m) / (1.0 - _FLOOR)
+    c = (g - _FLOOR * G.reshape(x.shape)[..., :: m + 1].sum(axis=-1) / prob.dim) / (1.0 - _FLOOR)
     GA = G @ A
     GA -= c[..., None, None] * A
     GA *= 2.0 * (1.0 - _FLOOR) / s
@@ -486,14 +516,19 @@ def _maximize_block(
 ):
     """BFGS ascents over ``A`` (see :func:`_evaluate`) that stop on their certified gaps.
 
-    ``prob`` is a stack of problems of one shape, and each is solved as if
-    alone: the ascents run in lockstep, each step evaluating one trial point
-    of every problem still running.  Every problem starts from the same
-    seeded point.  The running problems are held as one contiguous stack
-    (iterates with their values, gaps and gradients, inverse Hessians, step
-    sizes, best pairs and the problems' own rows), and every step updates all
-    of it in place, masked row by row; the stack is compacted only on a step
-    where some problem stops, when its results are written out.
+    ``prob`` is a stack of problems of one shape, the smaller ones padded
+    (see :class:`_BlockProblem`), and each is solved as if alone: the ascents
+    run in lockstep, each step evaluating one trial point of every problem
+    still running.  Every problem of dimension ``d`` starts from the same
+    seeded ``d x d`` point, in its corner.  The running problems are held as
+    one contiguous stack (iterates with their values, gaps and gradients,
+    inverse Hessians, step sizes, best pairs and the problems' own rows),
+    and every step updates all of it in place, masked row by row; the stack
+    is compacted only on a step where some problem stops, when its results
+    are written out.  A padded problem's steps stay in its corner, and it
+    runs its native ascent to roundoff: its sums run over ``m * m`` entries
+    and associate differently, so at a tolerance within roundoff of its
+    gap it can stop a pair apart.
 
     The certificate rests on concavity and 1-homogeneity: for any density
     ``sigma``, ``g(sigma) <= <grad g(tau), sigma> <= lambda_max(grad g(tau))``,
@@ -521,8 +556,9 @@ def _maximize_block(
     on for thousands of steps.
 
     Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
-    problem; ``trace`` lists each problem's ``(value, bound)`` pairs, or is
-    None without ``keep_trace``.
+    problem; a padded problem's ``tau`` is zero off its corner, and
+    ``trace`` lists each problem's ``(value, bound)`` pairs, or is None
+    without ``keep_trace``.
     """
     b, m = prob.w.shape[0], prob.m
     if m == 1:
@@ -532,8 +568,11 @@ def _maximize_block(
         return val, tau, val.copy(), np.ones(b, dtype=bool), np.ones(b, dtype=int), trace
 
     eye = np.eye(m * m)
-    rng = np.random.default_rng(seed)
-    x = np.tile(np.eye(m) + 0.05 * rng.standard_normal((m, m)), (b, 1, 1)).reshape(b, -1)
+    x = np.zeros((b, m, m))
+    for d in np.unique(prob.dim).tolist():
+        rng = np.random.default_rng(seed)
+        x[prob.dim == d, :d, :d] = np.eye(d) + 0.05 * rng.standard_normal((d, d))
+    x = x.reshape(b, -1)
     g, ub, tau, grad = _evaluate(prob, x)
     trace = [[pair] for pair in zip(g.tolist(), ub.tolist())] if keep_trace else None
     # Each problem's results, written when it stops.
@@ -641,10 +680,11 @@ def _solve_vertices(
     :func:`_invariant_blocks`.  The supremum over block-diagonal states
     equals the best single block by homogeneity, so each block is solved
     separately and the largest certified bound over blocks bounds the
-    supremum.  All blocks of one dimension, over the whole stack, are solved
-    by one call of :func:`_maximize_block`, at most ``_MAX_PAIRS`` pairs a
-    block; a block that no projector reaches is skipped (its functional is
-    zero).
+    supremum.  The blocks of 2 to ``_PAD_DIM`` dimensions, over the whole
+    stack, are solved by one call of :func:`_maximize_block`, padded to the
+    largest of them; the blocks of each other dimension by one call each.
+    A solve takes at most ``_MAX_PAIRS`` pairs a block, and a block that no
+    projector reaches is skipped (its functional is zero).
 
     Returns ``(value, tau, bound, converged, pairs, trace)`` indexed by
     configuration; ``pairs`` sums the certified pairs over blocks, and
@@ -658,28 +698,36 @@ def _solve_vertices(
     pairs = np.zeros(P, dtype=int)
     converged = np.ones(P, dtype=bool)
     traces = [[] for _ in range(P)] if keep_trace else None
-    # Every block of one configuration has the same dimension.
-    by_dim: dict[int, list] = {}
-    for rows, bases in _invariant_blocks(angles):
+    groups = _invariant_blocks(angles)
+    # Every block of one configuration has the same dimension.  The blocks
+    # of 2 to ``_PAD_DIM`` dimensions share one stack, padded to the widest
+    # of them by zero columns of their bases; any other dimension has its own.
+    dims = {basis.shape[1] for _, bases in groups for basis in bases}
+    shared = max((m for m in dims if 1 < m <= _PAD_DIM), default=0)
+    stacks: dict[int, list] = {}
+    for rows, bases in groups:
         for basis in bases:
+            m = basis.shape[1]
+            if 1 < m < shared:
+                basis = np.concatenate([basis, np.zeros((d, shared - m))], axis=1)
             Vb = V[rows] @ basis
             keep = (Vb * Vb).sum(axis=-1) > 1e-12
             live = keep.any(axis=1)
             Vb = np.where(keep[:, :, None], Vb, 0.0)
-            by_dim.setdefault(basis.shape[1], []).append((rows[live], Vb[live], basis))
-    for parts in by_dim.values():
-        owner = np.concatenate([rows for rows, _, _ in parts])
+            stacks.setdefault(basis.shape[1], []).append((rows[live], Vb[live], basis, m))
+    for parts in stacks.values():
+        owner = np.concatenate([rows for rows, _, _, _ in parts])
         prob = _BlockProblem(
-            np.concatenate([Vb for _, Vb, _ in parts]),
+            np.concatenate([Vb for _, Vb, _, _ in parts]),
             np.broadcast_to(w, (owner.size, w.size)),
             F.alpha,
-        )
+        )._pad(np.concatenate([np.full(rows.size, m) for rows, _, _, m in parts]))
         val, tau_b, ub, conv, n, tr = _maximize_block(prob, tol, _MAX_PAIRS, seed, keep_trace)
         np.maximum.at(bound, owner, ub)
         np.add.at(pairs, owner, n)
         np.logical_and.at(converged, owner, conv)
         j = 0
-        for rows, _, basis in parts:
+        for rows, _, basis, _ in parts:
             part = slice(j, j + rows.size)
             better = val[part] > value[rows]
             value[rows[better]] = val[part][better]
@@ -701,8 +749,9 @@ def inner_max_tau(
 
     A batch of one for the solver of :func:`certify_fmax`: the algebra
     generated by the projectors is split into invariant blocks in closed
-    form, and each block is solved by a BFGS ascent that stops on its
-    certified gap (see :func:`_maximize_block`).  Each station angle in
+    form.  One configuration's blocks share a dimension, so they are solved
+    in one stack, unpadded, by BFGS ascents that stop on their certified
+    gaps (see :func:`_maximize_block`).  Each station angle in
     ``theta`` is read modulo ``2 pi``, and the inputs are uniform.
 
     Returns
@@ -986,10 +1035,12 @@ def certify_fmax(
     exceeds the best witness by more than ``gap_target`` in half along every
     axis, highest bound first, until the region budget runs out (then
     ``gap_flag`` is set; the bounds stay sound either way).  The sweep's new
-    vertices are then solved together: every block of one dimension, over
-    all of them, advances in one lockstep ascent (:func:`_maximize_block`),
-    whose BFGS start ``seed`` seeds.  A sweep's cells are held as arrays,
-    and each axis of all of them is cut by one :func:`interval_bound` call.
+    vertices are then solved together: every block of 2 to 4 dimensions,
+    over all of them, advances in one lockstep ascent
+    (:func:`_maximize_block`), the 2-dim ones padded to 4, and the blocks of
+    each other dimension in one more; ``seed`` seeds the BFGS start.  A
+    sweep's cells are held as arrays, and each axis of all of them is cut by
+    one :func:`interval_bound` call.
     The search ends when no cell is left to split.  Every bounded cell is
     kept in ``cells``, about 72 bytes a cell at ``k = 2``.
 

@@ -416,6 +416,29 @@ class TestMinTrials:
             "E param 1 skipped: no positive rate on the power grid",
         ]
 
+    def test_table_skips_points_whose_factor_has_a_zero_cell(self, monkeypatch):
+        """The first Tsirelson cut leaves 7 cells unobserved, and its optimal
+        factor is 0 there, so the estimator's range ceiling is infinite.  The
+        row raises a ValueError naming the first zero cell, and the table
+        skips the point with its warning."""
+        from qpe import models, pef_opt
+
+        t = 0.25 * pef_opt.CUT_TABLES[0]
+        nu = models.TrialDistribution(
+            2, 2, {(c, z): float(t[c, z]) for c in range(4) for z in range(4)}
+        )
+        budget = ErrorBudget(1e-6)
+        with pytest.raises(ValueError, match=r"power 0\.05 factor is 0 at cell \(1, 0\)"):
+            min_trials_row(nu, 0.0, [0.05], budget)
+        monkeypatch.setattr(models, "family_distribution", lambda fam, p: nu)
+        with pytest.warns(RuntimeWarning) as caught:
+            rows = min_trials_table("E", [0.0], [0.05, 0.2], budget)
+        assert rows == []
+        assert [str(w.message) for w in caught] == [
+            "E param 0 skipped: the power 0.05 factor is 0 at cell (1, 0), so the "
+            "reference count has no finite range ceiling"
+        ]
+
     @pytest.mark.parametrize("grid", [[0.05, -0.2], [math.nan], [0.05, math.inf]])
     def test_bad_power_fails_the_table(self, grid):
         """A bad power raises, naming it, instead of skipping every point."""

@@ -767,6 +767,68 @@ class TestInnerSolver:
             assert abs(value[p] - one[0][0]) <= 1e-12
             assert abs(bound[p] - one[2][0]) <= 1e-12
 
+    def test_padded_solves_match_native_solves(self):
+        """2-dim problems, ``V = I`` among them, padded into one stack with
+        4-dim problems: each gets the pairs of its own native solve, its value
+        and bound within 1e-12, and a ``tau`` that is zero off its corner.
+
+        A padded ascent matches its native one to roundoff, not bit for bit:
+        its inverse Hessian and gradient sums run over 16 entries, not 4, and
+        associate differently.  So the tolerance is the inner solver's default
+        1e-9; at 1e-13, within roundoff of these values, problem 1 stops a
+        pair earlier padded than native.
+        """
+        rng = np.random.default_rng(48)
+        two = self._stack_of_problems(rng)
+        V4 = rng.standard_normal((4, 3, 4))
+        V4 /= np.linalg.norm(V4, axis=2)[:, :, None]
+        four = _BlockProblem(V4, rng.uniform(0.1, 2.0, size=(4, 3)), 1.5)
+        prob = _BlockProblem(
+            np.concatenate([np.pad(two.V, ((0, 0), (0, 0), (0, 2))), four.V]),
+            np.concatenate([two.w, four.w]),
+            1.5,
+        )._pad(np.array([2] * 8 + [4] * 4))
+        val, tau, ub, conv, n, trace = qef_engine._maximize_block(prob, 1e-9, 10000, 0, True)
+        assert conv.all()
+        natives = [two[[i]] for i in range(8)] + [four[[i]] for i in range(4)]
+        for i, native in enumerate(natives):
+            one = qef_engine._maximize_block(native, 1e-9, 10000, 0, False)
+            assert n[i] == one[4][0] == len(trace[i])
+            assert abs(val[i] - one[0][0]) <= 1e-12
+            assert abs(ub[i] - one[2][0]) <= 1e-12
+            d = native.m
+            assert not tau[i, d:].any() and not tau[i, :, d:].any()
+            assert abs(np.trace(tau[i]) - 1.0) <= 1e-12
+
+    def test_three_station_blocks_solve_alike_in_one_stack(self, monkeypatch):
+        """At k = 3, configurations with 0, 1, 2 and 3 commuting stations have
+        blocks of 8, 4, 2 and 1 dimensions.  Solved together, the 2- and 4-dim
+        blocks share one padded stack and the 8-dim ones keep their own; each
+        configuration gets the pairs, value and bound of its solve alone."""
+        rng = np.random.default_rng(49)
+        F = TrialFunction(
+            {(c, z): float(rng.uniform(0.1, 2.0)) for c in range(8) for z in range(8)}, 0.3
+        )
+        angles = np.array(
+            [(0.7, 1.9, 2.3), (0.0, 1.9, 2.3), (math.pi, 0.4, 0.0), (0.0, math.pi, 0.0)]
+        )
+        stacks = []
+        maximize = qef_engine._maximize_block
+
+        def recorded(prob, *args):
+            stacks.append((prob.m, sorted(set(prob.dim.tolist()))))
+            return maximize(prob, *args)
+
+        monkeypatch.setattr(qef_engine, "_maximize_block", recorded)
+        value, tau, bound, conv, pairs, _ = qef_engine._solve_vertices(F, angles, 1e-6, 0, False)
+        assert sorted(stacks) == [(1, [1]), (4, [2, 4]), (8, [8])]
+        assert conv.all() and pairs[3] == 8
+        for p in range(4):
+            one = qef_engine._solve_vertices(F, angles[p:p + 1], 1e-6, 0, False)
+            assert pairs[p] == one[4][0] and conv[p] == one[3][0]
+            assert abs(value[p] - one[0][0]) <= 1e-12
+            assert abs(bound[p] - one[2][0]) <= 1e-12
+
 
 def product_form_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The BFGS inverse-Hessian update ``(I - r s y^T) H (I - r y s^T) + r s s^T``."""
@@ -1202,6 +1264,34 @@ class TestCertifyFmax:
         assert len(res.symmetries) == 8
         assert abs(res.f_lower - f_lower) <= 1e-12
         assert abs(res.f_upper - f_upper) <= 1e-12
+
+    def test_one_lockstep_ascent_per_sweep(self, monkeypatch):
+        """The E pi/4 beta = 0.05 certification of the benchmark (gap 1e-4,
+        seed 1, budget 200000) solves each sweep's blocks of 2 to 4
+        dimensions in at most one ``_maximize_block`` call, 8 calls in all
+        with the 1-dim ones, in 91 lockstep steps.  With one ascent per block
+        dimension it made 15 calls and 149 steps."""
+        sweeps, stacks, steps = [], [], []
+        solve, maximize, evaluate = (
+            qef_engine._solve_vertices, qef_engine._maximize_block, qef_engine._evaluate
+        )
+
+        def counted(record, fn, key):
+            def wrapper(*args):
+                record.append(key(*args))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qef_engine, "_solve_vertices", counted(sweeps, solve, lambda *a: 1))
+        monkeypatch.setattr(
+            qef_engine, "_maximize_block", counted(stacks, maximize, lambda prob, *a: prob.m)
+        )
+        monkeypatch.setattr(qef_engine, "_evaluate", counted(steps, evaluate, lambda *a: 1))
+        F, _ = optimize_pef_polytope(self._tsirelson_table(), 0.05)
+        res = certify_fmax(F, BellConfig.uniform((0.0, 0.0)), 1e-4, budget=200000, seed=1)
+        assert res.regions_explored == 136
+        assert sum(2 <= m <= 4 for m in stacks) <= len(sweeps)
+        assert len(steps) <= 95
 
     def test_factor_without_symmetry_pinned(self, config22):
         """A random-weight candidate has no symmetry, so the search bounds
