@@ -32,6 +32,35 @@ TOL_NOSIG = 1e-10
 TOL_PROB = 1e-12
 
 
+def json_fields(data: Mapping, what: str, *names: str) -> list:
+    """The named fields of a JSON object; a ValueError names any that are missing."""
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    return [data[name] for name in names]
+
+
+def json_cells(rows, what: str) -> dict:
+    """``{(i, ...): value}`` from JSON rows ``[i, ..., value]``.
+
+    The rows must be lists of numbers, each index an integer and each cell
+    listed once; a ValueError names the first row that breaks a rule.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} JSON cells must be a list of rows, got {rows!r}")
+    table = {}
+    for row in rows:
+        if not (isinstance(row, list) and row and all(isinstance(x, (int, float)) for x in row)):
+            raise ValueError(f"{what} JSON row {row!r} is not a list of numbers")
+        if not all(float(i).is_integer() for i in row[:-1]):
+            raise ValueError(f"{what} JSON cell {row[:-1]} has an index that is not an integer")
+        key = tuple(int(i) for i in row[:-1])
+        if key in table:
+            raise ValueError(f"{what} JSON lists cell {key} twice")
+        table[key] = float(row[-1])
+    return table
+
+
 def bits_of(value: int, width: int) -> tuple[int, ...]:
     """Little-endian bit tuple of a nonnegative int."""
     if value < 0 or value >= (1 << width):
@@ -136,7 +165,7 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
     """
     d = s.config.dim
     z, c = np.divmod(np.arange(d * d), d)
-    U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5).matrix / math.sqrt(d)
+    U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5) / math.sqrt(d)
     U = U.reshape(d, d, d)
     return CqDistribution(U.conj()[..., :, None] * U[..., None, :])
 
@@ -211,8 +240,8 @@ class TrialDistribution:
     @classmethod
     def from_json(cls, text: str) -> "TrialDistribution":
         data = json.loads(text)
-        probs = {(int(c), int(z)): float(p) for c, z, p in data["probs"]}
-        return cls(int(data["c_bits"]), int(data["z_bits"]), probs)
+        c_bits, z_bits, rows = json_fields(data, "distribution", "c_bits", "z_bits", "probs")
+        return cls(int(c_bits), int(z_bits), json_cells(rows, "distribution"))
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

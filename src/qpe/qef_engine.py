@@ -44,7 +44,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .models import BellConfig, povm_vectors
+from .models import BellConfig, json_cells, json_fields, povm_vectors
 from .quantum_core import (
     CqDistribution,
     HermitianOperator,
@@ -155,8 +155,8 @@ class TrialFunction:
     @classmethod
     def from_json(cls, text: str) -> "TrialFunction":
         data = json.loads(text)
-        values = {tuple(int(x) for x in row[:-1]): float(row[-1]) for row in data["values"]}
-        beta = data["beta"]
+        rows, beta = json_fields(data, "factor", "values", "beta")
+        values = json_cells(rows, "factor")
         return cls(values, None if beta is None else float(beta), data.get("role", "candidate"))
 
 
@@ -186,7 +186,7 @@ def qef_inequality_check(
     checked, zero-weight blocks included.  Every cell of ``rho`` must be in
     ``F``'s domain.
     """
-    order = RenyiOrder.from_beta(F.beta)
+    order = RenyiOrder(F.alpha)
     cells = [(c, z) for z in rho.z_range for c in rho.c_range]
     for cell in cells:
         if cell not in F.values:
@@ -331,7 +331,7 @@ def q_alpha(F: TrialFunction, theta: Sequence[float], tau) -> float:
     op = tau if isinstance(tau, HermitianOperator) else HermitianOperator(tau)
     if op.dim != config.dim:
         raise ValueError("state dimension must match the configuration")
-    root = op.power(1.0 / F.alpha).matrix
+    root = op.power(1.0 / F.alpha)
     t = np.einsum("ni,ij,nj->n", V.conj(), root, V, optimize=True)
     t = np.clip(np.real(t), 0.0, None)
     return float((w * t**F.alpha).sum())
@@ -997,10 +997,9 @@ class CertificationResult:
         data = json.loads(text)
         flat = np.array([complex(re, im) for re, im in data["witness_tau"]])
         dim = round(math.isqrt(flat.size))
-        missing = [key for key in ("symmetries", "gap_flag", "gap_target") if key not in data]
-        if missing:
-            raise ValueError(f"certificate JSON lacks {', '.join(missing)}")
-        target = data["gap_target"]
+        symmetries, gap_flag, target = json_fields(
+            data, "certificate", "symmetries", "gap_flag", "gap_target"
+        )
         return cls(
             beta=float(data["beta"]),
             f_lower=float(data["f_lower"]),
@@ -1010,9 +1009,9 @@ class CertificationResult:
             regions_explored=int(data["regions"]),
             symmetries=tuple(
                 (tuple(int(p) for p in perm), tuple(bool(r) for r in reflect))
-                for perm, reflect in data["symmetries"]
+                for perm, reflect in symmetries
             ),
-            gap_flag=bool(data["gap_flag"]),
+            gap_flag=bool(gap_flag),
             gap_target=None if target is None else float(target),
         )
 
@@ -1075,7 +1074,7 @@ def certify_fmax(
     k = config.k
     if k != F.stations:
         raise ValueError(f"{k} station angles for a trial function of {F.stations} stations")
-    order = RenyiOrder.from_beta(F.beta)
+    order = RenyiOrder(F.alpha)
     folded, symmetries = _fold(F, k)
     perm = np.array([p for p, _ in symmetries[1:]], dtype=int).reshape(-1, k)
     reflect = np.array([r for _, r in symmetries[1:]], dtype=bool).reshape(-1, k)

@@ -10,10 +10,10 @@ Operators come in stacks.  A :class:`HermitianOperator` holds one matrix or
 an ``(..., d, d)`` stack of them, and computes the spectra of the whole stack
 at most once, by one broadcast eigendecomposition.  Every check, clip and
 kernel cut applies to each matrix on its own, with tolerances relative to
-that matrix.  A :class:`CqDistribution` keeps its blocks and its marginals as
-two such stacks, and :func:`renyi_power` broadcasts over stacks, so a whole
-distribution is evaluated in a few array calls; one matrix is the stack of
-one.
+that matrix.  A :class:`CqDistribution` keeps its blocks and its marginals in
+one such stack, decomposed together, and :func:`renyi_power` broadcasts over
+stacks and works on the support of each ``rho``, so a whole distribution is
+evaluated in a few array calls; one matrix is the stack of one.
 
 Entropic quantities are in nats unless a function name says otherwise.
 """
@@ -69,6 +69,10 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``v diag(w) v*`` for every matrix of a stack."""
     return (v * w[..., None, :]) @ _dagger(v)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + _dagger(m)) / 2.0
 
 
 def _fro(m: np.ndarray) -> np.ndarray:
@@ -144,16 +148,21 @@ class HermitianOperator:
         self.dim = int(m.shape[-1])
         self._spectrum = self._psd = None
 
+    @classmethod
+    def _wrap(cls, m: np.ndarray, spectrum=None, psd=None) -> "HermitianOperator":
+        # An operator on a read-only array that is exactly Hermitian already,
+        # with whatever spectra are known: no check is repeated.
+        out = object.__new__(cls)
+        out._m, out.dim, out._spectrum, out._psd = m, int(m.shape[-1]), spectrum, psd
+        return out
+
     def _at(self, index: tuple) -> "HermitianOperator":
-        # The matrix at an integer index of the stack axes: it shares the
-        # stack's checks and cached spectra, so none is repeated.
-        out = object.__new__(HermitianOperator)
-        out._m, out.dim = self._m[index], self.dim
-        out._spectrum = None if self._spectrum is None else (
+        # The matrices at an index of the stack axes (integers or slices):
+        # they share the stack's checks and cached spectra.
+        spectrum = None if self._spectrum is None else (
             self._spectrum[0][index], self._spectrum[1][index]
         )
-        out._psd = None if self._psd is None else self._psd[index]
-        return out
+        return self._wrap(self._m[index], spectrum, None if self._psd is None else self._psd[index])
 
     # -- basic views ---------------------------------------------------
 
@@ -228,25 +237,29 @@ class HermitianOperator:
         return _per_matrix(low >= floor)
 
     def _on_support(self, f) -> np.ndarray:
-        # f of the clipped spectrum on each matrix's support, 0 on its kernel.
+        # f of the clipped eigenvalues on each matrix's support, 0 on its kernel.
         w = self.psd_eigenvalues()
         on = w > KERNEL_CUT * w[..., :1]
-        return _from_spectrum(np.where(on, f(np.where(on, w, 1.0)), 0.0), self.eigenvectors)
+        return np.where(on, f(np.where(on, w, 1.0)), 0.0)
 
     def _power(self, p: float) -> np.ndarray:
-        return self._on_support(lambda w: w**p)
+        return _from_spectrum(self._on_support(lambda w: w**p), self.eigenvectors)
 
-    def power(self, p: float) -> "HermitianOperator":
+    def power(self, p: float) -> np.ndarray:
         """Positive-semidefinite fractional power with relative-kernel semantics.
 
         Kernel eigenvalues (below ``KERNEL_CUT`` times the largest) map to 0
         for every exponent, so negative powers are inverses on the support.
+        The result is a read-only array, symmetrized as an operator's
+        :attr:`matrix` is.
         """
-        return HermitianOperator(self._power(p))
+        m = _hermitian_part(self._power(p))
+        m.setflags(write=False)
+        return m
 
     def support_log(self) -> np.ndarray:
         """Matrix log on the support, zero on the kernel (a plain ndarray)."""
-        return self._on_support(np.log)
+        return _from_spectrum(self._on_support(np.log), self.eigenvectors)
 
 
 def _as_operator(x) -> HermitianOperator:
@@ -266,30 +279,38 @@ class CqDistribution:
 
     Notes
     -----
-    The blocks are stored as one stacked operator, :attr:`blocks`, whose
-    spectra come from one broadcast eigendecomposition when the blocks are
-    checked.  :attr:`marginals` stacks the ``n_z`` block sums over outcomes
-    as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; it and
-    its spectra are computed on first use.  The object is a value type:
-    blocks are not mutated after construction.
+    :attr:`blocks` is the ``(n_z, n_c, d, d)`` stacked operator of the
+    blocks.  :attr:`marginals` stacks the ``n_z`` block sums over outcomes
+    as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; the sums
+    are taken over the symmetrized blocks.  Both are views of one
+    ``(n_z, n_c + 1, d, d)`` operator, which is checked and decomposed once,
+    by one broadcast eigendecomposition, at construction.  The object is a
+    value type: blocks are not mutated after construction.
     """
 
-    __slots__ = ("blocks", "dim", "c_range", "z_range", "_marginals")
+    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range")
 
     def __init__(self, blocks) -> None:
         stack = np.asarray(blocks, dtype=complex)
         if stack.ndim != 4 or 0 in stack.shape[:2]:
             raise ValueError(f"a block array must be (n_z, n_c, d, d), got shape {stack.shape}")
-        ops = HermitianOperator(stack)
-        bad = ~ops.is_psd()
+        n_c = stack.shape[1]
+        checked = HermitianOperator(stack).matrix
+        both = np.concatenate(
+            [checked, _hermitian_part(checked.sum(axis=1, keepdims=True))], axis=1
+        )
+        both.setflags(write=False)
+        ops = HermitianOperator._wrap(both)
+        ops._eig()  # before the views are cut, so that they share one decomposition
+        self.blocks = ops._at((slice(None), slice(None, n_c)))
+        self.marginals = ops._at((slice(None), slice(n_c, None)))
+        bad = ~self.blocks.is_psd()
         if _any(bad):
             iz, ic = _first(bad)
             raise ValueError(f"block {(ic, iz)} is not positive semidefinite")
-        self.blocks = ops
         self.dim = ops.dim
-        self.c_range = tuple(range(stack.shape[1]))
+        self.c_range = tuple(range(n_c))
         self.z_range = tuple(range(stack.shape[0]))
-        self._marginals = None
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -313,13 +334,6 @@ class CqDistribution:
     def keys(self):
         """The ``(c, z)`` keys of the blocks, ``z`` major."""
         return [(c, z) for z in self.z_range for c in self.c_range]
-
-    @property
-    def marginals(self) -> HermitianOperator:
-        """Block sums over outcomes, one per input, as an ``(n_z, 1, d, d)`` stack."""
-        if self._marginals is None:
-            self._marginals = HermitianOperator(self.blocks.matrix.sum(axis=1, keepdims=True))
-        return self._marginals
 
     def marginal(self, z) -> HermitianOperator:
         """Block sum over outcomes at fixed input."""
@@ -392,6 +406,23 @@ def renyi_power(
     float or ndarray
         The power of each pair over the broadcast stack axes (a float for
         one pair); ``0`` where ``rho = 0``.
+
+    Notes
+    -----
+    Both kinds are evaluated on the support of each ``rho``, from the
+    spectrum that its positivity check computed.  With ``r`` the largest
+    support rank in the stack (eigenvalues above ``KERNEL_CUT`` times the
+    largest), each ``rho`` is ``E diag(lam) E*`` over its top ``r``
+    eigenvectors, ``lam`` zero past its own rank.  The sandwiched power is
+    ``sum w^alpha`` over the eigenvalues ``w`` of the ``r x r`` matrix
+    ``diag(lam)^(1/2) E* sigma^{-beta/alpha} E diag(lam)^(1/2)``, which
+    shares its nonzero spectrum with the sandwiched product; the Petz power
+    is ``sum_i lam_i^alpha E_i* sigma^{-beta} E_i``.  Both are taken in
+    ``sigma``'s eigenbasis, where its powers are diagonal: the ``r x r``
+    matrix is ``Z* Z`` with ``Z = sigma^{-beta/(2 alpha)} E diag(lam)^(1/2)``.
+    No ``d x d`` product is decomposed and no power of either operand is
+    formed as a matrix: a rank-one ``rho`` costs a ``1 x 1`` eigenvalue, a
+    full-rank one a ``d x d`` one, as the product did.
     """
     rho = _as_operator(rho)
     sigma = _as_operator(sigma)
@@ -403,7 +434,10 @@ def renyi_power(
     if kind == "petz" and alpha > 2.0 + 1e-12:
         raise ValueError("petz powers are only supported for alpha <= 2")
 
-    live = _norms(rho.psd_eigenvalues()) > 0.0
+    # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the largest.
+    lam = rho.psd_eigenvalues()
+    on = lam > KERNEL_CUT * lam[..., :1]
+    live = on.any(axis=-1)
     dead_sigma = _norms(sigma.eigenvalues) <= 0.0
     if not _any(live):
         # Both-zero and rho-zero cases are defined as 0.
@@ -422,17 +456,19 @@ def renyi_power(
             f"relative mass {leak[i]:.3e} > {SUPPORT_TOL:.0e}"
         )
 
+    r = int(on.sum(axis=-1).max())
+    lam = (lam * on)[..., :r]
+    # The support vectors in sigma's eigenbasis.
+    C = _dagger(sigma.eigenvectors) @ rho.eigenvectors[..., :r]
     if kind == "sandwiched":
-        s = sigma._power(-beta / (2.0 * alpha))
-        # The product is Hermitian up to roundoff relative to ``s``, not to
-        # itself, so it is symmetrized rather than checked.
-        m = s @ rho.matrix @ s
-        w = HermitianOperator((m + _dagger(m)) / 2.0).psd_eigenvalues()
+        s = sigma._on_support(lambda w: w ** (-beta / (2.0 * alpha)))
+        Z = C * (s[..., :, None] * np.sqrt(lam)[..., None, :])
+        # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
+        w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
         value = (w**alpha).sum(axis=-1)
     else:
-        ra = rho._power(alpha)
-        sb = sigma._power(-beta)
-        value = np.maximum(np.real(np.trace(ra @ sb, axis1=-2, axis2=-1)), 0.0)
+        s = sigma._on_support(lambda w: w**-beta)
+        value = (lam**alpha * (np.square(np.abs(C)) * s[..., :, None]).sum(axis=-2)).sum(axis=-1)
     if normalized:
         value = value / np.where(live, rho.trace(), 1.0)
     return _per_matrix(value)

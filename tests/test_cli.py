@@ -163,6 +163,46 @@ class TestOptimizeCertify:
         assert main(["certify", "--function", str(path), "--gap", "1e-3"]) == 1
         assert "error: trial function has no value at cell (3, 3)" in capsys.readouterr().err
 
+    def test_certify_refuses_a_factor_with_no_power(self, tmp_path, capsys):
+        values = {(c, z): 1.0 for c in range(4) for z in range(4)}
+        path = tmp_path / "f.json"
+        path.write_text(TrialFunction(values, None).to_json())
+        assert json.loads(path.read_text())["beta"] is None
+        assert main(["certify", "--function", str(path), "--gap", "1e-3"]) == 1
+        assert "error: this trial function carries no power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.pop("values"), "factor JSON lacks values"),
+            (lambda data: data.pop("beta"), "factor JSON lacks beta"),
+            (lambda data: data["values"].append([0, 0, 5.0]), "factor JSON lists cell (0, 0) twice"),
+            (lambda data: data["values"][1].__setitem__(0, 1.5),
+             "factor JSON cell [1.5, 1] has an index that is not an integer"),
+            (lambda data: data["values"][1].__setitem__(1, None),
+             "factor JSON row [0, None, 1.0] is not a list of numbers"),
+            (lambda data: data.__setitem__("values", 5), "factor JSON cells must be a list of rows"),
+        ],
+        ids=["no-values", "no-beta", "cell-twice", "fractional-index", "null-index", "no-rows"],
+    )
+    def test_certify_names_a_malformed_factor(self, tmp_path, capsys, edit, message):
+        data = json.loads(
+            TrialFunction({(c, z): 1.0 for c in range(4) for z in range(4)}, 0.05).to_json()
+        )
+        edit(data)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", "--function", str(path), "--gap", "1e-3"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_optimize_names_a_missing_distribution_field(self, tmp_path, nu_e, capsys):
+        data = json.loads(nu_e.to_json())
+        del data["z_bits"]
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data))
+        assert main(["optimize", "--dist", str(path), "--beta", "0.05"]) == 1
+        assert "error: distribution JSON lacks z_bits" in capsys.readouterr().err
+
     def test_certify_qef_bracket(self, tmp_path, dist_file):
         pef = tmp_path / "pef.json"
         main(["optimize", "--dist", dist_file, "--beta", "0.45", "-o", str(pef)])

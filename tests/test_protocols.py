@@ -368,7 +368,8 @@ class TestProtocol1:
         records = [(0, 0)] * cross + [(3, 3)] * (params.n - cross)
         rng = np.random.default_rng(4)
         seed = rng.integers(0, 2, size=params.seed_length())
-        res = run_protocol1(params, records, seed)
+        with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+            res = run_protocol1(params, records, seed)
         assert res.success
         assert res.trials_used == cross
         assert res.log2_f == float(cross)
@@ -380,7 +381,8 @@ class TestProtocol1:
         params = make_params(poison=(3, 3))
         records = [(3, 3)] + [(0, 0)] * (params.n - 1)
         seed = np.zeros(params.seed_length(), dtype=np.int64)
-        res = run_protocol1(params, records, seed)
+        with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+            res = run_protocol1(params, records, seed)
         assert not res.success
         assert res.log2_f == -math.inf
 
@@ -458,9 +460,12 @@ class TestAccumulate:
         n = 5000
         params = self.random_params(rng, n, k_o, poison=(3, 3))
         records = np.stack([rng.integers(0, 3, n), rng.integers(0, 4, n)], axis=1)
-        if poison_at is not None:
+        if poison_at is None:
+            got = _accumulate(params, records)
+        else:
             records[poison_at] = (3, 3)
-        got = _accumulate(params, records)
+            with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+                got = _accumulate(params, records)
         want = sequential_accumulate(params, records)
         assert got[0] is want[0] is crosses
         assert got[1] == want[1]
@@ -548,7 +553,8 @@ class TestProtocol2:
         records = [(3, 3)] * params.n
         seed = np.zeros(params.seed_length(banked=True), dtype=np.int64)
         bank = np.ones(params.k_o, dtype=np.int64)
-        res = run_protocol2(params, records, seed, bank)
+        with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+            res = run_protocol2(params, records, seed, bank)
         assert res.success
         assert res.log2_f == -math.inf
         assert np.array_equal(res.bits, bank)
@@ -567,8 +573,10 @@ class TestProtocol3:
         records = [(0, 0)] * cross + [(3, 3)] * (params.n - cross)
         rng = np.random.default_rng(9)
         seed = rng.integers(0, 2, size=params.seed_length())
-        a = run_protocol1(params, records, seed)
-        b = run_protocol3(params, records, seed)
+        with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+            a = run_protocol1(params, records, seed)
+        with pytest.warns(RuntimeWarning, match="zero trial-function value"):
+            b = run_protocol3(params, records, seed)
         assert a.success and b.success
         assert a.log2_f == b.log2_f
         assert a.trials_used == b.trials_used

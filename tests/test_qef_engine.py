@@ -263,6 +263,52 @@ class TestQefInequalityCheck:
             got = qef_inequality_check(F, rho, kind=kind)
             assert abs(got - per_block_slack(F, rho, kind)) <= 1e-13
 
+    def test_canonical_slack_is_the_functional(self):
+        """``tr rho - slack`` is ``q_alpha`` at the state's ``tau`` and angles:
+        pure and mixed ``tau``, random and commuting angles."""
+        rng = np.random.default_rng(40)
+        for i in range(300):
+            k = 1 + i % 2
+            d = 1 << k
+            F = TrialFunction(
+                {(c, z): float(rng.uniform(0.0, 2.0)) for c in range(d) for z in range(d)},
+                float(rng.uniform(0.05, 0.95)),
+            )
+            rank = int(rng.integers(1, d + 1))
+            a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            tau = a @ a.conj().T
+            tau /= np.trace(tau).real
+            if i % 3 == 0:
+                theta = tuple(math.pi * rng.integers(0, 2, size=k).astype(float))
+            else:
+                theta = tuple(rng.uniform(0.0, math.pi, size=k))
+            rho = canonical_cq_state(CanonicalState(BellConfig.uniform(theta), HermitianOperator(tau)))
+            got = rho.trace_total() - qef_inequality_check(F, rho)
+            ref = q_alpha(F, theta, tau)
+            assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_canonical_checks_decompose_no_product(self, monkeypatch):
+        """A canonical state and its four checks take three ``eigh`` calls: ``tau``,
+        the blocks with their marginals, and the sandwiched 1x1 support matrices."""
+        rng = np.random.default_rng(41)
+        tau = HermitianOperator(random_density(rng, 4))
+        config = BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=2)))
+        values = {(c, z): float(rng.uniform(0.5, 1.5)) for c in range(4) for z in range(4)}
+        factors = [TrialFunction(values, beta) for beta in (0.2, 0.1, 0.25, 0.4)]
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rho = canonical_cq_state(CanonicalState(config, tau))
+        slack = qef_inequality_check(factors[0], rho)
+        petz = [qef_inequality_check(F, rho, kind="petz") for F in factors[1:]]
+        assert shapes == [(4, 4), (4, 5, 4, 4), (4, 4, 1, 1)]
+        assert math.isfinite(slack) and all(math.isfinite(s) for s in petz)
+
     def test_cell_outside_factor_domain_named(self):
         F = constant_one(1, 1, 0.2)
         rho = CqDistribution.classical({(c, z): 0.125 for c in range(4) for z in range(2)})

@@ -59,7 +59,9 @@ class TestHermitianOperator:
         lam, vec = np.linalg.eigh(rho)
         lam = np.clip(lam, 0.0, None)
         oracle = (vec * lam**0.37) @ vec.conj().T
-        assert np.allclose(op.power(0.37).matrix, oracle, atol=1e-10)
+        root = op.power(0.37)
+        assert np.allclose(root, oracle, atol=1e-10)
+        assert not root.flags.writeable
 
     def test_psd_predicates(self):
         assert HermitianOperator(np.diag([1.0, 0.0])).is_psd()
@@ -265,3 +267,51 @@ class TestStacks:
             assert np.array_equal(op.matrix, HermitianOperator(block).matrix)
             assert np.allclose(op.eigenvalues, HermitianOperator(block).eigenvalues, atol=1e-15)
             assert np.allclose(rho.marginal(z).matrix, blocks[(0, z)] + blocks[(1, z)], atol=1e-15)
+
+
+def _psd_power(m: np.ndarray, p: float) -> np.ndarray:
+    """``m**p`` on the support of a PSD matrix, 0 on its relative kernel."""
+    lam, vec = np.linalg.eigh(m)
+    on = lam > 1e-12 * lam.max()
+    return (vec * np.where(on, np.where(on, lam, 1.0) ** p, 0.0)) @ vec.conj().T
+
+
+def full_matrix_power(rho, sigma, order, kind, normalized):
+    """One pair's Renyi power from ``d x d`` products: the product
+    ``sigma^(-beta/2alpha) rho sigma^(-beta/2alpha)`` decomposed whole, or
+    ``rho^alpha`` built as a matrix."""
+    alpha, beta = order.alpha, order.beta
+    if kind == "sandwiched":
+        s = _psd_power(sigma, -beta / (2.0 * alpha))
+        m = s @ rho @ s
+        w = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2.0), 0.0, None)
+        value = float((w**alpha).sum())
+    else:
+        value = float(np.trace(_psd_power(rho, alpha) @ _psd_power(sigma, -beta)).real)
+    return value / np.trace(rho).real if normalized else value
+
+
+class TestSupportFormulas:
+    """Both kinds on each ``rho``'s support equal the full-matrix formulas."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_mixed_ranks_match_full_matrix_formulas(self, dim):
+        rng = np.random.default_rng(18 + dim)
+        # Row 0: a full-rank sigma.  Row 1: a sigma with a one-dimensional
+        # kernel, each rho inside its support.
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        support = basis[:, : dim - 1]
+        sigma = np.stack([random_density(rng, dim), support @ random_density(rng, dim - 1) @ support.conj().T])
+        rho = np.empty((2, dim, dim, dim), dtype=complex)
+        for j in range(dim):
+            scale = rng.uniform(0.1, 1.0)
+            rho[0, j] = scale * random_density(rng, dim, rank=j + 1)
+            inner = random_density(rng, dim - 1, rank=min(j + 1, dim - 1))
+            rho[1, j] = scale * support @ inner @ support.conj().T
+        for kind in ("sandwiched", "petz"):
+            for normalized in (False, True):
+                order = RenyiOrder(float(rng.uniform(1.05, 1.95)))
+                got = renyi_power(rho, sigma[:, None], order, kind=kind, normalized=normalized)
+                for i, j in np.ndindex(2, dim):
+                    ref = full_matrix_power(rho[i, j], sigma[i], order, kind, normalized)
+                    assert abs(got[i, j] - ref) <= 1e-12 * ref
