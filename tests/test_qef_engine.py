@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpe import qef_engine
+from qpe import qef_engine, quantum_core
 from qpe.models import BellConfig, CanonicalState, TrialDistribution, canonical_cq_state
 from qpe.pef_opt import optimize_pef_polytope
 from qpe.qef_engine import (
@@ -319,6 +319,134 @@ class TestQefInequalityCheck:
         rho = canonical_sampler(np.random.default_rng(39))
         with pytest.raises(ValueError, match="alpha <= 2"):
             qef_inequality_check(constant_one(2, 2, 1.5), rho, kind="petz")
+
+
+class TestCachedChecks:
+    """A state's support geometry and a factor's value grid are built on first
+    use and kept: checks read the same bits as on a fresh state and factor."""
+
+    @staticmethod
+    def _states(rng):
+        """``(cells, build)`` pairs: a state's ``(n_z, n_c)`` and a function
+        that builds it afresh.  Canonical states with ``tau`` of every rank,
+        then random block stacks with zero and rank-deficient blocks."""
+        out = []
+        for k in (1, 2):
+            d = 1 << k
+            for rank in range(1, d + 1):
+                a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                tau = a @ a.conj().T
+                state = CanonicalState(
+                    BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=k))),
+                    HermitianOperator(tau / np.trace(tau).real),
+                )
+                out.append(((d, d), lambda state=state: canonical_cq_state(state)))
+        for n_z, n_c, dim in ((1, 3, 2), (2, 2, 3), (3, 4, 1), (4, 2, 4)):
+            blocks = np.zeros((n_z, n_c, dim, dim), dtype=complex)
+            for z, c in np.ndindex(n_z, n_c):
+                rank = int(rng.integers(0, dim + 1))
+                a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+                blocks[z, c] = a @ a.conj().T / (n_z * n_c * dim)
+            out.append(((n_z, n_c), lambda blocks=blocks: CqDistribution(blocks.copy())))
+        return out
+
+    def test_checks_in_any_order_match_fresh_states(self):
+        rng = np.random.default_rng(42)
+        states = self._states(rng)
+        # Factors over a 4 x 4 grid serve every state, sliced to its cells.
+        factors = [
+            TrialFunction(
+                {(c, z): float(rng.uniform(0.0, 2.0)) for c in range(4) for z in range(4)},
+                beta,
+            )
+            for beta in (0.05, 0.3, 0.7, 0.95, 0.3)
+        ]
+        built = [build() for _, build in states]
+        jobs = [
+            (i, j, kind)
+            for i in range(len(states)) for j in range(len(factors))
+            for kind in ("sandwiched", "petz")
+        ] * 2
+        for n in rng.permutation(len(jobs)):
+            i, j, kind = jobs[n]
+            F = factors[j]
+            got = qef_inequality_check(F, built[i], kind=kind)
+            fresh = TrialFunction(dict(F.values), F.beta)
+            ref = qef_inequality_check(fresh, states[i][1](), kind=kind)
+            assert got == ref, (i, j, kind)
+        for rho in built:
+            for kind in ("sandwiched", "petz"):
+                for normalized in (False, True):
+                    order = RenyiOrder(float(rng.uniform(1.05, 1.95)))
+                    direct = renyi_power(
+                        rho.blocks, rho.marginals, order, kind=kind, normalized=normalized
+                    )
+                    cached = quantum_core._renyi_on_support(rho._support(), order, kind, normalized)
+                    assert np.array_equal(direct, cached)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_one_support_check_per_state(self, monkeypatch, rank):
+        """A canonical state's sandwiched and three Petz checks decompose and
+        check its support once."""
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        tau = a @ a.conj().T
+        config = BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=2)))
+        values = {(c, z): float(rng.uniform(0.5, 1.5)) for c in range(4) for z in range(4)}
+        factors = [TrialFunction(values, beta) for beta in (0.2, 0.1, 0.25, 0.4)]
+        shapes = []
+        leak = quantum_core._support_leak
+
+        def counted(rho, sigma):
+            shapes.append((rho.matrix.shape, sigma.matrix.shape))
+            return leak(rho, sigma)
+
+        monkeypatch.setattr(quantum_core, "_support_leak", counted)
+        rho = canonical_cq_state(
+            CanonicalState(config, HermitianOperator(tau / np.trace(tau).real))
+        )
+        slack = qef_inequality_check(factors[0], rho)
+        petz = [qef_inequality_check(F, rho, kind="petz") for F in factors[1:]]
+        assert shapes == [((4, 4, 4, 4), (4, 1, 4, 4))]
+        assert math.isfinite(slack) and all(math.isfinite(s) for s in petz)
+
+    def test_domain_errors_survive_the_grid(self):
+        """A missing cell is named, z major, on every use of the factor."""
+        rho = CqDistribution.classical({(c, z): 1 / 16 for c in range(4) for z in range(4)})
+        # Cells run z major, so (3, 2) comes before (1, 3).
+        gone = {(1, 3), (3, 2)}
+        F = TrialFunction(
+            {(c, z): 1.0 for c in range(4) for z in range(4) if (c, z) not in gone}, 0.2
+        )
+        cases = [
+            (F, r"\(3, 2\)"),
+            # Grids that stop short of the state's inputs, or of its outcomes.
+            (constant_one(2, 1, 0.2), r"\(0, 2\)"),
+            (constant_one(1, 2, 0.2), r"\(2, 0\)"),
+            # A factor over (c, z, t) keys has no (c, z) cell.
+            (TrialFunction({(c, z, 0): 1.0 for c in range(4) for z in range(4)}, 0.2), r"\(0, 0\)"),
+        ]
+        for G, cell in cases:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=rf"cell {cell} of the state is outside"):
+                    qef_inequality_check(G, rho)
+                with pytest.raises(ValueError, match=rf"no value at cell {cell}"):
+                    qef_engine._cell_values(G, 4)
+            assert not G._grid.flags.writeable
+        # A far index leaves the grid small and the errors as they were.
+        far = TrialFunction({(0, 0): 0.5, (1, 0): 1.5, (0, 10**12): 1.0}, 0.2)
+        assert far._grid.shape == (1, 2)
+        line = CqDistribution.classical({(0, 0): 0.25, (1, 0): 0.75})
+        assert qef_inequality_check(far, line) == qef_inequality_check(
+            TrialFunction({(0, 0): 0.5, (1, 0): 1.5}, 0.2), line
+        )
+        with pytest.raises(ValueError, match=r"no value at cell \(0, 1\)"):
+            qef_engine._cell_values(far, 2)
+        # Cells past the state's are not read.
+        small = CqDistribution.classical({(c, z): 0.25 for c in range(2) for z in range(2)})
+        wide = TrialFunction({**constant_one(1, 1, 0.2).values, (3, 3): 5.0}, 0.2)
+        assert qef_inequality_check(wide, small) == qef_inequality_check(constant_one(1, 1, 0.2), small)
+        assert qef_engine._cell_values(wide, 2).tolist() == [1.0] * 4
 
 
 class TestChain:

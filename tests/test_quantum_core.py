@@ -8,6 +8,7 @@ from scalar formulas.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,26 @@ class TestHermitianOperator:
     def test_psd_predicates(self):
         assert HermitianOperator(np.diag([1.0, 0.0])).is_psd()
         assert not HermitianOperator(np.diag([1.0, -1e-6])).is_psd()
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(math.inf, math.nan), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_entries_rejected_without_warning(self, bad):
+        """A non-finite entry anywhere in a stack is refused before any
+        arithmetic on it, so no ``inf - inf`` warns."""
+        mixed = np.array(
+            [[math.nan, complex(math.inf, math.nan)], [-math.inf, math.inf]], dtype=complex
+        )
+        one = np.eye(2, dtype=complex)
+        one[0, 1] = bad
+        for m in (mixed, one, np.full((2, 2), bad, dtype=complex)):
+            stack = np.stack([np.eye(2), m, np.eye(2)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    HermitianOperator(stack)
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    HermitianOperator(m)
 
 
 class TestRenyiPower:
@@ -251,6 +272,10 @@ class TestStacks:
         for c, z in ((2, 0), (0, 2), (-1, 0), (0, -1)):
             with pytest.raises(KeyError):
                 rho.block(c, z)
+        for z in (2, -1, 5):
+            with pytest.raises(KeyError, match=str(z)):
+                rho.marginal(z)
+        assert rho.marginal(1).trace() == 0.5
         for probs in ({(0, 0): 0.5, (1, 1): 0.5}, {(1, 0): 1.0}, {}):
             with pytest.raises(ValueError):
                 CqDistribution.classical(probs)
