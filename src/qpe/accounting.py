@@ -21,6 +21,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 # Called as module attributes, so that wrappers installed on those modules
 # (perfbench's spans) see the family calls made here.
 from . import models, pef_opt
@@ -267,15 +269,15 @@ def _best_row(nu, param, beta_grid, factors, budget) -> MinTrialsRow:
     for beta, (F, rate) in zip(beta_grid, factors):
         if rate <= 0.0:
             continue
-        zero = next((key for key, v in F.values.items() if v == 0.0), None)
-        if zero is not None:
+        zero = np.argwhere(F.table == 0.0)
+        if zero.size:
             raise ValueError(
-                f"the power {beta:g} factor is 0 at cell {zero}, so the reference "
-                "count has no finite range ceiling"
+                f"the power {beta:g} factor is 0 at cell {tuple(zero[0].tolist())}, so "
+                "the reference count has no finite range ceiling"
             )
         g_bits = rate * _LOG2_E
         k_inf_bits = F.max_abs_log() * _LOG2_E / beta
-        n_outcomes = len({k[0] for k in F.keys()})
+        n_outcomes = F.table.shape[0]
         rows.append(
             MinTrialsRow(
                 param=param,

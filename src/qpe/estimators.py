@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .qef_engine import TrialFunction
+import numpy as np
+
+from .qef_engine import TrialFunction, _factor
 
 _IOTA0_CACHE: list[float] = []
 
@@ -91,7 +93,7 @@ def _headline_c(K: TrialFunction, nu_z: Mapping[int, float], beta: float, n: int
     log_n = math.log(n)
     total = 0.0
     for z, weight in nu_z.items():
-        ks = [K.value(c, z) for c in range(n)]
+        ks = K.table[:, z].tolist()
         spread = max(max(log_n - k, k) for k in ks)
         total += weight * _second_order_sum(spread, max(ks), beta)
     return total / 3.0
@@ -118,7 +120,7 @@ def _lambda1(a: float, gamma: float, n: int) -> float:
 def _tight_c(K: TrialFunction, nu_z: Mapping[int, float], beta: float, n: int) -> float:
     total = 0.0
     for z, weight in nu_z.items():
-        ks = [K.value(c, z) for c in range(n)]
+        ks = K.table[:, z].tolist()
         if any(not math.isfinite(k) for k in ks):
             raise ValueError("tight mode requires finite estimator values")
         k_min, k_max = min(ks), max(ks)
@@ -170,12 +172,10 @@ def qefp_constant(
     """
     if not (0.0 < beta < 0.5):
         raise ValueError("the conversion needs beta in (0, 1/2)")
-    zs = sorted({k[1] for k in K.keys()})
-    cs = sorted({k[0] for k in K.keys()})
-    n = len(cs)
-    if cs != list(range(n)):
-        raise ValueError("outcomes must be 0..N-1")
-    if sorted(nu_z) != zs:
+    if K.table.ndim != 2 or np.isnan(K.table).any():
+        raise ValueError("the estimator needs a value at every (c, z) cell")
+    n, n_z = K.table.shape
+    if sorted(nu_z) != list(range(n_z)):
         raise ValueError("input distribution keys must match the estimator")
     total_w = sum(nu_z.values())
     if abs(total_w - 1.0) > 1e-9 or any(w < 0.0 for w in nu_z.values()):
@@ -254,8 +254,7 @@ def spot_check_scheme(
     """Build the spot-check scheme at test rate ``r`` around table ``B``."""
     if not (0.0 < r <= 1.0):
         raise ValueError("test rate must lie in (0, 1]")
-    zs = sorted({k[1] for k in B.keys()})
-    cs = sorted({k[0] for k in B.keys()})
+    zs = range(B.table.shape[1])
     if z0 not in zs:
         raise ValueError(f"spot-check input {z0} not in the input range")
     q = 1.0 / len(zs)
@@ -263,11 +262,10 @@ def spot_check_scheme(
     for z in zs:
         mu[(z, 1)] = r * q
         mu[(z, 0)] = (1.0 - r) if z == z0 else 0.0
-    values_b = {}
-    for (c, z), b in B.values.items():
-        values_b[(c, z, 1)] = 1.0 + (b - 1.0) / r
-        values_b[(c, z, 0)] = 1.0
-    b_r = TrialFunction(values_b, None, role="maxprob")
+    # B_r(c, z, 0) = 1 and B_r(c, z, 1) = 1 + (B - 1)/r on B's domain.
+    tests = 1.0 + (B.table - 1.0) / r
+    table = np.stack([np.where(np.isnan(tests), np.nan, 1.0), tests], axis=-1)
+    b_r = _factor(table, None, "maxprob")
     k_r = ee_from_maxprob(b_r, b_bar, conditional=False)
     return SpotCheckScheme(r=r, b_bar=b_bar, mu=mu, B_r=b_r, K_r=k_r)
 
@@ -290,12 +288,12 @@ def expansion_rate(scheme: SpotCheckScheme, beta: float) -> ExpansionRate:
     table's spread.
     """
     b_bar, r = scheme.b_bar, scheme.r
-    base_keys = {k for k in scheme.B_r.keys() if k[2] == 1}
-    n_outcomes = len({k[0] for k in base_keys})
+    tests = scheme.B_r.table[..., 1]
+    n_outcomes = tests.shape[0]
     # B_r(c, z, 1) = 1 + (B - 1)/r, so the original entry is 1 + (B_r - 1) r.
     spread = max(
-        -math.log(b_bar) + 1.0 + (abs(1.0 + (scheme.B_r.value(*k) - 1.0) * r) + 1.0) / b_bar
-        for k in base_keys
+        -math.log(b_bar) + 1.0 + (abs(1.0 + (b - 1.0) * r) + 1.0) / b_bar
+        for b in tests[~np.isnan(tests)].tolist()
     )
     d = 1.0 / (2.0 * spread)
     if not (0.0 < beta <= d * r):

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import _LD_STACK, TrialDistribution, correlators
-from .qef_engine import TrialFunction
+from .qef_engine import TrialFunction, _factor
 
 
 def local_deterministic_vertices() -> tuple[TrialDistribution, ...]:
@@ -210,8 +210,7 @@ def optimize_pef_grid(
             f_m, log_f = (f_opt, log_opt) if log_opt - log_one > gap else (f_one, log_one)
             f = np.zeros(mask.shape)
             f[mask] = f_m
-            values = dict(zip(np.ndindex(f.shape), f.ravel().tolist()))
-            out[i][j] = (TrialFunction(values, betas[j], role="pef"), log_f / betas[j])
+            out[i][j] = (_factor(f, betas[j], "pef"), log_f / betas[j])
     return out
 
 

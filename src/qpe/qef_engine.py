@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,17 +61,25 @@ NUMERIC_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TrialFunction:
-    """A map from outcome/input keys to weights, tagged with a power.
+    """A weight for each outcome/input cell of one trial, tagged with a power.
 
-    ``values`` is keyed by ``(c, z)`` tuples (an optional trailing round
-    index is tolerated).  ``beta`` is the power of the defining inequality
-    the function is meant for; it may be ``None`` for roles that carry no
-    power of their own (entropy estimators, guessing-probability tables).
+    ``values`` maps keys to weights; it is the input and JSON format.  A key
+    is ``(c, z)``, or ``(c, z, t)`` with ``t`` marking a spot-check test
+    round: a tuple of nonnegative integers below the key count, every key as
+    wide as the first, spanning at most 4 cells a key; a ValueError names a
+    key that breaks this rule.  ``table`` is the same function as one
+    read-only array, ``table[c, z]`` or ``table[c, z, t]`` (the layout of
+    ``TrialDistribution.joint``), each axis running to its largest index, NaN
+    off the domain; no value is NaN, and an entropy estimator may hold
+    ``-inf``.  Every engine path reads ``table``.  ``beta`` is the power of
+    the defining inequality, or ``None`` for roles without one (entropy
+    estimators, guessing-probability tables).
     """
 
     values: Mapping[tuple, float]
     beta: float | None
     role: str = "candidate"
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
@@ -86,21 +94,27 @@ class TrialFunction:
             math.isfinite(self.beta) and 1.0 + self.beta > 1.0
         ):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        table = {}
-        for key, val in self.values.items():
-            key = tuple(key)
-            val = float(val)
-            # Entropy estimators may claim nothing (-inf) on an outcome.
-            if not math.isfinite(val) and not (
-                self.role == "ee" and val == -math.inf
-            ):
-                raise ValueError(f"non-finite value at {key}")
-            if self.role in _NONNEG_ROLES and val < 0.0:
-                raise ValueError(f"role {self.role!r} requires nonnegative values")
-            table[key] = val
-        if not table:
+        if not self.values:
             raise ValueError("at least one key is required")
-        object.__setattr__(self, "values", table)
+        cols = _key_columns(list(self.values))
+        shape = [max(col) + 1 for col in cols]
+        if math.prod(shape) > 4 * len(self.values):  # a full grid spans 1 cell a key
+            n, size = len(self.values), math.prod(shape)
+            raise ValueError(f"the {n} keys span a table of {size} cells, more than 4 a key")
+        vals = list(map(float, self.values.values()))
+        if not all(map(math.isfinite, vals)):
+            for key, val in zip(zip(*cols), vals):
+                # Entropy estimators may claim nothing (-inf) on an outcome.
+                if not (math.isfinite(val) or self.role == "ee" and val == -math.inf):
+                    raise ValueError(f"non-finite value at {key}")
+        if self.role in _NONNEG_ROLES and min(vals) < 0.0:
+            raise ValueError(f"role {self.role!r} requires nonnegative values")
+        values = dict(zip(zip(*cols), vals))
+        table = np.full(shape, np.nan)
+        table[cols] = vals
+        table.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "table", table)
 
     @property
     def alpha(self) -> float:
@@ -110,8 +124,8 @@ class TrialFunction:
 
     @property
     def stations(self) -> int:
-        """Station count ``k``: the factor's distinct inputs number ``2**k``."""
-        n_z = len({key[1] for key in self.values})
+        """Station count ``k``: the factor's inputs, ``table.shape[1]``, number ``2**k``."""
+        n_z = self.table.shape[1]
         k = max(1, (n_z - 1).bit_length())
         if 1 << k != n_z:
             raise ValueError("trial function inputs do not fill a power of two")
@@ -120,61 +134,27 @@ class TrialFunction:
     def value(self, *key) -> float:
         return self.values[tuple(key)]
 
-    @functools.cached_property
-    def _grid(self) -> np.ndarray:
-        """Read-only ``F(c, z)`` at ``[z, c]``, NaN at the cells ``values`` lacks.
-
-        It spans the ``(c, z)`` keys of nonnegative integers below ``n``, the
-        count of ``(c, z)`` keys: a complete block ``range(n_c) x range(n_z)``
-        holds at most ``n`` cells, so no index past ``n`` belongs to one.  No
-        value is NaN, so NaN marks the cells off the domain.
-        """
-        pairs = [(key, val) for key, val in self.values.items() if len(key) == 2]
-        cells, vals = [], []
-        for key, val in pairs:
-            try:
-                cell = (int(key[0]), int(key[1]))
-            except (TypeError, ValueError, OverflowError):
-                continue
-            # Keys that equal an integer cell, as a lookup of that cell finds them.
-            if cell == key and 0 <= min(cell) and max(cell) < len(pairs):
-                cells.append(cell)
-                vals.append(val)
-        cz = np.array(cells, dtype=np.intp).reshape(-1, 2)
-        grid = np.full(cz.max(axis=0, initial=-1)[::-1] + 1, np.nan)
-        grid[cz[:, 1], cz[:, 0]] = vals
-        grid.setflags(write=False)
-        return grid
-
     def keys(self):
         return self.values.keys()
 
     def max_abs_log(self) -> float:
         """Largest ``|log value|``; infinite if any value is zero."""
-        out = 0.0
-        for v in self.values.values():
-            if v <= 0.0:
-                return math.inf
-            out = max(out, abs(math.log(v)))
-        return out
+        vals = self.table[~np.isnan(self.table)].tolist()
+        if min(vals) <= 0.0:
+            return math.inf
+        return max(map(abs, map(math.log, vals)))
 
     def scaled(self, factor: float, role: str | None = None) -> "TrialFunction":
-        return TrialFunction(
-            {k: v * factor for k, v in self.values.items()},
-            self.beta,
-            role if role is not None else self.role,
-        )
+        role = self.role if role is None else role
+        return _factor(self.table * factor, self.beta, role, ~np.isnan(self.table))
 
     def to_json(self) -> str:
         keys = sorted(self.values)
-        width = len(keys[0])
-        if any(len(k) != width for k in keys) or width not in (2, 3):
-            raise ValueError("serialization needs uniform (c, z[, t]) keys")
         return json.dumps(
             {
                 "beta": self.beta,
                 "role": self.role,
-                "domain": "cz" if width == 2 else "czt",
+                "domain": "cz" if self.table.ndim == 2 else "czt",
                 "values": [[*k, self.values[k]] for k in keys],
             }
         )
@@ -187,12 +167,41 @@ class TrialFunction:
         return cls(values, None if beta is None else float(beta), data.get("role", "candidate"))
 
 
+def _key_columns(keys: list) -> tuple[tuple[int, ...], ...]:
+    """The index columns of ``keys`` (the ``c``'s, the ``z``'s, any ``t``'s)
+    under the key rule of ``TrialFunction``; a ValueError names the first key
+    that breaks it."""
+    n = len(keys)
+    uniform = set(map(type, keys)) == {tuple} and len(set(map(len, keys))) == 1
+    cols = tuple(zip(*keys)) if uniform else ()
+    flat = list(itertools.chain(*cols))
+    if len(cols) in (2, 3) and set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < n:
+        return cols
+    for key in keys:
+        if not (isinstance(key, tuple) and len(key) in (2, 3) and all(
+            isinstance(i, (int, np.integer)) and 0 <= i < n for i in key
+        )):
+            raise ValueError(f"key {key!r} is not a tuple of 2 or 3 nonnegative integers "
+                             f"below the key count {n}")
+        if len(key) != len(keys[0]):
+            raise ValueError(f"key {key!r} is not as wide as the first key {keys[0]!r}")
+    return tuple(zip(*(map(int, key) for key in keys)))  # tuple subclasses, NumPy integers
+
+
+def _factor(
+    table: np.ndarray, beta: float | None, role: str, domain: np.ndarray | None = None
+) -> TrialFunction:
+    """The factor with ``table``'s values on ``domain`` (by default its cells that are
+    not NaN), listed in ``table``'s order: the one path from an array to a factor."""
+    keep = (~np.isnan(table) if domain is None else domain).ravel().tolist()
+    cells = itertools.compress(itertools.product(*map(range, table.shape)), keep)
+    vals = itertools.compress(table.ravel().tolist(), keep)
+    return TrialFunction(dict(zip(cells, vals)), beta, role)
+
+
 def constant_one(c_bits: int, z_bits: int, beta: float) -> TrialFunction:
     """The all-ones quantum estimation factor on a packed ``(c, z)`` grid."""
-    values = {
-        (c, z): 1.0 for c in range(1 << c_bits) for z in range(1 << z_bits)
-    }
-    return TrialFunction(values, beta, "qef")
+    return _factor(np.ones((1 << c_bits, 1 << z_bits)), beta, "qef")
 
 
 # -- the defining inequality on explicit states -----------------------------
@@ -214,9 +223,8 @@ def qef_inequality_check(
     support geometry that ``rho`` builds on its first check and keeps, so
     checks of one state at further orders and kinds decompose nothing but
     the sandwiched kind's ``r x r`` matrices.  The weights are read from
-    ``F``'s value grid, built on its first use.  Every cell of ``rho`` must
-    be in ``F``'s domain; a ValueError names the first one, ``z`` major,
-    that is not.
+    ``F.table``.  Every cell of ``rho`` must be in ``F``'s domain; a
+    ValueError names the first one, ``z`` major, that is not.
     """
     order = RenyiOrder(F.alpha)
     weights, missing = _values_on(F, len(rho.z_range), len(rho.c_range))
@@ -228,12 +236,17 @@ def qef_inequality_check(
 
 def _values_on(F: TrialFunction, n_z: int, n_c: int) -> tuple[np.ndarray | None, tuple | None]:
     """``(values, None)``: ``F(c, z)`` at ``[z, c]`` over ``range(n_c) x
-    range(n_z)``, read from ``F``'s grid; or ``(None, cell)`` with the first
-    cell of that range, ``z`` major, that ``F`` lacks."""
-    block = F._grid[:n_z, :n_c]
-    if block.shape == (n_z, n_c) and not np.isnan(block).any():
-        return block, None
-    return None, next((c, z) for z in range(n_z) for c in range(n_c) if (c, z) not in F.values)
+    range(n_z)``, read from ``F.table``; or ``(None, cell)`` with the first
+    cell of that range, ``z`` major, that ``F`` lacks (a ``(c, z, t)``
+    factor lacks them all)."""
+    block = F.table[:n_c, :n_z]
+    if block.shape == (n_c, n_z) and not np.isnan(block).any():
+        return block.T, None
+    off = np.ones((n_z, n_c), dtype=bool)
+    if F.table.ndim == 2:
+        off[: block.shape[1], : block.shape[0]] = np.isnan(block.T)
+    z, c = np.argwhere(off)[0].tolist()
+    return None, (c, z)
 
 
 def _as_records(records: ArrayLike) -> np.ndarray:
@@ -244,24 +257,6 @@ def _as_records(records: ArrayLike) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"records must be (c, z) pairs, got shape {arr.shape}")
     return arr
-
-
-def _log2_table(F: TrialFunction, k: int) -> np.ndarray:
-    """``log2 F(c, z)`` indexed by ``[c, z]``: -inf at zeros, NaN off the domain.
-
-    The last column is NaN; inputs outside the factor's keys, clipped to
-    ``[-1, n_z]``, index it.
-    """
-    cells = [
-        key for key in F.keys()
-        if len(key) == 2 and 0 <= key[0] < 1 << k and key[1] >= 0
-    ]
-    n_z = 1 + max((z for _, z in cells), default=-1)
-    table = np.full((1 << k, n_z + 1), np.nan)
-    for c, z in cells:
-        val = F.value(c, z)
-        table[c, z] = -math.inf if val == 0.0 else math.log2(val)
-    return table
 
 
 def chain(F: TrialFunction, records: ArrayLike) -> np.ndarray:
@@ -281,7 +276,12 @@ def chain(F: TrialFunction, records: ArrayLike) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"record {i + 1}: outcome {c[i]} does not fit in {k} bits")
-    table = _log2_table(F, k)
+    # log2 F at [c, z], by ``math.log2`` (NumPy's log2 can differ in the last bit): -inf
+    # at zeros, NaN off the domain and in a last column for inputs clipped past n_z.
+    table = np.full((1 << k, F.table.shape[1] + 1), np.nan)
+    if F.table.ndim == 2:
+        rows = F.table[: 1 << k].tolist()
+        table[: len(rows), :-1] = [[-math.inf if v == 0 else math.log2(v) for v in r] for r in rows]
     vals = table[c, np.clip(z, -1, table.shape[1] - 1)]
     bad = np.flatnonzero(np.isnan(vals))
     if bad.size:
@@ -301,9 +301,9 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
         raise ValueError("gamma must lie in (0, 1]")
     if F.beta is None:
         raise ValueError("power reduction needs a trial function with a power")
-    return TrialFunction(
-        {k: v**gamma for k, v in F.values.items()}, F.beta * gamma, F.role
-    )
+    # Python's ``**`` per cell (NumPy's can differ in the last bit); NaN stays NaN.
+    powers = [v**gamma for v in F.table.ravel().tolist()]
+    return _factor(np.reshape(powers, F.table.shape), F.beta * gamma, F.role)
 
 
 # -- canonical-state functional ---------------------------------------------
@@ -938,11 +938,7 @@ def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
             break
         folded = grown
     if folded is not values:
-        F = TrialFunction(
-            {(c, z): float(folded[z * d + c]) for z in range(d) for c in range(d)},
-            F.beta,
-            F.role,
-        )
+        F = _factor(folded.reshape(d, d).T, F.beta, F.role)
     group = np.flatnonzero((folded[table] == folded).all(axis=-1).any(axis=1))
     return F, [maps[g] for g in group]
 

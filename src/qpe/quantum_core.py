@@ -290,11 +290,12 @@ class CqDistribution:
     by one broadcast eigendecomposition, at construction.  The support
     geometry of the blocks against their marginals, which every Renyi power
     of the state reads whatever its order and kind, is built and checked
-    the first time it is used and kept (:meth:`_support`).  The object is a
-    value type: blocks are not mutated after construction.
+    the first time it is used and kept (:meth:`_support`); the total trace
+    is taken once, at construction.  The object is a value type: blocks are
+    not mutated after construction.
     """
 
-    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range", "_geometry")
+    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range", "_geometry", "_total")
 
     def __init__(self, blocks) -> None:
         stack = np.asarray(blocks, dtype=complex)
@@ -318,6 +319,7 @@ class CqDistribution:
         self.c_range = tuple(range(n_c))
         self.z_range = tuple(range(stack.shape[0]))
         self._geometry = None
+        self._total = float(self.blocks.trace().sum())
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -356,7 +358,7 @@ class CqDistribution:
         return self._geometry
 
     def trace_total(self) -> float:
-        return float(self.blocks.trace().sum())
+        return self._total
 
     def require_normalized(self, what: str) -> None:
         if not abs(self.trace_total() - 1.0) <= TOL_NORM:

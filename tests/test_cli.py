@@ -481,6 +481,33 @@ class TestRun:
         assert "'pef'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refuses_a_factor_with_a_far_index(self, tmp_path, capsys):
+        """A cell index past the key count is named before any table is built."""
+        path = tmp_path / "far.json"
+        rows = [[0, 0, 1.0], [1, 0, 1.0], [0, 10**12, 1.0], [1, 10**12, 1.0]]
+        path.write_text(json.dumps({"beta": 0.05, "role": "qef", "values": rows}))
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"c": 0, "z": 0}\n' * 4000)
+        out = tmp_path / "out.json"
+        assert main(self.run_argv(str(path), str(records), str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: key (0, 1000000000000) is not")
+        assert not out.exists()
+
+    def test_refuses_a_factor_whose_keys_span_a_far_larger_table(self, tmp_path, capsys):
+        """Every index is below the key count, yet the (i, i, i) keys would
+        span a table of 8e12 cells; it is refused before one is built."""
+        path = tmp_path / "cube.json"
+        rows = [[i, i, i, 1.0] for i in range(20000)]
+        path.write_text(json.dumps({"beta": 0.05, "role": "qef", "values": rows}))
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"c": 0, "z": 0}\n' * 4000)
+        out = tmp_path / "out.json"
+        assert main(self.run_argv(str(path), str(records), str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the 20000 keys span a table of 8000000000000 cells")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["7", '{"c": 1}'])
     def test_malformed_record_is_internal_error(
         self, tmp_path, qef_file, records_file, capsys, bad

@@ -147,9 +147,18 @@ class TestQefpConstant:
                 qefp_constant(K, {0: 1.0}, beta)
         with pytest.raises(ValueError):
             qefp_constant(K, {0: 0.5, 1: 0.5}, 0.1)
-        gap = TrialFunction({(0, 0): 0.0, (2, 0): 0.0}, None, role="ee")
         with pytest.raises(ValueError):
+            gap = TrialFunction({(0, 0): 0.0, (2, 0): 0.0}, None, role="ee")
             qefp_constant(gap, {0: 1.0}, 0.1)
+        # Estimators the key rule lets through but the conversion cannot read:
+        # one (c, z) cell missing, and a spot-check (c, z, t) table.
+        gap = TrialFunction({(0, 0): 0.0, (1, 0): 0.0, (0, 1): 0.0}, None, role="ee")
+        czt = TrialFunction(
+            {(c, z, t): 0.0 for c in (0, 1) for z in (0, 1) for t in (0, 1)}, None, role="ee"
+        )
+        for K in (gap, czt):
+            with pytest.raises(ValueError, match=r"needs a value at every \(c, z\) cell"):
+                qefp_constant(K, {0: 0.5, 1: 0.5}, 0.1)
 
     def test_petz_inequality_on_random_states(self, qef02, canonical_sampler):
         """The converted factor obeys the Petz-type inequality on both

@@ -432,16 +432,10 @@ class TestCachedChecks:
                     qef_inequality_check(G, rho)
                 with pytest.raises(ValueError, match=rf"no value at cell {cell}"):
                     qef_engine._cell_values(G, 4)
-            assert not G._grid.flags.writeable
-        # A far index leaves the grid small and the errors as they were.
-        far = TrialFunction({(0, 0): 0.5, (1, 0): 1.5, (0, 10**12): 1.0}, 0.2)
-        assert far._grid.shape == (1, 2)
-        line = CqDistribution.classical({(0, 0): 0.25, (1, 0): 0.75})
-        assert qef_inequality_check(far, line) == qef_inequality_check(
-            TrialFunction({(0, 0): 0.5, (1, 0): 1.5}, 0.2), line
-        )
-        with pytest.raises(ValueError, match=r"no value at cell \(0, 1\)"):
-            qef_engine._cell_values(far, 2)
+            assert not G.table.flags.writeable
+        # A far index is refused when the factor is built, with its key named.
+        with pytest.raises(ValueError, match=r"key \(0, 1000000000000\) is not"):
+            TrialFunction({(0, 0): 0.5, (1, 0): 1.5, (0, 10**12): 1.0}, 0.2)
         # Cells past the state's are not read.
         small = CqDistribution.classical({(c, z): 0.25 for c in range(2) for z in range(2)})
         wide = TrialFunction({**constant_one(1, 1, 0.2).values, (3, 3): 5.0}, 0.2)
