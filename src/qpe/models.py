@@ -160,14 +160,18 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
 
     With ``P_{c|z} = v v^T`` for a row ``v`` of :func:`povm_vectors`, a block
     is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.  The ``u`` form
-    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``, and one broadcast outer
-    product builds the distribution's ``(n_z, n_c, d, d)`` block stack.
+    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``.  Each input's
+    projectors sum to the identity, so every marginal is ``tau / 2**k`` on
+    ``tau``'s support: its spectrum is ``tau``'s, which the state's
+    positivity check decomposed, over ``2**k``.  The distribution is built
+    from ``u`` and that spectrum (``CqDistribution._rank_one``), so no
+    block or marginal is decomposed.
     """
     d = s.config.dim
     z, c = np.divmod(np.arange(d * d), d)
     U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5) / math.sqrt(d)
-    U = U.reshape(d, d, d)
-    return CqDistribution(U.conj()[..., :, None] * U[..., None, :])
+    marginal = (s.tau._on_support(lambda w: w) / d, s.tau.eigenvectors)
+    return CqDistribution._rank_one(U.reshape(d, d, d), marginal)
 
 
 # -- trial distributions ---------------------------------------------------
@@ -196,7 +200,8 @@ class TrialDistribution:
             raise ValueError("bit widths must be positive")
         nc, nz = 1 << self.c_bits, 1 << self.z_bits
         table = dict(self.probs)
-        if set(table) != set(np.ndindex(nc, nz)):
+        # The count first: the grid is sized by the declared widths.
+        if len(table) != nc * nz or set(table) != set(np.ndindex(nc, nz)):
             raise ValueError("probability table must cover the full (c, z) grid")
         for key, p in table.items():
             if p < -TOL_PROB:

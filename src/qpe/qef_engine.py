@@ -222,7 +222,8 @@ def qef_inequality_check(
     block is checked, zero-weight blocks included.  They are taken from the
     support geometry that ``rho`` builds on its first check and keeps, so
     checks of one state at further orders and kinds decompose nothing but
-    the sandwiched kind's ``r x r`` matrices.  The weights are read from
+    the sandwiched kind's ``r x r`` matrices, and nothing at all when every
+    block has rank one, as a canonical state's do.  The weights are read from
     ``F.table``.  Every cell of ``rho`` must be in ``F``'s domain; a
     ValueError names the first one, ``z`` major, that is not.
     """

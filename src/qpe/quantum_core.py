@@ -11,9 +11,12 @@ an ``(..., d, d)`` stack of them, and computes the spectra of the whole stack
 at most once, by one broadcast eigendecomposition.  Every check, clip and
 kernel cut applies to each matrix on its own, with tolerances relative to
 that matrix.  A :class:`CqDistribution` keeps its blocks and its marginals in
-one such stack, decomposed together, and :func:`renyi_power` broadcasts over
-stacks and works on the support of each ``rho``, so a whole distribution is
-evaluated in a few array calls; one matrix is the stack of one.
+one such stack, decomposed together; one built from rank-one blocks
+``conj(u) u^T`` and a known marginal spectrum decomposes nothing, its
+supports read from ``u`` and checked like a decomposition.
+:func:`renyi_power` broadcasts over stacks and works on the support of each
+``rho``, so a whole distribution is evaluated in a few array calls; one
+matrix is the stack of one.
 
 Entropic quantities are in nats unless a function name says otherwise.
 """
@@ -77,6 +80,20 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def _fro(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))
+
+
+def _check_spectrum(m: np.ndarray, w: np.ndarray, v: np.ndarray, what: str) -> None:
+    """Raise unless ``v diag(w) v*`` reconstructs each matrix of ``m``.
+
+    The residual's Frobenius norm must be at most ``TOL_SPECTRUM`` times the
+    larger of 1 and the matrix's own; ``v`` may hold fewer columns than
+    ``m``, for a spectrum known on a support only.
+    """
+    resid = _fro(_from_spectrum(w, v) - m)
+    bad = resid > TOL_SPECTRUM * np.maximum(1.0, _fro(m))
+    if _any(bad):
+        i = _first(bad)
+        raise ValueError(f"{what}{_where(i)}: residual {resid[i]:.3e}")
 
 
 def _norms(w: np.ndarray) -> np.ndarray:
@@ -186,11 +203,7 @@ class HermitianOperator:
         if self._spectrum is None:
             w, v = np.linalg.eigh(self._m)
             w, v = w[..., ::-1], v[..., ::-1]
-            resid = _fro(_from_spectrum(w, v) - self._m)
-            bad = resid > TOL_SPECTRUM * np.maximum(1.0, _fro(self._m))
-            if _any(bad):
-                i = _first(bad)
-                raise ValueError(f"eigendecomposition failed{_where(i)}: residual {resid[i]:.3e}")
+            _check_spectrum(self._m, w, v, "eigendecomposition failed")
             w.setflags(write=False)
             v.setflags(write=False)
             self._spectrum = (w, v)
@@ -285,17 +298,22 @@ class CqDistribution:
     :attr:`blocks` is the ``(n_z, n_c, d, d)`` stacked operator of the
     blocks.  :attr:`marginals` stacks the ``n_z`` block sums over outcomes
     as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; the sums
-    are taken over the symmetrized blocks.  Both are views of one
-    ``(n_z, n_c + 1, d, d)`` operator, which is checked and decomposed once,
-    by one broadcast eigendecomposition, at construction.  The support
-    geometry of the blocks against their marginals, which every Renyi power
-    of the state reads whatever its order and kind, is built and checked
-    the first time it is used and kept (:meth:`_support`); the total trace
-    is taken once, at construction.  The object is a value type: blocks are
-    not mutated after construction.
+    are taken over the symmetrized blocks.  Built from blocks, both are
+    views of one ``(n_z, n_c + 1, d, d)`` operator, which is checked and
+    decomposed once, by one broadcast eigendecomposition, at construction.
+    Built by :meth:`_rank_one` from vectors ``u`` and a known marginal
+    spectrum, nothing is decomposed: each block's support is ``u`` itself,
+    and the blocks' full spectra are decomposed only if a caller asks for
+    them.  The support geometry of the blocks against their marginals,
+    which every Renyi power of the state reads whatever its order and kind,
+    is built and checked the first time it is used and kept
+    (:meth:`_support`); the total trace is taken once, at construction.
+    The object is a value type: blocks are not mutated after construction.
     """
 
-    __slots__ = ("blocks", "marginals", "dim", "c_range", "z_range", "_geometry", "_total")
+    __slots__ = (
+        "blocks", "marginals", "dim", "c_range", "z_range", "_known", "_geometry", "_total"
+    )
 
     def __init__(self, blocks) -> None:
         stack = np.asarray(blocks, dtype=complex)
@@ -309,17 +327,61 @@ class CqDistribution:
         both.setflags(write=False)
         ops = HermitianOperator._wrap(both)
         ops._eig()  # before the views are cut, so that they share one decomposition
-        self.blocks = ops._at((slice(None), slice(None, n_c)))
-        self.marginals = ops._at((slice(None), slice(n_c, None)))
-        bad = ~self.blocks.is_psd()
+        blocks = ops._at((slice(None), slice(None, n_c)))
+        bad = ~blocks.is_psd()
         if _any(bad):
             iz, ic = _first(bad)
             raise ValueError(f"block {(ic, iz)} is not positive semidefinite")
-        self.dim = ops.dim
+        self._fill(blocks, ops._at((slice(None), slice(n_c, None))), None)
+
+    @classmethod
+    def _rank_one(cls, u, marginal_spectrum) -> "CqDistribution":
+        """The distribution of the rank-one blocks ``conj(u) u^T``, ``u`` indexed ``[z, c]``.
+
+        ``u`` is an ``(n_z, n_c, d)`` array, and ``marginal_spectrum`` is
+        ``(w, V)``: descending eigenvalues, clipped to zero on the kernel,
+        and their eigenvectors, shared by every marginal.  Each block has support weight ``|u|^2`` along
+        ``conj(u) / |u|``.  Both spectra are checked against the stored
+        matrices by their reconstruction residuals, as a decomposition is;
+        the blocks and marginals are stored as :meth:`__init__` stores them,
+        so the matrices are the same bits.
+        """
+        u = np.asarray(u, dtype=complex)
+        if u.ndim != 3 or 0 in u.shape[:2]:
+            raise ValueError(f"a vector array must be (n_z, n_c, d), got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("matrix entries must be finite")
+        # Where the multiply is fused, the outer products are Hermitian only
+        # to roundoff: they are symmetrized, as __init__ symmetrizes.
+        blocks = _hermitian_part(u.conj()[..., :, None] * u[..., None, :])
+        marginals = _hermitian_part(blocks.sum(axis=1, keepdims=True))
+        lam = np.square(np.abs(u)).sum(axis=-1, keepdims=True)
+        norm = np.sqrt(lam)
+        E = np.divide(u.conj(), norm, out=np.zeros_like(u), where=norm > 0.0)[..., None]
+        _check_spectrum(blocks, lam, E, "block support does not reconstruct the block")
+        w, V = marginal_spectrum
+        w, V = np.broadcast_to(w, marginals.shape[:-1]), np.broadcast_to(V, marginals.shape)
+        _check_spectrum(marginals, w, V, "marginal spectrum does not reconstruct the marginal")
+        for x in (blocks, marginals, lam, E):
+            x.setflags(write=False)
+        out = object.__new__(cls)
+        out._fill(
+            HermitianOperator._wrap(blocks),
+            HermitianOperator._wrap(marginals, (w, V), w),
+            (lam, E),
+        )
+        return out
+
+    def _fill(self, blocks: HermitianOperator, marginals: HermitianOperator, known) -> None:
+        # ``known``: the blocks' support ``(lam, E)`` when it is known, else None.
+        self.blocks, self.marginals = blocks, marginals
+        self.dim = blocks.dim
+        n_z, n_c = blocks.matrix.shape[:2]
         self.c_range = tuple(range(n_c))
-        self.z_range = tuple(range(stack.shape[0]))
+        self.z_range = tuple(range(n_z))
+        self._known = known
         self._geometry = None
-        self._total = float(self.blocks.trace().sum())
+        self._total = float(blocks.trace().sum())
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -354,7 +416,7 @@ class CqDistribution:
         # The blocks against their marginals, as renyi_power(blocks,
         # marginals) sees them: built on first use, shared by every order.
         if self._geometry is None:
-            self._geometry = _support_geometry(self.blocks, self.marginals)
+            self._geometry = _support_geometry(self.blocks, self.marginals, self._known)
         return self._geometry
 
     def trace_total(self) -> float:
@@ -405,18 +467,22 @@ class _Geometry(NamedTuple):
     C: np.ndarray | None
 
 
-def _support_geometry(rho, sigma) -> _Geometry:
+def _support_geometry(rho, sigma, support=None) -> _Geometry:
     """Decompose and check each ``(rho, sigma)`` pair for :func:`_renyi_on_support`.
 
     Raises the support errors of :func:`renyi_power`; the arrays it keeps
     are read-only, so one geometry serves any number of orders and kinds.
+    ``support``, when given, is each ``rho``'s known ``(lam, E)``: its
+    largest clipped eigenvalues, descending along the last axis of ``lam``,
+    and their eigenvectors as the columns of ``E``.  It stands in for
+    ``rho``'s decomposition and passes the same checks.
     """
     rho = _as_operator(rho)
     sigma = _as_operator(sigma)
     if rho.dim != sigma.dim:
         raise ValueError("operands must share dimension")
     # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the largest.
-    lam = rho.psd_eigenvalues()
+    lam = rho.psd_eigenvalues() if support is None else support[0]
     on = lam > KERNEL_CUT * lam[..., :1]
     live = on.any(axis=-1)
     dead_sigma = _norms(sigma.eigenvalues) <= 0.0
@@ -439,7 +505,8 @@ def _support_geometry(rho, sigma) -> _Geometry:
     r = int(on.sum(axis=-1).max())
     lam = (lam * on)[..., :r]
     # The support vectors in sigma's eigenbasis.
-    C = _dagger(sigma.eigenvectors) @ rho.eigenvectors[..., :r]
+    E = rho.eigenvectors if support is None else support[1]
+    C = _dagger(sigma.eigenvectors) @ E[..., :r]
     lam.setflags(write=False)
     C.setflags(write=False)
     return _Geometry(rho, sigma, live, lam, C)
@@ -460,8 +527,12 @@ def _renyi_on_support(geometry: _Geometry, order: RenyiOrder, kind: str, normali
     if kind == "sandwiched":
         s = sigma._on_support(lambda w: w ** (-beta / (2.0 * alpha)))
         Z = C * (s[..., :, None] * np.sqrt(lam)[..., None, :])
-        # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
-        w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
+        if lam.shape[-1] == 1:
+            # One support vector: Z* Z is 1 x 1, its eigenvalue sum |Z|^2.
+            w = np.square(np.abs(Z)).sum(axis=-2)
+        else:
+            # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
+            w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
         value = (w**alpha).sum(axis=-1)
     else:
         s = sigma._on_support(lambda w: w**-beta)
@@ -518,8 +589,9 @@ def renyi_power(
     ``sigma``'s eigenbasis, where its powers are diagonal: the ``r x r``
     matrix is ``Z* Z`` with ``Z = sigma^{-beta/(2 alpha)} E diag(lam)^(1/2)``.
     No ``d x d`` product is decomposed and no power of either operand is
-    formed as a matrix: a rank-one ``rho`` costs a ``1 x 1`` eigenvalue, a
-    full-rank one a ``d x d`` one, as the product did.
+    formed as a matrix: a full-rank ``rho`` costs a ``d x d`` eigenvalue
+    problem, as the product did, and when ``r`` is 1 the ``1 x 1`` matrix
+    ``Z* Z`` is its own eigenvalue, ``sum |Z|^2``, so nothing is decomposed.
 
     The work splits in two steps.  The first builds what no order changes:
     the clipped spectra, the ``rho = 0`` and ``sigma = 0`` cases, the
@@ -527,7 +599,9 @@ def renyi_power(
     the eigenvectors of ``sigma``.  The second takes that geometry with an
     order and a kind, and returns the powers.  A :class:`CqDistribution`
     keeps the first step's result for its blocks against its marginals, so
-    a state checked at many orders decomposes and checks its support once.
+    a state checked at many orders decomposes and checks its support once;
+    one built from rank-one blocks gives the first step their supports, so
+    it decomposes no block.
     The kind and order are checked in the second step, after the operands.
     """
     return _renyi_on_support(_support_geometry(rho, sigma), order, kind, normalized)

@@ -249,6 +249,18 @@ class TestTrialDistribution:
         with pytest.raises(ValueError):
             TrialDistribution(2, 2, probs)
 
+    def test_wide_grid_refused_by_its_count(self, monkeypatch):
+        """A table far smaller than its declared grid is refused before the
+        grid is enumerated: nothing is sized by the bit widths."""
+
+        def refuse(*shape):
+            raise AssertionError(f"grid {shape} enumerated")
+
+        monkeypatch.setattr(np, "ndindex", refuse)
+        text = '{"c_bits": 1, "z_bits": 40, "probs": [[0, 0, 0.5], [1, 0, 0.5]]}'
+        with pytest.raises(ValueError, match=r"must cover the full \(c, z\) grid"):
+            TrialDistribution.from_json(text)
+
     def test_input_marginal(self, nu_e):
         assert abs(nu_e.mu.sum() - 1.0) <= 1e-12
         assert np.abs(nu_e.mu - 0.25).max() <= 1e-9

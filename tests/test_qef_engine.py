@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qpe import qef_engine, quantum_core
-from qpe.models import BellConfig, CanonicalState, TrialDistribution, canonical_cq_state
+from qpe.models import (
+    BellConfig,
+    CanonicalState,
+    TrialDistribution,
+    canonical_cq_state,
+    povm_vectors,
+)
 from qpe.pef_opt import optimize_pef_polytope
 from qpe.qef_engine import (
     CertificationResult,
@@ -288,8 +295,9 @@ class TestQefInequalityCheck:
             assert abs(got - ref) <= 1e-12 * max(1.0, ref)
 
     def test_canonical_checks_decompose_no_product(self, monkeypatch):
-        """A canonical state and its four checks take three ``eigh`` calls: ``tau``,
-        the blocks with their marginals, and the sandwiched 1x1 support matrices."""
+        """A canonical state and its four checks take one ``eigh`` call, on
+        ``tau``: the blocks' supports and the marginals' spectra are known, and
+        the sandwiched kind's 1x1 support matrices are their own eigenvalues."""
         rng = np.random.default_rng(41)
         tau = HermitianOperator(random_density(rng, 4))
         config = BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=2)))
@@ -306,7 +314,7 @@ class TestQefInequalityCheck:
         rho = canonical_cq_state(CanonicalState(config, tau))
         slack = qef_inequality_check(factors[0], rho)
         petz = [qef_inequality_check(F, rho, kind="petz") for F in factors[1:]]
-        assert shapes == [(4, 4), (4, 5, 4, 4), (4, 4, 1, 1)]
+        assert shapes == [(4, 4)]
         assert math.isfinite(slack) and all(math.isfinite(s) for s in petz)
 
     def test_cell_outside_factor_domain_named(self):
@@ -374,7 +382,10 @@ class TestCachedChecks:
             fresh = TrialFunction(dict(F.values), F.beta)
             ref = qef_inequality_check(fresh, states[i][1](), kind=kind)
             assert got == ref, (i, j, kind)
-        for rho in built:
+        # The first six states are canonical: their cache is the blocks'
+        # closed-form support, where renyi_power on the bare operators
+        # decomposes the blocks, so the two agree to roundoff.
+        for i, rho in enumerate(built):
             for kind in ("sandwiched", "petz"):
                 for normalized in (False, True):
                     order = RenyiOrder(float(rng.uniform(1.05, 1.95)))
@@ -382,7 +393,10 @@ class TestCachedChecks:
                         rho.blocks, rho.marginals, order, kind=kind, normalized=normalized
                     )
                     cached = quantum_core._renyi_on_support(rho._support(), order, kind, normalized)
-                    assert np.array_equal(direct, cached)
+                    if i < 6:
+                        assert np.abs(direct - cached).max() <= 1e-12 * np.abs(direct).max()
+                    else:
+                        assert np.array_equal(direct, cached)
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     def test_one_support_check_per_state(self, monkeypatch, rank):
@@ -441,6 +455,71 @@ class TestCachedChecks:
         wide = TrialFunction({**constant_one(1, 1, 0.2).values, (3, 3): 5.0}, 0.2)
         assert qef_inequality_check(wide, small) == qef_inequality_check(constant_one(1, 1, 0.2), small)
         assert qef_engine._cell_values(wide, 2).tolist() == [1.0] * 4
+
+
+class TestClosedFormCanonicalState:
+    """``canonical_cq_state`` builds its distribution from the vectors ``u``
+    and ``tau``'s spectrum; the general constructor on ``conj(u) u^T``
+    decomposes the same blocks and marginals."""
+
+    @staticmethod
+    def _cases(rng):
+        """``(state, u)`` pairs: k = 1 and 2, ``tau`` of every rank, and
+        ``|0...0><0...0|`` measured along z, whose blocks ``(c, z)`` with
+        ``c != 0`` have ``u = 0``."""
+        out = []
+        for k in (1, 2):
+            d = 1 << k
+            taus = []
+            for rank in range(1, d + 1):
+                a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                tau = a @ a.conj().T
+                taus.append((tuple(rng.uniform(0.0, math.pi, size=k)), tau / np.trace(tau).real))
+            ground = np.zeros((d, d))
+            ground[0, 0] = 1.0
+            taus.append(((0.0,) * k, ground))
+            for theta, tau in taus:
+                state = CanonicalState(BellConfig.uniform(theta), HermitianOperator(tau))
+                z, c = np.divmod(np.arange(d * d), d)
+                u = povm_vectors(theta, c, z) @ state.tau.power(0.5) / math.sqrt(d)
+                out.append((state, u.reshape(d, d, d)))
+        return out
+
+    def test_matches_the_general_constructor(self):
+        rng = np.random.default_rng(44)
+        values = {(c, z): float(rng.uniform(0.5, 1.5)) for c in range(4) for z in range(4)}
+        factors = [TrialFunction(values, beta) for beta in (0.2, 0.1, 0.25, 0.4)]
+        cases = self._cases(rng)
+        assert sum(not u.any(axis=-1).all() for _, u in cases) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for state, u in cases:
+                rho = canonical_cq_state(state)
+                ref = CqDistribution(u.conj()[..., :, None] * u[..., None, :])
+                assert np.array_equal(rho.blocks.matrix, ref.blocks.matrix)
+                assert np.array_equal(rho.marginals.matrix, ref.marginals.matrix)
+                assert rho.trace_total() == ref.trace_total()
+                for F, kind in zip(factors, ("sandwiched", "petz", "petz", "petz")):
+                    got = qef_inequality_check(F, rho, kind=kind)
+                    want = qef_inequality_check(F, ref, kind=kind)
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                # The blocks' own spectra, decomposed only when asked for.
+                spectrum = np.zeros(u.shape)
+                spectrum[..., 0] = np.square(np.abs(u)).sum(axis=-1)
+                assert np.abs(rho.blocks.eigenvalues - spectrum).max() <= 1e-12
+
+    def test_known_spectra_are_checked(self):
+        state, u = self._cases(np.random.default_rng(45))[-2]
+        w, V = state.tau.psd_eigenvalues() / 4, state.tau.eigenvectors
+        assert CqDistribution._rank_one(u, (w, V)).trace_total() == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="marginal spectrum does not reconstruct"):
+            CqDistribution._rank_one(u, (w[::-1], V))
+        bad = u.copy()
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            CqDistribution._rank_one(bad, (w, V))
+        with pytest.raises(ValueError, match=r"must be \(n_z, n_c, d\)"):
+            CqDistribution._rank_one(u[0], (w, V))
 
 
 class TestChain:

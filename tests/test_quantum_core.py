@@ -340,3 +340,36 @@ class TestSupportFormulas:
                 for i, j in np.ndindex(2, dim):
                     ref = full_matrix_power(rho[i, j], sigma[i], order, kind, normalized)
                     assert abs(got[i, j] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rank_one_stacks_match_full_matrix_formulas(self, monkeypatch, dim):
+        """When every ``rho`` has rank one, the sandwiched kind reads its
+        ``1 x 1`` support matrix as its eigenvalue and decomposes nothing but
+        the operands; both kinds equal the full-matrix formulas."""
+        rng = np.random.default_rng(26 + dim)
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        support = basis[:, : dim - 1]
+        sigma = np.stack([random_density(rng, dim), support @ random_density(rng, dim - 1) @ support.conj().T])
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        y = x[:, : dim - 1] @ support.T
+        rho = np.stack([
+            x[..., :, None] * x.conj()[..., None, :],
+            y[..., :, None] * y.conj()[..., None, :],
+        ]) * rng.uniform(0.1, 1.0, size=(2, dim, 1, 1))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for kind in ("sandwiched", "petz"):
+            for normalized in (False, True):
+                order = RenyiOrder(float(rng.uniform(1.05, 1.95)))
+                shapes.clear()
+                got = renyi_power(rho, sigma[:, None], order, kind=kind, normalized=normalized)
+                assert shapes == [(2, dim, dim, dim), (2, 1, dim, dim)]
+                for i, j in np.ndindex(2, dim):
+                    ref = full_matrix_power(rho[i, j], sigma[i], order, kind, normalized)
+                    assert abs(got[i, j] - ref) <= 1e-12 * ref
