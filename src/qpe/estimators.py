@@ -6,7 +6,9 @@ converts estimation factors to estimators, builds the second-order constant
 that turns an estimator back into a probability estimation factor at small
 powers, builds estimators from guessing-probability tables (one formula
 serves a plain table and the rescaled table of a spot-check scheme), and
-gives the optimal factor of the two-outcome constrained model.
+gives the optimal factor of the two-outcome constrained model.  Each
+conversion is an expression over its input's ``table``, cell by cell
+through ``math.log`` or ``math.exp`` where it takes one.
 
 Everything is in nats.
 """
@@ -20,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .qef_engine import TrialFunction, _factor
+from .qef_engine import TrialFunction
 
 _IOTA0_CACHE: list[float] = []
 
@@ -59,16 +61,13 @@ def ee_from_qef(F: TrialFunction) -> TrialFunction:
     """
     if F.beta is None:
         raise ValueError("an estimation factor with a power is required")
-    values = {}
-    for key, v in F.values.items():
-        if v < 0.0:
-            raise ValueError(f"negative value at {key}")
-        if v == 0.0:
-            warnings.warn(f"zero estimation-factor value at {key}", RuntimeWarning)
-            values[key] = -math.inf
-        else:
-            values[key] = math.log(v) / F.beta
-    return TrialFunction(values, None, role="ee")
+    for cell in np.argwhere(F.table <= 0.0).tolist():
+        if F.table[tuple(cell)] < 0.0:
+            raise ValueError(f"negative value at {tuple(cell)}")
+        warnings.warn(f"zero estimation-factor value at {tuple(cell)}", RuntimeWarning)
+    # ``math.log`` per cell (NumPy's can differ in the last bit); NaN stays NaN.
+    logs = [-math.inf if v == 0.0 else math.log(v) / F.beta for v in F.table.ravel().tolist()]
+    return TrialFunction(np.reshape(logs, F.table.shape), None, role="ee")
 
 
 @dataclass(frozen=True)
@@ -191,13 +190,11 @@ def qefp_constant(
 
 def qefp_from_constant(K: TrialFunction, const: QefpConstant) -> TrialFunction:
     """The Petz-type factor ``e^{beta K} / (1 + c beta^2 / 2)``."""
-    beta, c = const.beta, const.c_value
-    denom = 1.0 + c * beta * beta / 2.0
-    values = {
-        key: math.exp(beta * k) / denom if math.isfinite(k) else 0.0
-        for key, k in K.values.items()
-    }
-    return TrialFunction(values, beta, role="qefp")
+    beta, ks = const.beta, K.table.ravel().tolist()
+    denom = 1.0 + const.c_value * beta * beta / 2.0
+    # ``math.exp`` per cell (NumPy's can differ in the last bit); NaN stays NaN.
+    vals = [0.0 if k == -math.inf else math.exp(beta * k) / denom for k in ks]
+    return TrialFunction(np.reshape(vals, K.table.shape), beta, role="qefp")
 
 
 # -- estimators from guessing probabilities ----------------------------------
@@ -216,15 +213,11 @@ def ee_from_maxprob(
     """
     if not (0.0 < b_bar <= 1.0):
         raise ValueError("the expectation bound must lie in (0, 1]")
-    log_b = math.log(b_bar)
-    values = {}
-    for key, b in B.values.items():
-        if conditional and not (0.0 <= b <= 1.0 + 1e-12):
-            raise ValueError(
-                f"conditional guessing probability {b} outside [0, 1] at {key}"
-            )
-        values[key] = -log_b + 1.0 - b / b_bar
-    return TrialFunction(values, None, role="ee")
+    outside = np.argwhere((B.table < 0.0) | (B.table > 1.0 + 1e-12)) if conditional else ()
+    if len(outside):
+        b, cell = B.table[tuple(outside[0])], tuple(outside[0].tolist())
+        raise ValueError(f"conditional guessing probability {b} outside [0, 1] at {cell}")
+    return TrialFunction(-math.log(b_bar) + 1.0 - B.table / b_bar, None, role="ee")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +258,7 @@ def spot_check_scheme(
     # B_r(c, z, 0) = 1 and B_r(c, z, 1) = 1 + (B - 1)/r on B's domain.
     tests = 1.0 + (B.table - 1.0) / r
     table = np.stack([np.where(np.isnan(tests), np.nan, 1.0), tests], axis=-1)
-    b_r = _factor(table, None, "maxprob")
+    b_r = TrialFunction(table, None, "maxprob")
     k_r = ee_from_maxprob(b_r, b_bar, conditional=False)
     return SpotCheckScheme(r=r, b_bar=b_bar, mu=mu, B_r=b_r, K_r=k_r)
 

@@ -10,8 +10,8 @@ with detector loss a binning of non-detections into outcome 1.  The
 detection-efficiency family starts at the binned Bell operator's optimum
 and is refined by a NumPy BFGS on the relative entropy to the local
 polytope.  Outcome and input tuples pack into ints little-endian (bit ``i``
-belongs to station ``i``).  A trial distribution is read through its
-``[c, z]`` arrays; its ``(c, z)`` dict is only for JSON and outside input.
+belongs to station ``i``).  A trial distribution is stored as its
+``[c, z]`` array; its ``(c, z)`` dict is a read-only view of it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,7 +51,8 @@ def json_cells(rows, what: str) -> dict:
         raise ValueError(f"{what} JSON cells must be a list of rows, got {rows!r}")
     table = {}
     for row in rows:
-        if not (isinstance(row, list) and row and all(isinstance(x, (int, float)) for x in row)):
+        # A JSON ``true`` is a bool, which Python counts as an int.
+        if not (isinstance(row, list) and row and all(type(x) in (int, float) for x in row)):
             raise ValueError(f"{what} JSON row {row!r} is not a list of numbers")
         if not all(float(i).is_integer() for i in row[:-1]):
             raise ValueError(f"{what} JSON cell {row[:-1]} has an index that is not an integer")
@@ -181,17 +183,17 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
 class TrialDistribution:
     """Joint distribution of packed outcomes and inputs for one trial.
 
-    ``probs[(c, z)]`` is the joint probability, held as the validated dict in
-    its given order.  Construction also builds three read-only arrays:
-    ``joint[c, z]``, the same table; ``mu[z]``, the input marginal; and
-    ``cond[c, z]``, the conditional table, 0 on an unused input.  For two
-    stations the conditional tables are checked for non-signaling.
+    ``joint[c, z]``, the joint probability, is its one stored form: a
+    read-only array, given as such or as a ``{(c, z): p}`` mapping over the
+    full grid (JSON and outside input), whose read-only view is
+    :attr:`probs`.  Construction also builds the read-only ``mu[z]``, the
+    input marginal, and ``cond[c, z]``, the conditional table, 0 on an
+    unused input.  Two-station tables are checked for non-signaling.
     """
 
     c_bits: int
     z_bits: int
-    probs: Mapping[tuple[int, int], float]
-    joint: np.ndarray = field(init=False, repr=False)
+    joint: np.ndarray | Mapping[tuple[int, int], float]
     mu: np.ndarray = field(init=False, repr=False)
     cond: np.ndarray = field(init=False, repr=False)
 
@@ -199,19 +201,22 @@ class TrialDistribution:
         if self.c_bits < 1 or self.z_bits < 1:
             raise ValueError("bit widths must be positive")
         nc, nz = 1 << self.c_bits, 1 << self.z_bits
-        table = dict(self.probs)
-        # The count first: the grid is sized by the declared widths.
-        if len(table) != nc * nz or set(table) != set(np.ndindex(nc, nz)):
+        joint = self.joint
+        if isinstance(joint, Mapping):
+            # The count first: the grid is sized by the declared widths.
+            full = len(joint) == nc * nz and set(joint) == set(np.ndindex(nc, nz))
+            joint = [[joint[(c, z)] for z in range(nz)] for c in range(nc)] if full else []
+        joint = np.asarray(joint).astype(float, order="C", casting="same_kind")
+        if joint.shape != (nc, nz):
             raise ValueError("probability table must cover the full (c, z) grid")
-        for key, p in table.items():
-            if p < -TOL_PROB:
-                raise ValueError(f"negative probability at {key}")
-            table[key] = max(float(p), 0.0)
-        total = sum(table.values())
+        for what, bad in (("non-finite", ~np.isfinite(joint)), ("negative", joint < -TOL_PROB)):
+            if bad.any():
+                raise ValueError(f"{what} probability at {tuple(np.argwhere(bad)[0].tolist())}")
+        # ``max(p, 0.0)`` per cell: a -0.0 stays as it is.
+        joint = np.where(joint < 0.0, 0.0, joint)
+        total = sum(joint.ravel().tolist())  # cell by cell, in the JSON's C order
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total:.12g}, not 1")
-        object.__setattr__(self, "probs", table)
-        joint = np.array([[table[(c, z)] for z in range(nz)] for c in range(nc)])
         mu = joint.sum(axis=0)
         cond = np.divide(joint, mu, out=np.zeros_like(joint), where=mu > 0.0)
         for name, value in (("joint", joint), ("mu", mu), ("cond", cond)):
@@ -219,6 +224,11 @@ class TrialDistribution:
             object.__setattr__(self, name, value)
         if self.c_bits == 2 and self.z_bits == 2:
             self._check_nosignaling()
+
+    @property
+    def probs(self) -> Mapping[tuple[int, int], float]:
+        """``{(c, z): p}`` in C order: the read-only view of ``joint``."""
+        return MappingProxyType(dict(zip(np.ndindex(self.joint.shape), self.joint.ravel().tolist())))
 
     def _check_nosignaling(self) -> None:
         # Each station's conditional marginal must not depend on the other
@@ -233,12 +243,11 @@ class TrialDistribution:
             raise ValueError("station-1 marginal signals station 0")
 
     def to_json(self) -> str:
-        items = sorted(self.probs.items())
         return json.dumps(
             {
                 "c_bits": self.c_bits,
                 "z_bits": self.z_bits,
-                "probs": [[c, z, p] for (c, z), p in items],
+                "probs": [[c, z, p] for (c, z), p in self.probs.items()],
             }
         )
 
@@ -296,9 +305,7 @@ def distribution_from_quantum(
     eta = float(efficiency)
     if not (0.0 < eta <= 1.0):
         raise ValueError("efficiency must lie in (0, 1]")
-    cond = _quantum_cond_table(rho, angles_a, angles_b, eta)
-    probs = {(c, z): 0.25 * float(cond[c, z]) for c in range(4) for z in range(4)}
-    return TrialDistribution(2, 2, probs)
+    return TrialDistribution(2, 2, 0.25 * _quantum_cond_table(rho, angles_a, angles_b, eta))
 
 
 # ``(-1)**(a + b)`` of the packed two-station outcome ``c = a + 2 b``.

@@ -24,17 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .models import _LD_STACK, TrialDistribution, correlators
-from .qef_engine import TrialFunction, _factor
+from .qef_engine import TrialFunction
 
 
 def local_deterministic_vertices() -> tuple[TrialDistribution, ...]:
     """The 16 local deterministic tables, uniform inputs."""
-    return tuple(
-        TrialDistribution(
-            2, 2, {(c, z): 0.25 * float(t[c, z]) for z in range(4) for c in range(4)}
-        )
-        for t in _LD_STACK
-    )
+    return tuple(TrialDistribution(2, 2, 0.25 * t) for t in _LD_STACK)
 
 
 def _tsirelson_cuts() -> np.ndarray:
@@ -72,13 +67,13 @@ MODEL_TABLES.flags.writeable = False
 def pef_inequality_check(F: TrialFunction) -> float:
     """Worst-case slack ``1 - sum_cz mu(z) t[c, z]**alpha F(cz)`` over the
     tables ``t`` of ``MODEL_TABLES`` at uniform inputs, one table at a time."""
-    keys = sorted(F.keys())
-    mu = 1.0 / len({z for _, z in keys})
+    cells = sorted(F.values.items())  # the view once: it is built on each read
+    mu = 1.0 / len({z for (_, z), _ in cells})
     alpha = F.alpha
     worst = -math.inf
     for t in MODEL_TABLES:
         total = sum(
-            mu * float(t[c, z]) ** alpha * F.value(c, z) for c, z in keys
+            mu * float(t[c, z]) ** alpha * v for (c, z), v in cells
         )
         worst = max(worst, total)
     return 1.0 - worst
@@ -210,7 +205,7 @@ def optimize_pef_grid(
             f_m, log_f = (f_opt, log_opt) if log_opt - log_one > gap else (f_one, log_one)
             f = np.zeros(mask.shape)
             f[mask] = f_m
-            out[i][j] = (_factor(f, betas[j], "pef"), log_f / betas[j])
+            out[i][j] = (TrialFunction(f, betas[j], "pef"), log_f / betas[j])
     return out
 
 

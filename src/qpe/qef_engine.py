@@ -38,7 +38,8 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -63,23 +64,21 @@ NUMERIC_SLACK = 1e-9
 class TrialFunction:
     """A weight for each outcome/input cell of one trial, tagged with a power.
 
-    ``values`` maps keys to weights; it is the input and JSON format.  A key
-    is ``(c, z)``, or ``(c, z, t)`` with ``t`` marking a spot-check test
-    round: a tuple of nonnegative integers below the key count, every key as
-    wide as the first, spanning at most 4 cells a key; a ValueError names a
-    key that breaks this rule.  ``table`` is the same function as one
-    read-only array, ``table[c, z]`` or ``table[c, z, t]`` (the layout of
-    ``TrialDistribution.joint``), each axis running to its largest index, NaN
-    off the domain; no value is NaN, and an entropy estimator may hold
-    ``-inf``.  Every engine path reads ``table``.  ``beta`` is the power of
-    the defining inequality, or ``None`` for roles without one (entropy
-    estimators, guessing-probability tables).
+    ``table`` is its one stored form: a read-only array ``table[c, z]``, or
+    ``table[c, z, t]`` with ``t`` marking a spot-check test round, NaN off
+    the domain; only an entropy estimator may hold ``-inf``.  Every engine
+    path reads it.  Producers in ``qpe`` pass the array; JSON and outside
+    input pass a ``{key: weight}`` mapping, whose keys are tuples ``(c, z)``
+    or ``(c, z, t)`` of nonnegative integers below the key count, as wide as
+    the first key and spanning at most 4 cells a key (a ValueError names a
+    key that breaks this rule).  :attr:`values` is the read-only mapping
+    view.  ``beta`` is the power of the defining inequality, or ``None`` for
+    roles without one (entropy estimators, guessing-probability tables).
     """
 
-    values: Mapping[tuple, float]
+    table: np.ndarray | Mapping[tuple, float]
     beta: float | None
     role: str = "candidate"
-    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
@@ -94,27 +93,40 @@ class TrialFunction:
             math.isfinite(self.beta) and 1.0 + self.beta > 1.0
         ):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not self.values:
-            raise ValueError("at least one key is required")
-        cols = _key_columns(list(self.values))
-        shape = [max(col) + 1 for col in cols]
-        if math.prod(shape) > 4 * len(self.values):  # a full grid spans 1 cell a key
-            n, size = len(self.values), math.prod(shape)
-            raise ValueError(f"the {n} keys span a table of {size} cells, more than 4 a key")
-        vals = list(map(float, self.values.values()))
-        if not all(map(math.isfinite, vals)):
-            for key, val in zip(zip(*cols), vals):
-                # Entropy estimators may claim nothing (-inf) on an outcome.
-                if not (math.isfinite(val) or self.role == "ee" and val == -math.inf):
-                    raise ValueError(f"non-finite value at {key}")
-        if self.role in _NONNEG_ROLES and min(vals) < 0.0:
+        if isinstance(self.table, Mapping):
+            if not self.table:
+                raise ValueError("at least one key is required")
+            cols = _key_columns(list(self.table))
+            shape = [max(col) + 1 for col in cols]
+            if math.prod(shape) > 4 * len(self.table):  # a full grid spans 1 cell a key
+                n, size = len(self.table), math.prod(shape)
+                raise ValueError(f"the {n} keys span a table of {size} cells, more than 4 a key")
+            table = np.full(shape, np.nan)
+            table[cols] = list(self.table.values())
+            # NaN marks a cell off the domain, so it cannot stand for a value.
+            if np.count_nonzero(table == table) < len(self.table):
+                nan = next(key for key in zip(*cols) if math.isnan(table[key]))
+                raise ValueError(f"non-finite value at {nan}")
+        else:
+            # A copy, C-ordered; a complex array raises TypeError.
+            table = np.asarray(self.table).astype(float, order="C", casting="same_kind")
+        # Entropy estimators may claim nothing (-inf) on an outcome.
+        bad = table == math.inf if self.role == "ee" else np.isinf(table)
+        if bad.any():
+            raise ValueError(f"non-finite value at {tuple(np.argwhere(bad)[0].tolist())}")
+        low = np.fmin.reduce(table, axis=None, initial=math.nan)
+        if table.ndim not in (2, 3) or math.isnan(low):
+            raise ValueError(f"a table of shape {table.shape} is not 2 or 3 axes with a value")
+        if self.role in _NONNEG_ROLES and low < 0.0:
             raise ValueError(f"role {self.role!r} requires nonnegative values")
-        values = dict(zip(zip(*cols), vals))
-        table = np.full(shape, np.nan)
-        table[cols] = vals
         table.setflags(write=False)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "table", table)
+
+    @property
+    def values(self) -> Mapping[tuple, float]:
+        """``{key: weight}`` on the domain in C order: the read-only view of ``table``."""
+        on = ~np.isnan(self.table)
+        return MappingProxyType(dict(zip(map(tuple, np.argwhere(on).tolist()), self.table[on].tolist())))
 
     @property
     def alpha(self) -> float:
@@ -132,7 +144,8 @@ class TrialFunction:
         return k
 
     def value(self, *key) -> float:
-        return self.values[tuple(key)]
+        """The weight at ``key``; a KeyError off the domain."""
+        return self.values[key]
 
     def keys(self):
         return self.values.keys()
@@ -145,17 +158,19 @@ class TrialFunction:
         return max(map(abs, map(math.log, vals)))
 
     def scaled(self, factor: float, role: str | None = None) -> "TrialFunction":
-        role = self.role if role is None else role
-        return _factor(self.table * factor, self.beta, role, ~np.isnan(self.table))
+        table = self.table * factor
+        lost = np.argwhere(np.isnan(table) & ~np.isnan(self.table))  # -inf x 0 is not off the domain
+        if lost.size:
+            raise ValueError(f"non-finite value at {tuple(lost[0].tolist())}")
+        return TrialFunction(table, self.beta, self.role if role is None else role)
 
     def to_json(self) -> str:
-        keys = sorted(self.values)
         return json.dumps(
             {
                 "beta": self.beta,
                 "role": self.role,
                 "domain": "cz" if self.table.ndim == 2 else "czt",
-                "values": [[*k, self.values[k]] for k in keys],
+                "values": [[*k, v] for k, v in self.values.items()],
             }
         )
 
@@ -188,20 +203,9 @@ def _key_columns(keys: list) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(map(int, key) for key in keys)))  # tuple subclasses, NumPy integers
 
 
-def _factor(
-    table: np.ndarray, beta: float | None, role: str, domain: np.ndarray | None = None
-) -> TrialFunction:
-    """The factor with ``table``'s values on ``domain`` (by default its cells that are
-    not NaN), listed in ``table``'s order: the one path from an array to a factor."""
-    keep = (~np.isnan(table) if domain is None else domain).ravel().tolist()
-    cells = itertools.compress(itertools.product(*map(range, table.shape)), keep)
-    vals = itertools.compress(table.ravel().tolist(), keep)
-    return TrialFunction(dict(zip(cells, vals)), beta, role)
-
-
 def constant_one(c_bits: int, z_bits: int, beta: float) -> TrialFunction:
     """The all-ones quantum estimation factor on a packed ``(c, z)`` grid."""
-    return _factor(np.ones((1 << c_bits, 1 << z_bits)), beta, "qef")
+    return TrialFunction(np.ones((1 << c_bits, 1 << z_bits)), beta, "qef")
 
 
 # -- the defining inequality on explicit states -----------------------------
@@ -304,7 +308,7 @@ def power_reduce(F: TrialFunction, gamma: float) -> TrialFunction:
         raise ValueError("power reduction needs a trial function with a power")
     # Python's ``**`` per cell (NumPy's can differ in the last bit); NaN stays NaN.
     powers = [v**gamma for v in F.table.ravel().tolist()]
-    return _factor(np.reshape(powers, F.table.shape), F.beta * gamma, F.role)
+    return TrialFunction(np.reshape(powers, F.table.shape), F.beta * gamma, F.role)
 
 
 # -- canonical-state functional ---------------------------------------------
@@ -939,7 +943,7 @@ def _fold(F: TrialFunction, k: int) -> tuple[TrialFunction, list[AngleMap]]:
             break
         folded = grown
     if folded is not values:
-        F = _factor(folded.reshape(d, d).T, F.beta, F.role)
+        F = TrialFunction(folded.reshape(d, d).T, F.beta, F.role)
     group = np.flatnonzero((folded[table] == folded).all(axis=-1).any(axis=1))
     return F, [maps[g] for g in group]
 

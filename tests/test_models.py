@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -260,6 +261,50 @@ class TestTrialDistribution:
         text = '{"c_bits": 1, "z_bits": 40, "probs": [[0, 0, 0.5], [1, 0, 0.5]]}'
         with pytest.raises(ValueError, match=r"must cover the full \(c, z\) grid"):
             TrialDistribution.from_json(text)
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_probability_refused_by_its_cell(self, bits, cell):
+        """A NaN passes every comparison the other checks make, so it is
+        refused by name, in JSON (the ``NaN`` literal) and in an array."""
+        n = 1 << bits
+        rows = [[c, z, 1.0 / (n * n)] for c in range(n) for z in range(n)]
+        text = json.dumps({"c_bits": bits, "z_bits": bits, "probs": rows})
+        text = text.replace(f"[0, 1, {1.0 / (n * n)!r}]", f"[0, 1, {cell}]")
+        with pytest.raises(ValueError, match=r"non-finite probability at \(0, 1\)"):
+            TrialDistribution.from_json(text)
+        joint = np.full((n, n), 1.0 / (n * n))
+        joint[0, 1] = float(cell.lower().replace("infinity", "inf"))
+        with pytest.raises(ValueError, match=r"non-finite probability at \(0, 1\)"):
+            TrialDistribution(bits, bits, joint)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["[0, 0, true]", "[true, 0, 0.25]", "[0, false, 0.25]"],
+        ids=["value", "outcome", "input"],
+    )
+    def test_json_booleans_refused(self, row):
+        rows = [[c, z, 0.25] for c in range(2) for z in range(2)]
+        text = json.dumps({"c_bits": 1, "z_bits": 1, "probs": rows})
+        text = text.replace("[1, 0, 0.25]", row)
+        with pytest.raises(ValueError, match=r"distribution JSON row \[.*\] is not a list"):
+            TrialDistribution.from_json(text)
+
+    def test_array_and_mapping_inputs_give_one_distribution(self, nu_e):
+        """A ``(c, z)`` mapping and its array build the same arrays and JSON;
+        a roundoff negative is clipped to 0, a -0.0 kept as ``max(p, 0.0)``
+        keeps it, and a wrong shape refused."""
+        small = np.array([[-1e-13, 0.5], [0.5 + 1e-13, -0.0]])
+        for bits, joint in ((2, nu_e.joint), (1, small)):
+            probs = {(c, z): float(joint[c, z]) for z in range(1 << bits) for c in range(1 << bits)}
+            a, b = TrialDistribution(bits, bits, probs), TrialDistribution(bits, bits, joint)
+            for name in ("joint", "mu", "cond"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.to_json() == b.to_json() and list(a.probs) == sorted(probs)
+        assert a.joint[0, 0] == 0.0 and math.copysign(1.0, a.joint[1, 1]) == -1.0
+        assert '[1, 1, -0.0]' in a.to_json()
+        with pytest.raises(ValueError, match=r"must cover the full \(c, z\) grid"):
+            TrialDistribution(2, 2, nu_e.joint[:, :2])
 
     def test_input_marginal(self, nu_e):
         assert abs(nu_e.mu.sum() - 1.0) <= 1e-12

@@ -15,15 +15,17 @@ engine reads must.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qpe import accounting, qef_engine
+from qpe import accounting, estimators, qef_engine
 from qpe.accounting import ErrorBudget, n_min_eat_from_ee
-from qpe.models import family_distribution
+from qpe.estimators import QefpConstant
+from qpe.models import TrialDistribution, family_distribution
 from qpe.qef_engine import NUMERIC_SLACK, TrialFunction, chain, power_reduce
 
 # -- the dict formulas --------------------------------------------------------
@@ -133,6 +135,11 @@ def random_factor(rng, shape, sparse, kind):
     """A factor over ``shape`` with cells in ``table`` order; a sparse one
     keeps its cells ``(c, c mod n_z[, t])``, so every input and the largest
     index on each axis stay."""
+    return TrialFunction(*random_values(rng, shape, sparse, kind))
+
+
+def random_values(rng, shape, sparse, kind):
+    """``(values, beta, role)`` of :func:`random_factor`'s factor."""
     cells = [
         cell for cell in np.ndindex(*shape)
         if not sparse or cell[1] == cell[0] % shape[1] or rng.random() < 0.6
@@ -144,7 +151,7 @@ def random_factor(rng, shape, sparse, kind):
         vals = rng.uniform(-1.0, 1.5, len(cells))
         vals[rng.random(len(cells)) < 0.25] = -math.inf
     role = "ee" if kind == "ee" else "candidate"
-    return TrialFunction(dict(zip(cells, vals.tolist())), 0.2, role)
+    return dict(zip(cells, vals.tolist())), 0.2, role
 
 
 CASES = [
@@ -274,3 +281,162 @@ def test_key_types_the_array_checks_pass_over():
         assert all(type(i) is int for key in F.values for i in key)
         assert F.values == plain
         assert np.array_equal(F.table, TrialFunction(plain, 0.1).table)
+
+
+# -- the array input and the read-only views ------------------------------------
+
+
+def ref_to_json(values, beta, role):
+    """``to_json`` as it was written from the stored dict."""
+    domain = "cz" if len(next(iter(values))) == 2 else "czt"
+    rows = [[*k, values[k]] for k in sorted(values)]
+    return json.dumps({"beta": beta, "role": role, "domain": domain, "values": rows})
+
+
+def ref_ee_from_qef(F):
+    if F.beta is None:
+        raise ValueError("an estimation factor with a power is required")
+    values = {}
+    for key, v in F.values.items():
+        if v < 0.0:
+            raise ValueError(f"negative value at {key}")
+        if v == 0.0:
+            warnings.warn(f"zero estimation-factor value at {key}", RuntimeWarning)
+            values[key] = -math.inf
+        else:
+            values[key] = math.log(v) / F.beta
+    return TrialFunction(values, None, role="ee")
+
+
+def ref_qefp_from_constant(K, const):
+    beta, c = const.beta, const.c_value
+    denom = 1.0 + c * beta * beta / 2.0
+    values = {
+        key: math.exp(beta * k) / denom if math.isfinite(k) else 0.0
+        for key, k in K.values.items()
+    }
+    return TrialFunction(values, beta, role="qefp")
+
+
+def ref_ee_from_maxprob(B, b_bar, conditional=True):
+    if not (0.0 < b_bar <= 1.0):
+        raise ValueError("the expectation bound must lie in (0, 1]")
+    log_b = math.log(b_bar)
+    values = {}
+    for key, b in B.values.items():
+        if conditional and not (0.0 <= b <= 1.0 + 1e-12):
+            raise ValueError(
+                f"conditional guessing probability {b} outside [0, 1] at {key}"
+            )
+        values[key] = -log_b + 1.0 - b / b_bar
+    return TrialFunction(values, None, role="ee")
+
+
+def warned_outcome(fn, *args):
+    """``(result bits or exception type and message, warning messages)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = "ok", bits(fn(*args))
+        except (ValueError, TypeError) as exc:
+            out = "raised", type(exc), str(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("shape, sparse, kind, seed", CASES)
+def test_array_and_mapping_inputs_give_one_factor(shape, sparse, kind, seed):
+    """The same factor from its ``{key: value}`` mapping and from its array:
+    one table, one ``values`` view in C order, and the JSON the stored dict
+    wrote; the estimators read it as their dict loops did."""
+    rng = np.random.default_rng([len(shape), shape[0], sparse, KINDS.index(kind), seed])
+    values, beta, role = random_values(rng, shape, sparse, kind)
+    array = np.full(shape, np.nan)
+    for key, v in values.items():
+        array[key] = v
+    F, G = TrialFunction(values, beta, role), TrialFunction(array, beta, role)
+    assert bits(F.table) == bits(G.table) == bits(array)
+    assert not G.table.flags.writeable and G.table.flags.c_contiguous
+    assert list(F.values.items()) == list(G.values.items()) == sorted(values.items())
+    assert F.to_json() == G.to_json() == ref_to_json(values, beta, role)
+    for key in values:
+        assert bits(F.value(*key)) == bits(values[key])
+
+    const = QefpConstant(beta=0.1, c_value=3.0)
+    for fn, ref, args in [
+        (estimators.ee_from_qef, ref_ee_from_qef, ()),
+        (estimators.qefp_from_constant, ref_qefp_from_constant, (const,)),
+        (estimators.ee_from_maxprob, ref_ee_from_maxprob, (0.8,)),
+        (estimators.ee_from_maxprob, ref_ee_from_maxprob, (0.8, False)),
+    ]:
+        for H in (F, G):
+            assert warned_outcome(fn, H, *args) == warned_outcome(ref, H, *args)
+
+
+def test_estimators_name_the_cell_they_refuse():
+    """A zero warns and a negative value is refused, each by its cell, and a
+    guessing table's entry outside [0, 1] is named with its value."""
+    F = TrialFunction({(0, 0): 0.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 0.0}, 0.2)
+    with pytest.warns(RuntimeWarning) as caught:
+        K = estimators.ee_from_qef(F)
+    assert [str(w.message) for w in caught] == [
+        "zero estimation-factor value at (0, 0)", "zero estimation-factor value at (1, 1)"
+    ]
+    assert K.value(0, 0) == K.value(1, 1) == -math.inf
+    with pytest.raises(ValueError, match=r"negative value at \(1, 0\)"):
+        estimators.ee_from_qef(TrialFunction({(0, 0): 1.0, (1, 0): -1.0}, 0.2, "ee"))
+    with pytest.raises(ValueError, match=r"probability 2\.0 outside \[0, 1\] at \(1, 0\)"):
+        estimators.ee_from_maxprob(F, 0.8)
+
+
+def test_views_are_read_only_and_match_the_arrays():
+    """Writing to ``values`` or ``probs`` raises TypeError, so the JSON and
+    the engine read one function; both views read the array's cells."""
+    values = {(c, z): 1.0 + c + 2 * z for c in range(2) for z in range(2)}
+    probs = {(c, z): 0.25 for c in range(2) for z in range(2)}
+    for F in (TrialFunction(values, 0.1), TrialFunction(np.array([[1.0, 3.0], [2.0, 4.0]]), 0.1)):
+        with pytest.raises(TypeError):
+            F.values[(0, 0)] = 7.0
+        assert dict(F.values) == values and F.value(0, 0) == F.table[0, 0] == 1.0
+    for nu in (TrialDistribution(1, 1, probs), TrialDistribution(1, 1, np.full((2, 2), 0.25))):
+        with pytest.raises(TypeError):
+            nu.probs[(0, 0)] = 0.9
+        assert dict(nu.probs) == probs
+        assert all(nu.joint[key] == p for key, p in nu.probs.items())
+
+
+def test_value_raises_key_error_off_the_domain():
+    F = TrialFunction({(0, 0): 1.0, (1, 0): 2.0, (1, 1): 3.0}, 0.1)
+    assert F.table.shape == (2, 2) and np.isnan(F.table[0, 1])
+    for key in [(0, 1), (2, 0), (0, 2), (-1, 0), (0,), (0, 0, 0)]:
+        with pytest.raises(KeyError):
+            F.value(*key)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.array([[1.0, np.inf]]), r"non-finite value at \(0, 1\)"),
+        (np.array([[1.0, -1.0]]), "requires nonnegative values"),
+        (np.full((2, 2), np.nan), "not 2 or 3 axes with a value"),
+        (np.ones(4), "not 2 or 3 axes with a value"),
+    ],
+    ids=["inf", "negative", "all-nan", "one-axis"],
+)
+def test_array_input_gets_the_value_checks(table, message):
+    with pytest.raises(ValueError, match=message):
+        TrialFunction(table, 0.1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "[[0, 0, true], [1, 0, 1.0]]",
+        "[[0, 0, 1.0], [true, 0, 1.0]]",
+        "[[0, false, 1.0], [1, 0, 1.0]]",
+    ],
+    ids=["value", "outcome", "input"],
+)
+def test_factor_json_refuses_booleans(rows):
+    text = '{"beta": 0.1, "role": "candidate", "values": ' + rows + "}"
+    with pytest.raises(ValueError, match=r"factor JSON row \[.*(True|False).*\] is not a list"):
+        TrialFunction.from_json(text)
