@@ -6,12 +6,16 @@ supremum brackets), ``mintrials`` (trial-count comparison tables and rate
 curves), ``run`` (threshold and banked protocols), ``expand`` (spot-check
 rate tables).  Exit status 0 covers protocol failures (they are a reported
 outcome, not an error); 1 marks internal errors, 2 usage errors.
+
+The argument parser is built on the first :func:`main` call in a process
+and shared by every later call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -122,7 +126,7 @@ def _result_json(result) -> str:
             "success": bool(result.success),
             "bits": None
             if result.bits is None
-            else "".join(str(int(b)) for b in result.bits),
+            else (np.asarray(result.bits, dtype=np.uint8) + ord("0")).tobytes().decode(),
             "log2_f": result.log2_f if math.isfinite(result.log2_f) else None,
             "log2_f_min": result.params.log2_f_min,
             "trials_used": result.trials_used,
@@ -243,7 +247,15 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qpe`` parser, built on the first call and shared after it.
+
+    It holds no mutable default, and ``parse_args`` returns a fresh
+    namespace each time, so calls share nothing.  The subcommands bind their
+    ``_cmd_*`` functions here; those look up the rest of the module at call
+    time.
+    """
     parser = argparse.ArgumentParser(
         prog="qpe", description="Quantum probability estimation tools."
     )
@@ -329,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``qpe`` command; its exit status.
+
+    Every call in a process parses with the one parser of
+    :func:`build_parser`, built on the first call.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "mintrials" and not args.curves:

@@ -110,6 +110,10 @@ class TrialFunction:
         else:
             # A copy, C-ordered; a complex array raises TypeError.
             table = np.asarray(self.table).astype(float, order="C", casting="same_kind")
+            on = table == table
+            if 0 < np.count_nonzero(on) < table.size:
+                # Each axis ends at its last index with a value, as a mapping's largest key ends it.
+                table = table[tuple(slice(int(ix.max()) + 1) for ix in np.nonzero(on))].copy()
         # Entropy estimators may claim nothing (-inf) on an outcome.
         bad = table == math.inf if self.role == "ee" else np.isinf(table)
         if bad.any():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import functools
@@ -20,8 +21,10 @@ from qpe.cli import main
 from qpe.models import TrialDistribution, chsh_value
 from qpe.pef_opt import LOCAL_TABLES, optimize_pef_polytope
 from qpe.protocols import (
+    ProtocolResult,
     design_params,
     read_records,
+    run_protocol1,
     run_protocol2,
     sample_records,
     write_records,
@@ -62,6 +65,110 @@ def records_file(tmp_path, nu_e):
     records = sample_records(nu_e, 4000, np.random.default_rng(12))
     write_records(str(path), records)
     return str(path)
+
+
+class TestParser:
+    """One parser serves every ``main`` call in a process, and no call leaves
+    state in it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_calls_share_one_parser(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["family", "--family", "W", "--param", "0.9"]
+        assert main(argv) == 0
+        first = list(built)
+        assert first[0] == "qpe" and len(first) == 7  # the parser and its six subcommands
+        for _ in range(3):
+            assert main(argv) == 0
+        assert built == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_crosses_calls(self, tmp_path, capsys):
+        """Each command gives the same exit status and output on a fresh
+        parser and on the shared one, after a seeded command, a usage error
+        and a refused command; the seed is back at its default."""
+        family = ["family", "--family", "W", "--param", "0.9"]
+        steps = [
+            ["--seed", "7", *family],
+            ["family", "--family", "X", "--param", "0.9"],
+            ["mintrials", "--family", "W", "--params", "0.72:1.0:2",
+             "--beta-grid", "0.05,-0.2", "-o", str(tmp_path / "bad.csv")],
+            family,
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        first = [run(argv) for argv in steps]
+        assert [code for code, _, _ in first] == [0, 2, 1, 0]
+        assert first[0][1] == first[3][1] and "usage:" in first[1][2]
+        assert [run(argv) for argv in steps] == first
+        parser = cli.build_parser()
+        seeded, plain = parser.parse_args(steps[0]), parser.parse_args(family)
+        assert (seeded.seed, plain.seed) == (7, 0) and seeded is not plain
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("family", "optimize", "certify", "mintrials", "run", "expand"):
+            assert name in out
+
+
+def ref_result_json(result) -> str:
+    """``_result_json`` as it wrote the bits one ``str(int(b))`` at a time."""
+    return json.dumps(
+        {
+            "success": bool(result.success),
+            "bits": None if result.bits is None else "".join(str(int(b)) for b in result.bits),
+            "log2_f": result.log2_f if math.isfinite(result.log2_f) else None,
+            "log2_f_min": result.params.log2_f_min,
+            "trials_used": result.trials_used,
+            "bank_used": result.bank_used,
+        }
+    )
+
+
+def test_result_json_writes_the_bits_of_each_outcome(qef02, nu_e):
+    """Toeplitz bits, the banked fallback's reserve (protocol 2 on local
+    records, and on a short stream) and a failure give the bytes of the
+    per-bit join."""
+    rng = np.random.default_rng(5)
+    params = design_params(qef02, 4000, 1024, 1e-3)
+    records = sample_records(nu_e, 4000, rng)
+    low = np.unravel_index(np.nanargmin(qef02.table), qef02.table.shape)
+    local = np.tile(np.array(low, dtype=np.int64), (4000, 1))  # the factor's least cell each trial
+    seed = rng.integers(0, 2, size=params.seed_length(banked=True))
+    bank = rng.integers(0, 2, size=params.k_o)
+    extracted = run_protocol1(params, records, seed[: params.seed_length()])
+    fallback = run_protocol2(params, local, seed, bank)
+    assert extracted.success and extracted.bits.size == 1024
+    assert fallback.bank_used == params.k_o and np.array_equal(fallback.bits, bank)
+    results = [
+        extracted,
+        fallback,
+        ProtocolResult(True, bank.astype(np.uint8), 0.0, 0, params, params.k_o),
+        ProtocolResult(False, None, -math.inf, 0, params),
+    ]
+    for result in results:
+        assert cli._result_json(result) == ref_result_json(result)
 
 
 class TestFamily:

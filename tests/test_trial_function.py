@@ -413,6 +413,40 @@ def test_value_raises_key_error_off_the_domain():
 
 
 @pytest.mark.parametrize(
+    "full, cells, shape, stations",
+    [
+        ((2, 4), [(0, 0), (0, 1), (1, 0), (1, 1)], (2, 2), 1),
+        ((3, 6), [(0, 0), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3)], (2, 4), 2),
+        ((4, 2), [(0, 0), (0, 1), (2, 0), (2, 1)], (3, 2), 1),
+        ((2, 2, 2), [(0, 0, 0)], (1, 1, 1), None),
+        ((2, 2, 3), [(c, z, t) for c in range(2) for z in range(2) for t in range(2)], (2, 2, 2), 1),
+        ((4, 4, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 0, 0), (2, 1, 0)], (3, 2, 2), 1),
+    ],
+    ids=["trailing-z", "interior-and-trailing-z", "interior-and-trailing-c", "one-cell",
+         "trailing-t", "interior-and-trailing-czt"],
+)
+def test_array_ends_each_axis_at_its_last_value(full, cells, shape, stations):
+    """An array factor keeps its interior NaN slices and drops its trailing
+    ones, as its mapping form does, so it and its JSON round trip agree on
+    the table, the view and the station count."""
+    table = np.full(full, math.nan)
+    for i, key in enumerate(cells):
+        table[key] = 1.0 + i
+    F = TrialFunction(table, 0.1)
+    G = TrialFunction.from_json(F.to_json())
+    assert F.table.shape == G.table.shape == shape
+    assert F.table.flags.c_contiguous and not F.table.flags.writeable
+    assert bits(F.table) == bits(G.table)
+    assert list(F.values.items()) == list(G.values.items()) == [(k, 1.0 + i) for i, k in enumerate(cells)]
+    if stations is None:  # one input is not a power of two
+        for H in (F, G):
+            with pytest.raises(ValueError, match="do not fill a power of two"):
+                H.stations
+    else:
+        assert F.stations == G.stations == stations
+
+
+@pytest.mark.parametrize(
     "table, message",
     [
         (np.array([[1.0, np.inf]]), r"non-finite value at \(0, 1\)"),
