@@ -12,12 +12,14 @@ input choices).
 Records are ``(n, 2)`` int64 arrays of ``(c, z)`` rows from end to end.
 They are read from ``.npy`` files or from JSON lines.  A JSON-lines file in
 exactly the format ``write_records`` writes for single-digit values is read
-as bytes and checked against that line's template; any other file is parsed
-in chunks by ``json.loads``, which alone gives the values of other formats
-and the errors that name a malformed line.  The threshold test is one
-``cumsum`` over a table of log factors, and the Toeplitz hash is a sum mod
-2 of blocked FFT convolutions, each block checked against its rounding
-error and recomputed by exact window sums if that check fails.
+as bytes and checked eight bytes at a time against that line's template;
+any other file is parsed in chunks by ``json.loads``, which alone gives the
+values of other formats and the errors that name a malformed line.  The
+threshold test is one ``cumsum`` over a table of log factors, and the
+Toeplitz hash is a sum mod 2 of FFT convolutions over blocks of one short
+FFT length, batched eight blocks to a group: each group is inverted once,
+checked against its rounding error and recomputed by exact window sums if
+that check fails.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from .accounting import _log2_offset
 from .models import TrialDistribution
 from .qef_engine import TrialFunction, _as_records, chain
 
-# Smallest FFT length of a Toeplitz hash block: bounds the FFT's memory and
-# keeps its rounding error far below one half.
-_FFT_BLOCK = 1 << 15
+# Least FFT length of a Toeplitz hash block, and blocks per batched FFT: a
+# group's arrays stay about L2-sized and its rounding error far below one
+# half.
+_FFT_MIN = 1 << 12
+_FFT_GROUP = 8
 # Lines per ``json.loads`` call, or per byte-template check, when reading
-# JSON-lines records.
+# JSON-lines records: a multiple of 8, since 8 template lines are 17 words.
 _CHUNK_LINES = 4096
 
 
@@ -62,16 +66,21 @@ def toeplitz_extract(
     ``len(input) + k_o - 1``); output bit ``j`` is the parity of the input
     against the reversed seed window ``seed[j : j + len(input)]``.
 
-    Each block's integer products with its seed segment are read from one
-    real FFT convolution, rounded with ``rint`` and reduced mod 2, and the
-    blocks' parities are summed mod 2.  The FFT length is the larger of
-    ``2**15`` and the smallest power of two above ``2 * k_o - 2``, and a
-    block holds as many input bits as that FFT can convolve with their
-    ``m + k_o - 1`` seed bits without wrap-around: the FFT length less
-    ``k_o - 1``, so at least ``k_o``.  A last, shorter block gets the
-    shortest such FFT.  The sums are below the block length, so the float
-    rounding error is about 1e-10; a block whose largest error reaches 0.25
-    is recomputed by exact integer window sums instead.
+    The input is cut into blocks that share one FFT length: the smallest
+    power of two of at least ``max(2**12, 4 * k_o)``, or the shortest one
+    block needs (a power of two of at least ``len(input) + k_o - 1``) if
+    that is shorter.  A block holds that length less ``k_o - 1`` input bits,
+    the most its ``m + k_o - 1`` seed bits convolve with free of
+    wrap-around, so at least three quarters of the FFT; the last block is
+    padded with zeros.  The blocks go in groups of ``_FFT_GROUP``: each
+    group's seed segments and input pieces are transformed by one batched
+    real FFT each, their spectrum products summed and inverted once, and
+    the group's window sums read off, rounded with ``rint`` and reduced
+    mod 2.  The sums are below the group's input length, so the float
+    rounding error stays far below one half; a group whose largest error
+    reaches 0.25 is recomputed by exact integer window sums instead.  The bits are
+    taken as ``astype(np.int64) & 1`` one group at a time, so no float copy
+    of the whole input is made.
     """
     seed = np.asarray(seed_bits)
     data = np.asarray(input_bits)
@@ -81,26 +90,48 @@ def toeplitz_extract(
             f"seed length must be {n_in + k_o - 1}, got {seed.size}"
         )
     out = np.zeros(k_o, dtype=np.int64)
-    block = max(_FFT_BLOCK, 1 << (2 * k_o - 2).bit_length()) - k_o + 1
-    for start in range(0, n_in, block):
-        stop = min(start + block, n_in)
-        m = stop - start
-        # A circular convolution at least as long as the segment leaves
-        # the k_o entries read below free of wrap-around.
-        size = 1 << (m + k_o - 2).bit_length()
-        # Output j of this block is conv(segment, block)[m - 1 + j].
-        segment = seed[n_in - stop : n_in - start + k_o - 1].astype(np.int64) & 1
-        piece = data[start:stop].astype(np.int64) & 1
-        conv = np.fft.irfft(
-            np.fft.rfft(segment, size) * np.fft.rfft(piece, size), size
-        )[m - 1 : m - 1 + k_o]
+    size = min(
+        1 << (max(_FFT_MIN, 4 * k_o) - 1).bit_length(),
+        1 << (max(n_in, 1) + k_o - 2).bit_length(),
+    )
+    m = size - k_o + 1
+    blocks = -(-n_in // m)
+    for first in range(0, blocks, _FFT_GROUP):
+        g = min(_FFT_GROUP, blocks - first)
+        # Block b holds data[b*m : (b+1)*m] and is convolved with
+        # seed[n_in - (b+1)*m : n_in - b*m + k_o - 1]; row i of the group's
+        # pieces is block first + g - 1 - i, so its segment is window i of
+        # the group's seed range.
+        lo = first * m
+        pieces = _padded_bits(data, lo, lo + g * m).reshape(g, m)[::-1]
+        span = _padded_bits(seed, n_in - lo - g * m, n_in - lo + k_o - 1)
+        segments = np.lib.stride_tricks.sliding_window_view(span, size)[::m]
+        # Output j of every block is conv(segment, piece)[m - 1 + j].
+        spectrum = (
+            np.fft.rfft(segments, axis=1) * np.fft.rfft(pieces, size, axis=1)
+        ).sum(axis=0)
+        conv = np.fft.irfft(spectrum, size)[m - 1 : m - 1 + k_o]
         sums = np.rint(conv)
-        if np.abs(conv - sums).max() < 0.25:
-            out ^= sums.astype(np.int64) & 1
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view(segment, m)
-            out ^= (windows[:, ::-1] @ piece) & 1
+        if not np.abs(conv - sums).max() < 0.25:
+            sums = _window_sums(segments, pieces)
+        out ^= sums.astype(np.int64) & 1
     return out
+
+
+def _padded_bits(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``bits[start:stop].astype(np.int64) & 1`` as float64, zero where the
+    range leaves ``bits``."""
+    out = np.zeros(stop - start)
+    lo, hi = max(start, 0), min(stop, bits.size)
+    out[lo - start : hi - start] = bits[lo:hi].astype(np.int64) & 1
+    return out
+
+
+def _window_sums(segments: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """A group's integer window sums, exactly: summed over its blocks, each
+    piece against the reversed windows of its segment."""
+    windows = np.lib.stride_tricks.sliding_window_view(segments, pieces.shape[1], axis=1)
+    return np.einsum("bjm,bm->j", windows[:, :, ::-1], pieces)
 
 
 def _require_certified(F: TrialFunction) -> None:
@@ -370,33 +401,52 @@ def _read_canonical(path: str) -> np.ndarray | None:
 
     Such a line is ``json.dumps({"c": D, "z": D})`` and a newline, 17 bytes
     whose two digit columns are read as ``byte - 48``.  The file is read
-    about 4096 lines at a time as bytes, and each line is checked against
-    that template, the digit columns against ``0`` to ``9``.  Returns None,
+    about 4096 lines at a time into one reused buffer, and each chunk is
+    checked eight bytes at a time, as ``uint64`` words against the line
+    template tiled over it (eight lines are 17 words): every byte must
+    equal the template's, but for the high four bits only in the digit
+    columns, so a digit byte lies in ``0x30`` to ``0x3F``.  A last chunk
+    that is not a whole number of words has its tail checked byte by byte.
+    The digit columns are then read as two strided columns less 48, and a
+    value above 9 is refused, so a file is read exactly when each line is
+    the template with ``0`` to ``9`` in its digit columns.  Returns None,
     having read nothing, for a path that is not a regular file (a pipe has
     no size) or whose size is not a whole number of lines; and at the first
-    byte that does not fit.
+    chunk that does not fit.
     """
     line = np.frombuffer((json.dumps({"c": 0, "z": 0}) + "\n").encode(), np.uint8)
-    # Largest allowed byte - template byte per column, as uint8 (a byte
-    # below the template's wraps round to a large value).
-    limit = np.where(line == ord("0"), 9, 0).astype(np.uint8)
-    digits = np.flatnonzero(limit)
+    digits = np.flatnonzero(line == ord("0"))
     if not os.path.isfile(path):
         return None
     n, extra = divmod(os.path.getsize(path), line.size)
     if extra:
         return None
     records = np.empty((n, 2), dtype=np.int64)
+    # _CHUNK_LINES is a multiple of 8, so each full chunk is whole words.
+    lines = min(_CHUNK_LINES, -(-n // 8) * 8)
+    template = np.tile(line, lines)
+    mask = np.tile(np.where(line == ord("0"), 0xF0, 0xFF).astype(np.uint8), lines)
+    words, mask_words = template.view(np.uint64), mask.view(np.uint64)
+    buf = np.empty(template.size, np.uint8)
     with open(path, "rb") as fh:
         for start in range(0, n, _CHUNK_LINES):
             count = min(_CHUNK_LINES, n - start)
-            chunk = np.frombuffer(fh.read(count * line.size), np.uint8)
-            if chunk.size != count * line.size:
+            size = count * line.size
+            if fh.readinto(buf[:size]) != size:
                 return None
-            rows = chunk.reshape(count, line.size) - line
-            if (rows > limit).any():
+            whole = size // 8
+            if not np.array_equal(buf.view(np.uint64)[:whole] & mask_words[:whole],
+                                  words[:whole]):
                 return None
-            records[start : start + count] = rows[:, digits]
+            tail = slice(8 * whole, size)
+            if not np.array_equal(buf[tail] & mask[tail], template[tail]):
+                return None
+            rows = buf[:size].reshape(count, line.size)
+            out = records[start : start + count]
+            out[:, 0], out[:, 1] = rows[:, digits[0]], rows[:, digits[1]]
+            out -= ord("0")
+            if out.max() > 9:
+                return None
     return records
 
 
@@ -424,7 +474,8 @@ def read_records(path: str) -> np.ndarray:
 
     A file in exactly the format ``write_records`` writes for values 0 to
     9 (every line ``{"c": D, "z": D}`` and a newline) is read as bytes,
-    with no ``json.loads``.  At the first byte that does not fit that
+    checked as ``uint64`` words against the tiled line template, with no
+    ``json.loads``.  At the first chunk with a byte that does not fit that
     format (a size that is not a whole number of 17-byte lines, a blank
     line, CRLF, other spacing or key order, extra keys, a value of more
     than one digit, a last line without its newline) the file is parsed

@@ -69,9 +69,9 @@ class TrialFunction:
     the domain; only an entropy estimator may hold ``-inf``.  Every engine
     path reads it.  Producers in ``qpe`` pass the array; JSON and outside
     input pass a ``{key: weight}`` mapping, whose keys are tuples ``(c, z)``
-    or ``(c, z, t)`` of nonnegative integers below the key count, as wide as
-    the first key and spanning at most 4 cells a key (a ValueError names a
-    key that breaks this rule).  :attr:`values` is the read-only mapping
+    or ``(c, z, t)`` of nonnegative integers below 4 times the key count, as
+    wide as the first key and spanning at most 4 cells a key (a ValueError
+    names a key that breaks this rule).  :attr:`values` is the read-only mapping
     view.  ``beta`` is the power of the defining inequality, or ``None`` for
     roles without one (entropy estimators, guessing-probability tables).
     """
@@ -189,8 +189,9 @@ class TrialFunction:
 def _key_columns(keys: list) -> tuple[tuple[int, ...], ...]:
     """The index columns of ``keys`` (the ``c``'s, the ``z``'s, any ``t``'s)
     under the key rule of ``TrialFunction``; a ValueError names the first key
-    that breaks it."""
-    n = len(keys)
+    that breaks it.  An index at or past 4 times the key count would span
+    more than 4 cells a key, so it is refused before any table is sized."""
+    n = 4 * len(keys)
     uniform = set(map(type, keys)) == {tuple} and len(set(map(len, keys))) == 1
     cols = tuple(zip(*keys)) if uniform else ()
     flat = list(itertools.chain(*cols))
@@ -201,7 +202,7 @@ def _key_columns(keys: list) -> tuple[tuple[int, ...], ...]:
             isinstance(i, (int, np.integer)) and 0 <= i < n for i in key
         )):
             raise ValueError(f"key {key!r} is not a tuple of 2 or 3 nonnegative integers "
-                             f"below the key count {n}")
+                             f"below {n}, 4 times the key count")
         if len(key) != len(keys[0]):
             raise ValueError(f"key {key!r} is not as wide as the first key {keys[0]!r}")
     return tuple(zip(*(map(int, key) for key in keys)))  # tuple subclasses, NumPy integers

@@ -7,12 +7,14 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qpe import protocols
 from qpe.models import bits_of
 from qpe.protocols import (
     _CHUNK_LINES,
@@ -32,7 +34,9 @@ from qpe.protocols import (
 )
 from qpe.qef_engine import TrialFunction
 
-BLOCK = 2**15
+# Least FFT length of a hash block, and blocks per batched FFT.
+BLOCK = 2**12
+GROUP = 8
 
 
 def flat_factor(value, beta=0.5, poison=None):
@@ -76,8 +80,10 @@ def window_sums(seed, data, k_o):
 
 
 def data_block(k_o):
-    """Input bits per FFT block: the FFT length less ``k_o - 1``."""
-    return max(BLOCK, 1 << (2 * k_o - 2).bit_length()) - k_o + 1
+    """Input bits per FFT block of an input longer than one block: the FFT
+    length, the least power of two of at least ``max(BLOCK, 4 * k_o)``, less
+    ``k_o - 1``."""
+    return max(BLOCK, 1 << (4 * k_o - 1).bit_length()) - k_o + 1
 
 
 def popcount_toeplitz(seed, data, k_o):
@@ -144,14 +150,19 @@ class TestToeplitzExtract:
     @pytest.mark.parametrize(
         "n_in, k_o",
         [(1, 1), (100, 7), (1019, 7), (BLOCK - 1, 7), (BLOCK, 300), (BLOCK + 1, 300),
-         (3 * BLOCK, 2), (3 * BLOCK + 17, 300), (50, BLOCK + 3)],
+         (3 * BLOCK, 2), (3 * BLOCK + 17, 300), (50, BLOCK + 3),
+         (BLOCK - 6, 7), (3073, 1024), (3074, 1024), (2, 4),
+         (2**15 - 1, 7), (2**15, 300), (2**15 + 1, 300), (3 * 2**15, 2),
+         (3 * 2**15 + 17, 300), (50, 2**15 + 3)],
     )
     def test_matches_dense_product_across_blocks(self, n_in, k_o):
-        """Both sides of the FFT block boundaries, and k_o above the block.
+        """Both sides of the smallest FFT's length, inputs of two to four
+        groups of blocks, and k_o above the smallest FFT.
 
-        At (1019, 7) the seed segment is one longer than a power of two, and
-        every full block's segment is exactly its FFT length: the shortest
-        FFTs free of wrap-around.
+        An input fits one block when its seed fits the FFT: (BLOCK - 6, 7)
+        and (3073, 1024) fill it, and (3074, 1024) is one bit past.  At
+        (1019, 7) and (2, 4) the seed is one longer than a power of two: the
+        one block gets the shortest FFT free of wrap-around.
         """
         rng = np.random.default_rng(n_in + k_o)
         seed = rng.integers(0, 2, size=n_in + k_o - 1)
@@ -161,10 +172,10 @@ class TestToeplitzExtract:
         assert np.array_equal(got, dense_toeplitz_product(seed, data, k_o))
 
     def test_several_blocks_longer_than_default(self):
-        """k_o above 2**15 sets the FFT length, 2**17, and so the block
-        length; three blocks of it."""
+        """k_o above a quarter of 2**12 sets the FFT length, 2**13, and so
+        the block length; three blocks of it."""
         rng = np.random.default_rng(15)
-        k_o = BLOCK + 3
+        k_o = BLOCK // 4 + 3
         n_in = 2 * data_block(k_o) + 5
         seed = rng.integers(0, 2, size=n_in + k_o - 1)
         data = rng.integers(0, 2, size=n_in)
@@ -173,17 +184,18 @@ class TestToeplitzExtract:
 
     @pytest.mark.parametrize("noise", [0.4, 0.6])
     def test_rounding_guard_falls_back_to_exact_sums(self, monkeypatch, noise):
-        """Noise of 0.6 would flip every parity that ``rint`` reads."""
+        """Noise of 0.6 would flip every parity that ``rint`` reads.  The
+        input is two groups of blocks, and each falls back once."""
         rng = np.random.default_rng(16)
-        n_in, k_o = BLOCK + 5, 16
+        k_o = 16
+        n_in = GROUP * data_block(k_o) + 5
         seed = rng.integers(0, 2, size=n_in + k_o - 1)
         data = rng.integers(0, 2, size=n_in)
         want = dense_toeplitz_product(seed, data, k_o)
-        windows = np.lib.stride_tricks.sliding_window_view
+        exact = protocols._window_sums
         fallbacks = []
         monkeypatch.setattr(
-            np.lib.stride_tricks, "sliding_window_view",
-            lambda *a, **kw: fallbacks.append(1) or windows(*a, **kw),
+            protocols, "_window_sums", lambda *a: fallbacks.append(1) or exact(*a)
         )
         assert np.array_equal(toeplitz_extract(seed, data, k_o), want)
         assert not fallbacks
@@ -195,7 +207,7 @@ class TestToeplitzExtract:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
         n_in=st.integers(1, 3 * BLOCK),
-        k_o=st.one_of(st.integers(1, 64), st.integers(BLOCK // 2 - 2, BLOCK + 2)),
+        k_o=st.one_of(st.integers(1, 64), st.integers(BLOCK // 4 - 2, BLOCK + 2)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_linear_in_input_and_seed(self, n_in, k_o, seed):
@@ -213,20 +225,20 @@ class TestToeplitzExtract:
         )
 
     @settings(max_examples=12, derandomize=True, deadline=None)
-    @example(k_o=BLOCK // 2 + 1, blocks=1, offset=1, seed=2)
+    @example(k_o=BLOCK // 4 + 1, blocks=1, offset=1, seed=2)
     @given(
-        k_o=st.sampled_from([1, 2, 7, 300, 1024, BLOCK // 2 - 1, BLOCK // 2]),
+        k_o=st.sampled_from([1, 2, 7, 300, 1000, BLOCK // 4 - 1, BLOCK // 4]),
         blocks=st.sampled_from([1, 2]),
         offset=st.sampled_from([-1, 0, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_window_sums_at_block_edges(self, k_o, blocks, offset, seed):
         """Inputs one bit short of, at and one past a whole number of data
-        blocks, with k_o on both sides of half the smallest FFT, where the
-        FFT length doubles (the explicit example)."""
+        blocks, with k_o on both sides of a quarter of the smallest FFT,
+        where the FFT length doubles (the explicit example)."""
         # The exact sums cost k_o * n_in products: one block is enough at
-        # k_o near half the FFT.
-        assume(blocks == 1 or k_o < BLOCK // 2 - 1)
+        # k_o near a quarter of the FFT.
+        assume(blocks == 1 or k_o < BLOCK // 4 - 1)
         n_in = blocks * data_block(k_o) + offset
         rng = np.random.default_rng(seed)
         seed_bits = rng.integers(0, 2, size=n_in + k_o - 1)
@@ -241,6 +253,53 @@ class TestToeplitzExtract:
         data = rng.integers(0, 2, size=n_in)
         got = toeplitz_extract(seed, data, k_o)
         assert np.array_equal(got, popcount_toeplitz(seed, data, k_o))
+
+    @pytest.mark.parametrize("k_o", [1, 7, BLOCK // 4, BLOCK + 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_popcount_at_group_edges(self, k_o, offset):
+        """One bit short of, at and one past a whole group of blocks: the
+        last group is full, or holds one block of a single bit."""
+        n_in = GROUP * data_block(k_o) + offset
+        rng = np.random.default_rng([k_o, offset + 1])
+        seed = rng.integers(0, 2, size=n_in + k_o - 1)
+        data = rng.integers(0, 2, size=n_in)
+        got = toeplitz_extract(seed, data, k_o)
+        assert np.array_equal(got, popcount_toeplitz(seed, data, k_o))
+
+    @pytest.mark.parametrize("k_o", [1, 9, 2000])
+    def test_empty_input_hashes_to_zeros(self, k_o):
+        got = toeplitz_extract(np.ones(k_o - 1, dtype=np.uint8), np.zeros(0), k_o)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.zeros(k_o, dtype=np.int64))
+
+    def test_float_and_uint8_bits(self):
+        """Bits are taken as ``astype(np.int64) & 1``, whatever the dtype:
+        2.0 and 2.7 hash as 0, 3.0 as 1."""
+        rng = np.random.default_rng(18)
+        n_in, k_o = GROUP * data_block(64) + 100, 64
+        seed = rng.integers(0, 4, size=n_in + k_o - 1)
+        data = rng.integers(0, 4, size=n_in)
+        want = popcount_toeplitz(seed & 1, data & 1, k_o)
+        for s, d in ((seed, data), (seed + 0.7, data.astype(float)),
+                     (seed.astype(np.uint8), data.astype(np.uint8) + 0.2)):
+            got = toeplitz_extract(s, d, k_o)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_memory_bounded_by_one_group(self):
+        """Hashing 2e6 bits allocates well under one float64 copy of the
+        input (16 MB), whatever the input's length."""
+        rng = np.random.default_rng(19)
+        n_in, k_o = 2 * 10**6, 4096
+        seed = rng.integers(0, 2, size=n_in + k_o - 1, dtype=np.uint8)
+        data = rng.integers(0, 2, size=n_in, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            toeplitz_extract(seed, data, k_o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
 
 class TestProtocolParams:
@@ -718,6 +777,36 @@ class TestRecords:
         assert _read_canonical(str(path)) is None
         got = read_records(str(path))
         assert np.array_equal(got, _read_jsonl(str(path)))
+
+    def test_every_byte_in_every_column_checked(self, tmp_path):
+        """Each of the 256 byte values in each column of one line gives
+        the records, or None, exactly as the byte rule does: every byte as
+        in the template, but for a digit from ``0`` to ``9`` in the digit
+        columns.
+
+        The file is 11 lines, 23 words and a 3-byte tail, and the line
+        edited is the last: it spans two words and the tail.
+        """
+        template = np.frombuffer(b'{"c": 0, "z": 0}\n', np.uint8)
+        limit = np.where(template == ord("0"), 9, 0)
+        rng = np.random.default_rng(20)
+        base = (np.tile(template, (11, 1))
+                + (limit > 0) * rng.integers(0, 10, size=(11, 17))).astype(np.uint8)
+        path = tmp_path / "records.jsonl"
+        accepted = 0
+        for column in range(17):
+            for value in range(256):
+                rows = base.copy()
+                rows[-1, column] = value
+                path.write_bytes(rows.tobytes())
+                got = _read_canonical(str(path))
+                if ((rows - template).astype(np.uint8) > limit).any():
+                    assert got is None, (column, value)
+                else:
+                    accepted += 1
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, rows[:, limit > 0] - ord("0"))
+        assert accepted == 15 + 2 * 10
 
     def test_malformed_canonical_width_line_named(self, tmp_path):
         """A 17-byte line with a letter for a digit gets the parse's error."""

@@ -446,6 +446,41 @@ def test_array_ends_each_axis_at_its_last_value(full, cells, shape, stations):
         assert F.stations == G.stations == stations
 
 
+def _sparse(shape, cells):
+    table = np.full(shape, math.nan)
+    for i, key in enumerate(cells):
+        table[key] = 1.0 + i
+    return table
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[1.0, math.nan, 2.0, 3.0]]),
+        _sparse((1, 8), [(0, 0), (0, 7)]),
+        _sparse((8, 1), [(0, 0), (7, 0)]),
+        _sparse((4, 2), [(0, 0), (3, 1)]),
+        _sparse((1, 2, 4), [(0, 0, 0), (0, 1, 3)]),
+    ],
+    ids=["three-cells-z3", "two-cells-z7", "two-cells-c7", "corners", "czt-corners"],
+)
+def test_array_factor_with_interior_nan_round_trips(table):
+    """An array factor whose keys span at most 4 cells a key writes JSON
+    that reads back to the same table, also when an index passes the key
+    count; at the span rule's limit of 4 cells a key as well."""
+    F = TrialFunction(table, 0.1)
+    G = TrialFunction.from_json(F.to_json())
+    assert bits(F.table) == bits(G.table)
+    assert G.to_json() == F.to_json()
+
+
+def test_index_at_four_times_the_key_count_is_named():
+    """Two keys may span 8 cells: an index of 8 is refused by name, before
+    any table is sized by it."""
+    with pytest.raises(ValueError, match=r"key \(0, 8\) is not .* below 8, 4 times the key count"):
+        TrialFunction({(0, 0): 1.0, (0, 8): 2.0}, 0.1)
+
+
 @pytest.mark.parametrize(
     "table, message",
     [
