@@ -41,7 +41,7 @@ from .protocols import (
     sample_records,
     write_records,
 )
-from .qef_engine import TrialFunction, certify_fmax
+from .qef_engine import TrialFunction, certify_fmax, check_gap_target
 
 
 # Seed bits drawn per ``rng.integers`` call (see ``_random_bits``).
@@ -78,6 +78,8 @@ def _station_config(F: TrialFunction) -> BellConfig:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    if args.certify is not None:
+        check_gap_target(args.certify)
     nu = _load_distribution(args.dist)
     tables = LOCAL_TABLES if args.local_only else None
     F, rate = optimize_pef_polytope(nu, args.beta, tables=tables)

@@ -157,12 +157,40 @@ class CanonicalState:
             raise ValueError("state must have unit trace")
 
 
+def _grid_vectors(angles: Sequence[float]) -> np.ndarray:
+    """The :func:`povm_vectors` rows over the full grid, ``(2**k * 2**k, 2**k)``.
+
+    Row ``z * 2**k + c`` spans the projector of ``(c, z)``.  The stations'
+    vectors are arranged with one axis per input bit and per outcome bit,
+    highest bit first, so that each station's factor is one broadcast
+    multiply; the products are the ones :func:`povm_vectors` forms, in the
+    same order, so the rows are the same bits.
+    """
+    k = len(angles)
+    pairs = np.zeros((k, 2))
+    pairs[:, 1] = angles
+    table = _station_table(pairs)
+
+    def station(i: int) -> np.ndarray:
+        # Station i's ``[x, c, :]`` table on the axes of input bit i and outcome bit i.
+        shape = [1] * (2 * k) + [2]
+        shape[k - 1 - i] = shape[2 * k - 1 - i] = 2
+        return table[i].reshape(shape)
+
+    V = station(0)
+    for i in range(1, k):
+        V = V[..., :, None] * station(i)[..., None, :]
+        V = V.reshape(V.shape[:-2] + (-1,))
+    return V.reshape(1 << 2 * k, 1 << k)
+
+
 def canonical_cq_state(s: CanonicalState) -> CqDistribution:
     """Blocks ``2**-k sqrt(tau) P_{c|z} sqrt(tau)`` over the full ``(c, z)`` grid.
 
     With ``P_{c|z} = v v^T`` for a row ``v`` of :func:`povm_vectors`, a block
     is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.  The ``u`` form
-    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``.  Each input's
+    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``, built from the rows of
+    :func:`_grid_vectors`.  Each input's
     projectors sum to the identity, so every marginal is ``tau / 2**k`` on
     ``tau``'s support: its spectrum is ``tau``'s, which the state's
     positivity check decomposed, over ``2**k``.  The distribution is built
@@ -170,8 +198,7 @@ def canonical_cq_state(s: CanonicalState) -> CqDistribution:
     block or marginal is decomposed.
     """
     d = s.config.dim
-    z, c = np.divmod(np.arange(d * d), d)
-    U = povm_vectors(s.config.angles, c, z) @ s.tau.power(0.5) / math.sqrt(d)
+    U = _grid_vectors(s.config.angles) @ s.tau.power(0.5) / math.sqrt(d)
     marginal = (s.tau._on_support(lambda w: w) / d, s.tau.eigenvectors)
     return CqDistribution._rank_one(U.reshape(d, d, d), marginal)
 

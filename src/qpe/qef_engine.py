@@ -138,6 +138,16 @@ class TrialFunction:
             raise ValueError("this trial function carries no power")
         return 1.0 + self.beta
 
+    @functools.cached_property
+    def order(self) -> RenyiOrder:
+        """The Renyi order ``alpha = 1 + beta`` of the defining inequality, built once."""
+        return RenyiOrder(self.alpha)
+
+    @functools.cached_property
+    def _weights_by_shape(self) -> dict:
+        # The weight grids of qef_inequality_check, by state shape.
+        return {}
+
     @property
     def stations(self) -> int:
         """Station count ``k``: the factor's inputs, ``table.shape[1]``, number ``2**k``."""
@@ -232,16 +242,33 @@ def qef_inequality_check(
     support geometry that ``rho`` builds on its first check and keeps, so
     checks of one state at further orders and kinds decompose nothing but
     the sandwiched kind's ``r x r`` matrices, and nothing at all when every
-    block has rank one, as a canonical state's do.  The weights are read from
-    ``F.table``.  Every cell of ``rho`` must be in ``F``'s domain; a
-    ValueError names the first one, ``z`` major, that is not.
+    block has rank one, as a canonical state's do.  The factor builds its
+    Renyi order once, and its weights over a state's cells, read from
+    ``F.table``, once per state shape, and keeps both.  Every cell of
+    ``rho`` must be in ``F``'s domain; a ValueError names the first one,
+    ``z`` major, that is not.
     """
-    order = RenyiOrder(F.alpha)
-    weights, missing = _values_on(F, len(rho.z_range), len(rho.c_range))
-    if missing is not None:
-        raise ValueError(f"cell {missing} of the state is outside the factor's domain")
+    order = F.order
+    weights = _check_weights(F, rho)
     powers = _renyi_on_support(rho._support(), order, kind, normalized=False)
-    return rho.trace_total() - float((weights * powers).sum())
+    return rho.trace_total() - float(np.vdot(weights, powers))
+
+
+def _check_weights(F: TrialFunction, rho: CqDistribution) -> np.ndarray:
+    """``F(c, z)`` at ``[z, c]`` over ``rho``'s cells, contiguous and
+    read-only: built once per factor and state shape, and kept on the
+    factor.  A ValueError names the first cell, ``z`` major, outside
+    ``F``'s domain."""
+    shape = (len(rho.z_range), len(rho.c_range))
+    weights = F._weights_by_shape.get(shape)
+    if weights is None:
+        weights, missing = _values_on(F, *shape)
+        if missing is not None:
+            raise ValueError(f"cell {missing} of the state is outside the factor's domain")
+        weights = np.ascontiguousarray(weights)
+        weights.setflags(write=False)
+        F._weights_by_shape[shape] = weights
+    return weights
 
 
 def _values_on(F: TrialFunction, n_z: int, n_c: int) -> tuple[np.ndarray | None, tuple | None]:
@@ -802,7 +829,9 @@ def inner_max_tau(
     form.  One configuration's blocks share a dimension, so they are solved
     in one stack, unpadded, by BFGS ascents that stop on their certified
     gaps (see :func:`_maximize_block`).  Each station angle in
-    ``theta`` is read modulo ``2 pi``, and the inputs are uniform.
+    ``theta`` is read modulo ``2 pi``, and the inputs are uniform.  A NaN or
+    negative ``tol`` is refused with a ValueError: no gap meets it, so the
+    ascent would run to its cap.
 
     Returns
     -------
@@ -813,6 +842,8 @@ def inner_max_tau(
         blocks, one per point the ascent evaluates; ``_MAX_PAIRS`` (10000)
         caps that count per block.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     config = _config_for(theta)
     value, tau, bound, converged, pairs, traces = _solve_vertices(
         F, np.array([config.angles]), tol, 0, keep_trace
@@ -1062,6 +1093,16 @@ class CertificationResult:
         )
 
 
+def check_gap_target(gap_target: float) -> None:
+    """Raise a ValueError naming ``gap_target`` unless it is finite and positive.
+
+    A NaN target would pass a plain ``<= 0`` test, and then no cell bound
+    exceeds the witness by more than it, so no cell is split.
+    """
+    if not 0.0 < gap_target < math.inf:
+        raise ValueError(f"gap target must be finite and positive, got {gap_target!r}")
+
+
 def certify_fmax(
     F: TrialFunction,
     config: BellConfig,
@@ -1111,12 +1152,14 @@ def certify_fmax(
     ``tau**(1/alpha) = tau`` and the factor's functional equals
     :func:`q_alpha`.
 
+    ``gap_target`` must be finite and positive (:func:`check_gap_target`);
+    anything else is refused before any solve.
+
     ``workers`` is ignored: each sweep's vertices are solved as one batch in
     this process.  The keyword is still accepted so that existing callers
     keep working.
     """
-    if gap_target <= 0.0:
-        raise ValueError("gap target must be positive")
+    check_gap_target(gap_target)
     k = config.k
     if k != F.stations:
         raise ValueError(f"{k} station angles for a trial function of {F.stations} stations")

@@ -10,10 +10,17 @@ Operators come in stacks.  A :class:`HermitianOperator` holds one matrix or
 an ``(..., d, d)`` stack of them, and computes the spectra of the whole stack
 at most once, by one broadcast eigendecomposition.  Every check, clip and
 kernel cut applies to each matrix on its own, with tolerances relative to
-that matrix.  A :class:`CqDistribution` keeps its blocks and its marginals in
+that matrix.  Each check runs once per operand, where its data is first
+needed, and what it derives is kept beside the spectrum: the Hermitian and
+finiteness check at construction, the reconstruction check with the
+decomposition, the positivity floor with the clipped eigenvalues, and the
+kernel cut with the support mask that every power and log reads.
+A :class:`CqDistribution` keeps its blocks and its marginals in
 one such stack, decomposed together; one built from rank-one blocks
 ``conj(u) u^T`` and a known marginal spectrum decomposes nothing, its
-supports read from ``u`` and checked like a decomposition.
+supports read from ``u`` and checked like a decomposition.  It keeps the
+support geometry of its blocks against its marginals, so each further
+Renyi power of it is a few broadcast products.
 :func:`renyi_power` broadcasts over stacks and works on the support of each
 ``rho``, so a whole distribution is evaluated in a few array calls; one
 matrix is the stack of one.
@@ -78,22 +85,26 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + _dagger(m)) / 2.0
 
 
-def _fro(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.square(np.abs(m)).sum(axis=(-2, -1)))
+def _fro2(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    return np.square(np.abs(m)).sum(axis=(-2, -1))
 
 
 def _check_spectrum(m: np.ndarray, w: np.ndarray, v: np.ndarray, what: str) -> None:
     """Raise unless ``v diag(w) v*`` reconstructs each matrix of ``m``.
 
     The residual's Frobenius norm must be at most ``TOL_SPECTRUM`` times the
-    larger of 1 and the matrix's own; ``v`` may hold fewer columns than
-    ``m``, for a spectrum known on a support only.
+    larger of 1 and the matrix's own (compared squared; a NaN residual
+    fails).  ``v`` may hold fewer columns than ``m``, for a spectrum known
+    on a support only, and ``w`` and ``v`` may lack ``m``'s stack axes, for
+    one spectrum shared by every matrix of the stack: it is reconstructed
+    once, and each matrix's residual is still tested on its own.
     """
-    resid = _fro(_from_spectrum(w, v) - m)
-    bad = resid > TOL_SPECTRUM * np.maximum(1.0, _fro(m))
-    if _any(bad):
-        i = _first(bad)
-        raise ValueError(f"{what}{_where(i)}: residual {resid[i]:.3e}")
+    resid = _fro2(_from_spectrum(w, v) - m)
+    ok = resid <= TOL_SPECTRUM**2 * np.maximum(1.0, _fro2(m))
+    if np.count_nonzero(ok) != ok.size:
+        i = _first(~ok)
+        raise ValueError(f"{what}{_where(i)}: residual {math.sqrt(resid[i]):.3e}")
 
 
 def _norms(w: np.ndarray) -> np.ndarray:
@@ -139,9 +150,15 @@ class HermitianOperator:
     matrix of a stack on its own.  Per-matrix quantities (:meth:`trace`,
     :meth:`is_psd`) are Python scalars for one matrix and arrays over the
     stack axes for a stack.
+
+    What is derived from the spectrum is computed once and kept beside it,
+    read-only: the reconstruction check runs with the decomposition, the
+    positivity floor on first use by :meth:`is_psd` or
+    :meth:`psd_eigenvalues` (one test serves both), and the support mask
+    and clipped eigenvalues on first use by a power, a log or a support.
     """
 
-    __slots__ = ("_m", "dim", "_spectrum", "_psd")
+    __slots__ = ("_m", "dim", "_spectrum", "_floor", "_psd", "_support")
 
     def __init__(self, entries) -> None:
         m = np.asarray(entries, dtype=complex)
@@ -154,19 +171,20 @@ class HermitianOperator:
         if np.count_nonzero(scale < math.inf) != scale.size:
             raise ValueError("matrix entries must be finite")
         mh = _dagger(m)
-        skew = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
-        bad = skew > TOL_HERM * scale
+        # Each entry's skew against its own matrix's tolerance: no second reduction.
+        skew = np.abs(m - mh)
+        bad = skew > TOL_HERM * scale[..., None, None]
         if _any(bad):
-            i = _first(bad)
+            i = _first(bad)[:-2]
             raise ValueError(
-                f"matrix{_where(i)} is not Hermitian: skew {skew[i]:.3e} exceeds "
+                f"matrix{_where(i)} is not Hermitian: skew {skew[i].max():.3e} exceeds "
                 f"{TOL_HERM:.0e} * {scale[i]:.3e}"
             )
         m = (m + mh) / 2.0
         m.setflags(write=False)
         self._m = m
         self.dim = int(m.shape[-1])
-        self._spectrum = self._psd = None
+        self._spectrum = self._floor = self._psd = self._support = None
 
     @classmethod
     def _wrap(cls, m: np.ndarray, spectrum=None, psd=None) -> "HermitianOperator":
@@ -174,6 +192,7 @@ class HermitianOperator:
         # with whatever spectra are known: no check is repeated.
         out = object.__new__(cls)
         out._m, out.dim, out._spectrum, out._psd = m, int(m.shape[-1]), spectrum, psd
+        out._floor = out._support = None
         return out
 
     def _at(self, index: tuple) -> "HermitianOperator":
@@ -222,9 +241,14 @@ class HermitianOperator:
     # -- positive-semidefinite helpers ----------------------------------
 
     def _psd_floor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues, each matrix's least eigenvalue, and its roundoff floor."""
-        w = self.eigenvalues
-        return w, w.min(axis=-1, initial=0.0), -TOL_PSD * np.maximum(1e-300, _norms(w))
+        """Each matrix's least eigenvalue, its roundoff floor, and whether
+        it clears the floor (False for NaN); computed once."""
+        if self._floor is None:
+            w = self.eigenvalues
+            low = w.min(axis=-1, initial=0.0)
+            floor = -TOL_PSD * np.maximum(1e-300, _norms(w))
+            self._floor = (low, floor, low >= floor)
+        return self._floor
 
     def psd_eigenvalues(self) -> np.ndarray:
         """Eigenvalues with roundoff negatives clipped to zero, cached.
@@ -235,28 +259,39 @@ class HermitianOperator:
         is raised.
         """
         if self._psd is None:
-            w, low, floor = self._psd_floor()
-            bad = low < floor
-            if _any(bad):
-                i = _first(bad)
+            low, floor, ok = self._psd_floor()
+            if np.count_nonzero(ok) != ok.size:
+                i = _first(~ok)
                 raise ValueError(
                     f"operator{_where(i)} is not positive semidefinite: min eigenvalue "
                     f"{low[i]:.3e} below {floor[i]:.3e}"
                 )
-            self._psd = np.maximum(w, 0.0)
+            self._psd = np.maximum(self.eigenvalues, 0.0)
             self._psd.setflags(write=False)
         return self._psd
 
     def is_psd(self):
         """Whether each matrix passes :meth:`psd_eigenvalues`."""
-        _, low, floor = self._psd_floor()
-        return _per_matrix(low >= floor)
+        return _per_matrix(self._psd_floor()[2])
+
+    def _support_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(on, safe)``, computed once: ``on`` marks each matrix's support,
+        its clipped eigenvalues above ``KERNEL_CUT`` times its largest, and
+        ``safe`` holds those eigenvalues with 1 on the kernel, where any
+        power of them is finite."""
+        if self._support is None:
+            w = self.psd_eigenvalues()
+            on = w > KERNEL_CUT * w[..., :1]
+            safe = np.where(on, w, 1.0)
+            on.setflags(write=False)
+            safe.setflags(write=False)
+            self._support = (on, safe)
+        return self._support
 
     def _on_support(self, f) -> np.ndarray:
         # f of the clipped eigenvalues on each matrix's support, 0 on its kernel.
-        w = self.psd_eigenvalues()
-        on = w > KERNEL_CUT * w[..., :1]
-        return np.where(on, f(np.where(on, w, 1.0)), 0.0)
+        on, w = self._support_data()
+        return np.where(on, f(w), 0.0)
 
     def _power(self, p: float) -> np.ndarray:
         return _from_spectrum(self._on_support(lambda w: w**p), self.eigenvectors)
@@ -298,16 +333,21 @@ class CqDistribution:
     :attr:`blocks` is the ``(n_z, n_c, d, d)`` stacked operator of the
     blocks.  :attr:`marginals` stacks the ``n_z`` block sums over outcomes
     as ``(n_z, 1, d, d)``, so that it broadcasts against the blocks; the sums
-    are taken over the symmetrized blocks.  Built from blocks, both are
+    are taken over the symmetrized blocks, and a sum of exactly Hermitian
+    matrices is exactly Hermitian, so they need no symmetrizing of their
+    own.  Built from blocks, both are
     views of one ``(n_z, n_c + 1, d, d)`` operator, which is checked and
     decomposed once, by one broadcast eigendecomposition, at construction.
     Built by :meth:`_rank_one` from vectors ``u`` and a known marginal
     spectrum, nothing is decomposed: each block's support is ``u`` itself,
     and the blocks' full spectra are decomposed only if a caller asks for
-    them.  The support geometry of the blocks against their marginals,
-    which every Renyi power of the state reads whatever its order and kind,
-    is built and checked the first time it is used and kept
-    (:meth:`_support`); the total trace is taken once, at construction.
+    them.  Both are still checked by their residuals, the marginals each on
+    its own against the one reconstruction of the shared spectrum.  The
+    support geometry of the blocks against their marginals, which every
+    Renyi power of the state reads whatever its order and kind, is built and
+    checked the first time it is used and kept (:meth:`_support`), and the
+    marginals' operator keeps its support mask and clipped eigenvalues; the
+    total trace is taken once, at construction.
     The object is a value type: blocks are not mutated after construction.
     """
 
@@ -321,9 +361,7 @@ class CqDistribution:
             raise ValueError(f"a block array must be (n_z, n_c, d, d), got shape {stack.shape}")
         n_c = stack.shape[1]
         checked = HermitianOperator(stack).matrix
-        both = np.concatenate(
-            [checked, _hermitian_part(checked.sum(axis=1, keepdims=True))], axis=1
-        )
+        both = np.concatenate([checked, checked.sum(axis=1, keepdims=True)], axis=1)
         both.setflags(write=False)
         ops = HermitianOperator._wrap(both)
         ops._eig()  # before the views are cut, so that they share one decomposition
@@ -340,40 +378,49 @@ class CqDistribution:
 
         ``u`` is an ``(n_z, n_c, d)`` array, and ``marginal_spectrum`` is
         ``(w, V)``: descending eigenvalues, clipped to zero on the kernel,
-        and their eigenvectors, shared by every marginal.  Each block has support weight ``|u|^2`` along
-        ``conj(u) / |u|``.  Both spectra are checked against the stored
-        matrices by their reconstruction residuals, as a decomposition is;
-        the blocks and marginals are stored as :meth:`__init__` stores them,
-        so the matrices are the same bits.
+        and their eigenvectors, shared by every marginal.  Each block has
+        support weight ``|u|^2`` along ``conj(u) / |u|``.  Both spectra are
+        checked against the stored matrices by their reconstruction
+        residuals, as a decomposition is: the shared spectrum is
+        reconstructed once and compared with each marginal, whose residual
+        is tested on its own and names its stack index.  The blocks and
+        marginals are stored as :meth:`__init__` stores them, so the
+        matrices are the same bits.
         """
         u = np.asarray(u, dtype=complex)
         if u.ndim != 3 or 0 in u.shape[:2]:
             raise ValueError(f"a vector array must be (n_z, n_c, d), got shape {u.shape}")
         if not np.isfinite(u).all():
             raise ValueError("matrix entries must be finite")
+        ub = u.conj()
         # Where the multiply is fused, the outer products are Hermitian only
         # to roundoff: they are symmetrized, as __init__ symmetrizes.
-        blocks = _hermitian_part(u.conj()[..., :, None] * u[..., None, :])
-        marginals = _hermitian_part(blocks.sum(axis=1, keepdims=True))
+        blocks = _hermitian_part(ub[..., :, None] * u[..., None, :])
+        marginals = blocks.sum(axis=1, keepdims=True)
         lam = np.square(np.abs(u)).sum(axis=-1, keepdims=True)
         norm = np.sqrt(lam)
-        E = np.divide(u.conj(), norm, out=np.zeros_like(u), where=norm > 0.0)[..., None]
+        E = np.divide(ub, norm, out=np.zeros_like(u), where=norm > 0.0)[..., None]
         _check_spectrum(blocks, lam, E, "block support does not reconstruct the block")
         w, V = marginal_spectrum
-        w, V = np.broadcast_to(w, marginals.shape[:-1]), np.broadcast_to(V, marginals.shape)
         _check_spectrum(marginals, w, V, "marginal spectrum does not reconstruct the marginal")
-        for x in (blocks, marginals, lam, E):
+        # Each marginal keeps its own copy of the shared spectrum, so that
+        # it can be indexed out of the stack.
+        W = np.empty(marginals.shape[:-1])
+        W[...] = w
+        VV = np.empty(marginals.shape, dtype=complex)
+        VV[...] = V
+        for x in (blocks, marginals, lam, E, W, VV):
             x.setflags(write=False)
         out = object.__new__(cls)
         out._fill(
             HermitianOperator._wrap(blocks),
-            HermitianOperator._wrap(marginals, (w, V), w),
+            HermitianOperator._wrap(marginals, (W, VV), W),
             (lam, E),
         )
         return out
 
     def _fill(self, blocks: HermitianOperator, marginals: HermitianOperator, known) -> None:
-        # ``known``: the blocks' support ``(lam, E)`` when it is known, else None.
+        # ``known``: the blocks' rank-one support ``(lam, E)`` when it is known, else None.
         self.blocks, self.marginals = blocks, marginals
         self.dim = blocks.dim
         n_z, n_c = blocks.matrix.shape[:2]
@@ -381,7 +428,7 @@ class CqDistribution:
         self.z_range = tuple(range(n_z))
         self._known = known
         self._geometry = None
-        self._total = float(blocks.trace().sum())
+        self._total = float(blocks.matrix.diagonal(0, -2, -1).real.sum())
 
     @classmethod
     def classical(cls, probs: Mapping) -> "CqDistribution":
@@ -461,10 +508,13 @@ class _Geometry(NamedTuple):
     sigma: HermitianOperator
     # Whether each rho is nonzero.
     live: np.ndarray
-    # Each rho's clipped support eigenvalues ``lam[..., :r]`` and its top r
-    # eigenvectors in sigma's eigenbasis; None when no rho is live.
+    # Each rho's clipped support eigenvalues ``lam[..., :r]``, its top r
+    # eigenvectors in sigma's eigenbasis ``C``, and ``|C|^2``, which the
+    # Petz kind and the rank-one sandwiched kind read; None when no rho is
+    # live.
     lam: np.ndarray | None
     C: np.ndarray | None
+    C2: np.ndarray | None
 
 
 def _support_geometry(rho, sigma, support=None) -> _Geometry:
@@ -472,23 +522,30 @@ def _support_geometry(rho, sigma, support=None) -> _Geometry:
 
     Raises the support errors of :func:`renyi_power`; the arrays it keeps
     are read-only, so one geometry serves any number of orders and kinds.
-    ``support``, when given, is each ``rho``'s known ``(lam, E)``: its
-    largest clipped eigenvalues, descending along the last axis of ``lam``,
-    and their eigenvectors as the columns of ``E``.  It stands in for
-    ``rho``'s decomposition and passes the same checks.
+    ``support``, when given, is each ``rho``'s known rank-one support
+    ``(lam, E)``: ``lam[..., :1]`` its one eigenvalue, ``tr rho``, and the
+    column of ``E`` its unit vector (zero where ``lam`` is).  It stands in
+    for ``rho``'s decomposition and passes the same checks.  Both kinds read
+    ``sigma``'s support data, which its operator computes once and keeps,
+    so ``sigma``'s positivity is checked here, with the support.
     """
     rho = _as_operator(rho)
     sigma = _as_operator(sigma)
     if rho.dim != sigma.dim:
         raise ValueError("operands must share dimension")
-    # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the largest.
-    lam = rho.psd_eigenvalues() if support is None else support[0]
-    on = lam > KERNEL_CUT * lam[..., :1]
-    live = on.any(axis=-1)
-    dead_sigma = _norms(sigma.eigenvalues) <= 0.0
+    # Each rho's support: its eigenvalues above ``KERNEL_CUT`` times the
+    # largest, so a rho is live exactly when its largest is on it.
+    if support is None:
+        lam, E = rho.psd_eigenvalues(), rho.eigenvectors
+        on = rho._support_data()[0]
+    else:
+        # One eigenvalue, the largest: on the support exactly when positive.
+        lam, E = support
+        on = lam > 0.0
+    live = on[..., 0]
     if not _any(live):
-        return _Geometry(rho, sigma, live, None, None)
-    bad = live & dead_sigma
+        return _Geometry(rho, sigma, live, None, None, None)
+    bad = live & ~sigma._support_data()[0][..., 0]
     if _any(bad):
         raise ValueError(
             f"sigma = 0 with rho != 0{_where(_first(bad))} violates support containment"
@@ -501,15 +558,15 @@ def _support_geometry(rho, sigma, support=None) -> _Geometry:
             f"support of rho leaks outside support of sigma{_where(i)}: "
             f"relative mass {leak[i]:.3e} > {SUPPORT_TOL:.0e}"
         )
-
-    r = int(on.sum(axis=-1).max())
-    lam = (lam * on)[..., :r]
+    if support is None:
+        r = int(on.sum(axis=-1).max())
+        lam, E = (lam * on)[..., :r], E[..., :r]
     # The support vectors in sigma's eigenbasis.
-    E = rho.eigenvectors if support is None else support[1]
-    C = _dagger(sigma.eigenvectors) @ E[..., :r]
-    lam.setflags(write=False)
-    C.setflags(write=False)
-    return _Geometry(rho, sigma, live, lam, C)
+    C = _dagger(sigma.eigenvectors) @ E
+    C2 = np.square(np.abs(C))
+    for x in (lam, C, C2):
+        x.setflags(write=False)
+    return _Geometry(rho, sigma, live, lam, C, C2)
 
 
 def _renyi_on_support(geometry: _Geometry, order: RenyiOrder, kind: str, normalized: bool):
@@ -519,24 +576,29 @@ def _renyi_on_support(geometry: _Geometry, order: RenyiOrder, kind: str, normali
     alpha, beta = order.alpha, order.beta
     if kind == "petz" and alpha > 2.0 + 1e-12:
         raise ValueError("petz powers are only supported for alpha <= 2")
-    rho, sigma, live, lam, C = geometry
+    rho, sigma, live, lam, C, C2 = geometry
     if lam is None:
         # Both-zero and rho-zero cases are defined as 0.
         shape = np.broadcast_shapes(live.shape, sigma.eigenvalues.shape[:-1])
         return _per_matrix(np.zeros(shape))
-    if kind == "sandwiched":
+    if kind == "petz":
+        s = sigma._on_support(lambda w: w**-beta)
+        value = (lam**alpha * (C2 * s[..., :, None]).sum(axis=-2)).sum(axis=-1)
+    elif lam.shape[-1] == 1:
+        # One support vector: Z* Z is 1 x 1, its own eigenvalue
+        # lam sum_j |C_j|^2 s_j^(-beta/alpha).
+        s = sigma._on_support(lambda w: w ** (-beta / alpha))
+        value = (lam[..., 0] * (C2[..., 0] * s).sum(axis=-1)) ** alpha
+    else:
         s = sigma._on_support(lambda w: w ** (-beta / (2.0 * alpha)))
         Z = C * (s[..., :, None] * np.sqrt(lam)[..., None, :])
-        if lam.shape[-1] == 1:
-            # One support vector: Z* Z is 1 x 1, its eigenvalue sum |Z|^2.
-            w = np.square(np.abs(Z)).sum(axis=-2)
-        else:
-            # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than checked.
-            w = HermitianOperator(_hermitian_part(_dagger(Z) @ Z)).psd_eigenvalues()
+        # Z* Z is Hermitian up to roundoff, so it is symmetrized rather than
+        # checked; its decomposition is checked by its residual, as any is,
+        # and its eigenvalues against the positivity floor.
+        ZZ = _hermitian_part(_dagger(Z) @ Z)
+        ZZ.setflags(write=False)
+        w = HermitianOperator._wrap(ZZ).psd_eigenvalues()
         value = (w**alpha).sum(axis=-1)
-    else:
-        s = sigma._on_support(lambda w: w**-beta)
-        value = (lam**alpha * (np.square(np.abs(C)) * s[..., :, None]).sum(axis=-2)).sum(axis=-1)
     if normalized:
         value = value / np.where(live, rho.trace(), 1.0)
     return _per_matrix(value)
@@ -590,13 +652,21 @@ def renyi_power(
     matrix is ``Z* Z`` with ``Z = sigma^{-beta/(2 alpha)} E diag(lam)^(1/2)``.
     No ``d x d`` product is decomposed and no power of either operand is
     formed as a matrix: a full-rank ``rho`` costs a ``d x d`` eigenvalue
-    problem, as the product did, and when ``r`` is 1 the ``1 x 1`` matrix
-    ``Z* Z`` is its own eigenvalue, ``sum |Z|^2``, so nothing is decomposed.
+    problem, as the product did.  ``Z* Z`` is symmetrized by construction,
+    so it is not checked for being Hermitian again; its decomposition is
+    checked by its residual and its eigenvalues against the positivity
+    floor.  With ``C = V* E`` and ``s_j`` the eigenvalues of ``sigma``
+    (``V`` its eigenvectors), the Petz power is
+    ``sum_i lam_i^alpha sum_j |C_ji|^2 s_j^{-beta}``, and when ``r`` is 1
+    the ``1 x 1`` matrix ``Z* Z`` is its own eigenvalue, so the sandwiched
+    power is ``(lam sum_j |C_j|^2 s_j^{-beta/alpha})^alpha`` and nothing is
+    decomposed: one broadcast product each.
 
     The work splits in two steps.  The first builds what no order changes:
     the clipped spectra, the ``rho = 0`` and ``sigma = 0`` cases, the
-    support-containment check, ``r``, ``lam`` and ``C = V* E`` with ``V``
-    the eigenvectors of ``sigma``.  The second takes that geometry with an
+    support-containment check, ``r``, ``lam``, ``C`` and ``|C|^2``; each
+    operand's clipped spectrum and support mask are kept on the operand.
+    The second takes that geometry with an
     order and a kind, and returns the powers.  A :class:`CqDistribution`
     keeps the first step's result for its blocks against its marginals, so
     a state checked at many orders decomposes and checks its support once;
@@ -619,8 +689,7 @@ def conditional_entropy(rho: CqDistribution) -> float:
     """
     rho.require_normalized("conditional_entropy")
     w = rho.blocks.psd_eigenvalues()
-    on = w > KERNEL_CUT * w[..., :1]
-    own = (w * np.log(np.where(on, w, 1.0))).sum()
+    own = (w * np.log(rho.blocks._support_data()[1])).sum()
     cross = np.real(np.trace(
         rho.blocks.matrix @ rho.marginals.support_log(), axis1=-2, axis2=-1
     )).sum()

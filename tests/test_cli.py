@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpe import cli
+from qpe import cli, qef_engine
 from qpe.cli import main
 from qpe.models import TrialDistribution, chsh_value
 from qpe.pef_opt import LOCAL_TABLES, optimize_pef_polytope
@@ -354,6 +354,30 @@ class TestOptimizeCertify:
         assert out["gap_target"] == 1e-5
         assert out["f_upper"] - out["f_lower"] > 1e-5
         assert CertificationResult.from_json(cert.read_text()).gap_flag
+
+    @pytest.mark.parametrize("gap", ["nan", "inf", "-1e-3", "0"])
+    @pytest.mark.parametrize("command", ["optimize", "certify"])
+    def test_gap_outside_its_domain_is_refused_before_any_solve(
+        self, tmp_path, dist_file, qef_file, monkeypatch, capsys, command, gap
+    ):
+        """A gap target that is not finite and positive is refused by value:
+        both commands exit 1 before the polytope program or any vertex
+        solve, and write no file."""
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "optimize_pef_polytope", no_solve)
+        monkeypatch.setattr(qef_engine, "_solve_vertices", no_solve)
+        out = tmp_path / "out.json"
+        if command == "optimize":
+            argv = ["optimize", "--dist", dist_file, "--beta", "0.05", f"--certify={gap}"]
+        else:
+            argv = ["certify", "--function", qef_file, f"--gap={gap}"]
+        assert main([*argv, "-o", str(out)]) == 1
+        value = repr(float(gap))
+        assert capsys.readouterr().err == f"error: gap target must be finite and positive, got {value}\n"
+        assert not out.exists()
 
     def test_missing_input_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpe import qef_engine, quantum_core
+from qpe import models, qef_engine, quantum_core
 from qpe.models import (
     BellConfig,
     CanonicalState,
@@ -520,6 +521,186 @@ class TestClosedFormCanonicalState:
             CqDistribution._rank_one(bad, (w, V))
         with pytest.raises(ValueError, match=r"must be \(n_z, n_c, d\)"):
             CqDistribution._rank_one(u[0], (w, V))
+
+
+def _counting(monkeypatch) -> collections.Counter:
+    """Counts, from here on, of ``np.linalg.eigh`` calls, Hermitian checks
+    (``HermitianOperator.__init__``), reconstruction checks
+    (``_check_spectrum``) and positivity floors (each computes one ``_norms``)."""
+    counts = collections.Counter()
+
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(HermitianOperator, "__init__", counted("hermitian", HermitianOperator.__init__))
+    for key, name in (("reconstruction", "_check_spectrum"), ("floor", "_norms")):
+        monkeypatch.setattr(quantum_core, name, counted(key, getattr(quantum_core, name)))
+    return counts
+
+
+class TestSupportRecords:
+    """Each operand's support data is computed once and read by every later
+    check: the work per call is pinned, the results are those of fresh
+    operands, and every refusal still happens."""
+
+    def test_canonical_state_and_its_checks_count(self, monkeypatch):
+        """One ``eigh`` (``tau``), one Hermitian check (``tau``), three
+        reconstruction checks (``tau``, the blocks' supports, the marginals
+        against ``tau``'s spectrum) and one positivity floor (``tau``) for a
+        canonical state and its four checks, at any rank of ``tau``."""
+        rng = np.random.default_rng(60)
+        values = {(c, z): float(rng.uniform(0.5, 1.5)) for c in range(4) for z in range(4)}
+        factors = [TrialFunction(values, beta) for beta in (0.2, 0.1, 0.25, 0.4)]
+        for rank in (1, 2, 4):
+            a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            tau = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            theta = tuple(rng.uniform(0.0, math.pi, size=2))
+            counts = _counting(monkeypatch)
+            rho = canonical_cq_state(CanonicalState(BellConfig.uniform(theta), HermitianOperator(tau)))
+            slacks = [
+                qef_inequality_check(F, rho, kind=kind)
+                for F, kind in zip(factors, ("sandwiched", "petz", "petz", "petz"))
+            ]
+            assert counts == {"eigh": 1, "hermitian": 1, "reconstruction": 3, "floor": 1}
+            assert all(math.isfinite(s) for s in slacks)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "kind, rank, want",
+        [
+            ("petz", 4, {"eigh": 2, "hermitian": 2, "reconstruction": 2, "floor": 2}),
+            ("petz", 1, {"eigh": 2, "hermitian": 2, "reconstruction": 2, "floor": 2}),
+            ("sandwiched", 1, {"eigh": 2, "hermitian": 2, "reconstruction": 2, "floor": 2}),
+            # Z* Z is symmetrized by construction and wrapped, not checked for
+            # being Hermitian; its eigh, residual and floor stay.
+            ("sandwiched", 3, {"eigh": 3, "hermitian": 2, "reconstruction": 3, "floor": 3}),
+        ],
+    )
+    def test_single_pair_counts(self, monkeypatch, kind, rank, want):
+        rng = np.random.default_rng(61)
+        a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        rho, sigma = a @ a.conj().T, random_density(rng, 4)
+        order = RenyiOrder(1.4)
+        ref = renyi_power(rho, sigma, order, kind=kind)
+        counts = _counting(monkeypatch)
+        assert renyi_power(rho, sigma, order, kind=kind) == ref
+        assert counts == want
+
+    @staticmethod
+    def _states(rng):
+        """General block stacks of every support rank, zero blocks included,
+        and canonical states at k = 1 and 2 with ``tau`` of several ranks."""
+        out = []
+        for d in (2, 3, 4):
+            blocks = np.empty((2, 3, d, d), dtype=complex)
+            for iz, ic in np.ndindex(2, 3):
+                r = int(rng.integers(1, d + 1))
+                a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+                blocks[iz, ic] = a @ a.conj().T * rng.uniform(0.1, 1.0)
+            blocks[1, 2] = 0.0
+            out.append(CqDistribution(blocks))
+        for k, rank in ((1, 1), (1, 2), (2, 1), (2, 3), (2, 4)):
+            d = 1 << k
+            a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            tau = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            config = BellConfig.uniform(tuple(rng.uniform(0.0, math.pi, size=k)))
+            out.append(canonical_cq_state(CanonicalState(config, HermitianOperator(tau))))
+        return out
+
+    def test_cached_powers_match_fresh_operands(self):
+        """Powers read from each state's kept geometry and its operands' kept
+        support data, at several orders and both kinds in shuffled order,
+        equal ``renyi_power`` on fresh copies of the same matrices."""
+        rng = np.random.default_rng(62)
+        states = self._states(rng)
+        jobs = [
+            (i, alpha, kind)
+            for i in range(len(states))
+            for alpha in (1.05, 1.3, 1.7, 1.95)
+            for kind in ("sandwiched", "petz")
+        ] * 2
+        for n in rng.permutation(len(jobs)):
+            i, alpha, kind = jobs[n]
+            rho, order = states[i], RenyiOrder(alpha)
+            got = quantum_core._renyi_on_support(rho._support(), order, kind, False)
+            ref = renyi_power(rho.blocks.matrix.copy(), rho.marginals.matrix.copy(), order, kind=kind)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (i, alpha, kind)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_canonical_blocks_match_povm_vectors(self, k):
+        """The grid's product vectors are the :func:`povm_vectors` rows, bit
+        for bit, so the blocks and marginals are too."""
+        rng = np.random.default_rng(63 + k)
+        d = 1 << k
+        theta = tuple(rng.uniform(-math.pi, math.pi, size=k))
+        z, c = np.divmod(np.arange(d * d), d)
+        rows = povm_vectors(theta, c, z)
+        assert models._grid_vectors(theta).tobytes() == rows.tobytes()
+        state = CanonicalState(BellConfig.uniform(theta), HermitianOperator(random_density(rng, d)))
+        u = (rows @ state.tau.power(0.5) / math.sqrt(d)).reshape(d, d, d)
+        ref = CqDistribution(u.conj()[..., :, None] * u[..., None, :])
+        rho = canonical_cq_state(state)
+        assert rho.blocks.matrix.tobytes() == ref.blocks.matrix.tobytes()
+        assert rho.marginals.matrix.tobytes() == ref.marginals.matrix.tobytes()
+        for z in range(d):
+            assert rho.marginal(z).matrix.tobytes() == ref.marginal(z).matrix.tobytes()
+            assert np.array_equal(rho.marginal(z).eigenvalues, state.tau.psd_eigenvalues() / d)
+
+    def test_bad_states_are_refused(self):
+        rng = np.random.default_rng(66)
+        config = BellConfig.uniform((0.4, 1.1))
+        tau = random_density(rng, 4)
+        skewed = tau.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            CanonicalState(config, HermitianOperator(skewed))
+        nan = tau.copy()
+        nan[2, 3] = nan[3, 2] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            CanonicalState(config, HermitianOperator(nan))
+        negative = tau - 1e-6 * np.eye(4) - np.linalg.eigvalsh(tau)[0] * np.eye(4)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CanonicalState(config, HermitianOperator(negative / np.trace(negative).real))
+
+    def test_perturbed_supports_are_refused_by_stack_index(self):
+        """``tau`` of rank 3: a block given mass 1e-6 in the marginals' kernel
+        leaks, one marginal scaled by 1 + 1e-6 no longer has ``tau``'s
+        spectrum, and one pushed 1e-6 below it is not positive."""
+        rng = np.random.default_rng(67)
+        a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        tau = HermitianOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        state = CanonicalState(BellConfig.uniform((0.4, 1.1)), tau)
+        rho = canonical_cq_state(state)
+        order = RenyiOrder(1.3)
+        kernel = tau.eigenvectors[:, -1:]
+        bump = 1e-6 * kernel @ kernel.conj().T
+        blocks, marginals = rho.blocks.matrix.copy(), rho.marginals.matrix.copy()
+        leaky = blocks.copy()
+        leaky[2, 1] += bump
+        for kind in ("sandwiched", "petz"):
+            with pytest.raises(ValueError, match=r"leaks outside support of sigma at stack index \(2, 1\)"):
+                renyi_power(leaky, marginals, order, kind=kind)
+        low = marginals.copy()
+        low[3, 0] -= bump
+        with pytest.raises(ValueError, match=r"operator at stack index \(3, 0\) is not positive"):
+            renyi_power(blocks, low, order)
+        d = 4
+        u = (povm_vectors((0.4, 1.1), *np.divmod(np.arange(16), 4)[::-1]) @ tau.power(0.5) / 2.0).reshape(d, d, d)
+        w, V = tau.psd_eigenvalues() / d, tau.eigenvectors
+        assert np.array_equal(CqDistribution._rank_one(u, (w, V)).blocks.matrix, rho.blocks.matrix)
+        scaled = u.copy()
+        scaled[1] *= math.sqrt(1.0 + 1e-6)
+        with pytest.raises(ValueError, match=r"does not reconstruct the marginal at stack index \(1, 0\)"):
+            CqDistribution._rank_one(scaled, (w, V))
+        moved = u.copy()
+        moved[2, 3] += 1e-6 * kernel[:, 0].conj()
+        with pytest.raises(ValueError, match=r"does not reconstruct the marginal at stack index \(2, 0\)"):
+            CqDistribution._rank_one(moved, (w, V))
 
 
 class TestChain:
@@ -1454,6 +1635,32 @@ class TestCertifyFmax:
         F, _ = pef02
         with pytest.raises(ValueError):
             certify_fmax(F, config22, 0.0)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -1e-3])
+    def test_gap_target_must_be_finite_and_positive(self, pef02, config22, monkeypatch, gap):
+        """A NaN target would split no cell and an infinite one would be
+        written as ``Infinity``: both are refused by value, as a negative one
+        is, before any vertex is solved."""
+        F, _ = pef02
+
+        def no_solve(*args):
+            raise AssertionError("a vertex was solved")
+
+        monkeypatch.setattr(qef_engine, "_solve_vertices", no_solve)
+        with pytest.raises(ValueError, match=rf"gap target must be finite and positive, got {gap!r}"):
+            certify_fmax(F, config22, gap)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, -math.inf])
+    def test_inner_tolerance_domain(self, pef02, monkeypatch, tol):
+        """A NaN tolerance would run every block to the pair cap."""
+        F, _ = pef02
+
+        def no_solve(*args):
+            raise AssertionError("a vertex was solved")
+
+        monkeypatch.setattr(qef_engine, "_solve_vertices", no_solve)
+        with pytest.raises(ValueError, match=rf"tolerance must be nonnegative, got {tol!r}"):
+            inner_max_tau(F, (0.3, 1.2), tol=tol)
 
     def test_nan_vertex_bound_raises(self, pef02, config22, monkeypatch):
         """A NaN vertex bound stops the search; it used to drop out of the
