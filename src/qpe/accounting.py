@@ -237,13 +237,8 @@ class MinTrialsRow:
         return self.n_eat / self.n_qef
 
 
-def min_trials_row(
-    nu,
-    param: float,
-    beta_grid: Sequence[float],
-    budget: ErrorBudget,
-) -> MinTrialsRow:
-    """Optimize the factor power over a grid and compare trial counts.
+def _best_row(nu, param, beta_grid, factors, budget) -> MinTrialsRow:
+    """Compare trial counts at each power's optimal ``(F, rate)`` in ``factors``.
 
     The power with the fewest factor-based trials wins.  A count is
     proportional to ``1 / (beta rate)``, and the optimizer certifies
@@ -255,15 +250,8 @@ def min_trials_row(
     The tie goes to the smallest reference count, so the comparison is made
     against the stronger reference.  The reference count reuses each
     power's optimal factor's estimator, whose range ceiling is
-    ``max |log2 F| / beta``.  The powers' programs are solved in one
-    :func:`pef_opt.optimize_pef_grid` call, as in :func:`min_trials_table`.
+    ``max |log2 F| / beta``.
     """
-    factors = pef_opt.optimize_pef_grid([nu], beta_grid)[0]
-    return _best_row(nu, param, beta_grid, factors, budget)
-
-
-def _best_row(nu, param, beta_grid, factors, budget) -> MinTrialsRow:
-    """:func:`min_trials_row` from each power's ``(F, rate)``."""
     i_hat = models.chsh_value(nu)
     rows = []
     for beta, (F, rate) in zip(beta_grid, factors):
@@ -304,7 +292,7 @@ def min_trials_table(
     beta_grid: Sequence[float],
     budget: ErrorBudget,
 ) -> list[MinTrialsRow]:
-    """:func:`min_trials_row` at each family point, with all their programs
+    """:func:`_best_row` at each family point, with all their programs
     solved in one :func:`pef_opt.optimize_pef_grid` call.  A point the model
     cannot reach, with no positive rate, or with a factor of positive rate
     that is 0 on some cell (its reference count is unbounded), is skipped

@@ -1,12 +1,15 @@
 """(k,2,2) Bell-trial configurations, POVMs, canonical states, trial distributions.
 
-Stations are binary-input binary-outcome.  Input 0 always measures along z;
-input 1 measures in the xz-plane at a station angle ``phi``, so every
-projector is ``v v^T`` for a real unit vector ``v``.  One table,
-:func:`_station_table`, holds those vectors; product vectors (station 0 the
-leftmost Kronecker factor), canonical blocks, the reference families' Born
-tables and the detection-efficiency seed's observables are built from it,
-with detector loss a binning of non-detections into outcome 1.  The
+Stations are binary-input binary-outcome.  In a configuration input 0
+measures along z and input 1 in the xz-plane at a station angle ``phi``;
+the reference families may turn setting 0 too.  Every projector is ``v
+v^T`` for a real unit vector ``v``.  One table, :func:`_station_table`,
+holds those vectors, and the detection-efficiency seed's observables are
+built from it.  One builder, :func:`_product_vectors`, multiplies them
+into the product vectors of the whole ``(c, z)`` grid (station 0 the
+leftmost Kronecker factor); the certifier's projector rows, the canonical
+blocks and the reference families' Born tables all read it, with detector
+loss a binning of non-detections into outcome 1.  The
 detection-efficiency family starts at the binned Bell operator's optimum
 and is refined by a NumPy BFGS on the relative entropy to the local
 polytope.  Outcome and input tuples pack into ints little-endian (bit ``i``
@@ -119,26 +122,42 @@ class BellConfig:
         return 1 << self.k
 
 
-def povm_vectors(angles: ArrayLike, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real unit vectors spanning the product projectors of ``(c[j], z[j])``.
+def _product_vectors(settings: ArrayLike) -> np.ndarray:
+    """Real unit vectors spanning every product projector, ``(..., 4**k, 2**k)``.
+
+    ``settings[..., i, x]`` is station ``i``'s measurement angle under
+    setting ``x`` (see :func:`_station_table`); leading axes stack
+    configurations.  Row ``z * 2**k + c`` is the ``np.kron`` product, station
+    0 leftmost, of the stations' vectors for the packed outcome ``c`` and
+    input ``z``.  The stations' vectors sit on one axis per input bit and per
+    outcome bit, highest bit first, so each station's factor is one
+    broadcast multiply; that multiply is the one the ``np.kron`` chain
+    performs, so the rows are bit-identical to it.
+    """
+    table = _station_table(settings)
+    lead, k = table.shape[:-4], table.shape[-4]
+    for i in range(k):
+        # Station i's ``[x, c, :]`` table on the axes of input bit i and outcome bit i.
+        shape = [1] * (2 * k) + [1, 2]
+        shape[k - 1 - i] = shape[2 * k - 1 - i] = 2
+        S = table[..., i, :, :, :].reshape(lead + tuple(shape))
+        V = S if i == 0 else V[..., :, None] * S
+        V = V.reshape(V.shape[:-2] + (-1,))
+    return V.reshape(lead + (1 << 2 * k, 1 << k))
+
+
+def povm_vectors(angles: ArrayLike) -> np.ndarray:
+    """:func:`_product_vectors` of configurations, ``(..., 4**k, 2**k)``.
 
     ``angles`` holds the ``k`` station angles along its last axis; leading
-    axes stack configurations, and the result is ``(..., n, 2**k)``.  Each
-    station measures setting 0 at angle 0 and setting 1 at its angle (see
-    :func:`_station_table`).  Row ``j`` is the ``np.kron`` product, station 0
-    leftmost, of the stations' vectors for the packed outcome ``c[j]`` and
-    input ``z[j]``; one broadcast outer product per station performs the
-    same multiplications as that chain, so the rows are bit-identical to it.
+    axes stack configurations.  Each station measures setting 0 at angle 0
+    and setting 1 at its angle, and row ``z * 2**k + c`` spans the product
+    projector of ``(c, z)``.
     """
     angles = np.asarray(angles, dtype=float)
-    c, z = np.asarray(c), np.asarray(z)
-    lead = angles.shape[:-1]
-    table = _station_table(np.stack([np.zeros_like(angles), angles], -1))
-    V = np.ones(lead + (c.size, 1))
-    for i in range(angles.shape[-1]):
-        S = table[..., i, (z >> i) & 1, (c >> i) & 1, :]
-        V = (V[..., :, :, None] * S[..., :, None, :]).reshape(lead + (c.size, -1))
-    return V
+    settings = np.zeros(angles.shape + (2,))
+    settings[..., 1] = angles
+    return _product_vectors(settings)
 
 
 @dataclass(frozen=True)
@@ -157,48 +176,20 @@ class CanonicalState:
             raise ValueError("state must have unit trace")
 
 
-def _grid_vectors(angles: Sequence[float]) -> np.ndarray:
-    """The :func:`povm_vectors` rows over the full grid, ``(2**k * 2**k, 2**k)``.
-
-    Row ``z * 2**k + c`` spans the projector of ``(c, z)``.  The stations'
-    vectors are arranged with one axis per input bit and per outcome bit,
-    highest bit first, so that each station's factor is one broadcast
-    multiply; the products are the ones :func:`povm_vectors` forms, in the
-    same order, so the rows are the same bits.
-    """
-    k = len(angles)
-    pairs = np.zeros((k, 2))
-    pairs[:, 1] = angles
-    table = _station_table(pairs)
-
-    def station(i: int) -> np.ndarray:
-        # Station i's ``[x, c, :]`` table on the axes of input bit i and outcome bit i.
-        shape = [1] * (2 * k) + [2]
-        shape[k - 1 - i] = shape[2 * k - 1 - i] = 2
-        return table[i].reshape(shape)
-
-    V = station(0)
-    for i in range(1, k):
-        V = V[..., :, None] * station(i)[..., None, :]
-        V = V.reshape(V.shape[:-2] + (-1,))
-    return V.reshape(1 << 2 * k, 1 << k)
-
-
 def canonical_cq_state(s: CanonicalState) -> CqDistribution:
     """Blocks ``2**-k sqrt(tau) P_{c|z} sqrt(tau)`` over the full ``(c, z)`` grid.
 
     With ``P_{c|z} = v v^T`` for a row ``v`` of :func:`povm_vectors`, a block
     is ``conj(u) u^T`` for ``u = v^T sqrt(tau) / sqrt(2**k)``.  The ``u`` form
-    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``, built from the rows of
-    :func:`_grid_vectors`.  Each input's
-    projectors sum to the identity, so every marginal is ``tau / 2**k`` on
-    ``tau``'s support: its spectrum is ``tau``'s, which the state's
-    positivity check decomposed, over ``2**k``.  The distribution is built
-    from ``u`` and that spectrum (``CqDistribution._rank_one``), so no
-    block or marginal is decomposed.
+    one ``(2**k, 2**k, d)`` array indexed ``[z, c]``, the grid's rows in
+    order.  Each input's projectors sum to the identity, so every marginal
+    is ``tau / 2**k`` on ``tau``'s support: its spectrum is ``tau``'s, which
+    the state's positivity check decomposed, over ``2**k``.  The
+    distribution is built from ``u`` and that spectrum
+    (``CqDistribution._rank_one``), so no block or marginal is decomposed.
     """
     d = s.config.dim
-    U = _grid_vectors(s.config.angles) @ s.tau.power(0.5) / math.sqrt(d)
+    U = povm_vectors(s.config.angles) @ s.tau.power(0.5) / math.sqrt(d)
     marginal = (s.tau._on_support(lambda w: w) / d, s.tau.eigenvectors)
     return CqDistribution._rank_one(U.reshape(d, d, d), marginal)
 
@@ -300,19 +291,16 @@ def _quantum_cond_table(
 ) -> np.ndarray:
     """Conditional table ``cond[c, z]`` without distribution validation.
 
-    The ideal table is ``Re v^T rho v`` over the 16 product vectors of the
-    two stations' tables; detector loss then acts on each station's outcome
-    as the column-stochastic ``m = [[eta, 0], [1 - eta, 1]]``, one
-    ``kron(m, m)`` on the packed ``c = a + 2 b`` axis.
+    The ideal table is ``Re v^T rho v`` over the 16 :func:`_product_vectors`
+    rows of the two stations' settings; detector loss then acts on each
+    station's outcome as the column-stochastic ``m = [[eta, 0], [1 - eta,
+    1]]``, one ``kron(m, m)`` on the packed ``c = a + 2 b`` axis.
     """
-    ta, tb = _station_table((angles_a, angles_b))
-    # v[x, y, a, b] = kron(ta[x, a], tb[y, b]), station 0 leftmost.
-    v = (ta[:, None, :, None, :, None] * tb[None, :, None, :, None, :]).reshape(16, 4)
-    p = np.real(((v @ rho) * v).sum(axis=1)).reshape(2, 2, 2, 2)
+    v = _product_vectors((angles_a, angles_b))
+    # Row z * 4 + c of v gives p[z, c]; clipped at zero after the loss.
+    p = np.real(((v @ rho) * v).sum(axis=1)).reshape(4, 4)
     m = np.array([[eta, 0.0], [1.0 - eta, 1.0]])
-    # ideal[a + 2 b, x + 2 y] = p[x, y, a, b], clipped at zero after the loss.
-    ideal = p.transpose(3, 2, 1, 0).reshape(4, 4)
-    return np.maximum(_kron2(m, m) @ ideal, 0.0)
+    return np.maximum(_kron2(m, m) @ p.T, 0.0)
 
 
 def distribution_from_quantum(
@@ -324,7 +312,7 @@ def distribution_from_quantum(
     """Two-station trial distribution of a two-qubit state, uniform inputs.
 
     ``angles_a[x]`` is station 0's measurement angle under setting ``x``
-    (likewise station 1), read by :func:`_station_table`.  With
+    (likewise station 1), read by :func:`_product_vectors`.  With
     ``efficiency < 1`` each station's detector fires with that probability
     and non-detections are binned into outcome 1: the ideal table's outcome
     0 keeps weight ``eta`` and passes ``1 - eta`` to outcome 1.
@@ -549,7 +537,7 @@ def _p_strength(v: np.ndarray, eta: float, weights: np.ndarray) -> tuple[float, 
     amp = np.einsum("nk,nxak,nybk->nxyab", coef, ta, tb)
     m = np.array([[eta, 0.0], [1.0 - eta, 1.0]])
     loss = _kron2(m, m)
-    # As in _quantum_cond_table: ideal[a + 2 b, x + 2 y] = amp[0, x, y, a, b]**2.
+    # _quantum_cond_table's ideal table: ideal[a + 2 b, x + 2 y] = amp[0, x, y, a, b]**2.
     cond = np.maximum(loss @ (amp[0] ** 2).transpose(3, 2, 1, 0).reshape(4, 4), 0.0)
     mask = cond > 0.0
     lam = _local_projection(cond, np.full(4, 0.25), weights)

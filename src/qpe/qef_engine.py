@@ -360,9 +360,10 @@ def _cell_values(F: TrialFunction, d: int) -> np.ndarray:
 def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero weights ``F(cz) / 2**k`` (uniform inputs) and matching projector vectors.
 
-    Rows run over ``z`` then ``c``.  ``angles`` is one configuration's
-    station angles, or a stack of them along leading axes (see
-    :func:`povm_vectors`); the weights are shared by the whole stack.
+    Rows run over ``z`` then ``c``: the nonzero-weight rows of the
+    :func:`povm_vectors` grid.  ``angles`` is one configuration's station
+    angles, or a stack of them along leading axes; the weights are shared
+    by the whole stack.
     """
     k = np.shape(angles)[-1]
     if k != F.stations:
@@ -372,8 +373,7 @@ def _weights_and_vectors(F: TrialFunction, angles: ArrayLike) -> tuple[np.ndarra
     rows = np.flatnonzero(w > 0.0)
     if rows.size == 0:
         raise ValueError("trial function vanishes everywhere")
-    z, c = np.divmod(rows, d)
-    return w[rows], povm_vectors(angles, c, z)
+    return w[rows], povm_vectors(angles)[..., rows, :]
 
 
 def _wrap_angle(t: float) -> float:

@@ -484,18 +484,19 @@ def _support_leak(rho: HermitianOperator, sigma: HermitianOperator):
     """Mass of each ``rho`` outside the support of its ``sigma``, relative to the pair.
 
     The mass is ``tr(P_ker rho)``, over the larger of ``tr rho`` and
-    ``tr sigma``.  The kernel of ``sigma`` spans its eigenvalues at most
-    ``KERNEL_CUT`` times the largest, so a block far smaller than its
-    marginal may lie in it whole; over ``tr sigma``, its mass is below the
-    cut.  When no ``sigma`` has a kernel, nothing can leak.
+    ``tr sigma``.  The kernel of ``sigma`` is the complement of the support
+    mask every power reads (its clipped eigenvalues at most ``KERNEL_CUT``
+    times the largest, roundoff negatives included), so no mass the powers
+    drop goes untested.  A block far smaller than its marginal may lie in
+    it whole; over ``tr sigma``, its mass is below the cut.  When no
+    ``sigma`` has a kernel, nothing can leak.
     """
-    w, v = sigma._eig()
-    kernel = np.abs(w) <= KERNEL_CUT * np.abs(w[..., :1])
+    kernel = ~sigma._support_data()[0]
     if not _any(kernel):
         return 0.0
     # Not ``||P_ker rho||_F``: that norm scales as the square root of the
     # mass, so roundoff mass of 1e-16 reads as 1e-8.
-    kernel_part = _from_spectrum(kernel.astype(float), v) @ rho.matrix
+    kernel_part = _from_spectrum(kernel.astype(float), sigma.eigenvectors) @ rho.matrix
     leak = np.real(np.trace(kernel_part, axis1=-2, axis2=-1))
     scale = np.maximum(rho.trace(), sigma.trace())
     return np.divide(leak, scale, out=np.zeros_like(leak), where=scale > 0.0)

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qpe import pef_opt
 from qpe.accounting import (
     ErrorBudget,
     EntropyCertificate,
@@ -17,7 +18,6 @@ from qpe.accounting import (
     c_tilde,
     eat_from_qef_bound,
     eat_reference_bound,
-    min_trials_row,
     min_trials_table,
     minentropy_bound,
     n_min_eat_from_ee,
@@ -27,6 +27,7 @@ from qpe.accounting import (
     r_max_qef,
     write_mintrials_csv,
     write_rmax_csv,
+    _best_row,
 )
 from qpe.estimators import _A, iota0
 from qpe.protocols import ProtocolParams
@@ -323,6 +324,12 @@ class TestRateCurves:
         assert abs(float(rows[1][0]) - 0.01) <= 1e-12
         assert abs(float(rows[2][0]) - 0.06) <= 1e-12
         assert abs(float(rows[-1][0]) - 0.66) <= 1e-12
+
+
+def min_trials_row(nu, param, beta_grid, budget):
+    """One point's row from its own lone grid solve."""
+    factors = pef_opt.optimize_pef_grid([nu], beta_grid)[0]
+    return _best_row(nu, param, beta_grid, factors, budget)
 
 
 class TestMinTrials:

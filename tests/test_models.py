@@ -62,8 +62,7 @@ class TestBitPacking:
 def _projectors(angles) -> np.ndarray:
     """``P[z, c]``: outer products of the :func:`povm_vectors` rows."""
     d = 1 << len(angles)
-    z, c = np.divmod(np.arange(d * d), d)
-    V = povm_vectors(angles, c, z)
+    V = povm_vectors(angles)
     return (V[:, :, None] * V[:, None, :]).reshape(d, d, d, d)
 
 
@@ -142,8 +141,8 @@ class TestPovmTensor:
         rng = np.random.default_rng(25)
         config = BellConfig.uniform(tuple(rng.uniform(-1.5, 1.5, size=2)))
         singles = []
-        for c in range(4):
-            for z in range(4):
+        for z in range(4):
+            for c in range(4):
                 v = povm_vector(config, c, z)
                 want = np.kron(
                     _qubit_projector(c & 1, config.angles[0] if z & 1 else 0.0),
@@ -151,8 +150,24 @@ class TestPovmTensor:
                 )
                 assert np.allclose(np.outer(v, v), want, atol=1e-12)
                 singles.append(v)
-        c, z = np.divmod(np.arange(16), 4)
-        assert povm_vectors(config.angles, c, z).tobytes() == np.array(singles).tobytes()
+        assert povm_vectors(config.angles).tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stacks_match_single_configurations(self, k, povm_vector):
+        """A ``(P, k)`` or ``(2, 3, k)`` stack of angles gives the stack of
+        single-configuration grids, and each grid the ``np.kron`` chain of
+        the fixture, bit for bit; row ``z * 2**k + c`` is ``(c, z)``."""
+        rng = np.random.default_rng(27 + k)
+        d = 1 << k
+        for lead in ((5,), (2, 3)):
+            angles = rng.uniform(-math.pi + 1e-9, math.pi, size=lead + (k,))
+            V = povm_vectors(angles)
+            assert V.shape == lead + (d * d, d)
+            for idx in np.ndindex(*lead):
+                config = BellConfig.uniform(tuple(angles[idx]))
+                kron = [povm_vector(config, c, z) for z in range(d) for c in range(d)]
+                assert V[idx].tobytes() == povm_vectors(angles[idx]).tobytes()
+                assert V[idx].tobytes() == np.array(kron).tobytes()
 
 
 class TestCanonicalCqState:

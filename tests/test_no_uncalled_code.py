@@ -34,7 +34,6 @@ ALLOWED = {
     "constant_one": "paper fact: the all-ones function is a factor at every power",
     "conditional_entropy": "test reference: entropy estimates must lie below it",
     "pef_inequality_check": "test reference: polytope factors are checked against it",
-    "min_trials_row": "one point's row by min_trials_table's path, read by unit tests",
 }
 
 # Methods and properties kept without a caller, each for its reason.

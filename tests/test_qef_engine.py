@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpe import models, qef_engine, quantum_core
+from qpe import qef_engine, quantum_core
 from qpe.models import (
     BellConfig,
     CanonicalState,
@@ -481,8 +481,7 @@ class TestClosedFormCanonicalState:
             taus.append(((0.0,) * k, ground))
             for theta, tau in taus:
                 state = CanonicalState(BellConfig.uniform(theta), HermitianOperator(tau))
-                z, c = np.divmod(np.arange(d * d), d)
-                u = povm_vectors(theta, c, z) @ state.tau.power(0.5) / math.sqrt(d)
+                u = povm_vectors(theta) @ state.tau.power(0.5) / math.sqrt(d)
                 out.append((state, u.reshape(d, d, d)))
         return out
 
@@ -633,14 +632,12 @@ class TestSupportRecords:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_canonical_blocks_match_povm_vectors(self, k):
-        """The grid's product vectors are the :func:`povm_vectors` rows, bit
-        for bit, so the blocks and marginals are too."""
+        """The blocks and marginals are the ones built from the
+        :func:`povm_vectors` rows, bit for bit."""
         rng = np.random.default_rng(63 + k)
         d = 1 << k
         theta = tuple(rng.uniform(-math.pi, math.pi, size=k))
-        z, c = np.divmod(np.arange(d * d), d)
-        rows = povm_vectors(theta, c, z)
-        assert models._grid_vectors(theta).tobytes() == rows.tobytes()
+        rows = povm_vectors(theta)
         state = CanonicalState(BellConfig.uniform(theta), HermitianOperator(random_density(rng, d)))
         u = (rows @ state.tau.power(0.5) / math.sqrt(d)).reshape(d, d, d)
         ref = CqDistribution(u.conj()[..., :, None] * u[..., None, :])
@@ -690,7 +687,7 @@ class TestSupportRecords:
         with pytest.raises(ValueError, match=r"operator at stack index \(3, 0\) is not positive"):
             renyi_power(blocks, low, order)
         d = 4
-        u = (povm_vectors((0.4, 1.1), *np.divmod(np.arange(16), 4)[::-1]) @ tau.power(0.5) / 2.0).reshape(d, d, d)
+        u = (povm_vectors((0.4, 1.1)) @ tau.power(0.5) / 2.0).reshape(d, d, d)
         w, V = tau.psd_eigenvalues() / d, tau.eigenvectors
         assert np.array_equal(CqDistribution._rank_one(u, (w, V)).blocks.matrix, rho.blocks.matrix)
         scaled = u.copy()

@@ -173,6 +173,16 @@ class TestRenyiPower:
             else:
                 assert renyi_power(rho, sigma, RenyiOrder(1.5)) > 0.0
 
+    @pytest.mark.parametrize("kind", ["sandwiched", "petz"])
+    def test_leak_into_a_clipped_eigenvalue_is_refused(self, kind):
+        """A roundoff-negative eigenvalue of sigma is clipped to 0 and lies in
+        the kernel the powers use, so rho's mass along it leaks, as it does
+        along an exact 0."""
+        rho = np.diag([0.5, 0.5])
+        for low in (-5e-12, 0.0):
+            with pytest.raises(ValueError, match="relative mass 5.000e-01"):
+                renyi_power(rho, np.diag([1.0, low]), RenyiOrder(1.5), kind=kind)
+
 
 class TestConditionalEntropy:
     def test_uniform_classical(self):
